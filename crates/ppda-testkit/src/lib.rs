@@ -55,6 +55,33 @@ pub fn aggregator_setup(topology: &Topology) -> (ProtocolConfig, Vec<u16>) {
     (config, aggregators)
 }
 
+/// Compare `actual` against the committed fixture `tests/golden/<name>`
+/// at the workspace root, or rewrite the fixture when `GOLDEN_REGEN` is
+/// set (then review the diff). Regenerating an unchanged format leaves
+/// the fixture byte-identical.
+///
+/// # Panics
+///
+/// When the fixture is missing or differs from `actual`.
+pub fn assert_golden(name: &str, actual: &str) {
+    let path =
+        std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden")).join(name);
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        std::fs::create_dir_all(path.parent().expect("fixture path has a parent"))
+            .expect("create the golden directory");
+        std::fs::write(&path, actual).expect("write the golden fixture");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
+    assert_eq!(
+        actual,
+        expected,
+        "output drifted from {}; if intentional, regenerate with GOLDEN_REGEN=1",
+        path.display()
+    );
+}
+
 /// The workspace's deterministic RNG at a named seed.
 pub fn rng(seed: u64) -> Xoshiro256 {
     Xoshiro256::seed_from(seed)

@@ -26,7 +26,7 @@ use ppda::mpc::{
 use ppda::prelude::FaultPlan;
 use ppda::topology::Topology;
 use ppda_metrics::CampaignAccumulator;
-use ppda_testkit::{grid9_deployment, lossy_flocklab_deployment};
+use ppda_testkit::{assert_golden, grid9_deployment, lossy_flocklab_deployment};
 
 fn testbeds() -> Vec<(Topology, ProtocolConfig)> {
     let flocklab = Topology::flocklab();
@@ -42,6 +42,98 @@ fn testbeds() -> Vec<(Topology, ProtocolConfig)> {
         .build()
         .unwrap();
     vec![(flocklab, flocklab_config), (dcube, dcube_config)]
+}
+
+/// One golden line: the case key and a transcript digest of the report's
+/// `Debug` text, which covers every field of the `RoundReport`. The full
+/// report goes to the captured test output, so a drifting line can be
+/// inspected from the failure log.
+fn golden_line(key: &str, report: &RoundReport) -> String {
+    let text = format!("{report:?}");
+    eprintln!("{key}\n{text}");
+    let mut transcript = ppda::integrity::Transcript::new(b"ppda/golden/driver_rounds");
+    transcript.absorb(b"report", text.as_bytes());
+    let digest: String = transcript
+        .challenge_block(b"digest")
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    format!("{key} {digest}\n")
+}
+
+/// The byte-level contract of every driven round, frozen: S3 and S4 on
+/// both testbeds at B ∈ {1, 4} with generated readings, at B = 1 with
+/// explicit readings and two failed nodes, and three stepped epochs of
+/// the driver clock. Regenerate with `GOLDEN_REGEN=1` only for an
+/// intentional change of round semantics.
+#[test]
+fn driver_rounds_match_golden_digests() {
+    let mut lines = String::new();
+    for (topology, base_config) in testbeds() {
+        let testbed = topology.name();
+        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
+            for lanes in [1usize, 4] {
+                let mut config = base_config.clone();
+                config.batch = lanes;
+                let deployment = Deployment::builder()
+                    .topology_ref(&topology)
+                    .config(config.clone())
+                    .protocol(kind)
+                    .build()
+                    .unwrap();
+                let mut driver = deployment.driver();
+                for seed in [1u64, 7, 42, 0xBEEF] {
+                    let report = driver.round_at(config.round_id, seed).unwrap();
+                    let key = format!("{testbed} {} B={lanes} seed={seed}", kind.name());
+                    lines += &golden_line(&key, &report);
+                }
+            }
+        }
+
+        let n = topology.len();
+        let secrets: Vec<u64> = (0..base_config.sources.len() as u64)
+            .map(|i| 100 + i)
+            .collect();
+        let mut failed = vec![false; n];
+        failed[1] = true;
+        failed[n - 1] = true;
+        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
+            let deployment = Deployment::builder()
+                .topology_ref(&topology)
+                .config(base_config.clone())
+                .protocol(kind)
+                .build()
+                .unwrap();
+            let mut driver = deployment.driver();
+            for seed in [3u64, 19] {
+                let report = driver
+                    .round_at_with(base_config.round_id, seed, &secrets, &failed)
+                    .unwrap();
+                let key = format!(
+                    "{testbed} {} B=1 seed={seed} readings=100+i failed=1,{}",
+                    kind.name(),
+                    n - 1
+                );
+                lines += &golden_line(&key, &report);
+            }
+        }
+
+        let deployment = Deployment::builder()
+            .topology_ref(&topology)
+            .config(base_config.clone())
+            .protocol(ProtocolKind::S4)
+            .seed(0xFEED)
+            .build()
+            .unwrap();
+        let mut driver = deployment.driver();
+        for epoch in 0..3 {
+            let report = driver.step().unwrap();
+            let key = format!("{testbed} S4 B=1 epoch={epoch} base_seed=0xfeed");
+            lines += &golden_line(&key, &report);
+        }
+    }
+    assert_eq!(lines.lines().count(), 46);
+    assert_golden("driver_rounds.txt", &lines);
 }
 
 /// The acceptance differential: a zero-fault B = 1 driver round equals
@@ -219,25 +311,6 @@ fn golden_round_report_display() {
     let deployment = lossy_flocklab_deployment(6, 0.3);
     let report = deployment.driver().step().unwrap();
     assert_golden("round_report.txt", &report.to_string());
-}
-
-fn assert_golden(name: &str, actual: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "round report format drifted from {}; if intentional, regenerate with GOLDEN_REGEN=1",
-        path.display()
-    );
 }
 
 /// Observer fan-out and iterator streaming compose.

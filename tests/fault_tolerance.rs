@@ -19,29 +19,8 @@
 use ppda::mpc::{FaultPlan, MpcError, ProtocolConfig, ProtocolKind, RecoveryStatus, RoundPlan};
 use ppda::topology::Topology;
 use ppda_bench::{run_campaign_faulty, Protocol};
-use ppda_testkit::{churn, grid9, grid9_config, lossy_flocklab};
+use ppda_testkit::{assert_golden, churn, grid9, grid9_config, lossy_flocklab};
 use proptest::prelude::*;
-
-/// Compare `actual` against the committed fixture, or rewrite it when
-/// `GOLDEN_REGEN=1` is set (same contract as `tests/wire_formats.rs`).
-fn assert_golden(name: &str, actual: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "degraded outcome format drifted from {}; if intentional, regenerate with GOLDEN_REGEN=1",
-        path.display()
-    );
-}
 
 fn testbeds() -> Vec<(Topology, ProtocolConfig)> {
     let flocklab = Topology::flocklab();

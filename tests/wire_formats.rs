@@ -12,27 +12,7 @@ use ppda::crypto::{Ccm, PairwiseKeys};
 use ppda::field::{share_x, Gf31, Gf61, Mersenne31, Mersenne61};
 use ppda::radio::FrameSpec;
 use ppda::sss::{Share, SharePacket, SumPacket};
-
-/// Compare `actual` against the committed fixture, or rewrite the fixture
-/// when `GOLDEN_REGEN=1` is set.
-fn assert_golden(name: &str, actual: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "wire format drifted from {}; if intentional, regenerate with GOLDEN_REGEN=1",
-        path.display()
-    );
-}
+use ppda_testkit::assert_golden;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
