@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use ppda_bench::{Protocol, TestbedSetup};
-use ppda_mpc::RoundPlan;
+use ppda_mpc::Deployment;
 
 fn bench_round_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign_throughput");
@@ -25,33 +25,25 @@ fn bench_round_throughput(c: &mut Criterion) {
             let config = setup
                 .config_batched(sources, batch)
                 .expect("operating point is valid");
-            let plan = RoundPlan::new(&topology, &config, Protocol::S4).expect("plan compiles");
-            let mut executor = plan.executor();
+            let deployment = Deployment::builder()
+                .topology_ref(&topology)
+                .config(config.clone())
+                .protocol(Protocol::S4)
+                .build()
+                .expect("deployment compiles");
+            let mut driver = deployment.driver();
             let mut seed = 0u64;
             group.bench_function(
                 format!("S4/{}-{}src/batch-{}", setup.name, sources, batch),
                 |bench| {
                     bench.iter(|| {
                         seed = seed.wrapping_add(1);
-                        black_box(executor.run(seed).expect("round runs"))
+                        black_box(driver.round_at(config.round_id, seed).expect("round runs"))
                     })
                 },
             );
         }
     }
-    // The scalar (non-executor) path at one point, as the allocation-churn
-    // reference.
-    let setup = TestbedSetup::flocklab();
-    let topology = setup.topology();
-    let config = setup.config(3).unwrap();
-    let plan = RoundPlan::new(&topology, &config, Protocol::S4).unwrap();
-    let mut seed = 0u64;
-    group.bench_function("S4/flocklab-3src/scalar-path", |bench| {
-        bench.iter(|| {
-            seed = seed.wrapping_add(1);
-            black_box(plan.run(seed).expect("round runs"))
-        })
-    });
     group.finish();
 }
 

@@ -1,15 +1,43 @@
 //! Measures what the compile-once plan layer buys: per-round cost with a
-//! reused [`RoundPlan`] versus the bootstrap-per-round baseline (a fresh
-//! protocol object per round, as the campaign runner did before the plan
-//! split). The gap is the amortized work — pairwise key derivation, hop
-//! tables, aggregator election, chain/schedule compilation, Lagrange
-//! weights. Recorded ratios live in `EXPERIMENTS.md`.
-#![allow(deprecated)] // the bootstrap-per-round baseline *is* the legacy path
+//! reused [`RoundPlan`] (one deployment, one driver) versus the
+//! bootstrap-per-round baseline (a fresh deployment per round, as the
+//! campaign runner did before the plan split). The gap is the amortized
+//! work — pairwise key derivation, hop tables, aggregator election,
+//! chain/schedule compilation, Lagrange weights. Recorded ratios live in
+//! `EXPERIMENTS.md`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use ppda_bench::TestbedSetup;
-use ppda_mpc::{ProtocolKind, RoundPlan, S3Protocol, S4Protocol};
+use ppda_mpc::{Deployment, MpcError, ProtocolConfig, ProtocolKind, RoundPlan, RoundReport};
+use ppda_topology::Topology;
+
+/// A deployment of `kind` over a borrowed topology.
+fn deployment<'t>(
+    topology: &'t Topology,
+    config: &ProtocolConfig,
+    kind: ProtocolKind,
+) -> Deployment<'t> {
+    Deployment::builder()
+        .topology_ref(topology)
+        .config(config.clone())
+        .protocol(kind)
+        .build()
+        .unwrap()
+}
+
+/// The bootstrap-per-round baseline: compile a fresh deployment, then run
+/// its one round.
+fn fresh_round(
+    topology: &Topology,
+    config: &ProtocolConfig,
+    kind: ProtocolKind,
+    seed: u64,
+) -> Result<RoundReport, MpcError> {
+    deployment(topology, config, kind)
+        .driver()
+        .round_at(config.round_id, seed)
+}
 
 fn bench_plan_amortization(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_amortization");
@@ -25,24 +53,23 @@ fn bench_plan_amortization(c: &mut Criterion) {
         let config = setup.config(sources).unwrap();
 
         // S4, the periodic-aggregation production path.
-        let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
+        let reused = deployment(&topology, &config, ProtocolKind::S4);
         let label = |what: &str| format!("{what}/{}-{sources}src", setup.name);
         group.bench_function(label("s4_reused_plan"), |bench| {
+            let mut driver = reused.driver();
             let mut seed = 0u64;
             bench.iter(|| {
                 seed += 1;
-                plan.run(seed).unwrap()
+                driver.round_at(config.round_id, seed).unwrap()
             })
         });
         group.bench_function(label("s4_bootstrap_per_round"), |bench| {
             let mut seed = 0u64;
             bench.iter(|| {
                 seed += 1;
-                // The legacy campaign body: fresh config clone, fresh
-                // protocol, fresh bootstrap, every round.
-                S4Protocol::new(config.clone())
-                    .run(&topology, seed)
-                    .unwrap()
+                // The pre-plan campaign body: fresh config clone, fresh
+                // bootstrap, every round.
+                fresh_round(&topology, &config, ProtocolKind::S4, seed).unwrap()
             })
         });
 
@@ -53,12 +80,13 @@ fn bench_plan_amortization(c: &mut Criterion) {
 
         // The full network for context (simulation-dominated).
         let full = setup.config(topology.len()).unwrap();
-        let full_plan = RoundPlan::new(&topology, &full, ProtocolKind::S4).unwrap();
+        let full_deployment = deployment(&topology, &full, ProtocolKind::S4);
         group.bench_function(format!("s4_reused_plan/{}-full", setup.name), |bench| {
+            let mut driver = full_deployment.driver();
             let mut seed = 0u64;
             bench.iter(|| {
                 seed += 1;
-                full_plan.run(seed).unwrap()
+                driver.round_at(full.round_id, seed).unwrap()
             })
         });
         group.bench_function(
@@ -67,7 +95,7 @@ fn bench_plan_amortization(c: &mut Criterion) {
                 let mut seed = 0u64;
                 bench.iter(|| {
                     seed += 1;
-                    S4Protocol::new(full.clone()).run(&topology, seed).unwrap()
+                    fresh_round(&topology, &full, ProtocolKind::S4, seed).unwrap()
                 })
             },
         );
@@ -78,21 +106,20 @@ fn bench_plan_amortization(c: &mut Criterion) {
     let setup = TestbedSetup::flocklab();
     let topology = setup.topology();
     let config = setup.config(6).unwrap();
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S3).unwrap();
+    let reused = deployment(&topology, &config, ProtocolKind::S3);
     group.bench_function("s3_reused_plan/flocklab-6src", |bench| {
+        let mut driver = reused.driver();
         let mut seed = 0u64;
         bench.iter(|| {
             seed += 1;
-            plan.run(seed).unwrap()
+            driver.round_at(config.round_id, seed).unwrap()
         })
     });
     group.bench_function("s3_bootstrap_per_round/flocklab-6src", |bench| {
         let mut seed = 0u64;
         bench.iter(|| {
             seed += 1;
-            S3Protocol::new(config.clone())
-                .run(&topology, seed)
-                .unwrap()
+            fresh_round(&topology, &config, ProtocolKind::S3, seed).unwrap()
         })
     });
     group.finish();

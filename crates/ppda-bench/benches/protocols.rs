@@ -2,14 +2,14 @@
 //! rounds — one per panel of Fig. 1 plus the CT building blocks. These
 //! guard against performance regressions in the simulation core; the
 //! *measured system metrics* (latency, radio-on) come from the `fig1`
-//! harness, not from wall-clock times here.
-#![allow(deprecated)] // benches keep the legacy single-shot baseline measurable
+//! harness, not from wall-clock times here. Each round runs through one
+//! driver over a deployment compiled once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use ppda_bench::TestbedSetup;
 use ppda_ct::{ChainSpec, Glossy, GlossyConfig, MiniCast, MiniCastConfig};
-use ppda_mpc::{S3Protocol, S4Protocol};
+use ppda_mpc::{Deployment, ProtocolKind};
 use ppda_radio::FrameSpec;
 use ppda_sim::Xoshiro256;
 use ppda_topology::Topology;
@@ -45,47 +45,37 @@ fn bench_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("round");
     group.sample_size(10);
 
-    // Fig. 1 (a)/(b): FlockLab at the complete network.
-    let setup = TestbedSetup::flocklab();
-    let topology = setup.topology();
-    let config = setup.config(topology.len()).unwrap();
-    let s3 = S3Protocol::new(config.clone());
-    group.bench_function("fig1ab_s3/flocklab-26src", |bench| {
-        let mut seed = 0u64;
-        bench.iter(|| {
-            seed += 1;
-            s3.run(&topology, seed).unwrap()
-        })
-    });
-    let s4 = S4Protocol::new(config);
-    group.bench_function("fig1ab_s4/flocklab-26src", |bench| {
-        let mut seed = 0u64;
-        bench.iter(|| {
-            seed += 1;
-            s4.run(&topology, seed).unwrap()
-        })
-    });
-
-    // Fig. 1 (c)/(d): D-Cube at the complete network.
-    let setup = TestbedSetup::dcube();
-    let topology = setup.topology();
-    let config = setup.config(topology.len()).unwrap();
-    let s3 = S3Protocol::new(config.clone());
-    group.bench_function("fig1cd_s3/dcube-45src", |bench| {
-        let mut seed = 0u64;
-        bench.iter(|| {
-            seed += 1;
-            s3.run(&topology, seed).unwrap()
-        })
-    });
-    let s4 = S4Protocol::new(config);
-    group.bench_function("fig1cd_s4/dcube-45src", |bench| {
-        let mut seed = 0u64;
-        bench.iter(|| {
-            seed += 1;
-            s4.run(&topology, seed).unwrap()
-        })
-    });
+    // Fig. 1 (a)/(b) on FlockLab and (c)/(d) on D-Cube, each at the
+    // complete network.
+    for (setup, panel) in [
+        (TestbedSetup::flocklab(), "fig1ab"),
+        (TestbedSetup::dcube(), "fig1cd"),
+    ] {
+        let topology = setup.topology();
+        let config = setup.config(topology.len()).unwrap();
+        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
+            let deployment = Deployment::builder()
+                .topology_ref(&topology)
+                .config(config.clone())
+                .protocol(kind)
+                .build()
+                .unwrap();
+            let name = format!(
+                "{panel}_{}/{}-{}src",
+                kind.name().to_lowercase(),
+                setup.name,
+                topology.len()
+            );
+            group.bench_function(name, |bench| {
+                let mut driver = deployment.driver();
+                let mut seed = 0u64;
+                bench.iter(|| {
+                    seed += 1;
+                    driver.round_at(config.round_id, seed).unwrap()
+                })
+            });
+        }
+    }
     group.finish();
 }
 

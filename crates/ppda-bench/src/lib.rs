@@ -196,9 +196,9 @@ pub struct CampaignResult {
 ///
 /// With `config.batch > 1` every round aggregates B values per source at
 /// one round's transport cost; a node-round counts as successful only if
-/// **all** B lanes reconstructed correctly. B = 1 reproduces the scalar
-/// campaign bit-for-bit (the executor path is byte-identical; see
-/// `tests/plan_reuse.rs`).
+/// **all** B lanes reconstructed correctly. B = 1 is the paper's scalar
+/// round (its driver reports are frozen byte for byte by
+/// `tests/golden/driver_rounds.txt`).
 ///
 /// Rounds are distributed over all available cores; results are
 /// deterministic for a given `(base_seed, iterations)` regardless of the
@@ -226,8 +226,8 @@ pub fn run_campaign(
     )
 }
 
-/// [`run_campaign`] under fault injection: every round runs the degraded
-/// executor path with `faults` (seeded link loss, dropout, delivery
+/// [`run_campaign`] under fault injection: every round runs the driver's
+/// round pipeline with `faults` (seeded link loss, dropout, delivery
 /// faults) and the result additionally reports availability — recovery
 /// rate, the margin distribution and the rounds that ended below the
 /// reconstruction threshold.
@@ -236,9 +236,11 @@ pub fn run_campaign(
 /// probabilistic fault draws are independent per round, but a
 /// [`ChurnSchedule`](ppda_sim::ChurnSchedule) — keyed on the round id —
 /// is all-or-nothing here: a window either covers `config.round_id` for
-/// every iteration or none. Churn belongs to the session API
-/// ([`ppda_mpc::AggregationSession::next_round_degraded`]), whose epochs
-/// advance the round id.
+/// every iteration or none. Churn belongs to a deployment's own round
+/// clock (fuse it with
+/// [`DeploymentBuilder::churn`](ppda_mpc::DeploymentBuilder::churn) and
+/// [`step`](ppda_mpc::RoundDriver::step) a driver), whose rounds advance
+/// the round id.
 ///
 /// A zero [`FaultPlan`] is byte-identical to the fault-free campaign
 /// (`run_campaign` simply delegates here), and below-threshold rounds are
@@ -512,9 +514,9 @@ mod tests {
 
     #[test]
     fn fault_free_campaign_reports_availability_baseline() {
-        // run_campaign delegates to the degraded path with a zero plan
-        // (the executor-level byte-identity is proven by
-        // tests/fault_tolerance.rs); here we pin the availability fields
+        // run_campaign delegates to the faulty campaign with a zero plan
+        // (zero-plan rounds are frozen byte for byte by
+        // tests/golden/driver_rounds.txt); here we pin the availability fields
         // a clean small campaign must report. At this operating point the
         // transport delivers every share, so recovery is exactly full —
         // larger/lossier points may dip below 1.0 from fading alone.

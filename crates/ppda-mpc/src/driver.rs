@@ -1,25 +1,19 @@
-//! The unified execution façade: [`Deployment`] + [`RoundDriver`].
-//!
-//! Four PRs of growth left the workspace with three parallel ways to run
-//! an aggregation round — the single-shot protocol wrappers
-//! ([`S3Protocol`](crate::S3Protocol) / [`S4Protocol`](crate::S4Protocol)),
-//! the plan-level methods (`RoundPlan::run*`, `RoundExecutor::run*`), and
-//! the session API — each with its own outcome type. This module collapses
-//! them into one composable pipeline, the way platform-style MPC
-//! deployments expose a single orchestration API:
+//! The execution façade: [`Deployment`] + [`RoundDriver`], the only way
+//! an aggregation round runs.
 //!
 //! * [`Deployment`] fuses everything deployment-scoped — a
-//!   [`Topology`], a [`ProtocolConfig`], a [`ProtocolKind`] and an
-//!   optional [`FaultPlan`] / [`ChurnSchedule`](ppda_sim::ChurnSchedule) —
-//!   and compiles the [`RoundPlan`] exactly once at
+//!   [`Topology`], a [`ProtocolConfig`], a [`ProtocolKind`], a
+//!   [`FaultPlan`] / [`ChurnSchedule`](ppda_sim::ChurnSchedule), a
+//!   [`TamperPlan`] and an optional membership event stream — and
+//!   compiles the [`RoundPlan`] exactly once at
 //!   [`build`](DeploymentBuilder::build) time.
 //! * [`RoundDriver`] streams rounds over the compiled plan:
 //!   [`step`](RoundDriver::step) advances the deployment's epoch clock one
 //!   round, [`run_epoch`](RoundDriver::run_epoch) drives `n` rounds, and
 //!   the `Iterator` impl yields rounds forever (`driver.take(n)`).
-//!   Every round runs the **same** internal path — the zero fault plan is
-//!   simply the default — so plain vs degraded and scalar vs batched are
-//!   no longer different APIs: each round yields one
+//!   Every round runs the **same** internal path — the zero fault and
+//!   tamper plans are simply the defaults — so plain vs degraded and
+//!   scalar vs batched are not different APIs: each round yields one
 //!   [`RoundReport`] carrying the lane aggregates, the survivor set, the
 //!   [`RecoveryStatus`](crate::RecoveryStatus) verdict and the round's
 //!   transport statistics.
@@ -37,13 +31,11 @@
 //! # Determinism
 //!
 //! A driver's automatic clock replays exactly: round r runs at
-//! `config.round_id + r` with per-round seed `derive_stream(base_seed, r)`
-//! — the same scheme the session API has always used, so CCM nonces and
-//! share randomness never repeat across epochs. The explicit
-//! [`round_at`](RoundDriver::round_at) escape hatch pins both coordinates,
-//! which is what the differential suites use to prove a B = 1 zero-fault
-//! driver round **byte-identical** to the legacy `S3Protocol::run` /
-//! `S4Protocol::run` paths (`tests/facade.rs`).
+//! `config.round_id + r` with per-round seed `derive_stream(base_seed, r)`,
+//! so CCM nonces and share randomness never repeat across epochs. The
+//! explicit [`round_at`](RoundDriver::round_at) escape hatch pins both
+//! coordinates; `tests/golden/driver_rounds.txt` freezes the driver's
+//! reports at the coordinates the paper's single-shot rounds used.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -237,26 +229,23 @@ pub enum MembershipMode {
 }
 
 /// Where a driver's plan lives: borrowed from the deployment (static
-/// membership — the common case, zero-copy fan-out) or owned so
-/// membership deltas can patch it in place.
+/// membership — the common case, zero-copy fan-out) or owned together
+/// with the walk along the membership timeline, so deltas can patch it
+/// in place.
 #[derive(Debug)]
 enum DriverPlan<'d> {
     Shared(&'d RoundPlan<'d>),
-    Owned(Box<RoundPlan<'static>>),
+    Owned {
+        plan: Box<RoundPlan<'static>>,
+        cursor: MembershipCursor,
+    },
 }
 
 impl DriverPlan<'_> {
     fn get(&self) -> &RoundPlan<'_> {
         match self {
             DriverPlan::Shared(plan) => plan,
-            DriverPlan::Owned(plan) => plan,
-        }
-    }
-
-    fn owned_mut(&mut self) -> &mut RoundPlan<'static> {
-        match self {
-            DriverPlan::Owned(plan) => plan,
-            DriverPlan::Shared(_) => unreachable!("membership-driven drivers own their plan"),
+            DriverPlan::Owned { plan, .. } => plan,
         }
     }
 }
@@ -568,22 +557,21 @@ impl<'t> Deployment<'t> {
     /// at any round index reproduces the sequential stream byte-for-byte.
     pub fn driver(&self) -> RoundDriver<'_> {
         let config = self.plan.config();
-        let (plan, membership) = match (&self.churn_plan, &self.timeline) {
-            (Some(patched), Some(timeline)) => (
-                DriverPlan::Owned(patched.clone()),
-                Some(MembershipCursor {
+        let plan = match (&self.churn_plan, &self.timeline) {
+            (Some(patched), Some(timeline)) => DriverPlan::Owned {
+                plan: patched.clone(),
+                cursor: MembershipCursor {
                     timeline: timeline.clone(),
                     next: 0,
                     floor: None,
-                }),
-            ),
-            _ => (DriverPlan::Shared(&self.plan), None),
+                },
+            },
+            _ => DriverPlan::Shared(&self.plan),
         };
         let exec = ExecState::new(plan.get());
         RoundDriver {
             plan,
             exec,
-            membership,
             mode: self.mode,
             faults: self.faults.clone(),
             tamper: self.tamper.clone(),
@@ -702,11 +690,10 @@ impl<'t> Deployment<'t> {
 /// # }
 /// ```
 pub struct RoundDriver<'d> {
+    /// The driver's plan; membership-driven drivers own it together with
+    /// their walk along the deployment's membership timeline.
     plan: DriverPlan<'d>,
     exec: ExecState,
-    /// Walk along the deployment's membership timeline; `None` for
-    /// static deployments (the plan is then always `Shared`).
-    membership: Option<MembershipCursor>,
     mode: MembershipMode,
     faults: FaultPlan,
     tamper: TamperPlan,
@@ -766,21 +753,6 @@ impl<'d> RoundDriver<'d> {
     /// driver is dropped.
     pub fn attach(&mut self, observer: impl RoundObserver + 'd) {
         self.observers.push(Box::new(observer));
-    }
-
-    /// Replace the fault model for subsequent rounds (sessions route
-    /// their per-call fault plans through this).
-    pub(crate) fn set_faults(&mut self, faults: FaultPlan) {
-        self.faults = faults;
-    }
-
-    /// The survivor-mask weight cache, for holders that outlive this
-    /// driver (sessions swap a long-lived cache in and out; sessions
-    /// never run membership-driven plans, so the cache always exists).
-    pub(crate) fn weight_cache_mut(&mut self) -> &mut ppda_sss::WeightCache<crate::Field> {
-        self.exec
-            .weight_cache_opt_mut()
-            .expect("plan keeps at least threshold destinations")
     }
 
     fn next_seed(&self) -> u64 {
@@ -881,7 +853,7 @@ impl<'d> RoundDriver<'d> {
     /// delta applied). Incremental patching only moves forward: a round
     /// before one the plan was already patched for is a typed error.
     fn advance_membership(&mut self, round_id: u32) -> Result<Option<PlanPatch>, MpcError> {
-        let Some(cursor) = self.membership.as_mut() else {
+        let DriverPlan::Owned { plan, cursor } = &mut self.plan else {
             return Ok(None);
         };
         if let Some(floor) = cursor.floor {
@@ -899,7 +871,7 @@ impl<'d> RoundDriver<'d> {
                 break;
             }
             let patch = match self.mode {
-                MembershipMode::Patch => self.plan.owned_mut().apply(delta)?,
+                MembershipMode::Patch => plan.apply(delta)?,
                 MembershipMode::Recompile => {
                     // The oracle path: rebuild everything from scratch for
                     // the view in force at the delta's round. The patch
@@ -907,29 +879,28 @@ impl<'d> RoundDriver<'d> {
                     // nothing), but the resulting plan must be
                     // byte-identical to the patched one.
                     let live = cursor.timeline.view_at(delta.round);
-                    let old = self.plan.owned_mut();
                     let rebuilt = RoundPlan::new_with_membership(
-                        old.topology(),
-                        old.config(),
-                        old.protocol(),
+                        plan.topology(),
+                        plan.config(),
+                        plan.protocol(),
                         &live,
                     )?;
                     let patch = PlanPatch {
                         round: delta.round,
                         joined: delta.joins.len() as u32,
                         left: delta.leaves.len() as u32,
-                        destinations_changed: rebuilt.destinations() != old.destinations(),
+                        destinations_changed: rebuilt.destinations() != plan.destinations(),
                         destinations: rebuilt.destinations().len() as u32,
                         slots_rebuilt: rebuilt.sharing_chain_len() as u32,
                         ccm_reused: 0,
                         ccm_created: rebuilt.sharing_chain_len() as u32,
                     };
-                    *old = rebuilt;
+                    **plan = rebuilt;
                     patch
                 }
             };
             if patch.destinations_changed {
-                self.exec.sync(self.plan.get());
+                self.exec.sync(plan);
             }
             // Only deltas effective at exactly this round are reported;
             // older ones (a fresh driver fast-forwarding to mid-stream,
@@ -977,29 +948,24 @@ impl<'d> RoundDriver<'d> {
             Some(f) => f,
             None => &self.all_live,
         };
-        let tamper = if self.tamper.is_zero() {
-            None
-        } else {
-            Some(&self.tamper)
-        };
-        let out = self.exec.run_epoch_degraded(
+        let (outcome, degraded) = self.exec.run_round(
             plan,
             round_id,
             seed,
             readings,
             failed,
             &self.faults,
-            tamper,
+            &self.tamper,
         )?;
         let report = RoundReport {
             round_id,
             seed,
-            outcome: out.round,
-            degraded: out.degraded,
+            outcome,
+            degraded,
             patch,
         };
         self.stats.record(&report);
-        if let Some(cache) = self.exec.weight_cache_opt() {
+        if let Some(cache) = self.exec.weight_cache() {
             self.stats.weight_cache_masks = cache.cached();
             self.stats.weight_cache_evictions = cache.evictions();
         }

@@ -3,17 +3,21 @@
 //!
 //! Two protocol variants, exactly as evaluated in Goyal & Saha (ICDCS'22):
 //!
-//! * [`S3Protocol`] — the *naive* mapping. Every source encrypts one share
-//!   for **every** node (sharing chain of `S × n` sub-slots, AES-128-CCM per
-//!   packet) and both phases run at a full-coverage NTX. Reconstruction
-//!   shares all `n` local sums in plaintext.
-//! * [`S4Protocol`] — the *scalable* variant. A low polynomial degree
-//!   `k = ⌊n/3⌋` means `k+1` shares suffice, so the sharing chain is
+//! * [`ProtocolKind::S3`] — the *naive* mapping. Every source encrypts one
+//!   share for **every** node (sharing chain of `S × n` sub-slots,
+//!   AES-128-CCM per packet) and both phases run at a full-coverage NTX.
+//!   Reconstruction shares all `n` local sums in plaintext.
+//! * [`ProtocolKind::S4`] — the *scalable* variant. A low polynomial
+//!   degree `k = ⌊n/3⌋` means `k+1` shares suffice, so the sharing chain is
 //!   trimmed to the `k+1+r` designated **aggregator** nodes discovered
 //!   during [`Bootstrap`], both phases run at a low NTX (6 on FlockLab, 5
 //!   on DCube), non-aggregators sleep right after their relay duty, and
 //!   reconstruction succeeds from *any* `k+1` sum shares — which is also
 //!   what makes the protocol fault-tolerant.
+//!
+//! Both variants are one pipeline: a [`RoundPlan`] compiles the variant's
+//! chains and schedules once, and a [`RoundDriver`] runs every round over
+//! it — the only way rounds execute.
 //!
 //! The privacy guarantee (any collusion of at most `k` nodes learns nothing
 //! about an honest node's reading) is not just asserted: the
@@ -22,9 +26,9 @@
 //!
 //! # Example
 //!
-//! Execution goes through the [`Deployment`] façade: fuse a topology, a
-//! configuration, a protocol variant and an optional fault model once,
-//! then stream rounds from a [`RoundDriver`].
+//! Fuse a topology, a configuration, a protocol variant and an optional
+//! fault model into a [`Deployment`] once, then stream rounds from a
+//! [`RoundDriver`].
 //!
 //! ```
 //! use ppda_mpc::{Deployment, ProtocolConfig, ProtocolKind};
@@ -70,9 +74,6 @@ mod execute;
 mod membership;
 mod outcome;
 mod plan;
-mod s3;
-mod s4;
-mod session;
 
 pub use bootstrap::Bootstrap;
 pub use config::{ProtocolConfig, ProtocolConfigBuilder};
@@ -80,12 +81,10 @@ pub use driver::{
     Deployment, DeploymentBuilder, DriverStats, MembershipMode, RoundDriver, RoundObserver,
 };
 pub use error::MpcError;
-pub use execute::RoundExecutor;
 pub use membership::{MembershipDelta, MembershipTimeline, PlanPatch};
 pub use outcome::{
-    AggregationOutcome, BatchAggregationOutcome, BatchNodeResult, DegradedBatchOutcome,
-    DegradedOutcome, DegradedRound, FaultReport, NodeResult, PhaseStats, RecoveryStatus,
-    RoundReport,
+    BatchAggregationOutcome, BatchNodeResult, DegradedOutcome, FaultReport, PhaseStats,
+    RecoveryStatus, RoundReport,
 };
 pub use plan::{ProtocolKind, RoundPlan};
 // The fault/churn model consumed by every driven round, re-exported so
@@ -96,9 +95,6 @@ pub use ppda_ct::{Delivery, FaultPlan};
 // model driven rounds (and tests) inject with.
 pub use ppda_integrity::{IntegrityMode, IntegrityVerdict, ShareCommitment, SumAudit, TamperPlan};
 pub use ppda_sim::{ChurnSchedule, MembershipEvent, MembershipEventKind, TrickleConfig};
-pub use s3::S3Protocol;
-pub use s4::S4Protocol;
-pub use session::{AggregationSession, SessionProtocol, SessionStats};
 
 /// The field all protocol arithmetic runs in (p = 2³¹ − 1): a sensor
 /// reading is ≤ 2²⁰ and even 128 sources cannot wrap the modulus.

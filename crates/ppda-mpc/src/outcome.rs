@@ -49,120 +49,6 @@ pub struct PhaseStats {
     pub fragments: u32,
 }
 
-/// The outcome at one node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeResult {
-    /// The aggregate the node computed, if it could (field value).
-    pub aggregate: Option<u64>,
-    /// Number of source readings included in that aggregate.
-    pub included_sources: u32,
-    /// Time from round start until this node held the final aggregation
-    /// (the paper's latency metric); `None` if it never could.
-    pub latency: Option<SimDuration>,
-    /// Total radio-on time across both phases (the paper's second metric).
-    pub radio_on: SimDuration,
-    /// Radio energy for the round (mJ, nRF52840 current profile).
-    pub energy_mj: f64,
-    /// Whether this node was failure-injected.
-    pub failed: bool,
-}
-
-/// Complete outcome of one aggregation round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggregationOutcome {
-    /// Protocol name: `"S3"` or `"S4"`.
-    pub protocol: &'static str,
-    /// The true aggregate (field value) over live sources.
-    pub expected_sum: u64,
-    /// Per-node results, indexed by node id.
-    pub nodes: Vec<NodeResult>,
-    /// Sharing-phase transport stats.
-    pub sharing: PhaseStats,
-    /// Reconstruction-phase transport stats.
-    pub reconstruction: PhaseStats,
-    /// Polynomial degree used.
-    pub degree: usize,
-    /// Number of designated aggregators (n for S3).
-    pub aggregator_count: usize,
-    /// Number of configured sources.
-    pub source_count: usize,
-}
-
-impl AggregationOutcome {
-    /// Live (non-failed) node results.
-    pub fn live_nodes(&self) -> impl Iterator<Item = &NodeResult> {
-        self.nodes.iter().filter(|n| !n.failed)
-    }
-
-    /// `true` if every live node computed the correct aggregate.
-    pub fn correct(&self) -> bool {
-        self.live_nodes()
-            .all(|n| n.aggregate == Some(self.expected_sum))
-    }
-
-    /// `true` if all live nodes that produced an aggregate agree on it.
-    pub fn all_nodes_agree(&self) -> bool {
-        let mut seen = None;
-        for n in self.live_nodes() {
-            match (n.aggregate, seen) {
-                (Some(a), None) => seen = Some(a),
-                (Some(a), Some(b)) if a != b => return false,
-                _ => {}
-            }
-        }
-        seen.is_some()
-    }
-
-    /// Fraction of live nodes that obtained the correct aggregate.
-    pub fn success_fraction(&self) -> f64 {
-        let live: Vec<_> = self.live_nodes().collect();
-        if live.is_empty() {
-            return 0.0;
-        }
-        let ok = live
-            .iter()
-            .filter(|n| n.aggregate == Some(self.expected_sum))
-            .count();
-        ok as f64 / live.len() as f64
-    }
-
-    /// Worst-case latency over live nodes, ms (`None` if any live node
-    /// never finished).
-    pub fn max_latency_ms(&self) -> Option<f64> {
-        fold_max_latency_ms(self.live_nodes().map(|n| n.latency))
-    }
-
-    /// Mean latency over live nodes that finished, ms (`None` if none did).
-    pub fn mean_latency_ms(&self) -> Option<f64> {
-        mean_of(
-            self.live_nodes()
-                .filter_map(|n| n.latency.map(|l| l.as_millis_f64())),
-        )
-    }
-
-    /// Mean radio-on time over live nodes, ms.
-    pub fn mean_radio_on_ms(&self) -> f64 {
-        mean_of(self.live_nodes().map(|n| n.radio_on.as_millis_f64())).unwrap_or(0.0)
-    }
-
-    /// Worst radio-on time over live nodes, ms.
-    pub fn max_radio_on_ms(&self) -> f64 {
-        self.live_nodes()
-            .map(|n| n.radio_on.as_millis_f64())
-            .fold(0.0, f64::max)
-    }
-
-    /// Mean per-node radio energy over live nodes, mJ.
-    pub fn mean_energy_mj(&self) -> f64 {
-        mean_of(self.live_nodes().map(|n| n.energy_mj)).unwrap_or(0.0)
-    }
-
-    /// Total scheduled round duration (both phases), ms.
-    pub fn scheduled_round_ms(&self) -> f64 {
-        (self.sharing.scheduled_duration + self.reconstruction.scheduled_duration).as_millis_f64()
-    }
-}
-
 /// The outcome at one node of a batched round: one aggregate per lane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchNodeResult {
@@ -183,12 +69,8 @@ pub struct BatchNodeResult {
 }
 
 /// Complete outcome of one batched aggregation round: B independent
-/// aggregates at one round's transport cost.
-///
-/// A 1-lane batch is informationally identical to [`AggregationOutcome`];
-/// [`BatchAggregationOutcome::into_scalar`] performs that conversion (and
-/// the `plan_reuse` suite proves the executed values are byte-identical to
-/// the scalar path).
+/// aggregates at one round's transport cost (B = 1 is the paper's scalar
+/// round; its aggregate is `nodes[v].aggregates[0]`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchAggregationOutcome {
     /// Protocol name: `"S3"` or `"S4"`.
@@ -254,35 +136,6 @@ impl BatchAggregationOutcome {
     /// Total scheduled round duration (both phases), ms.
     pub fn scheduled_round_ms(&self) -> f64 {
         (self.sharing.scheduled_duration + self.reconstruction.scheduled_duration).as_millis_f64()
-    }
-
-    /// Convert a 1-lane outcome into the scalar form; `None` for wider
-    /// batches (they have no scalar equivalent).
-    pub fn into_scalar(self) -> Option<AggregationOutcome> {
-        if self.lanes != 1 {
-            return None;
-        }
-        Some(AggregationOutcome {
-            protocol: self.protocol,
-            expected_sum: self.expected_sums[0],
-            nodes: self
-                .nodes
-                .into_iter()
-                .map(|n| NodeResult {
-                    aggregate: n.aggregates.map(|a| a[0]),
-                    included_sources: n.included_sources,
-                    latency: n.latency,
-                    radio_on: n.radio_on,
-                    energy_mj: n.energy_mj,
-                    failed: n.failed,
-                })
-                .collect(),
-            sharing: self.sharing,
-            reconstruction: self.reconstruction,
-            degree: self.degree,
-            aggregator_count: self.aggregator_count,
-            source_count: self.source_count,
-        })
     }
 }
 
@@ -466,36 +319,6 @@ impl fmt::Display for DegradedOutcome {
     }
 }
 
-/// A batched round executed under fault injection: the regular outcome
-/// plus the degraded-operation report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradedBatchOutcome {
-    /// The round's aggregation outcome (per-node, per-lane).
-    pub round: BatchAggregationOutcome,
-    /// The degraded-operation report.
-    pub degraded: DegradedOutcome,
-}
-
-impl DegradedBatchOutcome {
-    /// Convert a 1-lane degraded outcome into the scalar form; `None`
-    /// for wider batches.
-    pub fn into_scalar(self) -> Option<DegradedRound> {
-        Some(DegradedRound {
-            round: self.round.into_scalar()?,
-            degraded: self.degraded,
-        })
-    }
-}
-
-/// A scalar round executed under fault injection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradedRound {
-    /// The round's aggregation outcome.
-    pub round: AggregationOutcome,
-    /// The degraded-operation report.
-    pub degraded: DegradedOutcome,
-}
-
 /// The unified report of one driven round — what every round of a
 /// [`Deployment`](crate::Deployment) produces, whatever the lane width or
 /// fault plan.
@@ -621,15 +444,6 @@ impl RoundReport {
     pub fn membership_patch(&self) -> Option<&PlanPatch> {
         self.patch.as_ref()
     }
-
-    /// Convert a 1-lane report into the scalar outcome pair; `None` for
-    /// wider batches (they have no scalar equivalent).
-    pub fn into_scalar(self) -> Option<DegradedRound> {
-        Some(DegradedRound {
-            round: self.outcome.into_scalar()?,
-            degraded: self.degraded,
-        })
-    }
 }
 
 impl fmt::Display for RoundReport {
@@ -665,17 +479,6 @@ impl fmt::Display for RoundReport {
 mod tests {
     use super::*;
 
-    fn node(aggregate: Option<u64>, latency_ms: Option<u64>, failed: bool) -> NodeResult {
-        NodeResult {
-            aggregate,
-            included_sources: 3,
-            latency: latency_ms.map(SimDuration::from_millis),
-            radio_on: SimDuration::from_millis(10),
-            energy_mj: 0.15,
-            failed,
-        }
-    }
-
     fn phase() -> PhaseStats {
         PhaseStats {
             chain_len: 10,
@@ -688,92 +491,23 @@ mod tests {
         }
     }
 
-    fn outcome(nodes: Vec<NodeResult>) -> AggregationOutcome {
-        AggregationOutcome {
-            protocol: "S4",
-            expected_sum: 42,
-            nodes,
-            sharing: phase(),
-            reconstruction: phase(),
-            degree: 2,
-            aggregator_count: 5,
-            source_count: 3,
-        }
-    }
-
-    #[test]
-    fn correct_and_agree() {
-        let o = outcome(vec![
-            node(Some(42), Some(5), false),
-            node(Some(42), Some(7), false),
-        ]);
-        assert!(o.correct());
-        assert!(o.all_nodes_agree());
-        assert_eq!(o.success_fraction(), 1.0);
-        assert_eq!(o.max_latency_ms(), Some(7.0));
-        assert_eq!(o.mean_latency_ms(), Some(6.0));
-    }
-
-    #[test]
-    fn wrong_aggregate_detected() {
-        let o = outcome(vec![
-            node(Some(42), Some(5), false),
-            node(Some(41), Some(5), false),
-        ]);
-        assert!(!o.correct());
-        assert!(!o.all_nodes_agree());
-        assert_eq!(o.success_fraction(), 0.5);
-    }
-
-    #[test]
-    fn failed_nodes_excluded() {
-        let o = outcome(vec![node(Some(42), Some(5), false), node(None, None, true)]);
-        assert!(o.correct());
-        assert_eq!(o.success_fraction(), 1.0);
-        assert_eq!(o.max_latency_ms(), Some(5.0));
-    }
-
-    #[test]
-    fn unfinished_node_poisons_max_latency() {
-        let o = outcome(vec![
-            node(Some(42), Some(5), false),
-            node(None, None, false),
-        ]);
-        assert_eq!(o.max_latency_ms(), None);
-        assert_eq!(o.mean_latency_ms(), Some(5.0));
-        assert!(!o.correct());
-        assert!(o.all_nodes_agree(), "one opinion still counts as agreement");
-    }
-
-    #[test]
-    fn radio_on_stats() {
-        let o = outcome(vec![
-            node(Some(42), Some(5), false),
-            node(Some(42), Some(5), false),
-        ]);
-        assert_eq!(o.mean_radio_on_ms(), 10.0);
-        assert_eq!(o.max_radio_on_ms(), 10.0);
-        assert_eq!(o.scheduled_round_ms(), 200.0);
-        assert!((o.mean_energy_mj() - 0.15).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_live_set() {
-        let o = outcome(vec![node(None, None, true)]);
-        assert_eq!(o.success_fraction(), 0.0);
-        assert!(!o.all_nodes_agree());
-        assert_eq!(o.mean_radio_on_ms(), 0.0);
-    }
-
-    fn batch_node(aggregates: Option<Vec<u64>>, failed: bool) -> BatchNodeResult {
+    fn node(
+        aggregates: Option<Vec<u64>>,
+        latency_ms: Option<u64>,
+        failed: bool,
+    ) -> BatchNodeResult {
         BatchNodeResult {
             aggregates,
             included_sources: 3,
-            latency: Some(SimDuration::from_millis(5)),
+            latency: latency_ms.map(SimDuration::from_millis),
             radio_on: SimDuration::from_millis(10),
             energy_mj: 0.15,
             failed,
         }
+    }
+
+    fn batch_node(aggregates: Option<Vec<u64>>, failed: bool) -> BatchNodeResult {
+        node(aggregates, Some(5), failed)
     }
 
     fn batch_outcome(lanes: usize, nodes: Vec<BatchNodeResult>) -> BatchAggregationOutcome {
@@ -792,6 +526,81 @@ mod tests {
     }
 
     #[test]
+    fn correct_and_agree() {
+        let o = batch_outcome(
+            1,
+            vec![
+                node(Some(vec![42]), Some(5), false),
+                node(Some(vec![42]), Some(7), false),
+            ],
+        );
+        assert!(o.correct());
+        assert_eq!(o.max_latency_ms(), Some(7.0));
+        assert_eq!(o.mean_latency_ms(), Some(6.0));
+    }
+
+    #[test]
+    fn wrong_aggregate_detected() {
+        let o = batch_outcome(
+            1,
+            vec![
+                node(Some(vec![42]), Some(5), false),
+                node(Some(vec![41]), Some(5), false),
+            ],
+        );
+        assert!(!o.correct());
+    }
+
+    #[test]
+    fn failed_nodes_excluded() {
+        let o = batch_outcome(
+            1,
+            vec![node(Some(vec![42]), Some(5), false), node(None, None, true)],
+        );
+        assert!(o.correct());
+        assert_eq!(o.live_nodes().count(), 1);
+        assert_eq!(o.max_latency_ms(), Some(5.0));
+        assert_eq!(o.mean_radio_on_ms(), 10.0, "failed nodes add no radio time");
+    }
+
+    #[test]
+    fn unfinished_node_poisons_max_latency() {
+        let o = batch_outcome(
+            1,
+            vec![
+                node(Some(vec![42]), Some(5), false),
+                node(None, None, false),
+            ],
+        );
+        assert_eq!(o.max_latency_ms(), None);
+        assert_eq!(o.mean_latency_ms(), Some(5.0));
+        assert!(!o.correct());
+    }
+
+    #[test]
+    fn radio_on_stats() {
+        let o = batch_outcome(
+            2,
+            vec![
+                node(Some(vec![42, 43]), Some(5), false),
+                node(Some(vec![42, 43]), Some(5), false),
+            ],
+        );
+        assert_eq!(o.mean_radio_on_ms(), 10.0);
+        assert_eq!(o.scheduled_round_ms(), 200.0);
+        assert!((o.mean_energy_mj() - 0.15).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_live_set() {
+        let o = batch_outcome(1, vec![node(None, None, true)]);
+        assert_eq!(o.live_nodes().count(), 0);
+        assert_eq!(o.mean_latency_ms(), None);
+        assert_eq!(o.mean_radio_on_ms(), 0.0);
+        assert_eq!(o.mean_energy_mj(), 0.0);
+    }
+
+    #[test]
     fn batch_correctness_requires_every_lane() {
         let good = batch_outcome(2, vec![batch_node(Some(vec![42, 43]), false)]);
         assert!(good.correct());
@@ -799,18 +608,6 @@ mod tests {
         assert!(!one_lane_wrong.correct());
         let failed_ignored = batch_outcome(2, vec![batch_node(None, true)]);
         assert!(failed_ignored.correct(), "no live nodes, vacuously correct");
-    }
-
-    #[test]
-    fn into_scalar_only_for_single_lane() {
-        let wide = batch_outcome(2, vec![batch_node(Some(vec![42, 43]), false)]);
-        assert!(wide.into_scalar().is_none());
-
-        let narrow = batch_outcome(1, vec![batch_node(Some(vec![42]), false)]);
-        let scalar = narrow.into_scalar().unwrap();
-        assert_eq!(scalar.expected_sum, 42);
-        assert_eq!(scalar.nodes[0].aggregate, Some(42));
-        assert!(scalar.correct());
     }
 
     fn degraded(recovery: RecoveryStatus) -> DegradedOutcome {
@@ -912,14 +709,10 @@ mod tests {
         assert!(text.starts_with(
             "round 9 seed 77\nprotocol S4 lanes 2\nexpected 42 43\nrecovery recovered margin=1\n"
         ));
-        assert!(
-            report.into_scalar().is_none(),
-            "2 lanes have no scalar form"
-        );
     }
 
     #[test]
-    fn round_report_scalar_conversion_and_failure() {
+    fn round_report_failed_round_accessors() {
         let report = RoundReport {
             round_id: 1,
             seed: 5,
@@ -928,39 +721,12 @@ mod tests {
             patch: None,
         };
         assert!(!report.recovered());
+        assert!(!report.correct());
         assert_eq!(report.aggregates(), None);
+        assert_eq!(report.expected_sums(), &[42]);
         assert!(matches!(
             report.require_recovered(),
             Err(MpcError::AggregationFailed { missing: 2 })
         ));
-        let scalar = report.into_scalar().unwrap();
-        assert_eq!(scalar.round.expected_sum, 42);
-        assert!(!scalar.degraded.recovered());
-    }
-
-    #[test]
-    fn batch_outcome_round_stats_match_scalar_form() {
-        let batch = batch_outcome(1, vec![batch_node(Some(vec![42]), false)]);
-        let scalar = batch.clone().into_scalar().unwrap();
-        assert_eq!(batch.mean_latency_ms(), scalar.mean_latency_ms());
-        assert_eq!(batch.mean_radio_on_ms(), scalar.mean_radio_on_ms());
-        assert_eq!(batch.mean_energy_mj(), scalar.mean_energy_mj());
-        assert_eq!(batch.scheduled_round_ms(), scalar.scheduled_round_ms());
-    }
-
-    #[test]
-    fn degraded_into_scalar_mirrors_batch_rule() {
-        let wide = DegradedBatchOutcome {
-            round: batch_outcome(2, vec![batch_node(Some(vec![42, 43]), false)]),
-            degraded: degraded(RecoveryStatus::Recovered { margin: 0 }),
-        };
-        assert!(wide.into_scalar().is_none());
-        let narrow = DegradedBatchOutcome {
-            round: batch_outcome(1, vec![batch_node(Some(vec![42]), false)]),
-            degraded: degraded(RecoveryStatus::Recovered { margin: 0 }),
-        };
-        let scalar = narrow.into_scalar().unwrap();
-        assert_eq!(scalar.round.expected_sum, 42);
-        assert!(scalar.degraded.recovered());
     }
 }

@@ -6,9 +6,12 @@
 //! *deployment* `(topology, config, variant)`, while each aggregation round
 //! only contributes fresh readings, fresh randomness, and a failure mask.
 //! [`RoundPlan`] compiles everything deployment-scoped exactly once; the
-//! per-round remainder lives in [`execute`](crate::execute) and is reachable
-//! through [`RoundPlan::run`], [`RoundPlan::run_with`] and
-//! [`RoundPlan::run_epoch`].
+//! per-round remainder is executed by a [`RoundDriver`](crate::RoundDriver)
+//! over the plan (see [`Deployment`](crate::Deployment)).
+//!
+//! The two protocols are one pipeline with three switches (`Variant`):
+//! which nodes receive shares, which NTX both phases run at, and when a
+//! node's radio may switch off.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -68,9 +71,70 @@ pub(crate) const S4_VARIANT: Variant = Variant {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
-    /// Naive SSS over MiniCast.
+    /// Naive SSS over MiniCast (paper §II): every source sends one
+    /// encrypted share to **every** node — an O(n²)-sub-slot sharing
+    /// chain — and both phases run at the full-coverage NTX so that
+    /// strict all-to-all delivery holds. Every node waits for the
+    /// complete chain before it may finish.
+    ///
+    /// ```
+    /// use ppda_mpc::{Deployment, ProtocolConfig, ProtocolKind};
+    /// use ppda_topology::Topology;
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let topology = Topology::flocklab();
+    /// let config = ProtocolConfig::builder(topology.len()).sources(6).build()?;
+    /// let report = Deployment::builder()
+    ///     .topology(topology)
+    ///     .config(config)
+    ///     .protocol(ProtocolKind::S3)
+    ///     .build()?
+    ///     .driver()
+    ///     .step()?;
+    /// assert!(report.correct());
+    /// assert_eq!(report.outcome.aggregator_count, 26); // every node holds shares
+    /// # Ok(())
+    /// # }
+    /// ```
     S3,
-    /// Scalable SSS over MiniCast.
+    /// Scalable SSS over MiniCast (paper §III): three optimizations over
+    /// [`ProtocolKind::S3`], all enabled by the low polynomial degree `k`:
+    ///
+    /// 1. **Trimmed sharing chain** — shares go only to the `k+1+r`
+    ///    designated aggregators discovered at bootstrap, shrinking the
+    ///    chain from `O(S·n)` to `O(S·(k+1))` sub-slots.
+    /// 2. **Low NTX** — both phases run just long enough to reach the
+    ///    necessary neighbors (the paper's NTX = 6 on FlockLab / 5 on
+    ///    DCube), exploiting MiniCast's steep coverage-vs-NTX curve.
+    /// 3. **Any-(k+1) reconstruction** — a node finishes (and sleeps) as
+    ///    soon as it holds any `k+1` matching sum shares, which also
+    ///    tolerates aggregator failures: with `f` failed aggregators the
+    ///    round still completes as long as `k+1` live aggregators received
+    ///    every live source's share.
+    ///
+    /// ```
+    /// use ppda_mpc::{Deployment, ProtocolConfig, ProtocolKind};
+    /// use ppda_radio::FadingProfile;
+    /// use ppda_topology::Topology;
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let topology = Topology::dcube();
+    /// let config = ProtocolConfig::builder(topology.len())
+    ///     .sources(12)
+    ///     .ntx_sharing(7) // the calibrated D-Cube operating point
+    ///     .ntx_reconstruction(7)
+    ///     .fading(FadingProfile::none()) // calm conditions for the doc run
+    ///     .build()?;
+    /// let report = Deployment::builder()
+    ///     .topology(topology)
+    ///     .config(config)
+    ///     .protocol(ProtocolKind::S4)
+    ///     .seed(3)
+    ///     .build()?
+    ///     .driver()
+    ///     .step()?;
+    /// assert!(report.correct());
+    /// # Ok(())
+    /// # }
+    /// ```
     S4,
 }
 
@@ -114,19 +178,31 @@ pub(crate) struct ShareSlotSpec {
 ///
 /// The plan borrows the topology by default (zero-copy for campaign
 /// fan-out); [`RoundPlan::into_owned`] detaches it for long-lived holders
-/// such as [`AggregationSession`](crate::AggregationSession).
+/// such as membership-driven drivers. A [`Deployment`](crate::Deployment)
+/// compiles the plan at build time, and its
+/// [`RoundDriver`](crate::RoundDriver)s execute rounds over it.
 ///
 /// # Example
 ///
 /// ```
-/// use ppda_mpc::{ProtocolConfig, ProtocolKind, RoundPlan};
+/// use ppda_mpc::{Deployment, ProtocolConfig, ProtocolKind, RoundPlan};
 /// use ppda_topology::Topology;
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let topology = Topology::flocklab();
 /// let config = ProtocolConfig::builder(topology.len()).sources(6).build()?;
 /// let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4)?;
+/// assert_eq!(plan.destinations().len(), config.aggregator_count());
+///
+/// // Rounds run through a deployment, which compiles the same plan.
+/// let deployment = Deployment::builder()
+///     .topology_ref(&topology)
+///     .config(config.clone())
+///     .protocol(ProtocolKind::S4)
+///     .build()?;
+/// assert_eq!(deployment.plan().destinations(), plan.destinations());
+/// let mut driver = deployment.driver();
 /// for seed in 0..3 {
-///     assert!(plan.run(seed)?.correct());
+///     assert!(driver.round_at(config.round_id, seed)?.correct());
 /// }
 /// # Ok(())
 /// # }
@@ -544,14 +620,6 @@ impl<'t> RoundPlan<'t> {
     pub(crate) fn survivor_weight_cache(&self) -> Option<ppda_sss::WeightCache<Field>> {
         ppda_sss::WeightCache::new(&self.dest_xs, self.threshold).ok()
     }
-
-    /// A per-caller round executor holding reusable scratch buffers
-    /// (sealed payloads, share slabs, sum slabs) so repeated rounds do not
-    /// reallocate. The plan itself stays shared and immutable — campaign
-    /// workers each take their own executor over one borrowed plan.
-    pub fn executor(&self) -> crate::execute::RoundExecutor<'_, 't> {
-        crate::execute::RoundExecutor::new(self)
-    }
 }
 
 /// The destination set for a membership view: all members (S3) or the
@@ -817,7 +885,11 @@ mod tests {
                 .into_owned()
         };
         assert_eq!(plan.topology().len(), 26);
-        assert!(plan.run(5).unwrap().correct());
+        let topology = Topology::flocklab();
+        let fresh = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
+        assert_eq!(plan.destinations(), fresh.destinations());
+        assert_eq!(plan.slots, fresh.slots);
+        assert_eq!(plan.recon_weights, fresh.recon_weights);
     }
 
     #[test]

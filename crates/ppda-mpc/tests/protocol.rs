@@ -1,9 +1,8 @@
 //! Protocol-level integration tests on small synthetic topologies (fast in
 //! debug builds; the testbed-scale runs live in the workspace-root tests).
-#![allow(deprecated)] // this suite exercises the legacy single-shot oracle
 
-use ppda_mpc::{MpcError, ProtocolConfig, S3Protocol, S4Protocol};
-use ppda_testkit::grid9;
+use ppda_mpc::{MpcError, ProtocolConfig, ProtocolKind};
+use ppda_testkit::{drive_round, grid9};
 use ppda_topology::Topology;
 
 fn config9() -> ProtocolConfig {
@@ -14,15 +13,12 @@ fn config9() -> ProtocolConfig {
 fn both_protocols_agree_with_each_other() {
     let t = grid9();
     let secrets: Vec<u64> = (1..=9).collect();
-    let failed = vec![false; 9];
-    let s3 = S3Protocol::new(config9())
-        .run_with(&t, 3, &secrets, &failed)
-        .unwrap();
-    let s4 = S4Protocol::new(config9())
-        .run_with(&t, 3, &secrets, &failed)
-        .unwrap();
-    assert_eq!(s3.expected_sum, 45);
-    assert_eq!(s4.expected_sum, 45);
+    let failed = [false; 9];
+    let inputs = Some((&secrets[..], &failed[..]));
+    let s3 = drive_round(&t, &config9(), ProtocolKind::S3, 3, inputs).unwrap();
+    let s4 = drive_round(&t, &config9(), ProtocolKind::S4, 3, inputs).unwrap();
+    assert_eq!(s3.expected_sums(), &[45]);
+    assert_eq!(s4.expected_sums(), &[45]);
     assert!(s3.correct());
     assert!(s4.correct());
 }
@@ -30,21 +26,21 @@ fn both_protocols_agree_with_each_other() {
 #[test]
 fn s3_uses_all_nodes_as_sum_holders_s4_only_aggregators() {
     let t = grid9();
-    let s3 = S3Protocol::new(config9()).run(&t, 1).unwrap();
-    let s4 = S4Protocol::new(config9()).run(&t, 1).unwrap();
-    assert_eq!(s3.aggregator_count, 9);
-    assert_eq!(s4.aggregator_count, 2 + 1 + 2); // k + 1 + redundancy
+    let s3 = drive_round(&t, &config9(), ProtocolKind::S3, 1, None).unwrap();
+    let s4 = drive_round(&t, &config9(), ProtocolKind::S4, 1, None).unwrap();
+    assert_eq!(s3.outcome.aggregator_count, 9);
+    assert_eq!(s4.outcome.aggregator_count, 2 + 1 + 2); // k + 1 + redundancy
 }
 
 #[test]
 fn s4_sharing_chain_is_trimmed() {
     let t = grid9();
-    let s3 = S3Protocol::new(config9()).run(&t, 1).unwrap();
-    let s4 = S4Protocol::new(config9()).run(&t, 1).unwrap();
+    let s3 = drive_round(&t, &config9(), ProtocolKind::S3, 1, None).unwrap();
+    let s4 = drive_round(&t, &config9(), ProtocolKind::S4, 1, None).unwrap();
     // S3: 9 sources × 8 non-self destinations; S4: ≤ 9 × 5.
-    assert_eq!(s3.sharing.chain_len, 9 * 8);
-    assert!(s4.sharing.chain_len <= 9 * 5);
-    assert!(s4.sharing.chain_len >= 9 * 4);
+    assert_eq!(s3.outcome.sharing.chain_len, 9 * 8);
+    assert!(s4.outcome.sharing.chain_len <= 9 * 5);
+    assert!(s4.outcome.sharing.chain_len >= 9 * 4);
 }
 
 #[test]
@@ -56,7 +52,7 @@ fn tag_lengths_all_work_end_to_end() {
             .tag_len(tag_len)
             .build()
             .unwrap();
-        let o = S4Protocol::new(config).run(&t, 2).unwrap();
+        let o = drive_round(&t, &config, ProtocolKind::S4, 2, None).unwrap();
         assert!(o.correct(), "tag_len {tag_len}");
     }
 }
@@ -69,30 +65,32 @@ fn small_network_works() {
         .aggregator_redundancy(0)
         .build()
         .unwrap();
-    let o = S4Protocol::new(config).run(&t, 1).unwrap();
+    let o = drive_round(&t, &config, ProtocolKind::S4, 1, None).unwrap();
     assert!(o.correct());
-    assert_eq!(o.aggregator_count, 2);
+    assert_eq!(o.outcome.aggregator_count, 2);
 }
 
 #[test]
 fn mismatched_inputs_rejected() {
     let t = grid9();
-    let p = S4Protocol::new(config9());
+    let run = |t: &Topology, secrets: &[u64], failed: &[bool]| {
+        drive_round(t, &config9(), ProtocolKind::S4, 1, Some((secrets, failed)))
+    };
     // Wrong secret count.
     assert!(matches!(
-        p.run_with(&t, 1, &[1, 2], &[false; 9]),
+        run(&t, &[1, 2], &[false; 9]),
         Err(MpcError::InputMismatch { .. })
     ));
     // Wrong failure mask size.
     let secrets: Vec<u64> = (0..9).collect();
     assert!(matches!(
-        p.run_with(&t, 1, &secrets, &[false; 4]),
+        run(&t, &secrets, &[false; 4]),
         Err(MpcError::InputMismatch { .. })
     ));
     // Wrong topology size.
     let t4 = Topology::grid(2, 2, 15.0, 3);
     assert!(matches!(
-        p.run_with(&t4, 1, &secrets, &[false; 9]),
+        run(&t4, &secrets, &[false; 9]),
         Err(MpcError::InputMismatch { .. })
     ));
 }
@@ -103,7 +101,13 @@ fn oversized_reading_rejected() {
     let mut secrets: Vec<u64> = (0..9).collect();
     secrets[0] = u64::MAX;
     assert!(matches!(
-        S4Protocol::new(config9()).run_with(&t, 1, &secrets, &[false; 9]),
+        drive_round(
+            &t,
+            &config9(),
+            ProtocolKind::S4,
+            1,
+            Some((&secrets, &[false; 9]))
+        ),
         Err(MpcError::ReadingTooLarge { .. })
     ));
 }
@@ -112,7 +116,7 @@ fn oversized_reading_rejected() {
 fn disconnected_topology_rejected() {
     let t = Topology::line(9, 400.0, 1);
     assert!(matches!(
-        S4Protocol::new(config9()).run(&t, 1),
+        drive_round(&t, &config9(), ProtocolKind::S4, 1, None),
         Err(MpcError::TopologyDisconnected)
     ));
 }
@@ -138,14 +142,18 @@ fn aggregator_failures_tolerated_up_to_redundancy() {
     failed[aggs[0] as usize] = true;
     failed[aggs[1] as usize] = true;
 
-    let o = S4Protocol::new(config)
-        .run_with(&t, 9, &[77], &failed)
-        .unwrap();
-    assert_eq!(o.expected_sum, 77);
+    let o = drive_round(&t, &config, ProtocolKind::S4, 9, Some((&[77], &failed)))
+        .unwrap()
+        .outcome;
+    assert_eq!(o.expected_sums, [77]);
+    let ok = o
+        .live_nodes()
+        .filter(|n| n.aggregates.as_deref() == Some(&[77][..]))
+        .count();
+    let success = ok as f64 / o.live_nodes().count() as f64;
     assert!(
-        o.success_fraction() > 0.8,
-        "S4 must survive two dead aggregators: {}",
-        o.success_fraction()
+        success > 0.8,
+        "S4 must survive two dead aggregators: {success}"
     );
 }
 
@@ -153,7 +161,7 @@ fn aggregator_failures_tolerated_up_to_redundancy() {
 fn round_ids_change_ciphertexts_not_results() {
     let t = grid9();
     let secrets: Vec<u64> = (1..=9).collect();
-    let failed = vec![false; 9];
+    let failed = [false; 9];
     let mk = |round: u32| {
         ProtocolConfig::builder(9)
             .degree(2)
@@ -161,20 +169,19 @@ fn round_ids_change_ciphertexts_not_results() {
             .build()
             .unwrap()
     };
-    let a = S4Protocol::new(mk(1))
-        .run_with(&t, 4, &secrets, &failed)
-        .unwrap();
-    let b = S4Protocol::new(mk(2))
-        .run_with(&t, 4, &secrets, &failed)
-        .unwrap();
-    assert_eq!(a.expected_sum, b.expected_sum);
+    let inputs = Some((&secrets[..], &failed[..]));
+    let a = drive_round(&t, &mk(1), ProtocolKind::S4, 4, inputs).unwrap();
+    let b = drive_round(&t, &mk(2), ProtocolKind::S4, 4, inputs).unwrap();
+    assert_eq!(a.expected_sums(), b.expected_sums());
     assert!(a.correct() && b.correct());
 }
 
 #[test]
 fn latency_includes_both_phases() {
     let t = grid9();
-    let o = S4Protocol::new(config9()).run(&t, 6).unwrap();
+    let o = drive_round(&t, &config9(), ProtocolKind::S4, 6, None)
+        .unwrap()
+        .outcome;
     let sharing_ms = o.sharing.scheduled_duration.as_millis_f64();
     for node in o.live_nodes() {
         let latency = node.latency.expect("grid completes").as_millis_f64();
@@ -188,9 +195,11 @@ fn latency_includes_both_phases() {
 #[test]
 fn success_implies_included_all_sources() {
     let t = grid9();
-    let o = S4Protocol::new(config9()).run(&t, 8).unwrap();
+    let o = drive_round(&t, &config9(), ProtocolKind::S4, 8, None)
+        .unwrap()
+        .outcome;
     for node in o.live_nodes() {
-        if node.aggregate == Some(o.expected_sum) {
+        if node.aggregates.as_deref() == Some(&o.expected_sums[..]) {
             assert_eq!(node.included_sources, 9);
         }
     }

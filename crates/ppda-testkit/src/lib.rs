@@ -13,7 +13,10 @@
 #![warn(missing_docs)]
 
 use ppda_ct::FaultPlan;
-use ppda_mpc::{Bootstrap, Deployment, ProtocolConfig, ProtocolConfigBuilder, ProtocolKind};
+use ppda_mpc::{
+    Bootstrap, Deployment, MpcError, ProtocolConfig, ProtocolConfigBuilder, ProtocolKind,
+    RoundReport,
+};
 use ppda_sim::{ChurnSchedule, Xoshiro256};
 use ppda_topology::Topology;
 
@@ -106,7 +109,7 @@ pub fn lossy_dropout(loss: f64, dropout: f64) -> FaultPlan {
 
 /// A churning testbed's fault plan: deterministic multi-round outages
 /// from `(node, from_round, until_round)` windows, no probabilistic
-/// faults — sessions walk the windows epoch by epoch.
+/// faults — drivers walk the windows as their round ids advance.
 pub fn churn(windows: &[(u16, u32, u32)]) -> FaultPlan {
     FaultPlan::none().with_churn(ChurnSchedule::from_windows(windows.iter().copied()))
 }
@@ -135,6 +138,35 @@ pub fn grid9_deployment(kind: ProtocolKind) -> Deployment<'static> {
         .seed(0xD00D)
         .build()
         .expect("grid9 deployment compiles")
+}
+
+/// One driven round of a fresh `kind` deployment over `topology`, at the
+/// config's round id and `seed` — the single-shot round the protocol
+/// suites assert on. `inputs` pins the readings (lane-major per source)
+/// and the failure mask; `None` draws the readings from the seed, with
+/// no failures.
+///
+/// # Errors
+///
+/// Deployment compilation errors (size mismatch, disconnected topology)
+/// and the round's own input errors.
+pub fn drive_round(
+    topology: &Topology,
+    config: &ProtocolConfig,
+    kind: ProtocolKind,
+    seed: u64,
+    inputs: Option<(&[u64], &[bool])>,
+) -> Result<RoundReport, MpcError> {
+    let deployment = Deployment::builder()
+        .topology_ref(topology)
+        .config(config.clone())
+        .protocol(kind)
+        .build()?;
+    let mut driver = deployment.driver();
+    match inputs {
+        Some((readings, failed)) => driver.round_at_with(config.round_id, seed, readings, failed),
+        None => driver.round_at(config.round_id, seed),
+    }
 }
 
 /// The [`lossy_flocklab`] scenario compiled into a deployment: the fault

@@ -1,19 +1,31 @@
 //! Cross-crate integration tests: full protocol rounds on both testbed
 //! models, exercising field + crypto + sim + radio + topology + ct + sss +
 //! mpc together.
-#![allow(deprecated)] // this suite exercises the legacy single-shot oracle
 
-use ppda::mpc::{ProtocolConfig, S3Protocol, S4Protocol};
+use ppda::mpc::{BatchAggregationOutcome, ProtocolConfig, ProtocolKind};
 use ppda::topology::Topology;
-use ppda_testkit::flocklab_scenario;
+use ppda_testkit::{drive_round, flocklab_scenario};
+
+/// One generated-readings round's outcome.
+fn round(
+    t: &Topology,
+    config: &ProtocolConfig,
+    kind: ProtocolKind,
+    seed: u64,
+) -> BatchAggregationOutcome {
+    drive_round(t, config, kind, seed, None).unwrap().outcome
+}
 
 #[test]
 fn s3_correct_on_flocklab() {
     let (t, config) = flocklab_scenario();
     for seed in 0..5 {
-        let o = S3Protocol::new(config.clone()).run(&t, seed).unwrap();
+        let o = round(&t, &config, ProtocolKind::S3, seed);
         assert!(o.correct(), "seed {seed}");
-        assert!(o.all_nodes_agree());
+        // Every live node that reconstructed holds the same aggregate.
+        let mut held = o.live_nodes().filter_map(|n| n.aggregates.as_deref());
+        let first = held.next().expect("some node reconstructed");
+        assert!(held.all(|a| a == first));
         assert_eq!(o.protocol, "S3");
     }
 }
@@ -22,7 +34,7 @@ fn s3_correct_on_flocklab() {
 fn s4_correct_on_flocklab() {
     let (t, config) = flocklab_scenario();
     for seed in 0..5 {
-        let o = S4Protocol::new(config.clone()).run(&t, seed).unwrap();
+        let o = round(&t, &config, ProtocolKind::S4, seed);
         assert!(o.correct(), "seed {seed}");
         assert_eq!(o.protocol, "S4");
     }
@@ -35,8 +47,7 @@ fn s3_correct_on_dcube() {
         .full_coverage_ntx(20)
         .build()
         .unwrap();
-    let o = S3Protocol::new(config).run(&t, 3).unwrap();
-    assert!(o.correct());
+    assert!(round(&t, &config, ProtocolKind::S3, 3).correct());
 }
 
 #[test]
@@ -50,25 +61,18 @@ fn s4_correct_on_dcube_at_operating_ntx() {
     // D-Cube injects interference (modeled as round-scale fading); the
     // operating point trades occasional harsh-round misses for a ~9x
     // speed-up, so expect most — not all — rounds to be perfect.
-    let mut ok = 0;
     let runs = 8;
-    for seed in 0..runs {
-        if S4Protocol::new(config.clone())
-            .run(&t, seed)
-            .unwrap()
-            .correct()
-        {
-            ok += 1;
-        }
-    }
+    let ok = (0..runs)
+        .filter(|&seed| round(&t, &config, ProtocolKind::S4, seed).correct())
+        .count() as u64;
     assert!(ok > runs / 2, "only {ok}/{runs} rounds fully correct");
 }
 
 #[test]
 fn s4_beats_s3_on_both_metrics() {
     let (t, config) = flocklab_scenario();
-    let s3 = S3Protocol::new(config.clone()).run(&t, 9).unwrap();
-    let s4 = S4Protocol::new(config).run(&t, 9).unwrap();
+    let s3 = round(&t, &config, ProtocolKind::S3, 9);
+    let s4 = round(&t, &config, ProtocolKind::S4, 9);
     let lat3 = s3.max_latency_ms().expect("S3 completes");
     let lat4 = s4.max_latency_ms().expect("S4 completes");
     assert!(
@@ -82,11 +86,11 @@ fn s4_beats_s3_on_both_metrics() {
 fn outcomes_are_deterministic() {
     let t = Topology::flocklab();
     let config = ProtocolConfig::builder(t.len()).sources(6).build().unwrap();
-    let a = S4Protocol::new(config.clone()).run(&t, 77).unwrap();
-    let b = S4Protocol::new(config).run(&t, 77).unwrap();
-    assert_eq!(a.expected_sum, b.expected_sum);
+    let a = round(&t, &config, ProtocolKind::S4, 77);
+    let b = round(&t, &config, ProtocolKind::S4, 77);
+    assert_eq!(a.expected_sums, b.expected_sums);
     for (x, y) in a.nodes.iter().zip(&b.nodes) {
-        assert_eq!(x.aggregate, y.aggregate);
+        assert_eq!(x.aggregates, y.aggregates);
         assert_eq!(x.latency, y.latency);
         assert_eq!(x.radio_on, y.radio_on);
     }
@@ -95,9 +99,9 @@ fn outcomes_are_deterministic() {
 #[test]
 fn different_seeds_different_readings() {
     let (t, config) = flocklab_scenario();
-    let a = S4Protocol::new(config.clone()).run(&t, 1).unwrap();
-    let b = S4Protocol::new(config).run(&t, 2).unwrap();
-    assert_ne!(a.expected_sum, b.expected_sum);
+    let a = round(&t, &config, ProtocolKind::S4, 1);
+    let b = round(&t, &config, ProtocolKind::S4, 2);
+    assert_ne!(a.expected_sums, b.expected_sums);
 }
 
 #[test]
@@ -106,10 +110,15 @@ fn explicit_readings_are_summed() {
     let n = t.len();
     let config = ProtocolConfig::builder(n).sources(4).build().unwrap();
     let secrets = [10u64, 20, 30, 40];
-    let o = S4Protocol::new(config)
-        .run_with(&t, 5, &secrets, &vec![false; n])
-        .unwrap();
-    assert_eq!(o.expected_sum, 100);
+    let o = drive_round(
+        &t,
+        &config,
+        ProtocolKind::S4,
+        5,
+        Some((&secrets, &vec![false; n])),
+    )
+    .unwrap();
+    assert_eq!(o.expected_sums(), &[100]);
     assert!(o.correct());
 }
 
@@ -121,7 +130,7 @@ fn source_sweep_points_all_run() {
             .sources(sources)
             .build()
             .unwrap();
-        let o = S4Protocol::new(config).run(&t, 13).unwrap();
+        let o = round(&t, &config, ProtocolKind::S4, 13);
         assert!(o.correct(), "{sources} sources");
         assert_eq!(o.source_count, sources);
     }
@@ -135,9 +144,7 @@ fn latency_grows_with_sources() {
             .sources(sources)
             .build()
             .unwrap();
-        S4Protocol::new(config)
-            .run(&t, 21)
-            .unwrap()
+        round(&t, &config, ProtocolKind::S4, 21)
             .max_latency_ms()
             .expect("completes")
     };
@@ -159,17 +166,32 @@ fn failed_source_excluded_from_sum() {
         .unwrap();
     let mut failed = vec![false; n];
     failed[5] = true;
-    let o = S4Protocol::new(config)
-        .run_with(&t, 31, &[100, 200, 300], &failed)
-        .unwrap();
-    assert_eq!(o.expected_sum, 400, "dead source's reading must not count");
-    assert!(o.success_fraction() > 0.9);
+    let o = drive_round(
+        &t,
+        &config,
+        ProtocolKind::S4,
+        31,
+        Some((&[100, 200, 300], &failed)),
+    )
+    .unwrap()
+    .outcome;
+    assert_eq!(
+        o.expected_sums,
+        [400],
+        "dead source's reading must not count"
+    );
+    let ok = o
+        .live_nodes()
+        .filter(|n| n.aggregates.as_deref() == Some(&[400][..]))
+        .count();
+    let success = ok as f64 / o.live_nodes().count() as f64;
+    assert!(success > 0.9, "success fraction {success}");
 }
 
 #[test]
 fn radio_on_is_positive_and_bounded_by_schedule() {
     let (t, config) = flocklab_scenario();
-    let o = S4Protocol::new(config).run(&t, 41).unwrap();
+    let o = round(&t, &config, ProtocolKind::S4, 41);
     let budget = o.scheduled_round_ms();
     for node in o.live_nodes() {
         let on = node.radio_on.as_millis_f64();
@@ -184,14 +206,14 @@ fn radio_on_is_positive_and_bounded_by_schedule() {
 #[test]
 fn phase_stats_are_consistent() {
     let (t, config) = flocklab_scenario();
-    let o = S4Protocol::new(config.clone()).run(&t, 51).unwrap();
+    let o = round(&t, &config, ProtocolKind::S4, 51);
     // Sharing chain: S sources × (|A| − (1 if source is aggregator)).
     assert!(o.sharing.chain_len > 0);
     assert!(o.sharing.chain_len <= o.source_count * o.aggregator_count);
     assert_eq!(o.reconstruction.chain_len, o.aggregator_count);
     assert!(o.sharing.coverage > 0.5);
     // S4 chains are trimmed versus the naive S × n layout.
-    let s3 = S3Protocol::new(config).run(&t, 51).unwrap();
+    let s3 = round(&t, &config, ProtocolKind::S3, 51);
     assert!(s3.sharing.chain_len > 2 * o.sharing.chain_len);
     assert_eq!(s3.aggregator_count, t.len());
 }

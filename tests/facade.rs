@@ -2,31 +2,26 @@
 //!
 //! Contracts enforced here:
 //!
-//! 1. **The driver subsumes the legacy paths byte for byte** — a B = 1
-//!    driver round under the default zero fault plan produces an
-//!    `AggregationOutcome` *equal* to the deprecated `S3Protocol::run` /
-//!    `S4Protocol::run` single-shot oracles, on both testbed topologies,
-//!    with and without explicit inputs — the acceptance differential of
-//!    the API redesign.
+//! 1. **Driven rounds are frozen byte for byte** — a golden fixture holds
+//!    a digest of every `RoundReport` field at the coordinates the
+//!    paper's single-shot rounds used (both testbeds, S3 and S4, B = 1
+//!    and 4, explicit inputs with failures, stepped epochs).
 //! 2. **One pipeline, every scenario** — batching, fault plans and churn
-//!    all flow through the same `step()`; observers see every round; the
-//!    driver clock replays the session scheme exactly.
+//!    all flow through the same `step()`; lanes aggregate independently;
+//!    rounds replay regardless of execution order; observers see every
+//!    round.
 //! 3. **The report format is frozen** — a golden fixture pins
 //!    `RoundReport`'s `Display` text alongside the degraded-outcome
 //!    fixtures.
 //! 4. **Error-type hygiene** — every public error type in the workspace
 //!    implements `Display + std::error::Error + Send + Sync`.
 
-#![allow(deprecated)] // the legacy single-shot wrappers are the oracle here
-
 use ppda::mpc::{
     Deployment, MpcError, ProtocolConfig, ProtocolKind, RecoveryStatus, RoundObserver, RoundReport,
-    S3Protocol, S4Protocol,
 };
-use ppda::prelude::FaultPlan;
 use ppda::topology::Topology;
 use ppda_metrics::CampaignAccumulator;
-use ppda_testkit::{assert_golden, grid9_deployment, lossy_flocklab_deployment};
+use ppda_testkit::{assert_golden, drive_round, grid9_deployment, lossy_flocklab_deployment};
 
 fn testbeds() -> Vec<(Topology, ProtocolConfig)> {
     let flocklab = Topology::flocklab();
@@ -136,136 +131,104 @@ fn driver_rounds_match_golden_digests() {
     assert_golden("driver_rounds.txt", &lines);
 }
 
-/// The acceptance differential: a zero-fault B = 1 driver round equals
-/// the legacy single-shot protocol runs, field for field, for both
-/// protocols on both testbeds.
+/// Lane independence: a 4-lane round on both testbeds aggregates each
+/// lane's readings separately, at one round's transport cost.
 #[test]
-fn driver_rounds_are_byte_identical_to_legacy_single_shot() {
-    for (topology, config) in testbeds() {
-        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let deployment = Deployment::builder()
-                .topology_ref(&topology)
-                .config(config.clone())
-                .protocol(kind)
-                .build()
-                .unwrap();
-            let mut driver = deployment.driver();
-            for seed in [1u64, 7, 42, 0xBEEF] {
-                let report = driver.round_at(config.round_id, seed).unwrap();
-                assert!(report.recovered(), "zero-fault rounds always recover");
-                let via_driver = report.into_scalar().unwrap().round;
-                let legacy = match kind {
-                    ProtocolKind::S3 => S3Protocol::new(config.clone()).run(&topology, seed),
-                    ProtocolKind::S4 => S4Protocol::new(config.clone()).run(&topology, seed),
-                }
-                .unwrap();
-                assert_eq!(
-                    via_driver,
-                    legacy,
-                    "{} on {} diverged from the legacy path at seed {seed}",
-                    kind.name(),
-                    topology.name()
-                );
+fn batched_lanes_aggregate_independent_readings() {
+    for (topology, base_config) in testbeds() {
+        let mut config = base_config.clone();
+        config.batch = 4;
+        let sources = config.sources.len();
+        // secrets[si * 4 + lane] = 1000·(lane+1) + si
+        let secrets: Vec<u64> = (0..sources as u64)
+            .flat_map(|si| (0..4u64).map(move |lane| 1000 * (lane + 1) + si))
+            .collect();
+        let failed = vec![false; topology.len()];
+        let outcome = drive_round(
+            &topology,
+            &config,
+            ProtocolKind::S4,
+            4,
+            Some((&secrets, &failed)),
+        )
+        .unwrap()
+        .outcome;
+        assert_eq!(outcome.lanes, 4);
+        for lane in 0..4u64 {
+            let expected: u64 = (0..sources as u64).map(|si| 1000 * (lane + 1) + si).sum();
+            assert_eq!(
+                outcome.expected_sums[lane as usize],
+                expected,
+                "lane {lane} on {}",
+                topology.name()
+            );
+        }
+        // Radio loss can leave individual nodes without an aggregate (as
+        // at B = 1); every node that reconstructed must hold every lane's
+        // correct sum.
+        let reconstructed = outcome
+            .live_nodes()
+            .filter(|n| n.aggregates.is_some())
+            .count();
+        assert!(
+            reconstructed > 0,
+            "no node reconstructed on {}",
+            topology.name()
+        );
+        for node in outcome.live_nodes() {
+            if let Some(aggs) = &node.aggregates {
+                assert_eq!(aggs, &outcome.expected_sums, "on {}", topology.name());
             }
         }
     }
 }
 
+/// Replaying a coordinate after other rounds ran on the same driver
+/// reproduces it exactly, at B = 1 and B = 8: neither the plan nor the
+/// driver's scratch buffers and caches carry round state.
 #[test]
-fn driver_rounds_match_legacy_under_explicit_inputs_and_failures() {
-    for (topology, config) in testbeds() {
-        let n = topology.len();
-        let secrets: Vec<u64> = (0..config.sources.len() as u64).map(|i| 100 + i).collect();
-        let mut failed = vec![false; n];
-        failed[1] = true;
-        failed[n - 1] = true;
-        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let deployment = Deployment::builder()
-                .topology_ref(&topology)
-                .config(config.clone())
-                .protocol(kind)
-                .build()
-                .unwrap();
-            let mut driver = deployment.driver();
-            for seed in [3u64, 19] {
-                let via_driver = driver
-                    .round_at_with(config.round_id, seed, &secrets, &failed)
-                    .unwrap()
-                    .into_scalar()
-                    .unwrap()
-                    .round;
-                let legacy =
-                    match kind {
-                        ProtocolKind::S3 => S3Protocol::new(config.clone())
-                            .run_with(&topology, seed, &secrets, &failed),
-                        ProtocolKind::S4 => S4Protocol::new(config.clone())
-                            .run_with(&topology, seed, &secrets, &failed),
-                    }
-                    .unwrap();
-                assert_eq!(
-                    via_driver,
-                    legacy,
-                    "{} on {} diverged under failures at seed {seed}",
-                    kind.name(),
-                    topology.name()
-                );
-            }
-        }
-    }
-}
-
-/// The driver's automatic clock replays the session scheme: round r at
-/// `round_id + r` with seed `derive_stream(base, r)` — so stepped rounds
-/// equal legacy single-shot runs configured at those coordinates.
-#[test]
-fn driver_clock_matches_legacy_at_advanced_round_ids() {
-    for (topology, config) in testbeds() {
+fn rounds_are_independent_of_execution_order() {
+    let (topology, base_config) = testbeds().remove(0);
+    for lanes in [1usize, 8] {
+        let mut config = base_config.clone();
+        config.batch = lanes;
         let deployment = Deployment::builder()
             .topology_ref(&topology)
             .config(config.clone())
             .protocol(ProtocolKind::S4)
-            .seed(0xFEED)
             .build()
             .unwrap();
         let mut driver = deployment.driver();
-        for epoch in 0..3u64 {
-            let report = driver.step().unwrap();
-            let mut epoch_config = config.clone();
-            epoch_config.round_id = config.round_id + epoch as u32;
-            let seed = ppda::sim::derive_stream(0xFEED, epoch);
-            assert_eq!(report.seed, seed);
-            let legacy = S4Protocol::new(epoch_config).run(&topology, seed).unwrap();
-            assert_eq!(
-                report.into_scalar().unwrap().round,
-                legacy,
-                "epoch {epoch} on {} diverged",
-                topology.name()
-            );
+        let first = driver.round_at(config.round_id, 11).unwrap();
+        for seed in [5u64, 23, 99] {
+            driver.round_at(config.round_id, seed).unwrap();
         }
+        let again = driver.round_at(config.round_id, 11).unwrap();
+        assert_eq!(first, again, "B={lanes}");
     }
 }
 
-/// Batched rounds flow through the same single path: a 4-lane driver
-/// round equals the executor-level batched round (and its transport/
-/// survivor behaviour is lane-width-agnostic).
+/// A deployment that owns its topology runs the same rounds as one that
+/// borrows it.
 #[test]
-fn batched_driver_rounds_take_the_same_path() {
-    let (topology, mut config) = testbeds().remove(0);
-    config.batch = 4;
-    let deployment = Deployment::builder()
+fn owned_plan_matches_borrowed_plan() {
+    let (topology, config) = testbeds().remove(0);
+    let borrowed = Deployment::builder()
         .topology_ref(&topology)
         .config(config.clone())
-        .protocol(ProtocolKind::S4)
         .build()
         .unwrap();
-    let plan = ppda::mpc::RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let mut executor = plan.executor();
-    let mut driver = deployment.driver();
-    for seed in [2u64, 9, 33] {
-        let via_driver = driver.round_at(config.round_id, seed).unwrap();
-        let via_executor = executor.run_degraded(seed, &FaultPlan::none()).unwrap();
-        assert_eq!(via_driver.outcome, via_executor.round, "seed {seed}");
-        assert_eq!(via_driver.lanes(), 4);
+    let owned = Deployment::builder()
+        .topology(topology.clone())
+        .config(config.clone())
+        .build()
+        .unwrap();
+    let (mut a, mut b) = (borrowed.driver(), owned.driver());
+    for seed in [2u64, 13] {
+        assert_eq!(
+            a.round_at(config.round_id, seed).unwrap(),
+            b.round_at(config.round_id, seed).unwrap()
+        );
     }
 }
 

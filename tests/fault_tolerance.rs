@@ -1,105 +1,46 @@
-//! Fault-tolerant rounds: the differential conformance suite.
+//! Fault-tolerant rounds: the degraded-path conformance suite.
 //!
-//! Three contracts are enforced here:
+//! Two contracts are enforced here (a zero [`FaultPlan`] leaving rounds
+//! byte-identical is pinned by `tests/golden/driver_rounds.txt`, whose
+//! rounds all run under the default zero plan):
 //!
-//! 1. **Zero-fault plans are byte-identical to the plain executor** — for
-//!    every (topology, protocol, lane width) combination, running a round
-//!    through the degraded path with [`FaultPlan::none`] produces exactly
-//!    the outcome structure the fault-free path produces.
-//! 2. **Threshold-degraded reconstruction is exact** — any survivor set
+//! 1. **Threshold-degraded reconstruction is exact** — any survivor set
 //!    of size ≥ t+1 reconstructs the same aggregate as the full set
 //!    (exhaustively at the SSS layer, and proptested over seeded fault
 //!    plans at the protocol layer), and below-threshold rounds report
 //!    [`RecoveryStatus::Failed`] / [`MpcError::AggregationFailed`] —
 //!    never a wrong aggregate, never a panic.
-//! 3. **The degraded outcome format is frozen** — golden fixtures under
+//! 2. **The degraded outcome format is frozen** — golden fixtures under
 //!    `tests/golden/` pin the report text for a recovered lossy round and
 //!    a below-threshold failure (regenerate with `GOLDEN_REGEN=1`).
 
-use ppda::mpc::{FaultPlan, MpcError, ProtocolConfig, ProtocolKind, RecoveryStatus, RoundPlan};
+use ppda::mpc::{
+    Deployment, FaultPlan, MpcError, ProtocolConfig, ProtocolKind, RecoveryStatus, RoundPlan,
+    RoundReport,
+};
 use ppda::topology::Topology;
 use ppda_bench::{run_campaign_faulty, Protocol};
 use ppda_testkit::{assert_golden, churn, grid9, grid9_config, lossy_flocklab};
 use proptest::prelude::*;
 
-fn testbeds() -> Vec<(Topology, ProtocolConfig)> {
-    let flocklab = Topology::flocklab();
-    let dcube = Topology::dcube();
-    let flocklab_config = ProtocolConfig::builder(flocklab.len())
-        .sources(6)
+/// One S4 round at the config's round id under `faults`, with generated
+/// readings.
+fn faulty_round(
+    topology: &Topology,
+    config: &ProtocolConfig,
+    faults: FaultPlan,
+    seed: u64,
+) -> RoundReport {
+    Deployment::builder()
+        .topology_ref(topology)
+        .config(config.clone())
+        .protocol(ProtocolKind::S4)
+        .faults(faults)
         .build()
-        .unwrap();
-    let dcube_config = ProtocolConfig::builder(dcube.len())
-        .sources(7)
-        .ntx_sharing(7)
-        .ntx_reconstruction(7)
-        .build()
-        .unwrap();
-    vec![(flocklab, flocklab_config), (dcube, dcube_config)]
-}
-
-#[test]
-fn zero_fault_plan_is_byte_identical_to_plain_executor() {
-    // The core differential: every (topology, protocol, B ∈ {1, 4})
-    // combination, plain vs degraded-with-zero-plan, field for field.
-    let none = FaultPlan::none();
-    for (topology, base_config) in testbeds() {
-        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            for lanes in [1usize, 4] {
-                let mut config = base_config.clone();
-                config.batch = lanes;
-                let plan = RoundPlan::new(&topology, &config, kind).unwrap();
-                let mut plain = plan.executor();
-                let mut degraded = plan.executor();
-                for seed in [1u64, 7, 42, 0xBEEF] {
-                    let a = plain.run(seed).unwrap();
-                    let b = degraded.run_degraded(seed, &none).unwrap();
-                    assert_eq!(
-                        a,
-                        b.round,
-                        "{} on {} with B={lanes} diverged at seed {seed}",
-                        kind.name(),
-                        topology.name()
-                    );
-                    // And the report confirms nothing was injected.
-                    assert!(b.degraded.recovered());
-                    assert_eq!(b.degraded.faults.nodes_dropped, 0);
-                    assert_eq!(b.degraded.faults.shares_delayed, 0);
-                    assert_eq!(b.degraded.faults.sums_delayed, 0);
-                    assert_eq!(b.degraded.faults.duplicates, 0);
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn zero_fault_plan_matches_the_scalar_reference_path() {
-    // B = 1 through the degraded path still equals RoundPlan::run_epoch —
-    // the chain plain-scalar ≡ plain-executor ≡ degraded-executor holds
-    // end to end.
-    let none = FaultPlan::none();
-    for (topology, config) in testbeds() {
-        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let plan = RoundPlan::new(&topology, &config, kind).unwrap();
-            let mut executor = plan.executor();
-            for seed in [3u64, 19] {
-                let scalar = plan.run(seed).unwrap();
-                let degraded = executor
-                    .run_degraded(seed, &none)
-                    .unwrap()
-                    .into_scalar()
-                    .unwrap();
-                assert_eq!(
-                    scalar,
-                    degraded.round,
-                    "{} on {} diverged at seed {seed}",
-                    kind.name(),
-                    topology.name()
-                );
-            }
-        }
-    }
+        .unwrap()
+        .driver()
+        .round_at(config.round_id, seed)
+        .unwrap()
 }
 
 #[test]
@@ -175,8 +116,7 @@ fn below_threshold_rounds_fail_typed_not_wrong() {
         .collect();
     let faults = churn(&windows);
 
-    let mut executor = plan.executor();
-    let out = executor.run_degraded(5, &faults).unwrap();
+    let out = faulty_round(&topology, &config, faults, 5);
     assert!(!out.degraded.recovered());
     assert!(matches!(
         out.degraded.recovery,
@@ -188,7 +128,7 @@ fn below_threshold_rounds_fail_typed_not_wrong() {
     ));
     assert_eq!(out.degraded.survivors.len(), threshold - 1);
     assert_eq!(out.degraded.nodes_recovered, 0);
-    for node in out.round.live_nodes() {
+    for node in out.outcome.live_nodes() {
         assert_eq!(
             node.aggregates, None,
             "below the threshold nothing may reconstruct"
@@ -225,13 +165,12 @@ fn degraded_campaign_at_twenty_percent_loss_recovers() {
 fn golden_degraded_outcome_recovered() {
     // Freeze the degraded outcome text format on a seeded lossy round.
     let (topology, config, faults) = lossy_flocklab(6, 0.3);
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let out = plan.executor().run_degraded(11, &faults).unwrap();
+    let out = faulty_round(&topology, &config, faults, 11);
     let text = format!(
         "protocol {} testbed {} lanes {}\n{}",
-        out.round.protocol,
+        out.outcome.protocol,
         topology.name(),
-        out.round.lanes,
+        out.outcome.lanes,
         out.degraded
     );
     assert_golden("degraded_outcome.txt", &text);
@@ -250,10 +189,10 @@ fn golden_degraded_outcome_below_threshold() {
         .iter()
         .map(|&d| (d, round_id, round_id + 1))
         .collect();
-    let out = plan.executor().run_degraded(5, &churn(&windows)).unwrap();
+    let out = faulty_round(&topology, &config, churn(&windows), 5);
     let text = format!(
         "protocol {} testbed grid9 lanes {}\n{}",
-        out.round.protocol, out.round.lanes, out.degraded
+        out.outcome.protocol, out.outcome.lanes, out.degraded
     );
     assert_golden("degraded_failure.txt", &text);
 }
@@ -263,19 +202,12 @@ fn batched_lanes_take_the_same_degraded_path() {
     // B = 4 under loss: the transport, survivor set and fault report are
     // lane-independent (the lanes travel together), and every node that
     // recovered holds all four correct lane aggregates.
-    let (topology, mut config, faults) = lossy_flocklab(6, 0.25);
+    let (topology, scalar_config, faults) = lossy_flocklab(6, 0.25);
+    let mut config = scalar_config.clone();
     config.batch = 4;
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let scalar_plan = {
-        let mut c = config.clone();
-        c.batch = 1;
-        RoundPlan::new(&topology, &c, ProtocolKind::S4).unwrap()
-    };
-    let mut batched = plan.executor();
-    let mut scalar = scalar_plan.executor();
     for seed in [2u64, 9, 33] {
-        let b = batched.run_degraded(seed, &faults).unwrap();
-        let s = scalar.run_degraded(seed, &faults).unwrap();
+        let b = faulty_round(&topology, &config, faults.clone(), seed);
+        let s = faulty_round(&topology, &scalar_config, faults.clone(), seed);
         // Same fault realization and survivor set regardless of B: the
         // degraded path is lane-width-agnostic.
         assert_eq!(b.degraded.survivors, s.degraded.survivors, "seed {seed}");
@@ -284,11 +216,11 @@ fn batched_lanes_take_the_same_degraded_path() {
             b.degraded.faults.nodes_dropped, s.degraded.faults.nodes_dropped,
             "seed {seed}"
         );
-        assert_eq!(b.round.lanes, 4);
-        for node in b.round.live_nodes() {
+        assert_eq!(b.outcome.lanes, 4);
+        for node in b.outcome.live_nodes() {
             if let Some(aggs) = &node.aggregates {
                 if node.included_sources as usize == config.sources.len() {
-                    assert_eq!(aggs, &b.round.expected_sums, "seed {seed}");
+                    assert_eq!(aggs, &b.outcome.expected_sums, "seed {seed}");
                 }
             }
         }
@@ -310,13 +242,11 @@ proptest! {
     ) {
         let topology = grid9();
         let config = grid9_config().sources(5).build().unwrap();
-        let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-        let mut executor = plan.executor();
         let faults = FaultPlan::lossy(fault_seed, loss_pct as f64 / 100.0)
             .with_dropout(dropout_pct as f64 / 100.0);
-        let out = executor.run_degraded(seed, &faults).unwrap();
+        let out = faulty_round(&topology, &config, faults, seed);
 
-        let threshold = plan.threshold();
+        let threshold = config.degree + 1;
         match out.degraded.recovery {
             RecoveryStatus::Recovered { margin } => {
                 prop_assert_eq!(out.degraded.survivors.len(), threshold + margin);
@@ -328,22 +258,22 @@ proptest! {
             status => prop_assert!(false, "unknown recovery verdict {status:?}"),
         }
         // Live sources this round (the fault plan may have dropped some).
-        let live_sources = out.round.source_count
-            - out.round.nodes.iter().enumerate()
+        let live_sources = out.outcome.source_count
+            - out.outcome.nodes.iter().enumerate()
                 .filter(|&(v, n)| n.failed && config.sources.contains(&(v as u16)))
                 .count();
-        for node in out.round.live_nodes() {
+        for node in out.outcome.live_nodes() {
             if let Some(aggs) = &node.aggregates {
                 // A full-coverage aggregate must be *the* aggregate.
                 if node.included_sources as usize == live_sources {
-                    prop_assert_eq!(aggs, &out.round.expected_sums);
+                    prop_assert_eq!(aggs, &out.outcome.expected_sums);
                 }
             }
         }
         prop_assert_eq!(
             out.degraded.nodes_recovered > 0,
-            out.round.live_nodes().any(|n| {
-                n.aggregates.as_deref() == Some(&out.round.expected_sums[..])
+            out.outcome.live_nodes().any(|n| {
+                n.aggregates.as_deref() == Some(&out.outcome.expected_sums[..])
                     && n.included_sources as usize == live_sources
             })
         );
@@ -361,16 +291,14 @@ proptest! {
     ) {
         let topology = grid9();
         let config = grid9_config().sources(6).build().unwrap();
-        let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-        let mut executor = plan.executor();
         let faults = FaultPlan::lossy(fault_seed, loss_pct as f64 / 100.0).with_delay(0.1);
-        let out = executor.run_degraded(seed, &faults).unwrap();
+        let out = faulty_round(&topology, &config, faults, seed);
         let full = config.sources.len() as u32;
         let mut agreed: Option<Vec<u64>> = None;
-        for node in out.round.live_nodes() {
+        for node in out.outcome.live_nodes() {
             if node.included_sources == full {
                 let aggs = node.aggregates.clone().expect("full coverage implies a value");
-                prop_assert_eq!(&aggs, &out.round.expected_sums);
+                prop_assert_eq!(&aggs, &out.outcome.expected_sums);
                 if let Some(prev) = &agreed {
                     prop_assert_eq!(prev, &aggs);
                 }

@@ -20,7 +20,7 @@
 //!    fragment-aware cost: the `fragments` line, and a scheduled phase
 //!    duration that grows with the per-slot frame count.
 
-use ppda::mpc::{Deployment, ProtocolConfig, ProtocolKind, RoundPlan};
+use ppda::mpc::{Deployment, ProtocolConfig, ProtocolKind};
 use ppda::radio::{Fragmenter, Reassembler, MAX_DATAGRAM_LEN, MAX_FRAGMENT_DATA};
 use ppda::sim::Xoshiro256;
 use ppda::topology::Topology;
@@ -199,11 +199,16 @@ fn wide_batches_complete_on_both_testbeds() {
         // The in-cap reference for the cost comparison: same deployment
         // at the widest unfragmented width.
         let narrow = setup.config_batched(6, 23).unwrap();
-        let narrow_plan = RoundPlan::new(&topology, &narrow, ProtocolKind::S4).unwrap();
-        let narrow_sharing = narrow_plan
-            .executor()
-            .run(1)
+        let narrow_sharing = Deployment::builder()
+            .topology_ref(&topology)
+            .config(narrow.clone())
+            .protocol(ProtocolKind::S4)
+            .build()
             .unwrap()
+            .driver()
+            .round_at(narrow.round_id, 1)
+            .unwrap()
+            .outcome
             .sharing
             .scheduled_duration;
 

@@ -9,7 +9,7 @@ use ppda::field::{lagrange, share_x, Gf31, Mersenne31};
 use ppda::mpc::adversary::{
     consistent_polynomial, destination_points, observed_shares, SecrecyAnalysis,
 };
-use ppda::mpc::{ProtocolKind, RoundPlan};
+use ppda::mpc::{Deployment, ProtocolKind};
 use ppda::sss::split_secret;
 use ppda::topology::Topology;
 use ppda_testkit::{aggregator_setup, lossy_dropout, rng};
@@ -117,25 +117,30 @@ fn fault_metadata_is_secret_independent() {
         .sources(6)
         .build()
         .unwrap();
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let faults = lossy_dropout(0.3, 0.1).with_delay(0.1);
+    let deployment = Deployment::builder()
+        .topology_ref(&topology)
+        .config(config.clone())
+        .protocol(ProtocolKind::S4)
+        .faults(lossy_dropout(0.3, 0.1).with_delay(0.1))
+        .build()
+        .unwrap();
     let failed = vec![false; topology.len()];
     let secrets_a: Vec<u64> = (0..6u64).map(|i| 100 + i).collect();
     let secrets_b: Vec<u64> = (0..6u64).map(|i| 65_000 - 7 * i).collect();
-    let mut executor = plan.executor();
+    let mut driver = deployment.driver();
     for seed in [4u64, 17, 0xC0FFEE] {
-        let a = executor
-            .run_epoch_degraded(config.round_id, seed, &secrets_a, &failed, &faults)
+        let a = driver
+            .round_at_with(config.round_id, seed, &secrets_a, &failed)
             .unwrap();
-        let b = executor
-            .run_epoch_degraded(config.round_id, seed, &secrets_b, &failed, &faults)
+        let b = driver
+            .round_at_with(config.round_id, seed, &secrets_b, &failed)
             .unwrap();
         assert_eq!(
             a.degraded, b.degraded,
             "fault realization must not depend on the secrets (seed {seed})"
         );
         assert_ne!(
-            a.round.expected_sums, b.round.expected_sums,
+            a.outcome.expected_sums, b.outcome.expected_sums,
             "sanity: the readings really differ"
         );
     }
@@ -436,19 +441,23 @@ fn tamper_metadata_is_secret_independent() {
         .integrity(IntegrityMode::On)
         .build()
         .unwrap();
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let faults = ppda::mpc::FaultPlan::none();
-    let tamper = TamperPlan::forging(0xBAD, 0.5).with_bit_flip(0.2);
+    let deployment = Deployment::builder()
+        .topology_ref(&topology)
+        .config(config.clone())
+        .protocol(ProtocolKind::S4)
+        .tamper(TamperPlan::forging(0xBAD, 0.5).with_bit_flip(0.2))
+        .build()
+        .unwrap();
     let failed = vec![false; topology.len()];
     let secrets_a: Vec<u64> = (0..6u64).map(|i| 100 + i).collect();
     let secrets_b: Vec<u64> = (0..6u64).map(|i| 65_000 - 7 * i).collect();
-    let mut executor = plan.executor();
+    let mut driver = deployment.driver();
     for seed in [4u64, 17, 0xC0FFEE] {
-        let a = executor
-            .run_epoch_tampered(config.round_id, seed, &secrets_a, &failed, &faults, &tamper)
+        let a = driver
+            .round_at_with(config.round_id, seed, &secrets_a, &failed)
             .unwrap();
-        let b = executor
-            .run_epoch_tampered(config.round_id, seed, &secrets_b, &failed, &faults, &tamper)
+        let b = driver
+            .round_at_with(config.round_id, seed, &secrets_b, &failed)
             .unwrap();
         assert_eq!(
             a.degraded.integrity, b.degraded.integrity,
@@ -456,7 +465,7 @@ fn tamper_metadata_is_secret_independent() {
         );
         assert_eq!(a.degraded.survivors, b.degraded.survivors);
         assert_ne!(
-            a.round.expected_sums, b.round.expected_sums,
+            a.outcome.expected_sums, b.outcome.expected_sums,
             "sanity: the readings really differ"
         );
     }

@@ -1,12 +1,11 @@
 //! Cross-crate property tests: protocol invariants over randomized
 //! configurations on small synthetic topologies (kept small so the whole
 //! suite stays fast in debug builds).
-#![allow(deprecated)] // this suite exercises the legacy single-shot oracle
 
 use proptest::prelude::*;
 
-use ppda::mpc::S4Protocol;
-use ppda_testkit::{grid9, grid9_config};
+use ppda::mpc::ProtocolKind;
+use ppda_testkit::{drive_round, grid9, grid9_config};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -20,14 +19,20 @@ proptest! {
     ) {
         let topology = grid9();
         let config = grid9_config().build().unwrap();
-        let outcome = S4Protocol::new(config)
-            .run_with(&topology, seed, &readings, &[false; 9])
-            .unwrap();
+        let outcome = drive_round(
+            &topology,
+            &config,
+            ProtocolKind::S4,
+            seed,
+            Some((&readings, &[false; 9])),
+        )
+        .unwrap()
+        .outcome;
         let expected: u64 = readings.iter().sum::<u64>() % ppda::field::Gf31::modulus();
-        prop_assert_eq!(outcome.expected_sum, expected);
+        prop_assert_eq!(&outcome.expected_sums, &[expected]);
         for node in outcome.live_nodes() {
-            if let Some(got) = node.aggregate {
-                prop_assert_eq!(got, expected);
+            if let Some(got) = &node.aggregates {
+                prop_assert_eq!(got, &[expected]);
             }
         }
     }
@@ -38,7 +43,9 @@ proptest! {
     fn metrics_respect_the_schedule(seed in any::<u64>(), sources in 2usize..9) {
         let topology = grid9();
         let config = grid9_config().sources(sources).build().unwrap();
-        let outcome = S4Protocol::new(config).run(&topology, seed).unwrap();
+        let outcome = drive_round(&topology, &config, ProtocolKind::S4, seed, None)
+            .unwrap()
+            .outcome;
         let budget = outcome.scheduled_round_ms() * 1.01;
         for node in outcome.live_nodes() {
             if let Some(latency) = node.latency {
@@ -71,13 +78,19 @@ proptest! {
             .build()
             .unwrap();
         let readings: Vec<u64> = (0..config.sources.len() as u64).map(|i| i + 1).collect();
-        let outcome = S4Protocol::new(config)
-            .run_with(&topology, seed, &readings, &failed)
-            .unwrap();
+        let outcome = drive_round(
+            &topology,
+            &config,
+            ProtocolKind::S4,
+            seed,
+            Some((&readings, &failed)),
+        )
+        .unwrap()
+        .outcome;
         for (v, node) in outcome.nodes.iter().enumerate() {
             if failed[v] {
                 prop_assert!(node.failed);
-                prop_assert_eq!(node.aggregate, None);
+                prop_assert_eq!(&node.aggregates, &None);
                 prop_assert_eq!(node.radio_on.as_micros(), 0);
             }
         }
@@ -88,10 +101,14 @@ proptest! {
     fn replay_determinism(seed in any::<u64>()) {
         let topology = grid9();
         let config = grid9_config().build().unwrap();
-        let a = S4Protocol::new(config.clone()).run(&topology, seed).unwrap();
-        let b = S4Protocol::new(config).run(&topology, seed).unwrap();
+        let a = drive_round(&topology, &config, ProtocolKind::S4, seed, None)
+            .unwrap()
+            .outcome;
+        let b = drive_round(&topology, &config, ProtocolKind::S4, seed, None)
+            .unwrap()
+            .outcome;
         for (x, y) in a.nodes.iter().zip(&b.nodes) {
-            prop_assert_eq!(x.aggregate, y.aggregate);
+            prop_assert_eq!(&x.aggregates, &y.aggregates);
             prop_assert_eq!(x.latency, y.latency);
         }
     }
