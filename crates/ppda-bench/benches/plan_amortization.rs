@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use ppda_bench::TestbedSetup;
-use ppda_mpc::{Deployment, MpcError, ProtocolConfig, ProtocolKind, RoundPlan, RoundReport};
+use ppda_mpc::{Deployment, ProtocolConfig, ProtocolKind, RoundPlan, RoundReport};
 use ppda_topology::Topology;
 
 /// A deployment of `kind` over a borrowed topology.
@@ -33,10 +33,11 @@ fn fresh_round(
     config: &ProtocolConfig,
     kind: ProtocolKind,
     seed: u64,
-) -> Result<RoundReport, MpcError> {
+) -> RoundReport {
     deployment(topology, config, kind)
         .driver()
         .round_at(config.round_id, seed)
+        .unwrap()
 }
 
 fn bench_plan_amortization(c: &mut Criterion) {
@@ -69,7 +70,7 @@ fn bench_plan_amortization(c: &mut Criterion) {
                 seed += 1;
                 // The pre-plan campaign body: fresh config clone, fresh
                 // bootstrap, every round.
-                fresh_round(&topology, &config, ProtocolKind::S4, seed).unwrap()
+                fresh_round(&topology, &config, ProtocolKind::S4, seed)
             })
         });
 
@@ -95,7 +96,7 @@ fn bench_plan_amortization(c: &mut Criterion) {
                 let mut seed = 0u64;
                 bench.iter(|| {
                     seed += 1;
-                    fresh_round(&topology, &full, ProtocolKind::S4, seed).unwrap()
+                    fresh_round(&topology, &full, ProtocolKind::S4, seed)
                 })
             },
         );
@@ -119,7 +120,7 @@ fn bench_plan_amortization(c: &mut Criterion) {
         let mut seed = 0u64;
         bench.iter(|| {
             seed += 1;
-            fresh_round(&topology, &config, ProtocolKind::S3, seed).unwrap()
+            fresh_round(&topology, &config, ProtocolKind::S3, seed)
         })
     });
     group.finish();

@@ -105,8 +105,7 @@ impl<T: RoundObserver + ?Sized> RoundObserver for &mut T {
 ///
 /// Every round counts toward the recovery tally — a fault-free round is
 /// simply one that recovered with full margin — so availability is always
-/// observable, unlike the legacy session stats that only counted
-/// explicitly degraded epochs.
+/// observable.
 ///
 /// # Example
 ///
@@ -300,7 +299,7 @@ pub struct DeploymentBuilder<'t> {
 }
 
 impl<'t> DeploymentBuilder<'t> {
-    /// Deployment topology, owned (long-lived deployments, sessions).
+    /// Deployment topology, owned (long-lived deployments).
     #[must_use]
     pub fn topology(mut self, topology: Topology) -> Self {
         self.topology = Some(Cow::Owned(topology));
@@ -647,11 +646,12 @@ impl<'t> Deployment<'t> {
 
 /// Streams aggregation rounds over a [`Deployment`]'s compiled plan.
 ///
-/// One driver = one independent round stream: it owns the executor's
-/// reusable scratch plus its own input buffers (generated readings and
-/// the all-live failure mask are reused round to round), an epoch clock
-/// (round id + per-round seed, advancing once per executed round), the
-/// cumulative [`DriverStats`], and the attached [`RoundObserver`] sinks.
+/// One driver = one independent round stream: it owns the round
+/// pipeline's reusable scratch plus its own input buffers (generated
+/// readings and the all-live failure mask are reused round to round), an
+/// epoch clock (round id + per-round seed, advancing once per executed
+/// round), the cumulative [`DriverStats`], and the attached
+/// [`RoundObserver`] sinks.
 ///
 /// All execution surfaces converge here:
 ///

@@ -52,8 +52,8 @@ pub use ppda_topology as topology;
 /// The prelude is the façade's surface: deployments, drivers, reports and
 /// the fault/churn models they fuse. Every item re-exported here carries
 /// a runnable doctest on its own definition. Lower-level machinery
-/// (plans, executors, the legacy protocol wrappers) stays behind the
-/// [`mpc`] module path.
+/// (compiled round plans, the bootstrap, membership timelines) stays
+/// behind the [`mpc`] module path.
 pub mod prelude {
     pub use ppda_ct::FaultPlan;
     pub use ppda_integrity::{IntegrityMode, IntegrityVerdict, TamperPlan, Transcript};
