@@ -158,7 +158,7 @@ fn validate_inputs(
 
 /// Per-round scratch buffers: every slab a round writes, allocated once
 /// per driver and reused for its lifetime.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct RoundScratch {
     /// DRBG domain-separation string under construction.
     domain: Vec<u8>,
@@ -206,7 +206,7 @@ struct RoundScratch {
 /// caches. It never stores the plan — every method takes it as a
 /// parameter — so a driver that *owns* (and patches) its plan can run
 /// rounds without a self-referential borrow.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ExecState {
     scratch: RoundScratch,
     /// Effective failure mask of a round: caller's mask OR'd with

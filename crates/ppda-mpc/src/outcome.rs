@@ -200,9 +200,8 @@ pub enum RecoveryStatus {
 }
 
 /// The degraded-operation report of one round: who survived, whether the
-/// threshold held, and which faults were observed. Produced by the
-/// fault-injected execution paths instead of silently assuming complete
-/// delivery.
+/// threshold held, and which faults were observed. Every driven round
+/// produces one, so complete delivery is reported rather than assumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradedOutcome {
     /// Reconstruction threshold t = degree + 1.
@@ -323,11 +322,10 @@ impl fmt::Display for DegradedOutcome {
 /// [`Deployment`](crate::Deployment) produces, whatever the lane width or
 /// fault plan.
 ///
-/// This collapses the historical plain/degraded × scalar/batch outcome
-/// split: a report always carries the per-lane aggregates (B = 1 is the
-/// paper's scalar round), the survivor set and [`RecoveryStatus`] (a
-/// fault-free round simply recovers with full margin), the observed
-/// [`FaultReport`], and the round's transport statistics.
+/// A report always carries the per-lane aggregates (B = 1 is the paper's
+/// scalar round), the survivor set and [`RecoveryStatus`] (a fault-free
+/// round simply recovers with full margin), the observed [`FaultReport`],
+/// and the round's transport statistics.
 ///
 /// Marked `#[non_exhaustive]`: reports are produced by
 /// [`RoundDriver`](crate::RoundDriver), never constructed downstream, so
@@ -506,10 +504,6 @@ mod tests {
         }
     }
 
-    fn batch_node(aggregates: Option<Vec<u64>>, failed: bool) -> BatchNodeResult {
-        node(aggregates, Some(5), failed)
-    }
-
     fn batch_outcome(lanes: usize, nodes: Vec<BatchNodeResult>) -> BatchAggregationOutcome {
         BatchAggregationOutcome {
             protocol: "S4",
@@ -602,11 +596,11 @@ mod tests {
 
     #[test]
     fn batch_correctness_requires_every_lane() {
-        let good = batch_outcome(2, vec![batch_node(Some(vec![42, 43]), false)]);
+        let good = batch_outcome(2, vec![node(Some(vec![42, 43]), Some(5), false)]);
         assert!(good.correct());
-        let one_lane_wrong = batch_outcome(2, vec![batch_node(Some(vec![42, 99]), false)]);
+        let one_lane_wrong = batch_outcome(2, vec![node(Some(vec![42, 99]), Some(5), false)]);
         assert!(!one_lane_wrong.correct());
-        let failed_ignored = batch_outcome(2, vec![batch_node(None, true)]);
+        let failed_ignored = batch_outcome(2, vec![node(None, Some(5), true)]);
         assert!(failed_ignored.correct(), "no live nodes, vacuously correct");
     }
 
@@ -693,7 +687,7 @@ mod tests {
         let report = RoundReport {
             round_id: 9,
             seed: 77,
-            outcome: batch_outcome(2, vec![batch_node(Some(vec![42, 43]), false)]),
+            outcome: batch_outcome(2, vec![node(Some(vec![42, 43]), Some(5), false)]),
             degraded: degraded(RecoveryStatus::Recovered { margin: 1 }),
             patch: None,
         };
@@ -716,7 +710,7 @@ mod tests {
         let report = RoundReport {
             round_id: 1,
             seed: 5,
-            outcome: batch_outcome(1, vec![batch_node(None, false)]),
+            outcome: batch_outcome(1, vec![node(None, Some(5), false)]),
             degraded: degraded(RecoveryStatus::Failed { missing: 2 }),
             patch: None,
         };
