@@ -2,14 +2,13 @@
 //!
 //! Contracts enforced here:
 //!
-//! 1. **Driven rounds are frozen byte for byte** — a golden fixture holds
-//!    a digest of every `RoundReport` field at the coordinates the
-//!    paper's single-shot rounds used (both testbeds, S3 and S4, B = 1
-//!    and 4, explicit inputs with failures, stepped epochs).
+//! 1. **Driven rounds are frozen byte for byte** — a golden fixture,
+//!    recorded while the legacy single-shot paths still matched the
+//!    driver, holds a digest of every `RoundReport` field at the legacy
+//!    differentials' coordinates; each differential checks its own lines
+//!    and one test checks and regenerates the whole file.
 //! 2. **One pipeline, every scenario** — batching, fault plans and churn
-//!    all flow through the same `step()`; lanes aggregate independently;
-//!    rounds replay regardless of execution order; observers see every
-//!    round.
+//!    all flow through the same `step()`; observers see every round.
 //! 3. **The report format is frozen** — a golden fixture pins
 //!    `RoundReport`'s `Display` text alongside the degraded-outcome
 //!    fixtures.
@@ -39,6 +38,71 @@ fn testbeds() -> Vec<(Topology, ProtocolConfig)> {
     vec![(flocklab, flocklab_config), (dcube, dcube_config)]
 }
 
+/// A frozen coordinate: its case key and the round driven there.
+type Case = (String, RoundReport);
+
+/// `kind` at lane width `lanes` with readings drawn from the seed, at the
+/// four seeds the single-shot differentials ran.
+fn generated_cases(
+    topology: &Topology,
+    base_config: &ProtocolConfig,
+    kind: ProtocolKind,
+    lanes: usize,
+) -> Vec<Case> {
+    let mut config = base_config.clone();
+    config.batch = lanes;
+    [1u64, 7, 42, 0xBEEF]
+        .into_iter()
+        .map(|seed| {
+            let key = format!("{} {} B={lanes} seed={seed}", topology.name(), kind.name());
+            let report = drive_round(topology, &config, kind, seed, None).unwrap();
+            (key, report)
+        })
+        .collect()
+}
+
+/// `kind` at B = 1 with readings `100 + i` and nodes 1 and n − 1 failed,
+/// at seeds 3 and 19.
+fn failure_cases(topology: &Topology, config: &ProtocolConfig, kind: ProtocolKind) -> Vec<Case> {
+    let n = topology.len();
+    let readings: Vec<u64> = (0..config.sources.len() as u64).map(|i| 100 + i).collect();
+    let mut failed = vec![false; n];
+    failed[1] = true;
+    failed[n - 1] = true;
+    [3u64, 19]
+        .into_iter()
+        .map(|seed| {
+            let key = format!(
+                "{} {} B=1 seed={seed} readings=100+i failed=1,{}",
+                topology.name(),
+                kind.name(),
+                n - 1
+            );
+            let inputs = Some((&readings[..], &failed[..]));
+            let report = drive_round(topology, config, kind, seed, inputs).unwrap();
+            (key, report)
+        })
+        .collect()
+}
+
+/// Three stepped S4 epochs of the driver clock at base seed 0xFEED.
+fn epoch_cases(topology: &Topology, config: &ProtocolConfig) -> Vec<Case> {
+    let deployment = Deployment::builder()
+        .topology_ref(topology)
+        .config(config.clone())
+        .protocol(ProtocolKind::S4)
+        .seed(0xFEED)
+        .build()
+        .unwrap();
+    let mut driver = deployment.driver();
+    (0..3)
+        .map(|epoch| {
+            let key = format!("{} S4 B=1 epoch={epoch} base_seed=0xfeed", topology.name());
+            (key, driver.step().unwrap())
+        })
+        .collect()
+}
+
 /// One golden line: the case key and a transcript digest of the report's
 /// `Debug` text, which covers every field of the `RoundReport`. The full
 /// report goes to the captured test output, so a drifting line can be
@@ -56,179 +120,109 @@ fn golden_line(key: &str, report: &RoundReport) -> String {
     format!("{key} {digest}\n")
 }
 
-/// The byte-level contract of every driven round, frozen: S3 and S4 on
-/// both testbeds at B ∈ {1, 4} with generated readings, at B = 1 with
-/// explicit readings and two failed nodes, and three stepped epochs of
-/// the driver clock. Regenerate with `GOLDEN_REGEN=1` only for an
-/// intentional change of round semantics.
+/// The committed `tests/golden/driver_rounds.txt`, compiled in.
+const FROZEN_ROUNDS: &str = include_str!("golden/driver_rounds.txt");
+
+/// The round at a frozen coordinate reproduces its fixture line. Under
+/// `GOLDEN_REGEN` nothing is compared, as in `assert_golden`: the
+/// whole-file test rewrites the fixture and the next build compiles it in.
+fn assert_frozen((key, report): &Case) {
+    let line = golden_line(key, report);
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        return;
+    }
+    let frozen = FROZEN_ROUNDS
+        .lines()
+        .find(|l| l.rsplit_once(' ').is_some_and(|(k, _)| k == key));
+    assert_eq!(
+        frozen,
+        Some(line.trim_end()),
+        "{key} drifted from tests/golden/driver_rounds.txt"
+    );
+}
+
+/// The whole fixture, in file order: per testbed, S3 and S4 at
+/// B ∈ {1, 4} with generated readings, then the failure cases, then the
+/// stepped epochs — 46 lines. Regenerate with `GOLDEN_REGEN=1` only for
+/// an intentional change of round semantics.
 #[test]
 fn driver_rounds_match_golden_digests() {
     let mut lines = String::new();
-    for (topology, base_config) in testbeds() {
-        let testbed = topology.name();
+    for (topology, config) in testbeds() {
+        let mut cases = Vec::new();
         for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            for lanes in [1usize, 4] {
-                let mut config = base_config.clone();
-                config.batch = lanes;
-                let deployment = Deployment::builder()
-                    .topology_ref(&topology)
-                    .config(config.clone())
-                    .protocol(kind)
-                    .build()
-                    .unwrap();
-                let mut driver = deployment.driver();
-                for seed in [1u64, 7, 42, 0xBEEF] {
-                    let report = driver.round_at(config.round_id, seed).unwrap();
-                    let key = format!("{testbed} {} B={lanes} seed={seed}", kind.name());
-                    lines += &golden_line(&key, &report);
-                }
+            for lanes in [1, 4] {
+                cases.extend(generated_cases(&topology, &config, kind, lanes));
             }
         }
-
-        let n = topology.len();
-        let secrets: Vec<u64> = (0..base_config.sources.len() as u64)
-            .map(|i| 100 + i)
-            .collect();
-        let mut failed = vec![false; n];
-        failed[1] = true;
-        failed[n - 1] = true;
         for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let deployment = Deployment::builder()
-                .topology_ref(&topology)
-                .config(base_config.clone())
-                .protocol(kind)
-                .build()
-                .unwrap();
-            let mut driver = deployment.driver();
-            for seed in [3u64, 19] {
-                let report = driver
-                    .round_at_with(base_config.round_id, seed, &secrets, &failed)
-                    .unwrap();
-                let key = format!(
-                    "{testbed} {} B=1 seed={seed} readings=100+i failed=1,{}",
-                    kind.name(),
-                    n - 1
-                );
-                lines += &golden_line(&key, &report);
-            }
+            cases.extend(failure_cases(&topology, &config, kind));
         }
-
-        let deployment = Deployment::builder()
-            .topology_ref(&topology)
-            .config(base_config.clone())
-            .protocol(ProtocolKind::S4)
-            .seed(0xFEED)
-            .build()
-            .unwrap();
-        let mut driver = deployment.driver();
-        for epoch in 0..3 {
-            let report = driver.step().unwrap();
-            let key = format!("{testbed} S4 B=1 epoch={epoch} base_seed=0xfeed");
-            lines += &golden_line(&key, &report);
-        }
+        cases.extend(epoch_cases(&topology, &config));
+        lines.extend(cases.iter().map(|(key, report)| golden_line(key, report)));
     }
     assert_eq!(lines.lines().count(), 46);
     assert_golden("driver_rounds.txt", &lines);
 }
 
-/// Lane independence: a 4-lane round on both testbeds aggregates each
-/// lane's readings separately, at one round's transport cost.
+/// Zero-fault B = 1 rounds with generated readings, S3 and S4 on both
+/// testbeds, recover and reproduce the lines frozen from the legacy
+/// single-shot `S3Protocol::run` / `S4Protocol::run` oracles.
 #[test]
-fn batched_lanes_aggregate_independent_readings() {
-    for (topology, base_config) in testbeds() {
-        let mut config = base_config.clone();
-        config.batch = 4;
-        let sources = config.sources.len();
-        // secrets[si * 4 + lane] = 1000·(lane+1) + si
-        let secrets: Vec<u64> = (0..sources as u64)
-            .flat_map(|si| (0..4u64).map(move |lane| 1000 * (lane + 1) + si))
-            .collect();
-        let failed = vec![false; topology.len()];
-        let outcome = drive_round(
-            &topology,
-            &config,
-            ProtocolKind::S4,
-            4,
-            Some((&secrets, &failed)),
-        )
-        .unwrap()
-        .outcome;
-        assert_eq!(outcome.lanes, 4);
-        for lane in 0..4u64 {
-            let expected: u64 = (0..sources as u64).map(|si| 1000 * (lane + 1) + si).sum();
-            assert_eq!(
-                outcome.expected_sums[lane as usize],
-                expected,
-                "lane {lane} on {}",
-                topology.name()
-            );
-        }
-        // Radio loss can leave individual nodes without an aggregate (as
-        // at B = 1); every node that reconstructed must hold every lane's
-        // correct sum.
-        let reconstructed = outcome
-            .live_nodes()
-            .filter(|n| n.aggregates.is_some())
-            .count();
-        assert!(
-            reconstructed > 0,
-            "no node reconstructed on {}",
-            topology.name()
-        );
-        for node in outcome.live_nodes() {
-            if let Some(aggs) = &node.aggregates {
-                assert_eq!(aggs, &outcome.expected_sums, "on {}", topology.name());
+fn driver_rounds_are_byte_identical_to_legacy_single_shot() {
+    for (topology, config) in testbeds() {
+        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
+            for case in generated_cases(&topology, &config, kind, 1) {
+                assert!(case.1.recovered(), "zero-fault rounds always recover");
+                assert_frozen(&case);
             }
         }
     }
 }
 
-/// Replaying a coordinate after other rounds ran on the same driver
-/// reproduces it exactly, at B = 1 and B = 8: neither the plan nor the
-/// driver's scratch buffers and caches carry round state.
+/// Explicit readings with nodes 1 and n − 1 failed: the report marks the
+/// failed nodes and reproduces the lines frozen from the legacy
+/// `run_with` oracles.
 #[test]
-fn rounds_are_independent_of_execution_order() {
-    let (topology, base_config) = testbeds().remove(0);
-    for lanes in [1usize, 8] {
-        let mut config = base_config.clone();
-        config.batch = lanes;
-        let deployment = Deployment::builder()
-            .topology_ref(&topology)
-            .config(config.clone())
-            .protocol(ProtocolKind::S4)
-            .build()
-            .unwrap();
-        let mut driver = deployment.driver();
-        let first = driver.round_at(config.round_id, 11).unwrap();
-        for seed in [5u64, 23, 99] {
-            driver.round_at(config.round_id, seed).unwrap();
+fn driver_rounds_match_legacy_under_explicit_inputs_and_failures() {
+    for (topology, config) in testbeds() {
+        let n = topology.len();
+        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
+            for case in failure_cases(&topology, &config, kind) {
+                let nodes = &case.1.outcome.nodes;
+                assert!(nodes[1].failed && nodes[n - 1].failed, "{}", case.0);
+                assert_frozen(&case);
+            }
         }
-        let again = driver.round_at(config.round_id, 11).unwrap();
-        assert_eq!(first, again, "B={lanes}");
     }
 }
 
-/// A deployment that owns its topology runs the same rounds as one that
-/// borrows it.
+/// The driver's automatic clock replays the session scheme: round r at
+/// `round_id + r` with seed `derive_stream(base, r)`, reproducing the
+/// lines frozen from legacy single-shot runs at those coordinates.
 #[test]
-fn owned_plan_matches_borrowed_plan() {
-    let (topology, config) = testbeds().remove(0);
-    let borrowed = Deployment::builder()
-        .topology_ref(&topology)
-        .config(config.clone())
-        .build()
-        .unwrap();
-    let owned = Deployment::builder()
-        .topology(topology.clone())
-        .config(config.clone())
-        .build()
-        .unwrap();
-    let (mut a, mut b) = (borrowed.driver(), owned.driver());
-    for seed in [2u64, 13] {
-        assert_eq!(
-            a.round_at(config.round_id, seed).unwrap(),
-            b.round_at(config.round_id, seed).unwrap()
-        );
+fn driver_clock_matches_legacy_at_advanced_round_ids() {
+    for (topology, config) in testbeds() {
+        for (epoch, case) in epoch_cases(&topology, &config).iter().enumerate() {
+            assert_eq!(case.1.round_id, config.round_id + epoch as u32);
+            assert_eq!(case.1.seed, ppda::sim::derive_stream(0xFEED, epoch as u64));
+            assert_frozen(case);
+        }
+    }
+}
+
+/// Batched rounds take the same single path: 4-lane S3 and S4 rounds on
+/// both testbeds carry four lanes and reproduce the lines frozen from the
+/// executor-level batched round.
+#[test]
+fn batched_driver_rounds_take_the_same_path() {
+    for (topology, config) in testbeds() {
+        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
+            for case in generated_cases(&topology, &config, kind, 4) {
+                assert_eq!(case.1.lanes(), 4);
+                assert_frozen(&case);
+            }
+        }
     }
 }
 

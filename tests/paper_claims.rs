@@ -4,10 +4,20 @@
 //! seeded rounds must reproduce each *shape*.
 
 use ppda::ct::MiniCast;
-use ppda::mpc::{ProtocolConfig, ProtocolKind};
+use ppda::mpc::{BatchAggregationOutcome, ProtocolConfig, ProtocolKind};
 use ppda::radio::{FadingProfile, FrameSpec};
 use ppda::topology::Topology;
 use ppda_testkit::drive_round;
+
+/// The S3 and S4 outcomes of the generated-readings round at `seed`.
+fn s3_and_s4(
+    t: &Topology,
+    config: &ProtocolConfig,
+    seed: u64,
+) -> (BatchAggregationOutcome, BatchAggregationOutcome) {
+    let round = |kind| drive_round(t, config, kind, seed, None).unwrap().outcome;
+    (round(ProtocolKind::S3), round(ProtocolKind::S4))
+}
 
 /// §IV: "S4 achieves private aggregation at least 6× faster … in FlockLab".
 /// Conservative bound here (≥4× over 3 seeds) — the full campaign measures
@@ -17,12 +27,7 @@ fn s4_latency_advantage_flocklab() {
     let t = Topology::flocklab();
     let config = ProtocolConfig::builder(t.len()).build().unwrap();
     for seed in [2u64, 4, 8] {
-        let s3 = drive_round(&t, &config, ProtocolKind::S3, seed, None)
-            .unwrap()
-            .outcome;
-        let s4 = drive_round(&t, &config, ProtocolKind::S4, seed, None)
-            .unwrap()
-            .outcome;
+        let (s3, s4) = s3_and_s4(&t, &config, seed);
         let (l3, l4) = (
             s3.mean_latency_ms().expect("S3 completes"),
             s4.mean_latency_ms().expect("S4 completes"),
@@ -36,12 +41,7 @@ fn s4_latency_advantage_flocklab() {
 fn s4_radio_advantage_flocklab() {
     let t = Topology::flocklab();
     let config = ProtocolConfig::builder(t.len()).build().unwrap();
-    let s3 = drive_round(&t, &config, ProtocolKind::S3, 6, None)
-        .unwrap()
-        .outcome;
-    let s4 = drive_round(&t, &config, ProtocolKind::S4, 6, None)
-        .unwrap()
-        .outcome;
+    let (s3, s4) = s3_and_s4(&t, &config, 6);
     assert!(s3.mean_radio_on_ms() > 4.0 * s4.mean_radio_on_ms());
 }
 
@@ -57,12 +57,7 @@ fn dcube_ratio_exceeds_flocklab_ratio() {
             .fading(fading)
             .build()
             .unwrap();
-        let s3 = drive_round(t, &config, ProtocolKind::S3, 5, None)
-            .unwrap()
-            .outcome;
-        let s4 = drive_round(t, &config, ProtocolKind::S4, 5, None)
-            .unwrap()
-            .outcome;
+        let (s3, s4) = s3_and_s4(t, &config, 5);
         s3.scheduled_round_ms() / s4.scheduled_round_ms()
     };
     let fl = ratio(&Topology::flocklab(), 15, 6, FadingProfile::office());
@@ -84,12 +79,7 @@ fn chain_size_complexity() {
     let config = ProtocolConfig::builder(n).build().unwrap();
     let k = config.degree;
     let r = config.aggregator_redundancy;
-    let s3 = drive_round(&t, &config, ProtocolKind::S3, 1, None)
-        .unwrap()
-        .outcome;
-    let s4 = drive_round(&t, &config, ProtocolKind::S4, 1, None)
-        .unwrap()
-        .outcome;
+    let (s3, s4) = s3_and_s4(&t, &config, 1);
     assert_eq!(s3.sharing.chain_len, n * (n - 1));
     assert_eq!(s3.reconstruction.chain_len, n);
     // Every source sends to the k+1+r aggregators (minus itself if it is one).
@@ -156,12 +146,7 @@ fn absolute_scale_matches_paper_axis() {
             .full_coverage_ntx(s3_ntx)
             .build()
             .unwrap();
-        let s3 = drive_round(&t, &config, ProtocolKind::S3, 3, None)
-            .unwrap()
-            .outcome;
-        let s4 = drive_round(&t, &config, ProtocolKind::S4, 3, None)
-            .unwrap()
-            .outcome;
+        let (s3, s4) = s3_and_s4(&t, &config, 3);
         for ms in [s3.scheduled_round_ms(), s4.scheduled_round_ms()] {
             assert!(
                 (100.0..200_000.0).contains(&ms),

@@ -1,17 +1,12 @@
-//! The plan layer's correctness contract: executing rounds over a reused
-//! [`RoundPlan`] must be **byte-identical** to the legacy single-shot path
-//! (`S3Protocol::run` / `S4Protocol::run`, which compile a fresh plan per
-//! call) — for both protocols, on both testbeds, with and without explicit
-//! inputs and failure injection. The batched executor extends the same
-//! contract: a 1-lane [`RoundExecutor`](ppda::mpc::RoundExecutor) round is
-//! byte-identical to the scalar path.
-#![allow(deprecated)] // the legacy single-shot wrappers are the oracle here
+//! Reusing one compiled deployment across rounds: a batched round
+//! aggregates each lane separately, a coordinate replays exactly after
+//! other rounds ran on the same driver (B = 1 and B = 8), and a
+//! deployment that owns its topology runs the same rounds as one that
+//! borrows it.
 
-use ppda::mpc::{
-    AggregationSession, MpcError, ProtocolConfig, ProtocolKind, RoundPlan, S3Protocol, S4Protocol,
-    SessionProtocol,
-};
+use ppda::mpc::{Deployment, ProtocolConfig, ProtocolKind};
 use ppda::topology::Topology;
+use ppda_testkit::drive_round;
 
 fn testbeds() -> Vec<(Topology, ProtocolConfig)> {
     let flocklab = Topology::flocklab();
@@ -29,183 +24,55 @@ fn testbeds() -> Vec<(Topology, ProtocolConfig)> {
     vec![(flocklab, flocklab_config), (dcube, dcube_config)]
 }
 
-#[test]
-fn reused_plan_matches_single_shot_s3_and_s4() {
-    for (topology, config) in testbeds() {
-        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let plan = RoundPlan::new(&topology, &config, kind).unwrap();
-            for seed in [1u64, 7, 42, 0xBEEF] {
-                let planned = plan.run(seed).unwrap();
-                let single_shot = match kind {
-                    ProtocolKind::S3 => S3Protocol::new(config.clone()).run(&topology, seed),
-                    ProtocolKind::S4 => S4Protocol::new(config.clone()).run(&topology, seed),
-                }
-                .unwrap();
-                assert_eq!(
-                    planned,
-                    single_shot,
-                    "{} on {} diverged at seed {seed}",
-                    kind.name(),
-                    topology.name()
-                );
-            }
-        }
-    }
+/// The FlockLab S4 deployment at lane width `lanes`, and its round id.
+fn flocklab_s4(lanes: usize) -> (Deployment<'static>, u32) {
+    let (topology, mut config) = testbeds().remove(0);
+    config.batch = lanes;
+    let round_id = config.round_id;
+    let deployment = Deployment::builder()
+        .topology(topology)
+        .config(config)
+        .protocol(ProtocolKind::S4)
+        .build()
+        .unwrap();
+    (deployment, round_id)
 }
 
-#[test]
-fn reused_plan_matches_single_shot_with_failures() {
-    for (topology, config) in testbeds() {
-        let n = topology.len();
-        let secrets: Vec<u64> = (0..config.sources.len() as u64).map(|i| 100 + i).collect();
-        let mut failed = vec![false; n];
-        failed[1] = true;
-        failed[n - 1] = true;
-        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let plan = RoundPlan::new(&topology, &config, kind).unwrap();
-            for seed in [3u64, 19] {
-                let planned = plan.run_with(seed, &secrets, &failed).unwrap();
-                let single_shot =
-                    match kind {
-                        ProtocolKind::S3 => S3Protocol::new(config.clone())
-                            .run_with(&topology, seed, &secrets, &failed),
-                        ProtocolKind::S4 => S4Protocol::new(config.clone())
-                            .run_with(&topology, seed, &secrets, &failed),
-                    }
-                    .unwrap();
-                assert_eq!(
-                    planned,
-                    single_shot,
-                    "{} on {} diverged under failures at seed {seed}",
-                    kind.name(),
-                    topology.name()
-                );
-            }
-        }
-    }
-}
-
+/// Replaying a seed after other rounds ran in between gives the same
+/// round: the plan carries no mutable round state.
 #[test]
 fn plan_rounds_are_independent_of_execution_order() {
-    // Replaying a seed after other rounds ran in between must give the
-    // same outcome: the plan carries no mutable round state.
-    let (topology, config) = testbeds().remove(0);
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let first = plan.run(11).unwrap();
+    let (deployment, round_id) = flocklab_s4(1);
+    let mut driver = deployment.driver();
+    let first = driver.round_at(round_id, 11).unwrap();
     for seed in [5u64, 23, 99] {
-        plan.run(seed).unwrap();
+        driver.round_at(round_id, seed).unwrap();
     }
-    let again = plan.run(11).unwrap();
-    assert_eq!(first, again);
+    assert_eq!(driver.round_at(round_id, 11).unwrap(), first);
 }
 
-#[test]
-fn session_epochs_match_single_shot_at_advanced_round_ids() {
-    // A session reuses one plan across epochs while advancing the round
-    // id; each epoch must equal a fresh single-shot run of a config with
-    // that round id (regression guard for plan staleness).
-    for (topology, config) in testbeds() {
-        let mut session = AggregationSession::new(
-            topology.clone(),
-            config.clone(),
-            SessionProtocol::S4,
-            0xFEED,
-        )
-        .unwrap();
-        for epoch in 0..3u64 {
-            let round_id = session.round_id();
-            let via_session = session.next_round().unwrap();
-
-            let mut epoch_config = config.clone();
-            epoch_config.round_id = round_id;
-            let seed = ppda::sim::derive_stream(0xFEED, epoch);
-            let single_shot = S4Protocol::new(epoch_config).run(&topology, seed).unwrap();
-            assert_eq!(
-                via_session,
-                single_shot,
-                "epoch {epoch} on {} diverged",
-                topology.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn single_lane_executor_is_byte_identical_to_scalar_path() {
-    // The batching contract: with B = 1 the executor draws the same DRBG
-    // streams, seals the same ciphertexts, simulates the same transport
-    // and reconstructs the same aggregates as the scalar path — the
-    // outcome structures must be *equal*, field for field.
-    for (topology, config) in testbeds() {
-        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let plan = RoundPlan::new(&topology, &config, kind).unwrap();
-            let mut executor = plan.executor();
-            for seed in [1u64, 7, 42, 0xBEEF] {
-                let scalar = plan.run(seed).unwrap();
-                let batched = executor.run(seed).unwrap().into_scalar().unwrap();
-                assert_eq!(
-                    batched,
-                    scalar,
-                    "{} on {} diverged at seed {seed}",
-                    kind.name(),
-                    topology.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn single_lane_executor_matches_scalar_under_failures() {
-    for (topology, config) in testbeds() {
-        let n = topology.len();
-        let secrets: Vec<u64> = (0..config.sources.len() as u64).map(|i| 100 + i).collect();
-        let mut failed = vec![false; n];
-        failed[1] = true;
-        failed[n - 1] = true;
-        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let plan = RoundPlan::new(&topology, &config, kind).unwrap();
-            let mut executor = plan.executor();
-            for seed in [3u64, 19] {
-                let scalar = plan.run_with(seed, &secrets, &failed).unwrap();
-                let batched = executor
-                    .run_with(seed, &secrets, &failed)
-                    .unwrap()
-                    .into_scalar()
-                    .unwrap();
-                assert_eq!(
-                    batched,
-                    scalar,
-                    "{} on {} diverged under failures at seed {seed}",
-                    kind.name(),
-                    topology.name()
-                );
-            }
-        }
-    }
-}
-
+/// A 4-lane round on both testbeds aggregates each lane's readings
+/// separately, at one round's transport cost.
 #[test]
 fn batched_lanes_aggregate_independent_readings() {
-    // A 4-lane round on both testbeds: each lane's aggregate must equal
-    // the sum of that lane's readings over live sources, at one round's
-    // transport cost (the transport stats match the 1-lane chain shape).
     for (topology, base_config) in testbeds() {
-        let config = {
-            let mut c = base_config.clone();
-            c.batch = 4;
-            c
-        };
-        let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-        let mut executor = plan.executor();
+        let mut config = base_config.clone();
+        config.batch = 4;
         let sources = config.sources.len();
         // secrets[si * 4 + lane] = 1000·(lane+1) + si
         let secrets: Vec<u64> = (0..sources as u64)
             .flat_map(|si| (0..4u64).map(move |lane| 1000 * (lane + 1) + si))
             .collect();
-        let outcome = executor
-            .run_with(4, &secrets, &vec![false; topology.len()])
-            .unwrap();
+        let failed = vec![false; topology.len()];
+        let outcome = drive_round(
+            &topology,
+            &config,
+            ProtocolKind::S4,
+            4,
+            Some((&secrets, &failed)),
+        )
+        .unwrap()
+        .outcome;
         assert_eq!(outcome.lanes, 4);
         for lane in 0..4u64 {
             let expected: u64 = (0..sources as u64).map(|si| 1000 * (lane + 1) + si).sum();
@@ -217,8 +84,8 @@ fn batched_lanes_aggregate_independent_readings() {
             );
         }
         // Radio loss can leave individual nodes without an aggregate (as
-        // in the scalar protocol); every node that reconstructed must hold
-        // every lane's correct sum.
+        // at B = 1); every node that reconstructed must hold every lane's
+        // correct sum.
         let reconstructed = outcome
             .live_nodes()
             .filter(|n| n.aggregates.is_some())
@@ -233,46 +100,47 @@ fn batched_lanes_aggregate_independent_readings() {
                 assert_eq!(aggs, &outcome.expected_sums, "on {}", topology.name());
             }
         }
-        assert!(
-            outcome.into_scalar().is_none(),
-            "4 lanes have no scalar form"
-        );
     }
 }
 
+/// Two drivers of one 8-lane deployment agree round for round, and the
+/// driver's scratch buffers and caches leak no state: a replay after
+/// other work is exact.
 #[test]
 fn batched_rounds_replay_deterministically() {
-    let (topology, mut config) = testbeds().remove(0);
-    config.batch = 8;
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let mut a = plan.executor();
-    let mut b = plan.executor();
+    let (deployment, round_id) = flocklab_s4(8);
+    let (mut a, mut b) = (deployment.driver(), deployment.driver());
     for seed in [2u64, 9, 77] {
-        assert_eq!(a.run(seed).unwrap(), b.run(seed).unwrap());
+        assert_eq!(
+            a.round_at(round_id, seed).unwrap(),
+            b.round_at(round_id, seed).unwrap()
+        );
     }
-    // Scratch reuse must not leak state between rounds: replay after
-    // other work gives the same outcome.
-    let first = a.run(11).unwrap();
-    a.run(12).unwrap();
-    assert_eq!(a.run(11).unwrap(), first);
+    let first = a.round_at(round_id, 11).unwrap();
+    a.round_at(round_id, 12).unwrap();
+    assert_eq!(a.round_at(round_id, 11).unwrap(), first);
 }
 
-#[test]
-fn scalar_path_rejects_batched_plans() {
-    let (topology, mut config) = testbeds().remove(0);
-    config.batch = 4;
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    assert!(matches!(plan.run(1), Err(MpcError::InvalidConfig { .. })));
-}
-
+/// A deployment that owns its topology runs the same rounds as one that
+/// borrows it.
 #[test]
 fn owned_plan_matches_borrowed_plan() {
     let (topology, config) = testbeds().remove(0);
-    let borrowed = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let owned = RoundPlan::new(&topology, &config, ProtocolKind::S4)
-        .unwrap()
-        .into_owned();
+    let borrowed = Deployment::builder()
+        .topology_ref(&topology)
+        .config(config.clone())
+        .build()
+        .unwrap();
+    let owned = Deployment::builder()
+        .topology(topology.clone())
+        .config(config.clone())
+        .build()
+        .unwrap();
+    let (mut a, mut b) = (borrowed.driver(), owned.driver());
     for seed in [2u64, 13] {
-        assert_eq!(borrowed.run(seed).unwrap(), owned.run(seed).unwrap());
+        assert_eq!(
+            a.round_at(config.round_id, seed).unwrap(),
+            b.round_at(config.round_id, seed).unwrap()
+        );
     }
 }
