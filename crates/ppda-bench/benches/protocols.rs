@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use ppda_bench::TestbedSetup;
-use ppda_ct::{ChainSpec, Glossy, GlossyConfig, MiniCast, MiniCastConfig};
+use ppda_ct::{ChainSpec, Glossy, GlossyConfig, LinkConditions, MiniCastConfig, MiniCastSchedule};
 use ppda_mpc::{Deployment, ProtocolKind};
 use ppda_radio::FrameSpec;
 use ppda_sim::Xoshiro256;
@@ -30,12 +30,13 @@ fn bench_ct(c: &mut Criterion) {
     });
 
     let chain = ChainSpec::new(frame, (0..flocklab.len() as u16).collect()).unwrap();
-    let minicast = MiniCast::new(&flocklab, chain, MiniCastConfig::default());
+    let minicast = MiniCastSchedule::new(&flocklab, chain, MiniCastConfig::default());
+    let conditions = LinkConditions::new(&flocklab, 0.0, 0.0);
     group.bench_function("minicast_all_to_all/flocklab", |bench| {
         let mut seed = 0u64;
         bench.iter(|| {
             seed += 1;
-            minicast.run(&mut Xoshiro256::seed_from(seed))
+            minicast.run(&conditions, &mut Xoshiro256::seed_from(seed))
         })
     });
     group.finish();

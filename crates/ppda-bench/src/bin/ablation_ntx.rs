@@ -12,7 +12,7 @@
 //! reliability/cost knee at the values the deployments use.
 
 use ppda_bench::{arg_value, run_campaign, Protocol, TestbedSetup};
-use ppda_ct::MiniCast;
+use ppda_ct::MiniCastSchedule;
 use ppda_metrics::Table;
 use ppda_radio::FrameSpec;
 
@@ -26,14 +26,14 @@ fn main() {
     let frame = FrameSpec::new(8, 0).expect("probe frame fits");
     let ntx_values: Vec<u32> = (1..=16).collect();
     let mut table = Table::new(vec!["NTX", "flocklab coverage", "dcube coverage"]);
-    let fl = MiniCast::coverage_vs_ntx(
+    let fl = MiniCastSchedule::coverage_vs_ntx(
         &TestbedSetup::flocklab().topology(),
         frame,
         &ntx_values,
         iterations as u32,
         0xC0FE,
     );
-    let dc = MiniCast::coverage_vs_ntx(
+    let dc = MiniCastSchedule::coverage_vs_ntx(
         &TestbedSetup::dcube().topology(),
         frame,
         &ntx_values,

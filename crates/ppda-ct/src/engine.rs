@@ -19,15 +19,11 @@ pub(crate) struct LinkTable {
 }
 
 impl LinkTable {
-    pub(crate) fn new(topology: &Topology, attenuation_db: f64) -> Self {
-        Self::with_loss(topology, attenuation_db, 0.0)
-    }
-
-    /// Build the table with every link PRR scaled by `1 - loss` — the
-    /// fault layer's per-link erasure model. `loss = 0` multiplies by
-    /// exactly 1.0, so the zero-fault table is bit-identical to
-    /// [`LinkTable::new`].
-    pub(crate) fn with_loss(topology: &Topology, attenuation_db: f64, loss: f64) -> Self {
+    /// Evaluate every link under `attenuation_db` of extra attenuation,
+    /// with each PRR scaled by `1 - loss` — the fault layer's per-link
+    /// erasure model. `loss = 0` multiplies by exactly 1.0, so a
+    /// zero-fault table holds the plain attenuated PRRs bit for bit.
+    pub(crate) fn new(topology: &Topology, attenuation_db: f64, loss: f64) -> Self {
         let keep = 1.0 - loss.clamp(0.0, 1.0);
         let n = topology.len();
         let neighbors: Vec<Vec<(u16, f64)>> = (0..n)
@@ -111,14 +107,14 @@ mod tests {
     #[test]
     fn no_transmitters_no_reception() {
         let t = Topology::line(4, 30.0, 1);
-        let links = LinkTable::new(&t, 0.0);
+        let links = LinkTable::new(&t, 0.0, 0.0);
         assert_eq!(links.reception_prob(0, &[false; 4]), 0.0);
     }
 
     #[test]
     fn out_of_range_transmitter_is_silent() {
         let t = Topology::line(4, 30.0, 1);
-        let links = LinkTable::new(&t, 0.0);
+        let links = LinkTable::new(&t, 0.0, 0.0);
         let mut is_tx = [false; 4];
         is_tx[3] = true; // 90 m away from node 0
         assert_eq!(links.reception_prob(0, &is_tx), 0.0);
@@ -127,7 +123,7 @@ mod tests {
     #[test]
     fn single_neighbor_prob_matches_link_prr() {
         let t = Topology::line(4, 30.0, 1);
-        let links = LinkTable::new(&t, 0.0);
+        let links = LinkTable::new(&t, 0.0, 0.0);
         let mut is_tx = [false; 4];
         is_tx[1] = true;
         let p = links.reception_prob(0, &is_tx);
@@ -137,7 +133,7 @@ mod tests {
     #[test]
     fn diversity_increases_probability() {
         let t = Topology::grid(3, 3, 12.0, 2);
-        let links = LinkTable::new(&t, 0.0);
+        let links = LinkTable::new(&t, 0.0, 0.0);
         let mut one = vec![false; 9];
         one[1] = true;
         let p1 = links.reception_prob(0, &one);
@@ -154,7 +150,7 @@ mod tests {
         // order), for every receiver and transmitter set.
         let t = Topology::grid(4, 4, 14.0, 3);
         let n = t.len();
-        let links = LinkTable::new(&t, 2.0);
+        let links = LinkTable::new(&t, 2.0, 0.0);
         for pattern in [0b1u32, 0b1010, 0b111100, 0xFFFF] {
             let is_tx: Vec<bool> = (0..n).map(|v| pattern & (1 << v) != 0).collect();
             let mut miss = vec![1.0f64; n];
@@ -179,7 +175,7 @@ mod tests {
     #[test]
     fn degree_counts_nonzero_links() {
         let t = Topology::line(4, 30.0, 1);
-        let links = LinkTable::new(&t, 0.0);
+        let links = LinkTable::new(&t, 0.0, 0.0);
         // End node has at least its adjacent neighbor.
         assert!(links.degree(0) >= 1);
     }

@@ -7,7 +7,7 @@
 //!
 //! * **per-link share loss** — every link's PRR is scaled by `1 - loss`
 //!   for the whole round (interference bursts, co-channel traffic), via
-//!   [`LinkConditions::degraded`](crate::LinkConditions::degraded);
+//!   [`LinkConditions::new`](crate::LinkConditions::new);
 //! * **extra attenuation** — a flat dB penalty on every link;
 //! * **node dropout** — each node independently misses a round with
 //!   probability `dropout` (duty-cycle misalignment, brown-outs);

@@ -107,7 +107,7 @@ impl<'a> Glossy<'a> {
             topology,
             frame,
             config,
-            links: LinkTable::new(topology, config.attenuation_db),
+            links: LinkTable::new(topology, config.attenuation_db, 0.0),
             initiator,
             max_slots,
         }

@@ -11,22 +11,24 @@
 //!   a single packet from an initiator; every receiver retransmits in the
 //!   next slot, up to NTX times. Used here for time synchronization and as
 //!   a building block of bootstrapping.
-//! * [`MiniCast`] — many-to-many sharing (Saha et al., DCOSS'17): the
-//!   transmissions of *all* nodes are arranged into a TDMA **chain** of
-//!   sub-slots, one per packet; the whole chain is flooded as a unit and
-//!   each node transmits the chain up to NTX times, filling the sub-slots
-//!   it has data for. This is the transport on which both SSS variants of
-//!   the paper run.
+//! * [MiniCast](MiniCastSchedule) — many-to-many sharing (Saha et al.,
+//!   DCOSS'17): the transmissions of *all* nodes are arranged into a TDMA
+//!   **chain** of sub-slots, one per packet; the whole chain is flooded as
+//!   a unit and each node transmits the chain up to NTX times, filling the
+//!   sub-slots it has data for. This is the transport on which both SSS
+//!   variants of the paper run. A [`MiniCastSchedule`] is compiled once
+//!   per chain; each round runs it over one [`LinkConditions`], the link
+//!   table under that round's attenuation and loss.
 //!
 //! The key empirical property the paper's S4 exploits — **coverage grows
 //! steeply with NTX, then saturates slowly toward full coverage** — emerges
-//! from the propagation model; see [`MiniCast::coverage_vs_ntx`] and the
-//! `ablation_ntx` harness.
+//! from the propagation model; see [`MiniCastSchedule::coverage_vs_ntx`]
+//! and the `ablation_ntx` harness.
 //!
 //! # Example
 //!
 //! ```
-//! use ppda_ct::{ChainSpec, MiniCast, MiniCastConfig};
+//! use ppda_ct::{ChainSpec, LinkConditions, MiniCastConfig, MiniCastSchedule};
 //! use ppda_radio::FrameSpec;
 //! use ppda_sim::Xoshiro256;
 //! use ppda_topology::Topology;
@@ -36,9 +38,10 @@
 //! let n = topology.len();
 //! // One packet per node: classic all-to-all sharing.
 //! let chain = ChainSpec::new(FrameSpec::new(8, 0)?, (0..n as u16).collect())?;
-//! let config = MiniCastConfig::default();
-//! let mc = MiniCast::new(&topology, chain, config);
-//! let result = mc.run(&mut Xoshiro256::seed_from(1));
+//! let schedule = MiniCastSchedule::new(&topology, chain, MiniCastConfig::default());
+//! // This round's radio conditions: no extra attenuation, no link loss.
+//! let conditions = LinkConditions::new(&topology, 0.0, 0.0);
+//! let result = schedule.run(&conditions, &mut Xoshiro256::seed_from(1));
 //! assert!(result.coverage() > 0.95);
 //! # Ok(())
 //! # }
@@ -57,6 +60,6 @@ pub use chain::{ChainError, ChainSpec};
 pub use fault::{Delivery, FaultPlan, RoundFaults};
 pub use glossy::{Glossy, GlossyConfig, GlossyResult};
 pub use minicast::{
-    LinkConditions, LinkConditionsCache, MiniCast, MiniCastConfig, MiniCastResult,
-    MiniCastSchedule, NodeOutcome,
+    LinkConditions, LinkConditionsCache, MiniCastConfig, MiniCastResult, MiniCastSchedule,
+    NodeOutcome,
 };

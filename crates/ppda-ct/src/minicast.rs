@@ -8,10 +8,13 @@
 //!   length. Computing it walks the topology (BFS eccentricities), so a
 //!   long-lived deployment builds it **once** and reuses it every round.
 //! * [`LinkConditions`] — the cheap per-round state: the link table under
-//!   this round's attenuation draw. One instance serves every phase of a
-//!   round (all phases happen within seconds, under the same fading).
-//! * [`MiniCast`] — the original single-shot convenience API, now a thin
-//!   wrapper binding a schedule to one set of link conditions.
+//!   this round's attenuation draw and link loss. One instance serves
+//!   every phase of a round (all phases happen within seconds, under the
+//!   same fading); [`LinkConditionsCache`] replays recurring ones.
+//!
+//! A round runs through [`MiniCastSchedule::run_with`] (or
+//! [`MiniCastSchedule::run`], its all-to-all preset) over one
+//! `LinkConditions`.
 
 use ppda_radio::{EnergyLedger, FrameSpec};
 use ppda_sim::{derive_stream, SimDuration, SimTime, Xoshiro256};
@@ -27,25 +30,15 @@ pub struct MiniCastConfig {
     /// NTX). Low values reach only a perimeter of neighbors; high values
     /// give full network coverage at proportionally higher cost.
     pub ntx: u32,
-    /// Extra cycles beyond `initiator eccentricity + ntx` kept in the round
-    /// schedule to absorb losses.
-    pub slack_cycles: u32,
     /// Round initiator. `None` selects the topology's center node.
     pub initiator: Option<u16>,
-    /// Override the computed round length (cycles). `None` = automatic.
+    /// Override the computed round length (cycles). `None` = automatic:
+    /// initiator eccentricity + `ntx` + a few slack cycles to absorb
+    /// losses.
     pub max_cycles: Option<u32>,
     /// PRR threshold used when computing hop structure for the automatic
     /// round length.
     pub link_threshold: f64,
-    /// Round-scale extra attenuation (dB) applied to every link — models
-    /// interference/fading conditions of this particular round.
-    ///
-    /// Only the single-shot [`MiniCast`] wrapper consumes this field (it
-    /// builds its [`LinkConditions`] from it). A reusable
-    /// [`MiniCastSchedule`] deliberately ignores it: attenuation is
-    /// per-round state and lives in the `LinkConditions` passed to each
-    /// run.
-    pub attenuation_db: f64,
     /// Whether nodes power the radio down once their completion predicate
     /// holds and their NTX relay duty is done. The scalable protocol's
     /// firmware does this; a naive implementation keeps listening for the
@@ -57,11 +50,9 @@ impl Default for MiniCastConfig {
     fn default() -> Self {
         MiniCastConfig {
             ntx: 8,
-            slack_cycles: 3,
             initiator: None,
             max_cycles: None,
             link_threshold: 0.5,
-            attenuation_db: 0.0,
             early_radio_off: true,
         }
     }
@@ -73,10 +64,6 @@ pub struct NodeOutcome {
     /// Which chain packets this node holds at round end (own packets
     /// included).
     pub received: Vec<bool>,
-    /// Reception instant per packet (`Some(ZERO)` for own packets); `None`
-    /// for packets never received. Lets protocol layers compute custom
-    /// readiness latencies post-hoc.
-    pub rx_at: Vec<Option<SimTime>>,
     /// First instant at which the completion predicate held, if ever.
     pub predicate_met_at: Option<SimTime>,
     /// Instant the node switched its radio off (budget exhausted and
@@ -169,18 +156,10 @@ impl MiniCastResult {
             .sum::<f64>()
             / live.len() as f64
     }
-
-    /// Maximum radio-on time across nodes.
-    pub fn max_radio_on(&self) -> SimDuration {
-        self.nodes
-            .iter()
-            .map(|n| n.ledger.radio_on())
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    }
 }
 
-/// The per-round radio conditions: a link table under one attenuation draw.
+/// The per-round radio conditions: a link table under one attenuation draw
+/// and one per-link loss.
 ///
 /// Building one is O(n²) in the deployment size; both MiniCast phases of an
 /// aggregation round (and any Glossy floods in between) can share a single
@@ -193,22 +172,13 @@ pub struct LinkConditions {
 
 impl LinkConditions {
     /// Evaluate every link of `topology` under `attenuation_db` of extra
-    /// round-scale attenuation.
-    pub fn new(topology: &Topology, attenuation_db: f64) -> Self {
+    /// round-scale attenuation and a per-link erasure probability `loss`:
+    /// each PRR is scaled by `1 - loss` for the round (the fault layer's
+    /// link model, see [`FaultPlan`](crate::FaultPlan)). `loss = 0` keeps
+    /// the attenuated PRRs bit for bit.
+    pub fn new(topology: &Topology, attenuation_db: f64, loss: f64) -> Self {
         LinkConditions {
-            links: LinkTable::new(topology, attenuation_db),
-            n: topology.len(),
-        }
-    }
-
-    /// Evaluate every link under extra attenuation *and* a per-link
-    /// erasure probability `loss`: each PRR is scaled by `1 - loss` for
-    /// the round. This is the fault-injection layer's entry point
-    /// (see [`FaultPlan`](crate::FaultPlan)); `loss = 0` produces a table
-    /// bit-identical to [`LinkConditions::new`].
-    pub fn degraded(topology: &Topology, attenuation_db: f64, loss: f64) -> Self {
-        LinkConditions {
-            links: LinkTable::with_loss(topology, attenuation_db, loss),
+            links: LinkTable::new(topology, attenuation_db, loss),
             n: topology.len(),
         }
     }
@@ -233,10 +203,8 @@ impl LinkConditions {
 /// (attenuation 0 dB) for a large fraction of rounds, and the fault
 /// layer's loss is a per-deployment constant — the same table over and
 /// over. The cache keys on the exact f64 bit patterns, so a hit returns a
-/// table **bit-identical** to a fresh build (table construction draws no
-/// randomness), and `loss = 0` shares the entry a
-/// [`LinkConditions::new`] call would produce (the two constructors are
-/// documented bit-identical at zero loss).
+/// table **bit-identical** to a fresh [`LinkConditions::new`] build (table
+/// construction draws no randomness).
 ///
 /// The handful of retained entries use move-to-front eviction: the
 /// recurring calm entry survives bursts of one-off continuous attenuation
@@ -299,7 +267,7 @@ impl LinkConditionsCache {
             self.entries[..=pos].rotate_right(1);
         } else {
             self.builds += 1;
-            let conditions = LinkConditions::degraded(topology, attenuation_db, loss);
+            let conditions = LinkConditions::new(topology, attenuation_db, loss);
             self.entries.insert(0, (key, conditions));
             self.entries.truncate(Self::CAPACITY);
         }
@@ -339,10 +307,12 @@ pub struct MiniCastSchedule {
 }
 
 impl MiniCastSchedule {
-    /// Bind a chain schedule to a topology.
-    ///
-    /// `config.attenuation_db` is ignored here: a schedule outlives any
-    /// one round, so per-round attenuation belongs to the
+    /// Extra cycles beyond `initiator eccentricity + ntx` kept in an
+    /// automatic round length to absorb losses.
+    const SLACK_CYCLES: u32 = 3;
+
+    /// Bind a chain schedule to a topology. Per-round attenuation and
+    /// loss are not part of the schedule: they live in the
     /// [`LinkConditions`] handed to [`MiniCastSchedule::run_with`].
     ///
     /// # Panics
@@ -384,7 +354,7 @@ impl MiniCastSchedule {
             .unwrap_or(n as u32);
         let round_cycles = config
             .max_cycles
-            .unwrap_or(ecc + config.ntx + config.slack_cycles)
+            .unwrap_or(ecc + config.ntx + Self::SLACK_CYCLES)
             .max(1);
         MiniCastSchedule {
             chain,
@@ -467,7 +437,6 @@ impl MiniCastSchedule {
 
         // State.
         let mut have = vec![vec![false; l]; n];
-        let mut rx_at: Vec<Vec<Option<SimTime>>> = vec![vec![None; l]; n];
         // Per-(node, packet) fragment receipt bitmaps; only allocated and
         // consulted on fragmented chains.
         let mut frag_have: Vec<Vec<u64>> = if frags > 1 {
@@ -478,7 +447,6 @@ impl MiniCastSchedule {
         for (j, &owner) in self.chain.owners().iter().enumerate() {
             if !failed[owner as usize] {
                 have[owner as usize][j] = true;
-                rx_at[owner as usize][j] = Some(SimTime::ZERO);
                 if frags > 1 {
                     frag_have[owner as usize][j] = frag_full;
                 }
@@ -586,7 +554,6 @@ impl MiniCastSchedule {
                             if frags == 1 {
                                 if p > 0.0 && rng.chance(p) {
                                     have[v][j] = true;
-                                    rx_at[v][j] = Some(slot_start + slot);
                                     heard[v] = true;
                                     ledgers[v].add_rx(airtime);
                                     ledgers[v].add_listen(slot.saturating_sub(airtime));
@@ -618,7 +585,6 @@ impl MiniCastSchedule {
                                     ledgers[v].add_listen(slot.saturating_sub(airtime * new_rx));
                                     if frag_have[v][j] == frag_full {
                                         have[v][j] = true;
-                                        rx_at[v][j] = Some(slot_start + slot);
                                         if predicate_met_at[v].is_none() && predicate(v, &have[v]) {
                                             predicate_met_at[v] = Some(slot_start + slot);
                                         }
@@ -665,7 +631,6 @@ impl MiniCastSchedule {
         let nodes = (0..n)
             .map(|v| NodeOutcome {
                 received: std::mem::take(&mut have[v]),
-                rx_at: std::mem::take(&mut rx_at[v]),
                 predicate_met_at: predicate_met_at[v],
                 radio_off_at: radio_off_at[v],
                 ledger: ledgers[v],
@@ -682,78 +647,13 @@ impl MiniCastSchedule {
             chain_len: l,
         }
     }
-}
-
-/// A configured MiniCast instance over a fixed topology and chain: one
-/// [`MiniCastSchedule`] bound to one set of [`LinkConditions`] (built from
-/// `config.attenuation_db`). The single-shot convenience API; round-based
-/// protocols hold the schedule and swap conditions per round instead.
-#[derive(Debug, Clone)]
-pub struct MiniCast {
-    schedule: MiniCastSchedule,
-    conditions: LinkConditions,
-}
-
-impl MiniCast {
-    /// Bind a chain schedule to a topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a chain owner id is outside the topology, or if the
-    /// configured initiator is.
-    pub fn new(topology: &Topology, chain: ChainSpec, config: MiniCastConfig) -> Self {
-        MiniCast {
-            schedule: MiniCastSchedule::new(topology, chain, config),
-            conditions: LinkConditions::new(topology, config.attenuation_db),
-        }
-    }
-
-    /// The chain this instance disseminates.
-    pub fn chain(&self) -> &ChainSpec {
-        self.schedule.chain()
-    }
-
-    /// The reusable schedule backing this instance.
-    pub fn schedule(&self) -> &MiniCastSchedule {
-        &self.schedule
-    }
-
-    /// The flood initiator node.
-    pub fn initiator(&self) -> usize {
-        self.schedule.initiator()
-    }
-
-    /// Scheduled round length in cycles.
-    pub fn round_cycles(&self) -> u32 {
-        self.schedule.round_cycles()
-    }
-
-    /// Run one round where completion means "received the whole chain"
-    /// (the all-to-all use of MiniCast).
-    pub fn run(&self, rng: &mut Xoshiro256) -> MiniCastResult {
-        self.schedule.run(&self.conditions, rng)
-    }
-
-    /// Run one round with failure injection and a custom per-node
-    /// completion predicate; see [`MiniCastSchedule::run_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `failed.len()` differs from the topology size.
-    pub fn run_with(
-        &self,
-        rng: &mut Xoshiro256,
-        failed: &[bool],
-        predicate: impl Fn(usize, &[bool]) -> bool,
-    ) -> MiniCastResult {
-        self.schedule
-            .run_with(&self.conditions, rng, failed, predicate)
-    }
 
     /// Measure mean all-to-all coverage as a function of NTX — the
     /// non-linear curve (steep rise, slow tail) that motivates S4's low-NTX
     /// sharing phase.
     ///
+    /// Every node owns one sub-slot of `frame`; each NTX value runs
+    /// `iterations` rounds under calm, loss-free [`LinkConditions`].
     /// Returns `(ntx, mean coverage over iterations)` pairs.
     pub fn coverage_vs_ntx(
         topology: &Topology,
@@ -766,7 +666,7 @@ impl MiniCast {
         // and share them across the sweep.
         let owners: Vec<u16> = (0..topology.len() as u16).collect();
         let chain = ChainSpec::new(frame, owners).expect("non-empty");
-        let conditions = LinkConditions::new(topology, MiniCastConfig::default().attenuation_db);
+        let conditions = LinkConditions::new(topology, 0.0, 0.0);
         ntx_values
             .iter()
             .map(|&ntx| {
@@ -800,10 +700,15 @@ mod tests {
         ChainSpec::new(frame(), (0..topology.len() as u16).collect()).unwrap()
     }
 
+    /// Calm, loss-free conditions: the plain link table.
+    fn calm(topology: &Topology) -> LinkConditions {
+        LinkConditions::new(topology, 0.0, 0.0)
+    }
+
     #[test]
     fn full_coverage_at_high_ntx() {
         let t = Topology::flocklab();
-        let mc = MiniCast::new(
+        let mc = MiniCastSchedule::new(
             &t,
             all_to_all(&t),
             MiniCastConfig {
@@ -812,7 +717,7 @@ mod tests {
             },
         );
         let mut rng = Xoshiro256::seed_from(42);
-        let r = mc.run(&mut rng);
+        let r = mc.run(&calm(&t), &mut rng);
         assert!(r.coverage() > 0.99, "coverage {}", r.coverage());
         assert!(r.all_received());
         assert!(r.all_complete());
@@ -823,7 +728,7 @@ mod tests {
         // A 10-node line with 30 m spacing: data cannot cross the network
         // at ntx=2.
         let t = Topology::line(10, 30.0, 3);
-        let mc = MiniCast::new(
+        let mc = MiniCastSchedule::new(
             &t,
             all_to_all(&t),
             MiniCastConfig {
@@ -833,7 +738,7 @@ mod tests {
             },
         );
         let mut rng = Xoshiro256::seed_from(7);
-        let r = mc.run(&mut rng);
+        let r = mc.run(&calm(&t), &mut rng);
         assert!(r.coverage() < 0.95, "line coverage {}", r.coverage());
         assert!(!r.all_received());
     }
@@ -841,7 +746,7 @@ mod tests {
     #[test]
     fn coverage_monotone_in_ntx() {
         let t = Topology::flocklab();
-        let curve = MiniCast::coverage_vs_ntx(&t, frame(), &[1, 3, 6, 12], 5, 99);
+        let curve = MiniCastSchedule::coverage_vs_ntx(&t, frame(), &[1, 3, 6, 12], 5, 99);
         for w in curve.windows(2) {
             assert!(
                 w[1].1 >= w[0].1 - 0.05,
@@ -854,63 +759,15 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let t = Topology::flocklab();
-        let mc = MiniCast::new(&t, all_to_all(&t), MiniCastConfig::default());
-        let r1 = mc.run(&mut Xoshiro256::seed_from(5));
-        let r2 = mc.run(&mut Xoshiro256::seed_from(5));
+        let mc = MiniCastSchedule::new(&t, all_to_all(&t), MiniCastConfig::default());
+        let r1 = mc.run(&calm(&t), &mut Xoshiro256::seed_from(5));
+        let r2 = mc.run(&calm(&t), &mut Xoshiro256::seed_from(5));
         assert_eq!(r1.coverage(), r2.coverage());
         assert_eq!(r1.cycles_run, r2.cycles_run);
         for (a, b) in r1.nodes.iter().zip(&r2.nodes) {
             assert_eq!(a.received, b.received);
             assert_eq!(a.predicate_met_at, b.predicate_met_at);
         }
-    }
-
-    #[test]
-    fn schedule_reuse_matches_single_shot() {
-        // The whole point of the split: a schedule reused with fresh
-        // per-round conditions must behave exactly like a freshly built
-        // MiniCast instance.
-        let t = Topology::flocklab();
-        let schedule = MiniCastSchedule::new(&t, all_to_all(&t), MiniCastConfig::default());
-        let conditions = LinkConditions::new(&t, 0.0);
-        for seed in [3u64, 5, 8, 13] {
-            let fresh = MiniCast::new(&t, all_to_all(&t), MiniCastConfig::default());
-            let a = fresh.run(&mut Xoshiro256::seed_from(seed));
-            let b = schedule.run(&conditions, &mut Xoshiro256::seed_from(seed));
-            assert_eq!(a.cycles_run, b.cycles_run);
-            assert_eq!(a.nodes, b.nodes);
-        }
-    }
-
-    #[test]
-    fn conditions_shared_across_phases_match_per_phase_tables() {
-        // One LinkConditions at a given attenuation equals the table a
-        // fresh MiniCast builds from config.attenuation_db.
-        let t = Topology::dcube();
-        let config = MiniCastConfig {
-            attenuation_db: 3.5,
-            ..Default::default()
-        };
-        let schedule = MiniCastSchedule::new(&t, all_to_all(&t), config);
-        let conditions = LinkConditions::new(&t, 3.5);
-        let fresh = MiniCast::new(&t, all_to_all(&t), config);
-        let a = fresh.run(&mut Xoshiro256::seed_from(21));
-        let b = schedule.run(&conditions, &mut Xoshiro256::seed_from(21));
-        assert_eq!(a.nodes, b.nodes);
-    }
-
-    #[test]
-    fn degraded_conditions_at_zero_loss_match_plain() {
-        // The fault layer's contract: loss = 0 (and no extra attenuation)
-        // is byte-identical to the undegraded table.
-        let t = Topology::flocklab();
-        let schedule = MiniCastSchedule::new(&t, all_to_all(&t), MiniCastConfig::default());
-        let plain = LinkConditions::new(&t, 1.5);
-        let degraded = LinkConditions::degraded(&t, 1.5, 0.0);
-        let a = schedule.run(&plain, &mut Xoshiro256::seed_from(31));
-        let b = schedule.run(&degraded, &mut Xoshiro256::seed_from(31));
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.cycles_run, b.cycles_run);
     }
 
     #[test]
@@ -922,8 +779,8 @@ mod tests {
             ..Default::default()
         };
         let schedule = MiniCastSchedule::new(&t, all_to_all(&t), config);
-        let clean = LinkConditions::new(&t, 0.0);
-        let lossy = LinkConditions::degraded(&t, 0.0, 0.6);
+        let clean = LinkConditions::new(&t, 0.0, 0.0);
+        let lossy = LinkConditions::new(&t, 0.0, 0.6);
         let mut clean_cov = 0.0;
         let mut lossy_cov = 0.0;
         for seed in 0..8u64 {
@@ -945,7 +802,7 @@ mod tests {
     fn mismatched_conditions_panic() {
         let t = Topology::flocklab();
         let schedule = MiniCastSchedule::new(&t, all_to_all(&t), MiniCastConfig::default());
-        let small = LinkConditions::new(&Topology::line(3, 20.0, 1), 0.0);
+        let small = LinkConditions::new(&Topology::line(3, 20.0, 1), 0.0, 0.0);
         let _ = schedule.run(&small, &mut Xoshiro256::seed_from(1));
     }
 
@@ -955,7 +812,7 @@ mod tests {
         let mut failed = vec![false; t.len()];
         failed[3] = true;
         failed[17] = true;
-        let mc = MiniCast::new(
+        let mc = MiniCastSchedule::new(
             &t,
             all_to_all(&t),
             MiniCastConfig {
@@ -964,13 +821,18 @@ mod tests {
             },
         );
         let l = t.len();
-        let r = mc.run_with(&mut Xoshiro256::seed_from(11), &failed, |_, have| {
-            // Live nodes need every packet except the failed nodes' own.
-            have.iter()
-                .enumerate()
-                .filter(|&(j, _)| j != 3 && j != 17)
-                .all(|(_, &h)| h)
-        });
+        let r = mc.run_with(
+            &calm(&t),
+            &mut Xoshiro256::seed_from(11),
+            &failed,
+            |_, have| {
+                // Live nodes need every packet except the failed nodes' own.
+                have.iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != 3 && j != 17)
+                    .all(|(_, &h)| h)
+            },
+        );
         assert_eq!(r.nodes[3].chain_tx, 0);
         assert_eq!(r.nodes[3].ledger.radio_on(), SimDuration::ZERO);
         assert!(r.nodes[3].failed);
@@ -989,7 +851,7 @@ mod tests {
         let t = Topology::flocklab();
         // Predicate: own packet only — met immediately; nodes switch off
         // as soon as their NTX duty is done.
-        let mc = MiniCast::new(
+        let mc = MiniCastSchedule::new(
             &t,
             all_to_all(&t),
             MiniCastConfig {
@@ -998,7 +860,12 @@ mod tests {
             },
         );
         let failed = vec![false; t.len()];
-        let r = mc.run_with(&mut Xoshiro256::seed_from(13), &failed, |v, have| have[v]);
+        let r = mc.run_with(
+            &calm(&t),
+            &mut Xoshiro256::seed_from(13),
+            &failed,
+            |v, have| have[v],
+        );
         // Radio-off must happen well before the scheduled end for most nodes.
         let off_count = r.nodes.iter().filter(|n| n.radio_off_at.is_some()).count();
         assert!(off_count > t.len() / 2, "only {off_count} turned off early");
@@ -1016,8 +883,10 @@ mod tests {
             ntx: 6,
             ..Default::default()
         };
-        let r_short = MiniCast::new(&t, short, cfg).run(&mut Xoshiro256::seed_from(17));
-        let r_long = MiniCast::new(&t, long, cfg).run(&mut Xoshiro256::seed_from(17));
+        let r_short =
+            MiniCastSchedule::new(&t, short, cfg).run(&calm(&t), &mut Xoshiro256::seed_from(17));
+        let r_long =
+            MiniCastSchedule::new(&t, long, cfg).run(&calm(&t), &mut Xoshiro256::seed_from(17));
         assert!(
             r_long.mean_radio_on_ms() > 2.0 * r_short.mean_radio_on_ms(),
             "long chain {} vs short {}",
@@ -1029,7 +898,7 @@ mod tests {
     #[test]
     fn completion_latency_below_round_duration() {
         let t = Topology::flocklab();
-        let mc = MiniCast::new(
+        let mc = MiniCastSchedule::new(
             &t,
             all_to_all(&t),
             MiniCastConfig {
@@ -1037,7 +906,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let r = mc.run(&mut Xoshiro256::seed_from(19));
+        let r = mc.run(&calm(&t), &mut Xoshiro256::seed_from(19));
         let latency = r.completion_latency().expect("complete at ntx=12");
         assert!(latency <= r.duration());
         assert!(latency > SimDuration::ZERO);
@@ -1048,7 +917,7 @@ mod tests {
     fn owner_out_of_range_panics() {
         let t = Topology::line(3, 20.0, 1);
         let chain = ChainSpec::new(frame(), vec![5]).unwrap();
-        let _ = MiniCast::new(&t, chain, MiniCastConfig::default());
+        let _ = MiniCastSchedule::new(&t, chain, MiniCastConfig::default());
     }
 
     #[test]
@@ -1056,15 +925,20 @@ mod tests {
     fn bad_failure_mask_panics() {
         let t = Topology::line(3, 20.0, 1);
         let chain = ChainSpec::new(frame(), vec![0, 1, 2]).unwrap();
-        let mc = MiniCast::new(&t, chain, MiniCastConfig::default());
-        let _ = mc.run_with(&mut Xoshiro256::seed_from(1), &[false; 2], |_, _| true);
+        let mc = MiniCastSchedule::new(&t, chain, MiniCastConfig::default());
+        let _ = mc.run_with(
+            &calm(&t),
+            &mut Xoshiro256::seed_from(1),
+            &[false; 2],
+            |_, _| true,
+        );
     }
 
     #[test]
     fn failed_initiator_fails_over_to_live_owner() {
         let t = Topology::flocklab();
         let chain = all_to_all(&t);
-        let mc = MiniCast::new(
+        let mc = MiniCastSchedule::new(
             &t,
             chain,
             MiniCastConfig {
@@ -1075,12 +949,17 @@ mod tests {
         let mut failed = vec![false; t.len()];
         failed[mc.initiator()] = true;
         let dead = mc.initiator();
-        let r = mc.run_with(&mut Xoshiro256::seed_from(23), &failed, |_, have| {
-            have.iter()
-                .enumerate()
-                .filter(|&(j, _)| j != dead)
-                .all(|(_, &h)| h)
-        });
+        let r = mc.run_with(
+            &calm(&t),
+            &mut Xoshiro256::seed_from(23),
+            &failed,
+            |_, have| {
+                have.iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != dead)
+                    .all(|(_, &h)| h)
+            },
+        );
         // The round still runs: another owner kick-started it.
         assert!(
             r.coverage() > 0.9,
@@ -1094,7 +973,7 @@ mod tests {
     fn initiator_defaults_to_center() {
         let t = Topology::line(5, 30.0, 1);
         let chain = ChainSpec::new(frame(), vec![0, 1, 2, 3, 4]).unwrap();
-        let mc = MiniCast::new(&t, chain, MiniCastConfig::default());
+        let mc = MiniCastSchedule::new(&t, chain, MiniCastConfig::default());
         assert_eq!(mc.initiator(), 2);
     }
 
@@ -1103,7 +982,7 @@ mod tests {
         let t = Topology::grid(3, 3, 18.0, 5);
         let mut cache = LinkConditionsCache::new();
         for &(db, loss) in &[(0.0, 0.0), (3.5, 0.0), (0.0, 0.0), (0.0, 0.2), (0.0, 0.0)] {
-            let fresh = LinkConditions::degraded(&t, db, loss);
+            let fresh = LinkConditions::new(&t, db, loss);
             let cached = cache.get(&t, db, loss);
             for u in 0..t.len() {
                 assert_eq!(
@@ -1115,20 +994,6 @@ mod tests {
         }
         assert_eq!(cache.builds(), 3, "three distinct operating points");
         assert_eq!(cache.hits(), 2, "both calm repeats hit");
-    }
-
-    #[test]
-    fn conditions_cache_zero_loss_matches_the_plain_constructor() {
-        // `degraded(_, db, 0.0)` is documented bit-identical to
-        // `new(_, db)`; the cache leans on that to serve both callers from
-        // one entry.
-        let t = Topology::grid(3, 3, 18.0, 5);
-        let plain = LinkConditions::new(&t, 2.25);
-        let mut cache = LinkConditionsCache::new();
-        let cached = cache.get(&t, 2.25, 0.0);
-        for u in 0..t.len() {
-            assert_eq!(cached.links.in_neighbors(u), plain.links.in_neighbors(u));
-        }
     }
 
     #[test]
@@ -1168,7 +1033,7 @@ mod tests {
         let t = Topology::flocklab();
         let owners: Vec<u16> = (0..t.len() as u16).collect();
         let chain = ChainSpec::with_fragments(frame(), owners, 3).unwrap();
-        let mc = MiniCast::new(
+        let mc = MiniCastSchedule::new(
             &t,
             chain,
             MiniCastConfig {
@@ -1176,7 +1041,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let r = mc.run(&mut Xoshiro256::seed_from(42));
+        let r = mc.run(&calm(&t), &mut Xoshiro256::seed_from(42));
         assert!(r.coverage() > 0.99, "coverage {}", r.coverage());
         assert!(r.all_complete());
     }
@@ -1189,14 +1054,15 @@ mod tests {
             ntx: 6,
             ..Default::default()
         };
-        let plain = MiniCast::new(&t, ChainSpec::new(frame(), owners.clone()).unwrap(), cfg)
-            .run(&mut Xoshiro256::seed_from(17));
-        let frag = MiniCast::new(
+        let plain =
+            MiniCastSchedule::new(&t, ChainSpec::new(frame(), owners.clone()).unwrap(), cfg)
+                .run(&calm(&t), &mut Xoshiro256::seed_from(17));
+        let frag = MiniCastSchedule::new(
             &t,
             ChainSpec::with_fragments(frame(), owners, 4).unwrap(),
             cfg,
         )
-        .run(&mut Xoshiro256::seed_from(17));
+        .run(&calm(&t), &mut Xoshiro256::seed_from(17));
         // The TDMA schedule is honest: 4 fragments per packet quadruple
         // the scheduled round duration...
         assert_eq!(
@@ -1225,7 +1091,7 @@ mod tests {
             max_cycles: Some(3),
             ..Default::default()
         };
-        let lossy = LinkConditions::degraded(&t, 0.0, 0.5);
+        let lossy = LinkConditions::new(&t, 0.0, 0.5);
         let failed = vec![false; t.len()];
         let mut plain_cov = 0.0;
         let mut frag_cov = 0.0;
@@ -1259,9 +1125,9 @@ mod tests {
         let t = Topology::flocklab();
         let owners: Vec<u16> = (0..t.len() as u16).collect();
         let chain = ChainSpec::with_fragments(frame(), owners, 5).unwrap();
-        let mc = MiniCast::new(&t, chain, MiniCastConfig::default());
-        let a = mc.run(&mut Xoshiro256::seed_from(5));
-        let b = mc.run(&mut Xoshiro256::seed_from(5));
+        let mc = MiniCastSchedule::new(&t, chain, MiniCastConfig::default());
+        let a = mc.run(&calm(&t), &mut Xoshiro256::seed_from(5));
+        let b = mc.run(&calm(&t), &mut Xoshiro256::seed_from(5));
         assert_eq!(a.nodes, b.nodes);
         assert_eq!(a.cycles_run, b.cycles_run);
     }

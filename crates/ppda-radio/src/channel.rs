@@ -1,5 +1,5 @@
 //! Radio channel model: log-distance path loss, shadowing, RSSI→PRR, and
-//! the concurrent-transmission combination rules.
+//! the constructive-interference reliability of concurrent transmissions.
 //!
 //! The model follows the standard indoor-propagation parameterization used
 //! in low-power wireless simulation: received power is
@@ -12,16 +12,12 @@
 //! capturing walls/furniture) and per-packet fading applied as a soft
 //! RSSI→PRR curve around the receiver sensitivity.
 //!
-//! For concurrent transmissions the model distinguishes the two cases the
-//! CT literature distinguishes:
-//!
-//! * **Same packet** (Glossy/MiniCast relaying): baseband-identical signals
-//!   superpose; reception succeeds if *any* copy would have been received,
-//!   scaled by a constructive-interference reliability factor (timing
-//!   misalignment beyond ±0.5 µs occasionally corrupts the superposition).
-//! * **Different packets**: the strongest signal survives iff it exceeds
-//!   the power sum of the interferers by the capture threshold (~3 dB for
-//!   O-QPSK), otherwise the slot is lost.
+//! Concurrent transmitters in a Glossy flood or a MiniCast sub-slot always
+//! send the *same* packet: baseband-identical signals superpose, so
+//! reception succeeds if *any* copy would have been received, scaled by
+//! [`CI_RELIABILITY`] (timing misalignment beyond ±0.5 µs occasionally
+//! corrupts the superposition). The CT engine in `ppda-ct` applies that
+//! rule per sub-slot.
 
 use ppda_sim::Xoshiro256;
 
@@ -34,8 +30,8 @@ use crate::phy;
 /// ```
 /// use ppda_radio::PathLossModel;
 /// let model = PathLossModel::indoor_office();
-/// let near = model.expected_prr(3.0, 0.0);
-/// let far = model.expected_prr(120.0, 0.0);
+/// let near = model.prr_from_rssi(model.rssi_dbm(3.0, 0.0));
+/// let far = model.prr_from_rssi(model.rssi_dbm(120.0, 0.0));
 /// assert!(near > 0.99);
 /// assert!(far < 0.05);
 /// ```
@@ -108,11 +104,6 @@ impl PathLossModel {
         p.min(0.995)
     }
 
-    /// Expected PRR at a distance with a static shadowing offset.
-    pub fn expected_prr(&self, distance_m: f64, shadow_db: f64) -> f64 {
-        self.prr_from_rssi(self.rssi_dbm(distance_m, shadow_db))
-    }
-
     /// Draw a static shadowing offset for one link.
     pub fn draw_shadowing(&self, rng: &mut Xoshiro256) -> f64 {
         rng.next_gaussian() * self.shadowing_sigma_db
@@ -123,70 +114,6 @@ impl PathLossModel {
 /// concurrent same-packet transmissions stay within the ±0.5 µs alignment
 /// window (Glossy achieves >99.9% in practice).
 pub const CI_RELIABILITY: f64 = 0.999;
-
-/// Combined reception probability when `k` transmitters send the *same*
-/// packet concurrently, with individual link PRRs `prrs`.
-///
-/// Sender diversity: the receiver succeeds if any copy is decodable —
-/// `1 − Π(1 − pᵢ)` — degraded by [`CI_RELIABILITY`] when more than one
-/// transmitter is involved.
-///
-/// # Example
-///
-/// ```
-/// use ppda_radio::combine_same_packet;
-/// let single = combine_same_packet(&[0.8]);
-/// let diverse = combine_same_packet(&[0.8, 0.8]);
-/// assert_eq!(single, 0.8);
-/// assert!(diverse > 0.95);
-/// ```
-pub fn combine_same_packet(prrs: &[f64]) -> f64 {
-    if prrs.is_empty() {
-        return 0.0;
-    }
-    let miss: f64 = prrs.iter().map(|p| 1.0 - p.clamp(0.0, 1.0)).product();
-    let combined = 1.0 - miss;
-    if prrs.len() == 1 {
-        combined
-    } else {
-        combined * CI_RELIABILITY
-    }
-}
-
-/// Capture threshold (dB) for different-packet collisions (O-QPSK DSSS).
-pub const CAPTURE_THRESHOLD_DB: f64 = 3.0;
-
-/// Resolve a different-packet collision: returns the index of the captured
-/// transmitter, or `None` if no signal exceeds the interference sum by
-/// [`CAPTURE_THRESHOLD_DB`].
-///
-/// `rssis_dbm` are the per-transmitter received powers at this receiver.
-pub fn capture_receives(rssis_dbm: &[f64]) -> Option<usize> {
-    if rssis_dbm.is_empty() {
-        return None;
-    }
-    if rssis_dbm.len() == 1 {
-        return Some(0);
-    }
-    let (strongest_idx, &strongest) = rssis_dbm
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("RSSI comparisons are total"))
-        .expect("non-empty");
-    // Power-sum the interferers in mW.
-    let interference_mw: f64 = rssis_dbm
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != strongest_idx)
-        .map(|(_, &dbm)| 10f64.powf(dbm / 10.0))
-        .sum();
-    let interference_dbm = 10.0 * interference_mw.log10();
-    if strongest - interference_dbm >= CAPTURE_THRESHOLD_DB {
-        Some(strongest_idx)
-    } else {
-        None
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -240,14 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn expected_prr_composition() {
-        let m = PathLossModel::indoor_office();
-        // Good link at 5 m, dead link at 150 m.
-        assert!(m.expected_prr(5.0, 0.0) > 0.99);
-        assert!(m.expected_prr(150.0, 0.0) < 0.01);
-    }
-
-    #[test]
     fn draw_shadowing_statistics() {
         let m = PathLossModel::indoor_office();
         let mut rng = Xoshiro256::seed_from(1);
@@ -257,39 +176,5 @@ mod tests {
         let std = (draws.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64).sqrt();
         assert!(mean.abs() < 0.1, "mean {mean}");
         assert!((std - 3.0).abs() < 0.1, "std {std}");
-    }
-
-    #[test]
-    fn same_packet_combination() {
-        assert_eq!(combine_same_packet(&[]), 0.0);
-        assert_eq!(combine_same_packet(&[0.7]), 0.7);
-        let two = combine_same_packet(&[0.7, 0.7]);
-        assert!(two > 0.9 && two < 1.0);
-        // More transmitters only helps.
-        let three = combine_same_packet(&[0.7, 0.7, 0.7]);
-        assert!(three >= two);
-        // Ceiling respected.
-        assert!(combine_same_packet(&[1.0, 1.0, 1.0]) <= CI_RELIABILITY);
-    }
-
-    #[test]
-    fn capture_strongest_wins_with_margin() {
-        // -60 vs -70: 10 dB margin -> capture.
-        assert_eq!(capture_receives(&[-60.0, -70.0]), Some(0));
-        assert_eq!(capture_receives(&[-70.0, -60.0]), Some(1));
-    }
-
-    #[test]
-    fn capture_fails_when_balanced() {
-        // Equal powers: 0 dB margin -> destroyed.
-        assert_eq!(capture_receives(&[-60.0, -60.0]), None);
-        // Two interferers power-summing close to the strongest.
-        assert_eq!(capture_receives(&[-60.0, -63.0, -63.0]), None);
-    }
-
-    #[test]
-    fn capture_single_transmitter_trivially_wins() {
-        assert_eq!(capture_receives(&[-90.0]), Some(0));
-        assert_eq!(capture_receives(&[]), None);
     }
 }

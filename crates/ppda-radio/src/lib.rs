@@ -9,8 +9,8 @@
 //!   and [`FrameSpec`] airtime computation.
 //! * [`channel`] — a log-distance path-loss model with static per-link
 //!   shadowing, RSSI→PRR mapping for the nRF52840 sensitivity, and the
-//!   constructive-interference / capture combination rules that make
-//!   concurrent transmissions work.
+//!   constructive-interference reliability of concurrent same-packet
+//!   transmissions.
 //! * [`EnergyLedger`] — per-node radio-on bookkeeping (tx / rx / idle
 //!   listening) and energy conversion with datasheet currents.
 //! * [`fragment`] — 6LoWPAN-style datagram fragmentation/reassembly so
@@ -26,7 +26,7 @@ pub mod fragment;
 mod frame;
 pub mod phy;
 
-pub use channel::{capture_receives, combine_same_packet, PathLossModel};
+pub use channel::PathLossModel;
 pub use energy::{EnergyLedger, RadioCurrents};
 pub use fading::FadingProfile;
 pub use fragment::{

@@ -1,16 +1,15 @@
-//! Deterministic discrete-event simulation core.
+//! Deterministic simulation substrate.
 //!
-//! Everything in the PPDA workspace that "happens over time" — Glossy
-//! floods, MiniCast chains, protocol rounds — runs on this substrate:
+//! The transport above this crate is slot-synchronous: Glossy floods and
+//! MiniCast chains advance one TDMA sub-slot at a time and account time
+//! by slot arithmetic, so no event queue is needed. What they share is
+//! provided here:
 //!
 //! * [`SimTime`] / [`SimDuration`] — µs-resolution virtual time. There is no
 //!   wall clock anywhere in the simulator; runs are exactly reproducible.
-//! * [`EventQueue`] — a monotone priority queue of timed events with stable
-//!   FIFO tie-breaking for simultaneous events.
 //! * [`Xoshiro256`] — the workspace's deterministic RNG
 //!   (xoshiro256++), with [`derive_stream`] for spawning per-node
 //!   independent streams from a campaign seed.
-//! * [`Simulator`] — a thin executor binding a clock to an event queue.
 //! * [`ChurnSchedule`] — deterministic per-round node outage windows,
 //!   consumed by the fault-injection layers above.
 //! * [`MembershipEvent`] / [`Trickle`] / [`disseminate`] — online
@@ -21,175 +20,31 @@
 //! # Example
 //!
 //! ```
-//! use ppda_sim::{SimDuration, Simulator};
+//! use ppda_sim::{derive_stream, SimDuration, SimTime, Xoshiro256};
 //!
-//! let mut sim = Simulator::new();
-//! sim.schedule_in(SimDuration::from_millis(5), 1u32);
-//! sim.schedule_in(SimDuration::from_millis(2), 2u32);
-//! let mut order = Vec::new();
-//! while let Some((t, ev)) = sim.next_event() {
-//!     order.push((t.as_millis(), ev));
-//! }
-//! assert_eq!(order, vec![(2, 2), (5, 1)]);
+//! // One independent, replayable stream per node from a campaign seed.
+//! let mut node3 = Xoshiro256::seed_from(derive_stream(0xC0FE, 3));
+//! let mut again = Xoshiro256::seed_from(derive_stream(0xC0FE, 3));
+//! assert_eq!(node3.next_f64(), again.next_f64());
+//!
+//! // Slot arithmetic on virtual time.
+//! let slot = SimDuration::from_micros(1_228);
+//! let end = SimTime::ZERO + slot * 4;
+//! assert_eq!(end.as_micros(), 4_912);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod churn;
-mod events;
 mod membership;
 mod rng;
 mod time;
-mod trace;
 
 pub use churn::{ChurnSchedule, ChurnWindow};
-pub use events::EventQueue;
 pub use membership::{
     disseminate, Dissemination, MembershipEvent, MembershipEventKind, Trickle, TrickleConfig,
     TrickleTick,
 };
 pub use rng::{derive_stream, Xoshiro256};
 pub use time::{SimDuration, SimTime};
-pub use trace::{NullTrace, TraceEvent, TraceSink, VecTrace};
-
-/// A clock plus an event queue: the minimal discrete-event executor.
-///
-/// Higher layers push `(time, payload)` pairs and pop them in time order;
-/// popping advances the virtual clock. The payload type is generic so each
-/// protocol defines its own event enum.
-#[derive(Debug, Clone)]
-pub struct Simulator<E> {
-    now: SimTime,
-    queue: EventQueue<E>,
-}
-
-impl<E> Simulator<E> {
-    /// A simulator starting at time zero with an empty queue.
-    pub fn new() -> Self {
-        Simulator {
-            now: SimTime::ZERO,
-            queue: EventQueue::new(),
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedule `event` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past (before [`Simulator::now`]); the
-    /// simulator's clock is monotone.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past ({at:?} < {:?})",
-            self.now
-        );
-        self.queue.push(at, event);
-    }
-
-    /// Schedule `event` after a relative delay.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.queue.push(self.now + delay, event);
-    }
-
-    /// Pop the next event, advancing the clock to its timestamp.
-    pub fn next_event(&mut self) -> Option<(SimTime, E)> {
-        let (t, e) = self.queue.pop()?;
-        self.now = t;
-        Some((t, e))
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// `true` when no events remain.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Advance the clock without an event (e.g. to account for a busy wait).
-    ///
-    /// # Panics
-    ///
-    /// Panics if this would move the clock backwards.
-    pub fn advance_to(&mut self, at: SimTime) {
-        assert!(at >= self.now, "clock must be monotone");
-        self.now = at;
-    }
-}
-
-impl<E> Default for Simulator<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn events_pop_in_time_order() {
-        let mut sim = Simulator::new();
-        sim.schedule_in(SimDuration::from_micros(30), "c");
-        sim.schedule_in(SimDuration::from_micros(10), "a");
-        sim.schedule_in(SimDuration::from_micros(20), "b");
-        let order: Vec<&str> = std::iter::from_fn(|| sim.next_event().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn simultaneous_events_fifo() {
-        let mut sim = Simulator::new();
-        let t = SimTime::from_micros(100);
-        for i in 0..10 {
-            sim.schedule_at(t, i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| sim.next_event().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clock_advances_with_pops() {
-        let mut sim = Simulator::new();
-        sim.schedule_in(SimDuration::from_millis(7), ());
-        assert_eq!(sim.now(), SimTime::ZERO);
-        sim.next_event();
-        assert_eq!(sim.now(), SimTime::from_millis(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "past")]
-    fn scheduling_into_past_panics() {
-        let mut sim = Simulator::new();
-        sim.schedule_in(SimDuration::from_millis(5), ());
-        sim.next_event();
-        sim.schedule_at(SimTime::from_millis(1), ());
-    }
-
-    #[test]
-    fn pending_and_idle() {
-        let mut sim: Simulator<()> = Simulator::new();
-        assert!(sim.is_idle());
-        sim.schedule_in(SimDuration::from_micros(1), ());
-        assert_eq!(sim.pending(), 1);
-        assert!(!sim.is_idle());
-        sim.next_event();
-        assert!(sim.is_idle());
-    }
-
-    #[test]
-    fn advance_to_moves_clock() {
-        let mut sim: Simulator<()> = Simulator::new();
-        sim.advance_to(SimTime::from_millis(3));
-        assert_eq!(sim.now(), SimTime::from_millis(3));
-    }
-}

@@ -3,7 +3,7 @@
 //! in EXPERIMENTS.md (which use 100-iteration campaigns); here a handful of
 //! seeded rounds must reproduce each *shape*.
 
-use ppda::ct::MiniCast;
+use ppda::ct::MiniCastSchedule;
 use ppda::mpc::{BatchAggregationOutcome, ProtocolConfig, ProtocolKind};
 use ppda::radio::{FadingProfile, FrameSpec};
 use ppda::topology::Topology;
@@ -94,7 +94,7 @@ fn chain_size_complexity() {
 fn coverage_knee_exists() {
     let t = Topology::dcube();
     let frame = FrameSpec::new(8, 0).unwrap();
-    let curve = MiniCast::coverage_vs_ntx(&t, frame, &[2, 5, 12], 5, 31);
+    let curve = MiniCastSchedule::coverage_vs_ntx(&t, frame, &[2, 5, 12], 5, 31);
     let c2 = curve[0].1;
     let c5 = curve[1].1;
     let c12 = curve[2].1;

@@ -1,13 +1,18 @@
 //! Integration tests of the CT transport on the testbed models: Glossy
 //! coverage, MiniCast's coverage-vs-NTX behaviour, schedule arithmetic.
 
-use ppda::ct::{ChainSpec, Glossy, GlossyConfig, MiniCast, MiniCastConfig};
+use ppda::ct::{ChainSpec, Glossy, GlossyConfig, LinkConditions, MiniCastConfig, MiniCastSchedule};
 use ppda::radio::FrameSpec;
 use ppda::sim::Xoshiro256;
 use ppda::topology::Topology;
 
 fn frame() -> FrameSpec {
     FrameSpec::new(8, 4).unwrap()
+}
+
+/// Calm, loss-free link conditions.
+fn calm(topology: &Topology) -> LinkConditions {
+    LinkConditions::new(topology, 0.0, 0.0)
 }
 
 #[test]
@@ -45,7 +50,7 @@ fn glossy_latency_in_milliseconds_range() {
 fn minicast_coverage_knee_on_flocklab() {
     // The §III observation: steep coverage growth at low NTX, slow tail.
     let topology = Topology::flocklab();
-    let curve = MiniCast::coverage_vs_ntx(&topology, frame(), &[1, 2, 4, 8, 14], 10, 99);
+    let curve = MiniCastSchedule::coverage_vs_ntx(&topology, frame(), &[1, 2, 4, 8, 14], 10, 99);
     let at = |ntx: u32| {
         curve
             .iter()
@@ -69,7 +74,7 @@ fn minicast_all_to_all_delivers_on_dcube_at_high_ntx() {
     let topology = Topology::dcube();
     let owners: Vec<u16> = (0..topology.len() as u16).collect();
     let chain = ChainSpec::new(frame(), owners).unwrap();
-    let mc = MiniCast::new(
+    let mc = MiniCastSchedule::new(
         &topology,
         chain,
         MiniCastConfig {
@@ -77,7 +82,7 @@ fn minicast_all_to_all_delivers_on_dcube_at_high_ntx() {
             ..MiniCastConfig::default()
         },
     );
-    let r = mc.run(&mut Xoshiro256::seed_from(5));
+    let r = mc.run(&calm(&topology), &mut Xoshiro256::seed_from(5));
     assert!(r.coverage() > 0.995, "coverage {}", r.coverage());
 }
 
@@ -87,16 +92,17 @@ fn attenuation_degrades_coverage() {
     let owners: Vec<u16> = (0..topology.len() as u16).collect();
     let run_at = |att: f64| {
         let chain = ChainSpec::new(frame(), owners.clone()).unwrap();
-        let mc = MiniCast::new(
+        let mc = MiniCastSchedule::new(
             &topology,
             chain,
             MiniCastConfig {
                 ntx: 5,
-                attenuation_db: att,
                 ..MiniCastConfig::default()
             },
         );
-        mc.run(&mut Xoshiro256::seed_from(3)).coverage()
+        let conditions = LinkConditions::new(&topology, att, 0.0);
+        mc.run(&conditions, &mut Xoshiro256::seed_from(3))
+            .coverage()
     };
     let calm = run_at(0.0);
     let harsh = run_at(6.0);
@@ -126,7 +132,7 @@ fn scheduled_rounds_scale_with_ntx() {
     let owners: Vec<u16> = (0..topology.len() as u16).collect();
     let rounds = |ntx: u32| {
         let chain = ChainSpec::new(frame(), owners.clone()).unwrap();
-        MiniCast::new(
+        MiniCastSchedule::new(
             &topology,
             chain,
             MiniCastConfig {
@@ -145,7 +151,7 @@ fn early_off_saves_radio_time() {
     let owners: Vec<u16> = (0..topology.len() as u16).collect();
     let run = |early: bool| {
         let chain = ChainSpec::new(frame(), owners.clone()).unwrap();
-        let mc = MiniCast::new(
+        let mc = MiniCastSchedule::new(
             &topology,
             chain,
             MiniCastConfig {
@@ -156,7 +162,12 @@ fn early_off_saves_radio_time() {
         );
         // Trivial predicate: own packet only.
         let failed = vec![false; topology.len()];
-        let r = mc.run_with(&mut Xoshiro256::seed_from(8), &failed, |v, have| have[v]);
+        let r = mc.run_with(
+            &calm(&topology),
+            &mut Xoshiro256::seed_from(8),
+            &failed,
+            |v, have| have[v],
+        );
         r.mean_radio_on_ms()
     };
     assert!(run(true) < run(false));
