@@ -39,8 +39,10 @@ pub use ppda_mpc::ProtocolKind as Protocol;
 /// 2000-iteration campaign requires.
 #[derive(Debug, Clone)]
 pub struct TestbedSetup {
-    /// Testbed name (matches `Topology::name`).
+    /// Testbed name (matches `Topology::name` for the built-in testbeds).
     pub name: &'static str,
+    /// Builds the testbed topology (see [`TestbedSetup::topology`]).
+    pub make_topology: fn() -> Topology,
     /// S4 sharing/reconstruction NTX.
     pub s4_ntx: u32,
     /// S3 full-coverage NTX.
@@ -58,6 +60,7 @@ impl TestbedSetup {
     pub fn flocklab() -> Self {
         TestbedSetup {
             name: "flocklab",
+            make_topology: Topology::flocklab,
             s4_ntx: 6,
             s3_ntx: 15,
             redundancy: 2,
@@ -71,6 +74,7 @@ impl TestbedSetup {
     pub fn dcube() -> Self {
         TestbedSetup {
             name: "dcube",
+            make_topology: Topology::dcube,
             s4_ntx: 7,
             s3_ntx: 20,
             redundancy: 2,
@@ -90,11 +94,7 @@ impl TestbedSetup {
 
     /// Instantiate the testbed topology.
     pub fn topology(&self) -> Topology {
-        match self.name {
-            "flocklab" => Topology::flocklab(),
-            "dcube" => Topology::dcube(),
-            other => unreachable!("unknown testbed {other}"),
-        }
+        (self.make_topology)()
     }
 
     /// Build the protocol configuration for a given source count.
@@ -434,6 +434,25 @@ mod tests {
         assert!(TestbedSetup::by_name("flocklab").is_some());
         assert!(TestbedSetup::by_name("dcube").is_some());
         assert!(TestbedSetup::by_name("nope").is_none());
+    }
+
+    #[test]
+    fn caller_built_setups_do_not_panic() {
+        // Renaming a built-in setup keeps its topology.
+        let lab = TestbedSetup {
+            name: "lab",
+            ..TestbedSetup::flocklab()
+        };
+        assert_eq!(lab.topology().len(), 26);
+        assert_eq!(lab.config(3).unwrap().sources.len(), 3);
+        // A custom network brings its own constructor.
+        let grid = TestbedSetup {
+            name: "grid",
+            make_topology: || Topology::grid(3, 3, 18.0, 5),
+            ..TestbedSetup::flocklab()
+        };
+        assert_eq!(grid.topology().len(), 9);
+        assert_eq!(grid.config(2).unwrap().sources.len(), 2);
     }
 
     #[test]

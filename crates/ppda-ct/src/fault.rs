@@ -47,6 +47,11 @@ pub enum Delivery {
 /// [`realize`](FaultPlan::realize) it per round to draw that round's
 /// faults. [`FaultPlan::none`] (also `Default`) injects nothing.
 ///
+/// `loss`, `dropout`, `delay` and `duplicate` are probabilities in
+/// `[0, 1]` and `extra_attenuation_db` is finite; building a deployment
+/// under a plan that breaks either rule fails with an invalid-config
+/// error.
+///
 /// # Example
 ///
 /// ```

@@ -45,7 +45,9 @@ pub enum TamperAction {
 /// Deployment-scoped like `ppda-ct`'s `FaultPlan`: build it once,
 /// [`realize`](TamperPlan::realize) it per round, then ask the
 /// realization what each aggregator does to the sums it reports.
-/// [`TamperPlan::none`] (also `Default`) injects nothing.
+/// [`TamperPlan::none`] (also `Default`) injects nothing. Each rate is a
+/// probability in `[0, 1]`; building a deployment under a plan with a
+/// NaN or out-of-range rate fails with an invalid-config error.
 ///
 /// # Example
 ///

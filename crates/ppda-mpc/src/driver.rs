@@ -402,7 +402,9 @@ impl<'t> DeploymentBuilder<'t> {
     /// # Errors
     ///
     /// * [`MpcError::InvalidConfig`] if no topology or configuration was
-    ///   supplied, or a chain constraint is violated.
+    ///   supplied, a chain constraint is violated, a fault or tamper
+    ///   probability is NaN or outside `[0, 1]`, or the fault plan's extra
+    ///   attenuation is not finite.
     /// * [`MpcError::InputMismatch`] if the topology size differs from the
     ///   configured one.
     /// * [`MpcError::TopologyDisconnected`] if the network is not
@@ -418,6 +420,7 @@ impl<'t> DeploymentBuilder<'t> {
         let config = self.config.ok_or_else(|| MpcError::InvalidConfig {
             what: "deployment needs a configuration (DeploymentBuilder::config)".into(),
         })?;
+        validate_plans(&self.faults, &self.tamper)?;
         let plan = match topology {
             Cow::Borrowed(t) => RoundPlan::new(t, &config, self.protocol)?,
             Cow::Owned(t) => RoundPlan::new_owned(t, config, self.protocol)?,
@@ -475,6 +478,39 @@ impl<'t> DeploymentBuilder<'t> {
             seed: self.seed,
         })
     }
+}
+
+/// Reject fault and tamper plans no round can run under: every
+/// probability must lie in `[0, 1]` (NaN does not) and the extra
+/// attenuation must be finite. Out-of-range values would otherwise
+/// reach the link tables and fault draws, where a NaN attenuation reads
+/// as a perfect channel and a loss above 1 silences every link.
+fn validate_plans(faults: &FaultPlan, tamper: &TamperPlan) -> Result<(), MpcError> {
+    let probabilities = [
+        ("FaultPlan::loss", faults.loss),
+        ("FaultPlan::dropout", faults.dropout),
+        ("FaultPlan::delay", faults.delay),
+        ("FaultPlan::duplicate", faults.duplicate),
+        ("TamperPlan::forge_sum", tamper.forge_sum),
+        ("TamperPlan::lane_swap", tamper.lane_swap),
+        ("TamperPlan::bit_flip", tamper.bit_flip),
+    ];
+    for (field, p) in probabilities {
+        if !(0.0..=1.0).contains(&p) {
+            return Err(MpcError::InvalidConfig {
+                what: format!("{field} must be a probability in [0, 1], got {p}"),
+            });
+        }
+    }
+    if !faults.extra_attenuation_db.is_finite() {
+        return Err(MpcError::InvalidConfig {
+            what: format!(
+                "FaultPlan::extra_attenuation_db must be finite, got {}",
+                faults.extra_attenuation_db
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// A compiled PPDA deployment: the single entry point for running
@@ -1028,6 +1064,104 @@ mod tests {
                 .build(),
             Err(MpcError::TopologyDisconnected)
         ));
+    }
+
+    /// Build the grid deployment under `faults` and `tamper`.
+    fn build_under(faults: FaultPlan, tamper: TamperPlan) -> Result<Deployment<'static>, MpcError> {
+        let config = ProtocolConfig::builder(9).degree(2).build().unwrap();
+        Deployment::builder()
+            .topology(Topology::grid(3, 3, 18.0, 5))
+            .config(config)
+            .faults(faults)
+            .tamper(tamper)
+            .build()
+    }
+
+    /// Expect `build_under` to fail with an `InvalidConfig` naming `field`.
+    fn assert_rejected(faults: FaultPlan, tamper: TamperPlan, field: &str) {
+        match build_under(faults, tamper) {
+            Err(MpcError::InvalidConfig { what }) => {
+                assert!(what.contains(field), "error must name {field}: {what}")
+            }
+            Err(other) => panic!("expected InvalidConfig naming {field}, got {other}"),
+            Ok(_) => panic!("a plan with a bad {field} must not build"),
+        }
+    }
+
+    #[test]
+    fn builder_rejects_bad_fault_loss() {
+        let plan = |p| FaultPlan::lossy(1, p);
+        assert_rejected(plan(f64::NAN), TamperPlan::none(), "FaultPlan::loss");
+        assert_rejected(plan(2.0), TamperPlan::none(), "FaultPlan::loss");
+        assert_rejected(plan(-0.1), TamperPlan::none(), "FaultPlan::loss");
+    }
+
+    #[test]
+    fn builder_rejects_bad_fault_dropout() {
+        let plan = |p| FaultPlan::none().with_dropout(p);
+        assert_rejected(plan(f64::NAN), TamperPlan::none(), "FaultPlan::dropout");
+        assert_rejected(plan(1.5), TamperPlan::none(), "FaultPlan::dropout");
+    }
+
+    #[test]
+    fn builder_rejects_bad_fault_delay() {
+        let plan = |p| FaultPlan::none().with_delay(p);
+        assert_rejected(plan(f64::NAN), TamperPlan::none(), "FaultPlan::delay");
+        assert_rejected(plan(-1.0), TamperPlan::none(), "FaultPlan::delay");
+    }
+
+    #[test]
+    fn builder_rejects_bad_fault_duplicate() {
+        let plan = |p| FaultPlan::none().with_duplicate(p);
+        assert_rejected(plan(f64::NAN), TamperPlan::none(), "FaultPlan::duplicate");
+        assert_rejected(
+            plan(f64::INFINITY),
+            TamperPlan::none(),
+            "FaultPlan::duplicate",
+        );
+    }
+
+    #[test]
+    fn builder_rejects_non_finite_attenuation() {
+        let field = "FaultPlan::extra_attenuation_db";
+        for db in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let plan = FaultPlan::none().with_attenuation(db);
+            assert_rejected(plan, TamperPlan::none(), field);
+        }
+    }
+
+    #[test]
+    fn builder_rejects_bad_tamper_forge_sum() {
+        let field = "TamperPlan::forge_sum";
+        assert_rejected(FaultPlan::none(), TamperPlan::forging(1, f64::NAN), field);
+        assert_rejected(FaultPlan::none(), TamperPlan::forging(1, 1.01), field);
+    }
+
+    #[test]
+    fn builder_rejects_bad_tamper_lane_swap() {
+        let plan = |p| TamperPlan::none().with_lane_swap(p);
+        assert_rejected(FaultPlan::none(), plan(f64::NAN), "TamperPlan::lane_swap");
+        assert_rejected(FaultPlan::none(), plan(-0.5), "TamperPlan::lane_swap");
+    }
+
+    #[test]
+    fn builder_rejects_bad_tamper_bit_flip() {
+        let plan = |p| TamperPlan::none().with_bit_flip(p);
+        assert_rejected(FaultPlan::none(), plan(f64::NAN), "TamperPlan::bit_flip");
+        assert_rejected(FaultPlan::none(), plan(3.0), "TamperPlan::bit_flip");
+    }
+
+    #[test]
+    fn builder_accepts_boundary_plans() {
+        let faults = FaultPlan::lossy(1, 1.0)
+            .with_dropout(0.0)
+            .with_delay(1.0)
+            .with_duplicate(0.0)
+            .with_attenuation(-3.0);
+        let tamper = TamperPlan::forging(1, 1.0)
+            .with_lane_swap(0.0)
+            .with_bit_flip(1.0);
+        assert!(build_under(faults, tamper).is_ok());
     }
 
     #[test]

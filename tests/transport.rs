@@ -90,16 +90,16 @@ fn minicast_all_to_all_delivers_on_dcube_at_high_ntx() {
 fn attenuation_degrades_coverage() {
     let topology = Topology::dcube();
     let owners: Vec<u16> = (0..topology.len() as u16).collect();
+    // The schedule is attenuation-independent; only the conditions change.
+    let mc = MiniCastSchedule::new(
+        &topology,
+        ChainSpec::new(frame(), owners).unwrap(),
+        MiniCastConfig {
+            ntx: 5,
+            ..MiniCastConfig::default()
+        },
+    );
     let run_at = |att: f64| {
-        let chain = ChainSpec::new(frame(), owners.clone()).unwrap();
-        let mc = MiniCastSchedule::new(
-            &topology,
-            chain,
-            MiniCastConfig {
-                ntx: 5,
-                ..MiniCastConfig::default()
-            },
-        );
         let conditions = LinkConditions::new(&topology, att, 0.0);
         mc.run(&conditions, &mut Xoshiro256::seed_from(3))
             .coverage()
