@@ -1,11 +1,13 @@
 //! Criterion benchmarks for campaign throughput: wall-clock cost of one
 //! executed round at the testbed operating points, scalar vs batched.
 //!
-//! The `campaign_throughput` binary reports the same metric over whole
-//! campaigns (with thread fan-out); this bench isolates the single-round
-//! cost the batching work targets: per-round crypto (T-table AES, cached
-//! CCM contexts, one seal per (source, destination) carrying all B lanes)
-//! plus the MiniCast transport simulation.
+//! The bench isolates the single-round cost the batching work targets:
+//! per-round crypto (T-table AES, cached CCM contexts, one seal per
+//! (source, destination) carrying all B lanes) plus the MiniCast
+//! transport simulation. B = 64 sits past the 23-lane single-frame cap,
+//! so its packets span three frames each; `config_wide` enables that
+//! fragmentation and changes nothing at the narrower widths. End-to-end
+//! throughput over whole campaigns is perfbench's job (`BENCHMARK.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -21,9 +23,9 @@ fn bench_round_throughput(c: &mut Criterion) {
         (TestbedSetup::dcube(), 5),
     ] {
         let topology = setup.topology();
-        for batch in [1usize, 16] {
+        for batch in [1usize, 16, 64] {
             let config = setup
-                .config_batched(sources, batch)
+                .config_wide(sources, batch)
                 .expect("operating point is valid");
             let deployment = Deployment::builder()
                 .topology_ref(&topology)

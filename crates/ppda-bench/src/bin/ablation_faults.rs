@@ -12,10 +12,16 @@
 //! whether the surviving nodes still aggregate correctly. S4 tolerates
 //! aggregator failures up to its redundancy; S3's strict all-to-all
 //! discipline collapses as soon as any sum-share holder dies.
+//!
+//! A third table sweeps seeded link loss, then node dropout at 20% loss,
+//! on FlockLab S4 with 24 sources (campaign seed 0xBA7C, fault seed
+//! 0xFA17) and reports node success and the recovery rate: the fraction
+//! of rounds whose surviving sum shares still reached the reconstruction
+//! threshold.
 
-use ppda_bench::{arg_value, TestbedSetup};
+use ppda_bench::{arg_value, run_campaign_faulty, Protocol, TestbedSetup};
 use ppda_metrics::Table;
-use ppda_mpc::{Deployment, ProtocolConfig, ProtocolKind};
+use ppda_mpc::{Deployment, FaultPlan, ProtocolConfig, ProtocolKind};
 use ppda_radio::FadingProfile;
 use ppda_sim::{derive_stream, Xoshiro256};
 
@@ -121,4 +127,43 @@ fn main() {
         );
         print!("{table}");
     }
+    recovery_vs_link_loss(iterations);
+}
+
+/// Recovery rate under seeded link loss and node dropout (FlockLab S4,
+/// 24 sources): every link PRR is scaled by `1 - loss`, and every node
+/// independently misses a round with probability `dropout`.
+fn recovery_vs_link_loss(iterations: u64) {
+    let setup = TestbedSetup::flocklab();
+    let sources = 24;
+    let topology = setup.topology();
+    let config = setup.config(sources).expect("valid config");
+    let points = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+        .map(|loss| (loss, 0.0))
+        .into_iter()
+        .chain([0.05, 0.10, 0.20].map(|dropout| (0.2, dropout)));
+    let mut table = Table::new(vec!["loss", "dropout", "node ok", "recovery"]);
+    for (loss, dropout) in points {
+        let faults = FaultPlan::lossy(0xFA17, loss).with_dropout(dropout);
+        let result = run_campaign_faulty(
+            Protocol::S4,
+            &topology,
+            &config,
+            iterations,
+            0xBA7C,
+            &faults,
+        )
+        .expect("campaign runs");
+        table.row(vec![
+            format!("{loss:.2}"),
+            format!("{dropout:.2}"),
+            format!("{:.2}", result.node_success),
+            format!("{:.2}", result.recovery_rate),
+        ]);
+    }
+    println!(
+        "\n=== {} S4 — recovery vs link loss and dropout ({} sources, {} iterations/point) ===",
+        setup.name, sources, iterations
+    );
+    print!("{table}");
 }

@@ -11,8 +11,12 @@
 //! * [`run_campaign`] — a seed-parallel Monte-Carlo campaign runner that
 //!   aggregates per-node metrics into [`CampaignResult`] summaries.
 //! * Binaries (`fig1`, `ablation_ntx`, `ablation_degree`,
-//!   `ablation_faults`, `chain_sizes`) that print the paper-style tables;
-//!   see `EXPERIMENTS.md` at the repository root for the recorded outputs.
+//!   `ablation_faults`, `chain_sizes`, `wide_batch`) that print the
+//!   paper-style tables. Every column they print is simulated, and each
+//!   table is pinned in `tests/golden/paper_tables/`; see `EXPERIMENTS.md`
+//!   at the repository root for the recorded outputs. Host time is
+//!   measured by the criterion benches (one layer each) and by perfbench
+//!   (end to end, `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -237,8 +241,7 @@ pub fn run_campaign(
 /// [`ChurnSchedule`](ppda_sim::ChurnSchedule) — keyed on the round id —
 /// is all-or-nothing here: a window either covers `config.round_id` for
 /// every iteration or none. Churn belongs to a deployment's own round
-/// clock (fuse it with
-/// [`DeploymentBuilder::churn`](ppda_mpc::DeploymentBuilder::churn) and
+/// clock (fuse it with [`FaultPlan::with_churn`] and
 /// [`step`](ppda_mpc::RoundDriver::step) a driver), whose rounds advance
 /// the round id.
 ///

@@ -1,12 +1,12 @@
 //! The paper's printed tables, pinned byte for byte.
 //!
 //! Each harness below prints only simulated quantities (latencies,
-//! radio-on times, coverage, success ratios, slot counts), so its stdout
-//! is a pure function of the code and the fixed seeds. Comparing it with
-//! a committed fixture in `tests/golden/paper_tables/` catches any change
-//! to the transport's RNG draw order or to the protocol pipeline at the
-//! level of the paper's own numbers. Regenerate with `GOLDEN_REGEN=1`
-//! after an intended change, then review the diff.
+//! radio-on times, coverage, success ratios, slot and fragment counts),
+//! so its stdout is a pure function of the code and the fixed seeds.
+//! Comparing it with a committed fixture in `tests/golden/paper_tables/`
+//! catches any change to the transport's RNG draw order or to the
+//! protocol pipeline at the level of the paper's own numbers. Regenerate
+//! with `GOLDEN_REGEN=1` after an intended change, then review the diff.
 
 use std::process::Command;
 
@@ -62,4 +62,13 @@ fn ablation_faults_table() {
 #[test]
 fn chain_sizes_table() {
     assert_table("chain_sizes", env!("CARGO_BIN_EXE_chain_sizes"), &[]);
+}
+
+#[test]
+fn wide_batch_table() {
+    assert_table(
+        "wide_batch",
+        env!("CARGO_BIN_EXE_wide_batch"),
+        &["--iterations", "3"],
+    );
 }

@@ -18,24 +18,18 @@ use crate::engine::LinkTable;
 pub struct GlossyConfig {
     /// Transmissions per node.
     pub ntx: u32,
-    /// Extra slots beyond `eccentricity + ntx` kept in the schedule.
-    pub slack_slots: u32,
     /// Flood initiator. `None` selects the topology center.
     pub initiator: Option<u16>,
     /// PRR threshold for the automatic schedule length.
     pub link_threshold: f64,
-    /// Round-scale extra attenuation (dB) applied to every link.
-    pub attenuation_db: f64,
 }
 
 impl Default for GlossyConfig {
     fn default() -> Self {
         GlossyConfig {
             ntx: 3,
-            slack_slots: 4,
             initiator: None,
             link_threshold: 0.5,
-            attenuation_db: 0.0,
         }
     }
 }
@@ -85,7 +79,11 @@ pub struct Glossy<'a> {
 }
 
 impl<'a> Glossy<'a> {
-    /// Bind a flood to a topology.
+    /// Extra slots beyond `eccentricity + ntx` kept in the schedule.
+    const SLACK_SLOTS: u32 = 4;
+
+    /// Bind a flood to a topology. Links are evaluated at their nominal
+    /// PRR (no extra attenuation).
     ///
     /// # Panics
     ///
@@ -102,12 +100,12 @@ impl<'a> Glossy<'a> {
         let ecc = topology
             .eccentricity(initiator, config.link_threshold)
             .unwrap_or(n as u32);
-        let max_slots = ecc + config.ntx + config.slack_slots;
+        let max_slots = ecc + config.ntx + Self::SLACK_SLOTS;
         Glossy {
             topology,
             frame,
             config,
-            links: LinkTable::new(topology, config.attenuation_db, 0.0),
+            links: LinkTable::new(topology, 0.0, 0.0),
             initiator,
             max_slots,
         }

@@ -9,8 +9,8 @@
 //! one-way 128-bit hash without pulling in a dedicated hash dependency.
 //! Keying AES once — instead of re-running the key schedule per message
 //! block as classic Davies–Meyer would — is what keeps per-round
-//! commitments cheap enough for the hot path (see the
-//! `integrity_overhead` bench).
+//! commitments cheap enough for the hot path (perfbench's traced
+//! `wide_b64_audit` run reports the commit and audit spans).
 //!
 //! Raw Merkle–Damgård over zero-padded input would be ambiguous (the
 //! `CbcMac` tests pin exactly that pitfall), so every absorb is *framed*:

@@ -53,6 +53,15 @@ pub(crate) fn sum_frame_layout(
     }
 }
 
+/// Whether a lane batch of `batch` is transportable at CCM tag length
+/// `tag_len`: both phases' datagrams (sealed share payload *and* encoded
+/// sum batch, via [`phase_datagram_lens`]) must lay out as frames — one
+/// each without fragmentation, at most 64 fragments each with it.
+fn batch_fits_transport(batch: usize, tag_len: usize, fragmentation: bool) -> bool {
+    share_frame_layout(batch, tag_len, fragmentation).is_ok()
+        && sum_frame_layout(batch, fragmentation).is_ok()
+}
+
 fn fragmented_layout(
     datagram_len: usize,
     fragmentation: bool,
@@ -186,6 +195,102 @@ impl ProtocolConfig {
             .map(|(_, count)| count)
             .unwrap_or(0)
     }
+
+    /// Check every constraint the round pipeline relies on. The fields
+    /// are public, so the builder is not the only way to make a
+    /// configuration: [`ProtocolConfigBuilder::build`] and plan
+    /// compilation both run this check.
+    ///
+    /// # Errors
+    ///
+    /// See [`ProtocolConfigBuilder::build`].
+    pub(crate) fn validate(&self) -> Result<(), MpcError> {
+        let n = self.n_nodes;
+        if !(2..=128).contains(&n) {
+            return Err(MpcError::InvalidConfig {
+                what: format!("need 2..=128 nodes, got {n}"),
+            });
+        }
+        if self.sources.is_empty() {
+            return Err(MpcError::InvalidConfig {
+                what: "at least one source required".into(),
+            });
+        }
+        let mut seen = vec![false; n];
+        for &s in &self.sources {
+            if s as usize >= n {
+                return Err(MpcError::InvalidConfig {
+                    what: format!("source {s} outside the {n}-node network"),
+                });
+            }
+            if seen[s as usize] {
+                return Err(MpcError::InvalidConfig {
+                    what: format!("duplicate source {s}"),
+                });
+            }
+            seen[s as usize] = true;
+        }
+        let degree = self.degree;
+        if degree == 0 {
+            return Err(MpcError::InvalidConfig {
+                what: "degree 0 offers no privacy (shares equal the secret)".into(),
+            });
+        }
+        let aggregators = degree + 1 + self.aggregator_redundancy;
+        if aggregators > n {
+            return Err(MpcError::InvalidConfig {
+                what: format!(
+                    "need {aggregators} aggregators (degree {degree} + 1 + redundancy {}) but only {n} nodes",
+                    self.aggregator_redundancy
+                ),
+            });
+        }
+        if !(4..=16).contains(&self.tag_len) || !self.tag_len.is_multiple_of(2) {
+            return Err(MpcError::InvalidConfig {
+                what: format!("CCM tag length {} unsupported", self.tag_len),
+            });
+        }
+        if self.ntx_sharing == 0 || self.ntx_reconstruction == 0 || self.full_coverage_ntx == 0 {
+            return Err(MpcError::InvalidConfig {
+                what: "NTX values must be at least 1".into(),
+            });
+        }
+        if !(0.0..=1.0).contains(&self.link_threshold) {
+            return Err(MpcError::InvalidConfig {
+                what: format!("link threshold {} outside [0, 1]", self.link_threshold),
+            });
+        }
+        if self.batch == 0 {
+            return Err(MpcError::InvalidConfig {
+                what: "batch lane width must be at least 1".into(),
+            });
+        }
+        // Both phases' datagrams — the sealed share payload (B field
+        // elements + MIC) and the encoded sum batch — must be
+        // transportable: one 802.15.4 frame each by default, or at most
+        // 64 fragments each when fragmentation is enabled. Checked with
+        // the other fields, so a too-wide batch is a typed error before
+        // plan compilation lays out any frame.
+        if !batch_fits_transport(self.batch, self.tag_len, self.fragmentation) {
+            let max_lanes = (1..=self.batch)
+                .take_while(|&b| batch_fits_transport(b, self.tag_len, self.fragmentation))
+                .last()
+                .unwrap_or(0);
+            return Err(MpcError::BatchTooWide {
+                lanes: self.batch,
+                max_lanes,
+            });
+        }
+        if self.max_reading == 0 || self.max_reading >= ppda_field::Gf31::modulus() {
+            return Err(MpcError::InvalidConfig {
+                what: format!(
+                    "max reading {} outside (0, field modulus)",
+                    self.max_reading
+                ),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Builder for [`ProtocolConfig`] (see [`ProtocolConfig::builder`]).
@@ -210,16 +315,6 @@ pub struct ProtocolConfigBuilder {
 }
 
 impl ProtocolConfigBuilder {
-    /// Whether a lane batch of `batch` is transportable at CCM tag length
-    /// `tag_len`: both phases' datagrams (sealed share payload *and*
-    /// encoded sum batch, via [`phase_datagram_lens`]) must lay out as
-    /// frames — one each without fragmentation, at most 64 fragments each
-    /// with it.
-    fn batch_fits_transport(batch: usize, tag_len: usize, fragmentation: bool) -> bool {
-        share_frame_layout(batch, tag_len, fragmentation).is_ok()
-            && sum_frame_layout(batch, fragmentation).is_ok()
-    }
-
     /// Use `count` sources spread evenly over the node id space (the
     /// paper's "different number of source nodes" sweeps).
     pub fn sources(mut self, count: usize) -> Self {
@@ -336,97 +431,16 @@ impl ProtocolConfigBuilder {
     ///
     /// [`MpcError::InvalidConfig`] when any constraint is violated:
     /// network size (2..=128 nodes), source validity/uniqueness, degree
-    /// bounds, aggregator count vs. network size, tag length, thresholds.
+    /// bounds, aggregator count vs. network size, tag length, NTX, link
+    /// threshold, a zero lane width, the reading bound.
+    /// [`MpcError::BatchTooWide`] when the lane width does not fit the
+    /// transport. Plan compilation runs the same checks.
     pub fn build(self) -> Result<ProtocolConfig, MpcError> {
         let n = self.n_nodes;
-        if !(2..=128).contains(&n) {
-            return Err(MpcError::InvalidConfig {
-                what: format!("need 2..=128 nodes, got {n}"),
-            });
-        }
-        let sources = self.sources.unwrap_or_else(|| (0..n as u16).collect());
-        if sources.is_empty() {
-            return Err(MpcError::InvalidConfig {
-                what: "at least one source required".into(),
-            });
-        }
-        let mut seen = vec![false; n];
-        for &s in &sources {
-            if s as usize >= n {
-                return Err(MpcError::InvalidConfig {
-                    what: format!("source {s} outside the {n}-node network"),
-                });
-            }
-            if seen[s as usize] {
-                return Err(MpcError::InvalidConfig {
-                    what: format!("duplicate source {s}"),
-                });
-            }
-            seen[s as usize] = true;
-        }
-        let degree = self.degree.unwrap_or_else(|| (n / 3).max(1));
-        if degree == 0 {
-            return Err(MpcError::InvalidConfig {
-                what: "degree 0 offers no privacy (shares equal the secret)".into(),
-            });
-        }
-        let aggregators = degree + 1 + self.aggregator_redundancy;
-        if aggregators > n {
-            return Err(MpcError::InvalidConfig {
-                what: format!(
-                    "need {aggregators} aggregators (degree {degree} + 1 + redundancy {}) but only {n} nodes",
-                    self.aggregator_redundancy
-                ),
-            });
-        }
-        if !(4..=16).contains(&self.tag_len) || !self.tag_len.is_multiple_of(2) {
-            return Err(MpcError::InvalidConfig {
-                what: format!("CCM tag length {} unsupported", self.tag_len),
-            });
-        }
-        if self.ntx_sharing == 0 || self.ntx_reconstruction == 0 || self.full_coverage_ntx == 0 {
-            return Err(MpcError::InvalidConfig {
-                what: "NTX values must be at least 1".into(),
-            });
-        }
-        if !(0.0..=1.0).contains(&self.link_threshold) {
-            return Err(MpcError::InvalidConfig {
-                what: format!("link threshold {} outside [0, 1]", self.link_threshold),
-            });
-        }
-        if self.batch == 0 {
-            return Err(MpcError::InvalidConfig {
-                what: "batch lane width must be at least 1".into(),
-            });
-        }
-        // Both phases' datagrams — the sealed share payload (B field
-        // elements + MIC) and the encoded sum batch — must be
-        // transportable: one 802.15.4 frame each by default, or at most
-        // 64 fragments each when fragmentation is enabled. Checked here,
-        // where the lane width is chosen, instead of surfacing as a frame
-        // error at plan compile time.
-        if !Self::batch_fits_transport(self.batch, self.tag_len, self.fragmentation) {
-            let max_lanes = (1..=self.batch)
-                .take_while(|&b| Self::batch_fits_transport(b, self.tag_len, self.fragmentation))
-                .last()
-                .unwrap_or(0);
-            return Err(MpcError::BatchTooWide {
-                lanes: self.batch,
-                max_lanes,
-            });
-        }
-        if self.max_reading == 0 || self.max_reading >= ppda_field::Gf31::modulus() {
-            return Err(MpcError::InvalidConfig {
-                what: format!(
-                    "max reading {} outside (0, field modulus)",
-                    self.max_reading
-                ),
-            });
-        }
-        Ok(ProtocolConfig {
+        let config = ProtocolConfig {
             n_nodes: n,
-            sources,
-            degree,
+            sources: self.sources.unwrap_or_else(|| (0..n as u16).collect()),
+            degree: self.degree.unwrap_or_else(|| (n / 3).max(1)),
             ntx_sharing: self.ntx_sharing,
             ntx_reconstruction: self.ntx_reconstruction,
             full_coverage_ntx: self.full_coverage_ntx,
@@ -440,7 +454,9 @@ impl ProtocolConfigBuilder {
             batch: self.batch,
             fragmentation: self.fragmentation,
             integrity: self.integrity,
-        })
+        };
+        config.validate()?;
+        Ok(config)
     }
 }
 

@@ -3,7 +3,7 @@
 //!
 //! * [`Deployment`] fuses everything deployment-scoped — a
 //!   [`Topology`], a [`ProtocolConfig`], a [`ProtocolKind`], a
-//!   [`FaultPlan`] / [`ChurnSchedule`](ppda_sim::ChurnSchedule), a
+//!   [`FaultPlan`] (with its [`ChurnSchedule`](ppda_sim::ChurnSchedule)), a
 //!   [`TamperPlan`] and an optional membership event stream — and
 //!   compiles the [`RoundPlan`] exactly once at
 //!   [`build`](DeploymentBuilder::build) time.
@@ -42,7 +42,7 @@ use std::fmt;
 
 use ppda_ct::FaultPlan;
 use ppda_integrity::TamperPlan;
-use ppda_sim::{derive_stream, ChurnSchedule, MembershipEvent, TrickleConfig};
+use ppda_sim::{derive_stream, MembershipEvent, TrickleConfig};
 use ppda_topology::Topology;
 
 use crate::config::ProtocolConfig;
@@ -330,18 +330,12 @@ impl<'t> DeploymentBuilder<'t> {
 
     /// Fault model every driven round runs under (default:
     /// [`FaultPlan::none`], which is byte-identical to fault-free
-    /// execution). Replaces any churn schedule set earlier.
+    /// execution). Scheduled multi-round outages ride in the plan
+    /// ([`FaultPlan::with_churn`]): drivers walk the windows as their
+    /// round ids advance.
     #[must_use]
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Scheduled multi-round outages, fused into the deployment's fault
-    /// plan: drivers walk the windows as their round ids advance.
-    #[must_use]
-    pub fn churn(mut self, churn: ChurnSchedule) -> Self {
-        self.faults.churn = churn;
         self
     }
 
@@ -1026,6 +1020,7 @@ impl Iterator for RoundDriver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppda_sim::ChurnSchedule;
 
     fn grid_deployment(kind: ProtocolKind) -> Deployment<'static> {
         let topology = Topology::grid(3, 3, 18.0, 5);
@@ -1063,6 +1058,68 @@ mod tests {
                 .config(config)
                 .build(),
             Err(MpcError::TopologyDisconnected)
+        ));
+    }
+
+    /// Compile a FlockLab S4 deployment with 3 sources whose builder-made
+    /// configuration was then edited through its public fields, and
+    /// return the error.
+    fn compile_edited(edit: impl FnOnce(&mut ProtocolConfig)) -> MpcError {
+        let topology = Topology::flocklab();
+        let mut config = ProtocolConfig::builder(topology.len())
+            .sources(3)
+            .build()
+            .unwrap();
+        edit(&mut config);
+        match Deployment::builder()
+            .topology(topology)
+            .config(config)
+            .build()
+        {
+            Err(err) => err,
+            Ok(_) => panic!("an edited configuration that breaks a builder check compiled"),
+        }
+    }
+
+    /// Expect `compile_edited` to fail with an `InvalidConfig` mentioning
+    /// `what`.
+    fn assert_edit_rejected(edit: impl FnOnce(&mut ProtocolConfig), what: &str) {
+        match compile_edited(edit) {
+            MpcError::InvalidConfig { what: msg } => {
+                assert!(msg.contains(what), "error must mention {what}: {msg}")
+            }
+            other => panic!("expected InvalidConfig mentioning {what}, got {other}"),
+        }
+    }
+
+    #[test]
+    fn compile_rejects_a_zero_reading_bound() {
+        // The first round would divide by zero drawing its readings.
+        assert_edit_rejected(|c| c.max_reading = 0, "max reading 0");
+    }
+
+    #[test]
+    fn compile_rejects_degree_zero() {
+        // A degree-0 share equals the reading it should hide, so every
+        // aggregator would decrypt each source's raw value.
+        assert_edit_rejected(|c| c.degree = 0, "degree 0");
+    }
+
+    #[test]
+    fn compile_rejects_a_zero_lane_width() {
+        // A round of zero lanes would aggregate nothing.
+        assert_edit_rejected(|c| c.batch = 0, "lane width");
+    }
+
+    #[test]
+    fn compile_rejects_an_unfragmented_batch_past_one_frame() {
+        // The builder's typed error, not a frame error from the layout.
+        assert!(matches!(
+            compile_edited(|c| c.batch = 24),
+            MpcError::BatchTooWide {
+                lanes: 24,
+                max_lanes: 23
+            }
         ));
     }
 
@@ -1305,7 +1362,11 @@ mod tests {
         let deployment = Deployment::builder()
             .topology(topology)
             .config(config)
-            .churn(ChurnSchedule::new().window(victim, base + 1, base + 2))
+            .faults(FaultPlan::none().with_churn(ChurnSchedule::new().window(
+                victim,
+                base + 1,
+                base + 2,
+            )))
             .seed(7)
             .build()
             .unwrap();

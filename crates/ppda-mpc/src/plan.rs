@@ -269,8 +269,11 @@ impl<'t> RoundPlan<'t> {
     ///   configured one.
     /// * [`MpcError::TopologyDisconnected`] if the network is not connected
     ///   at the configured link threshold.
-    /// * [`MpcError::InvalidConfig`] if a frame or chain constraint is
-    ///   violated.
+    /// * [`MpcError::InvalidConfig`] or [`MpcError::BatchTooWide`] if the
+    ///   configuration breaks a constraint
+    ///   [`ProtocolConfigBuilder::build`](crate::ProtocolConfigBuilder::build)
+    ///   enforces (its fields are public, so a configuration need not come
+    ///   from the builder), or a frame or chain constraint is violated.
     pub fn new(
         topology: &'t Topology,
         config: &ProtocolConfig,
@@ -328,6 +331,7 @@ impl<'t> RoundPlan<'t> {
         kind: ProtocolKind,
         membership: Option<Vec<bool>>,
     ) -> Result<RoundPlan<'t>, MpcError> {
+        config.validate()?;
         let variant = kind.variant();
         let n = config.n_nodes;
         let bootstrap = Bootstrap::run(&topology, &config)?;

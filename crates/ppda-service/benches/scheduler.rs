@@ -2,11 +2,11 @@
 //! advancing a many-deployment fleet, across worker counts and span
 //! chunk sizes.
 //!
-//! The `service_saturation` binary reports the same metric over large
-//! fleets with JSON output (the BENCH_7 trajectory); this bench isolates
-//! two scheduler knobs on a small fixed fleet so regressions in the
-//! dispatch path itself (span dealing, deque locking, stealing, shard
-//! merges) show up without an hour of wall clock:
+//! The bench isolates two scheduler knobs on a small fixed fleet, so
+//! regressions in the dispatch path itself (span dealing, deque locking,
+//! stealing, shard merges) show up without an hour of wall clock. A
+//! mixed fleet under faults and churn, timed end to end, is perfbench's
+//! `fleet_churn_lossy` workload (`BENCHMARK.json`).
 //!
 //! * `workers/*` — same fleet, growing pool. On a single-core host the
 //!   multi-worker points measure scheduling overhead, not speedup.

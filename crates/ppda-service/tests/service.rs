@@ -244,7 +244,7 @@ fn a_panicking_round_surfaces_as_worker_panicked_and_taints() {
 #[cfg(feature = "serde")]
 mod checkpointing {
     use super::*;
-    use ppda_service::Checkpoint;
+    use ppda_service::{Checkpoint, CheckpointError};
     use serde::value::{from_value, to_value};
 
     #[test]
@@ -440,6 +440,45 @@ mod checkpointing {
             .expect("restore");
         assert!(restored.spec(0).config.integrity.is_on());
         restored.advance(2).expect("restored engine runs");
+    }
+
+    #[test]
+    fn checkpointed_configs_are_checked_on_restore() {
+        // Two blobs that differ only in the encoded degree locate its
+        // bytes. Zeroing them leaves a blob that decodes field by field
+        // into a degree-0 configuration, which must not compile.
+        let capture = |degree| {
+            let topology = Topology::grid(3, 3, 15.0, 9);
+            let config = ProtocolConfig::builder(topology.len())
+                .sources(3)
+                .degree(degree)
+                .build()
+                .expect("grid config");
+            let engine = CampaignEngine::builder()
+                .workers(1)
+                .deployment(DeploymentSpec::new("degree", topology, config))
+                .build()
+                .expect("spec compiles");
+            Checkpoint::capture(&engine)
+                .expect("checkpoint")
+                .as_bytes()
+                .to_vec()
+        };
+        let (one, mut blob) = (capture(1), capture(2));
+        let at = one
+            .iter()
+            .zip(&blob)
+            .position(|(a, b)| a != b)
+            .expect("the blobs differ in the degree");
+        assert_eq!((one[at], blob[at]), (1, 2));
+        blob[at] = 0;
+        match Checkpoint::from_bytes(blob).restore() {
+            Err(CheckpointError::Compile(ppda_mpc::MpcError::InvalidConfig { what })) => {
+                assert!(what.contains("degree 0"), "{what}")
+            }
+            Err(other) => panic!("expected a degree-0 compile error, got {other}"),
+            Ok(_) => panic!("a degree-0 checkpoint restored"),
+        }
     }
 
     #[test]
