@@ -6,7 +6,8 @@
 //!    recorded while the legacy single-shot paths still matched the
 //!    driver, holds a digest of every `RoundReport` field at the legacy
 //!    differentials' coordinates; each differential checks its own lines
-//!    and one test checks and regenerates the whole file.
+//!    and one test checks and regenerates the whole file. A second
+//!    fixture freezes fragmented rounds (B = 64 and 256) the same way.
 //! 2. **One pipeline, every scenario** — batching, fault plans and churn
 //!    all flow through the same `step()`; observers see every round.
 //! 3. **The report format is frozen** — a golden fixture pins
@@ -16,9 +17,11 @@
 //!    implements `Display + std::error::Error + Send + Sync`.
 
 use ppda::mpc::{
-    Deployment, MpcError, ProtocolConfig, ProtocolKind, RecoveryStatus, RoundObserver, RoundReport,
+    Deployment, FaultPlan, IntegrityMode, IntegrityVerdict, MpcError, ProtocolConfig, ProtocolKind,
+    RecoveryStatus, RoundObserver, RoundReport, TamperPlan,
 };
 use ppda::topology::Topology;
+use ppda_bench::TestbedSetup;
 use ppda_metrics::CampaignAccumulator;
 use ppda_testkit::{assert_golden, drive_round, grid9_deployment, lossy_flocklab_deployment};
 
@@ -163,6 +166,76 @@ fn driver_rounds_match_golden_digests() {
     }
     assert_eq!(lines.lines().count(), 46);
     assert_golden("driver_rounds.txt", &lines);
+}
+
+/// Fragmented rounds, whose share and sum packets span several frames,
+/// frozen the same way: each case is `config_wide(6, B)` driven at
+/// `round_at(round_id, seed)`. FlockLab S3 and S4 at B = 64 with
+/// integrity off, S4 with integrity on, S4 under delivery faults and a
+/// forging aggregator, D-Cube S4 at B = 64, and FlockLab S4 at B = 256
+/// (10 frames per packet) — 11 lines.
+#[test]
+fn fragmented_rounds_match_golden_digests() {
+    let faults = FaultPlan::lossy(0xFA17, 0.2)
+        .with_delay(0.05)
+        .with_duplicate(0.05);
+    let tamper = TamperPlan::forging(7, 0.5);
+    let (flocklab, dcube) = (TestbedSetup::flocklab(), TestbedSetup::dcube());
+    let (off, on) = (IntegrityMode::Off, IntegrityMode::On);
+    // (testbed, protocol, B, integrity, faults and tampering, seeds).
+    let cases = [
+        (&flocklab, ProtocolKind::S3, 64, off, false, &[1u64, 7][..]),
+        (&flocklab, ProtocolKind::S4, 64, off, false, &[1, 7]),
+        (&flocklab, ProtocolKind::S4, 64, on, false, &[1, 7]),
+        (&flocklab, ProtocolKind::S4, 64, on, true, &[1, 7, 42]),
+        (&dcube, ProtocolKind::S4, 64, on, false, &[1]),
+        (&flocklab, ProtocolKind::S4, 256, off, false, &[1]),
+    ];
+    let mut lines = String::new();
+    let mut faulty_reports = Vec::new();
+    for (setup, kind, batch, integrity, faulty, seeds) in cases {
+        let topology = setup.topology();
+        let mut config = setup.config_wide(6, batch).unwrap();
+        config.integrity = integrity;
+        let mut builder = Deployment::builder()
+            .topology_ref(&topology)
+            .config(config.clone())
+            .protocol(kind);
+        let mut plans = "";
+        if faulty {
+            builder = builder.faults(faults.clone()).tamper(tamper.clone());
+            plans = " faults=lossy+delay+dup tamper=forging";
+        }
+        let deployment = builder.build().unwrap();
+        let mut driver = deployment.driver();
+        for &seed in seeds {
+            let report = driver.round_at(config.round_id, seed).unwrap();
+            let key = format!(
+                "{} {} B={batch} integrity={integrity:?}{plans} seed={seed}",
+                setup.name,
+                kind.name()
+            );
+            lines.push_str(&golden_line(&key, &report));
+            if faulty {
+                faulty_reports.push(report);
+            }
+        }
+    }
+    assert_eq!(lines.lines().count(), 11);
+    // The faulty rounds reach the verdicts and fault counters that only a
+    // degraded round produces.
+    assert!(faulty_reports.iter().any(|r| r.integrity().is_tampered()));
+    assert!(faulty_reports
+        .iter()
+        .any(|r| r.integrity() == IntegrityVerdict::Unchecked));
+    assert!(faulty_reports.iter().any(|r| !r.recovered()));
+    assert!(faulty_reports
+        .iter()
+        .any(|r| r.degraded.faults.shares_delayed > 0));
+    assert!(faulty_reports
+        .iter()
+        .any(|r| r.degraded.faults.duplicates > 0));
+    assert_golden("fragmented_rounds.txt", &lines);
 }
 
 /// Zero-fault B = 1 rounds with generated readings, S3 and S4 on both
