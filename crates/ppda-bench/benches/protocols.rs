@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use ppda_bench::TestbedSetup;
-use ppda_ct::{ChainSpec, Glossy, GlossyConfig, LinkConditions, MiniCastConfig, MiniCastSchedule};
+use ppda_ct::{ChainSpec, LinkConditions, MiniCastConfig, MiniCastSchedule};
 use ppda_mpc::{Deployment, ProtocolKind};
 use ppda_radio::FrameSpec;
 use ppda_sim::Xoshiro256;
@@ -19,15 +19,6 @@ fn bench_ct(c: &mut Criterion) {
     group.sample_size(20);
     let flocklab = Topology::flocklab();
     let frame = FrameSpec::new(8, 0).unwrap();
-
-    let glossy = Glossy::new(&flocklab, frame, GlossyConfig::default());
-    group.bench_function("glossy_flood/flocklab", |bench| {
-        let mut seed = 0u64;
-        bench.iter(|| {
-            seed += 1;
-            glossy.run(&mut Xoshiro256::seed_from(seed))
-        })
-    });
 
     let chain = ChainSpec::new(frame, (0..flocklab.len() as u16).collect()).unwrap();
     let minicast = MiniCastSchedule::new(&flocklab, chain, MiniCastConfig::default());

@@ -5,20 +5,19 @@
 //! superposition (constructive interference), so a packet can sweep a
 //! multi-hop network hop-by-hop in milliseconds with no routing state.
 //!
-//! Two protocols are implemented on the slot-synchronous engine:
+//! One protocol is implemented on the slot-synchronous engine:
+//! [MiniCast](MiniCastSchedule), many-to-many sharing (Saha et al.,
+//! DCOSS'17). The transmissions of *all* nodes are arranged into a TDMA
+//! **chain** of sub-slots, one per packet; the whole chain is flooded as a
+//! unit and each node transmits the chain up to NTX times, filling the
+//! sub-slots it has data for. This is the transport on which both SSS
+//! variants of the paper run. A [`MiniCastSchedule`] is compiled once per
+//! chain; each round runs it over one [`LinkConditions`], the link table
+//! under that round's attenuation and loss.
 //!
-//! * [`Glossy`] — the pioneering one-to-all flood (Ferrari et al., IPSN'11):
-//!   a single packet from an initiator; every receiver retransmits in the
-//!   next slot, up to NTX times. Used here for time synchronization and as
-//!   a building block of bootstrapping.
-//! * [MiniCast](MiniCastSchedule) — many-to-many sharing (Saha et al.,
-//!   DCOSS'17): the transmissions of *all* nodes are arranged into a TDMA
-//!   **chain** of sub-slots, one per packet; the whole chain is flooded as
-//!   a unit and each node transmits the chain up to NTX times, filling the
-//!   sub-slots it has data for. This is the transport on which both SSS
-//!   variants of the paper run. A [`MiniCastSchedule`] is compiled once
-//!   per chain; each round runs it over one [`LinkConditions`], the link
-//!   table under that round's attenuation and loss.
+//! Nodes are assumed to be time-synchronized before a round starts, as in
+//! the paper's evaluation: no synchronization flood is simulated, and none
+//! is part of a round's latency or radio-on time.
 //!
 //! The key empirical property the paper's S4 exploits — **coverage grows
 //! steeply with NTX, then saturates slowly toward full coverage** — emerges
@@ -53,12 +52,10 @@
 mod chain;
 mod engine;
 mod fault;
-mod glossy;
 mod minicast;
 
 pub use chain::{ChainError, ChainSpec};
 pub use fault::{Delivery, FaultPlan, RoundFaults};
-pub use glossy::{Glossy, GlossyConfig, GlossyResult};
 pub use minicast::{
     LinkConditions, LinkConditionsCache, MiniCastConfig, MiniCastResult, MiniCastSchedule,
     NodeOutcome,

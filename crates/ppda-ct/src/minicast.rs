@@ -30,8 +30,6 @@ pub struct MiniCastConfig {
     /// NTX). Low values reach only a perimeter of neighbors; high values
     /// give full network coverage at proportionally higher cost.
     pub ntx: u32,
-    /// Round initiator. `None` selects the topology's center node.
-    pub initiator: Option<u16>,
     /// Override the computed round length (cycles). `None` = automatic:
     /// initiator eccentricity + `ntx` + a few slack cycles to absorb
     /// losses.
@@ -50,7 +48,6 @@ impl Default for MiniCastConfig {
     fn default() -> Self {
         MiniCastConfig {
             ntx: 8,
-            initiator: None,
             max_cycles: None,
             link_threshold: 0.5,
             early_radio_off: true,
@@ -135,16 +132,6 @@ impl MiniCastResult {
             .all(|n| n.predicate_met_at.is_some())
     }
 
-    /// Latest predicate-completion instant over non-failed nodes (`None`
-    /// if any node never completed).
-    pub fn completion_latency(&self) -> Option<SimDuration> {
-        let mut worst = SimTime::ZERO;
-        for node in self.nodes.iter().filter(|n| !n.failed) {
-            worst = worst.max(node.predicate_met_at?);
-        }
-        Some(worst - SimTime::ZERO)
-    }
-
     /// Mean radio-on time across non-failed nodes, in milliseconds.
     pub fn mean_radio_on_ms(&self) -> f64 {
         let live: Vec<&NodeOutcome> = self.nodes.iter().filter(|n| !n.failed).collect();
@@ -162,8 +149,8 @@ impl MiniCastResult {
 /// and one per-link loss.
 ///
 /// Building one is O(n²) in the deployment size; both MiniCast phases of an
-/// aggregation round (and any Glossy floods in between) can share a single
-/// instance because the round-scale fading is drawn once per round.
+/// aggregation round can share a single instance because the round-scale
+/// fading is drawn once per round.
 #[derive(Debug, Clone)]
 pub struct LinkConditions {
     links: LinkTable,
@@ -286,8 +273,9 @@ impl LinkConditionsCache {
 }
 
 /// The immutable, reusable part of a MiniCast round: chain layout,
-/// initiator election (plus the failover ranking used when the initiator is
-/// failure-injected), and the scheduled round length.
+/// initiator election (the most central chain owner, plus the failover
+/// ranking used when it is failure-injected), and the scheduled round
+/// length.
 ///
 /// Everything here derives from `(topology, chain, config)` only — no
 /// per-round randomness — so a periodic-aggregation deployment computes it
@@ -317,8 +305,7 @@ impl MiniCastSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if a chain owner id is outside the topology, or if the
-    /// configured initiator is.
+    /// Panics if a chain owner id is outside the topology.
     pub fn new(topology: &Topology, chain: ChainSpec, config: MiniCastConfig) -> Self {
         let n = topology.len();
         for &o in chain.owners() {
@@ -337,18 +324,12 @@ impl MiniCastSchedule {
             .collect();
         ranked.sort_unstable();
         let owner_rank: Vec<usize> = ranked.iter().map(|&(_, v)| v).collect();
-        let initiator = match config.initiator {
-            Some(i) => {
-                assert!((i as usize) < n, "initiator {i} outside topology");
-                i as usize
-            }
-            // The initiator kick-starts the round, so it must own at least
-            // one sub-slot; pick the most central chain owner.
-            None => owner_rank
-                .first()
-                .copied()
-                .unwrap_or_else(|| chain.owner(0) as usize),
-        };
+        // The initiator kick-starts the round, so it must own at least one
+        // sub-slot: the most central chain owner.
+        let initiator = owner_rank
+            .first()
+            .copied()
+            .unwrap_or_else(|| chain.owner(0) as usize);
         let ecc = topology
             .eccentricity(initiator, config.link_threshold)
             .unwrap_or(n as u32);
@@ -733,7 +714,6 @@ mod tests {
             all_to_all(&t),
             MiniCastConfig {
                 ntx: 2,
-                initiator: Some(0),
                 ..Default::default()
             },
         );
@@ -893,23 +873,6 @@ mod tests {
             r_long.mean_radio_on_ms(),
             r_short.mean_radio_on_ms()
         );
-    }
-
-    #[test]
-    fn completion_latency_below_round_duration() {
-        let t = Topology::flocklab();
-        let mc = MiniCastSchedule::new(
-            &t,
-            all_to_all(&t),
-            MiniCastConfig {
-                ntx: 12,
-                ..Default::default()
-            },
-        );
-        let r = mc.run(&calm(&t), &mut Xoshiro256::seed_from(19));
-        let latency = r.completion_latency().expect("complete at ntx=12");
-        assert!(latency <= r.duration());
-        assert!(latency > SimDuration::ZERO);
     }
 
     #[test]
@@ -1087,7 +1050,6 @@ mod tests {
         let owners: Vec<u16> = (0..t.len() as u16).collect();
         let cfg = MiniCastConfig {
             ntx: 2,
-            initiator: Some(0),
             max_cycles: Some(3),
             ..Default::default()
         };

@@ -88,13 +88,6 @@ impl TamperPlan {
         }
     }
 
-    /// Set the per-aggregator sum-forgery probability.
-    #[must_use]
-    pub fn with_forge_sum(mut self, forge_sum: f64) -> Self {
-        self.forge_sum = forge_sum;
-        self
-    }
-
     /// Set the per-aggregator lane-swap probability.
     #[must_use]
     pub fn with_lane_swap(mut self, lane_swap: f64) -> Self {

@@ -4,9 +4,9 @@
 //! The paper's evaluation repeats every configuration for thousands of
 //! iterations and reports time metrics on a log scale. This crate provides
 //! the small amount of statistics machinery that workflow needs —
-//! [`Summary`] (mean / CI / percentiles over a sample), ratio helpers, and
-//! a fixed-width [`Table`] renderer for harness output — with no external
-//! dependencies.
+//! [`Summary`] (mean / CI / percentiles over a sample), a campaign
+//! accumulator, and a fixed-width [`Table`] renderer for harness output —
+//! with no external dependencies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,5 +18,5 @@ mod summary;
 mod table;
 
 pub use campaign::CampaignAccumulator;
-pub use summary::{geometric_mean, ratio_of_means, Summary};
+pub use summary::Summary;
 pub use table::Table;

@@ -148,26 +148,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// Geometric mean of strictly positive values (NaN when empty or any value
-/// is non-positive) — the right average for speed-up ratios.
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    if values.is_empty() || values.iter().any(|&v| v <= 0.0) {
-        return f64::NAN;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
-/// Ratio of the means of two samples (the paper's "k× faster" style
-/// comparison); NaN if the denominator sample is empty or has zero mean.
-pub fn ratio_of_means(numerator: &Summary, denominator: &Summary) -> f64 {
-    if denominator.is_empty() || denominator.mean() == 0.0 {
-        f64::NAN
-    } else {
-        numerator.mean() / denominator.mean()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,22 +223,6 @@ mod tests {
         let many: Vec<f64> = (0..300).map(|i| 1.0 + (i % 3) as f64).collect();
         let many = Summary::of(&many);
         assert!(many.ci95_half_width() < few.ci95_half_width());
-    }
-
-    #[test]
-    fn geometric_mean_properties() {
-        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geometric_mean(&[5.0]) - 5.0).abs() < 1e-12);
-        assert!(geometric_mean(&[]).is_nan());
-        assert!(geometric_mean(&[1.0, 0.0]).is_nan());
-    }
-
-    #[test]
-    fn ratio_of_means_works() {
-        let a = Summary::of(&[10.0, 20.0]);
-        let b = Summary::of(&[2.0, 4.0]);
-        assert!((ratio_of_means(&a, &b) - 5.0).abs() < 1e-12);
-        assert!(ratio_of_means(&a, &Summary::of(&[])).is_nan());
     }
 
     #[test]

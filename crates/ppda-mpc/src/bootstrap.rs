@@ -2,14 +2,12 @@
 //!
 //! Before any aggregation round, the deployment runs a one-time bootstrap
 //! (paper §II/III): pairwise AES keys are provisioned, nodes learn the hop
-//! structure ("which neighbor is reachable at what NTX value"), the network
-//! designates the aggregator set S4 trims its sharing chain to, and a
-//! Glossy flood establishes time synchronization for the TDMA schedules.
+//! structure ("which neighbor is reachable at what NTX value"), and the
+//! network designates the aggregator set S4 trims its sharing chain to.
+//! Nodes are assumed to be time-synchronized for the TDMA schedules, as in
+//! the paper's evaluation; no synchronization flood is simulated.
 
 use ppda_crypto::PairwiseKeys;
-use ppda_ct::{Glossy, GlossyConfig, GlossyResult};
-use ppda_radio::FrameSpec;
-use ppda_sim::Xoshiro256;
 use ppda_topology::Topology;
 
 use crate::config::ProtocolConfig;
@@ -26,7 +24,6 @@ pub struct Bootstrap {
     /// a bootstrap re-run.
     ranking: Vec<u16>,
     hops: Vec<Vec<Option<u32>>>,
-    link_threshold: f64,
 }
 
 impl Bootstrap {
@@ -85,7 +82,6 @@ impl Bootstrap {
             aggregators,
             ranking,
             hops,
-            link_threshold: config.link_threshold,
         })
     }
 
@@ -123,44 +119,6 @@ impl Bootstrap {
     /// threshold (the per-origin slice of the hop table).
     pub fn hops_from(&self, from: usize) -> &[Option<u32>] {
         &self.hops[from]
-    }
-
-    /// Hop distance between two nodes at the bootstrap link threshold.
-    pub fn hops(&self, from: usize, to: usize) -> Option<u32> {
-        self.hops[from][to]
-    }
-
-    /// The smallest sharing-phase NTX at which every source can reach every
-    /// aggregator: `max hops(source → aggregator) + margin` — this is how
-    /// the deployment picks the paper's "NTX = 6 / 5 is enough" values from
-    /// bootstrap data instead of trial and error.
-    pub fn required_sharing_ntx(&self, sources: &[u16], margin: u32) -> u32 {
-        let mut worst = 0;
-        for &s in sources {
-            for &a in &self.aggregators {
-                if let Some(h) = self.hops[s as usize][a as usize] {
-                    worst = worst.max(h);
-                }
-            }
-        }
-        worst + margin
-    }
-
-    /// Cost of the time-synchronization Glossy flood that precedes the TDMA
-    /// rounds (amortized over many aggregation rounds; reported separately
-    /// from per-round metrics, as in the paper).
-    pub fn sync_flood(&self, topology: &Topology, seed: u64) -> GlossyResult {
-        let frame = FrameSpec::new(8, 0).expect("sync frame fits");
-        let glossy = Glossy::new(
-            topology,
-            frame,
-            GlossyConfig {
-                ntx: 3,
-                link_threshold: self.link_threshold,
-                ..GlossyConfig::default()
-            },
-        );
-        glossy.run(&mut Xoshiro256::seed_from(seed))
     }
 }
 
@@ -211,28 +169,7 @@ mod tests {
         let t = Topology::flocklab();
         let b = Bootstrap::run(&t, &config(26)).unwrap();
         let direct = t.hops_from(3, 0.5);
-        for (v, &hops) in direct.iter().enumerate() {
-            assert_eq!(b.hops(3, v), hops);
-        }
-    }
-
-    #[test]
-    fn required_ntx_is_plausible() {
-        let t = Topology::flocklab();
-        let b = Bootstrap::run(&t, &config(26)).unwrap();
-        let sources: Vec<u16> = (0..26).collect();
-        let ntx = b.required_sharing_ntx(&sources, 2);
-        // Diameter 4 network, central aggregators: required NTX should be
-        // in the ballpark the paper reports (5..=7).
-        assert!((4..=8).contains(&ntx), "required ntx {ntx}");
-    }
-
-    #[test]
-    fn sync_flood_covers_network() {
-        let t = Topology::flocklab();
-        let b = Bootstrap::run(&t, &config(26)).unwrap();
-        let sync = b.sync_flood(&t, 42);
-        assert_eq!(sync.reliability(), 1.0);
+        assert_eq!(b.hops_from(3), &direct[..]);
     }
 
     #[test]

@@ -134,7 +134,9 @@ pub struct ProtocolConfig {
     /// default: the fragmented transport honestly costs proportionally
     /// more airtime and energy per round, so opting into B > 23 is an
     /// explicit deployment decision. Has no effect on batches that fit a
-    /// single frame — their wire format and schedules are unchanged.
+    /// single frame — their wire format and schedules are unchanged. The
+    /// transport schedules every fragment and loses a packet unless all of
+    /// them land; a packet that lands decodes from its sealed bytes.
     pub fragmentation: bool,
     /// Whether rounds carry transcript commitments and run the sum audit
     /// (see [`ppda_integrity`]). Off by default: commitments cost extra

@@ -2,7 +2,6 @@
 
 use core::fmt;
 
-use ppda_radio::FragmentError;
 use ppda_sss::SssError;
 
 /// Errors raised while configuring or running an aggregation protocol.
@@ -94,9 +93,6 @@ pub enum MpcError {
     },
     /// Propagated SSS-layer failure.
     Sss(SssError),
-    /// A sealed packet could not cross the fragment codec (cut into
-    /// frames and reassembled) on a fragmented plan.
-    Fragment(FragmentError),
 }
 
 impl fmt::Display for MpcError {
@@ -149,7 +145,6 @@ impl fmt::Display for MpcError {
                 write!(f, "disagrees with the share commitments")
             }
             MpcError::Sss(e) => write!(f, "secret-sharing error: {e}"),
-            MpcError::Fragment(e) => write!(f, "fragmentation error: {e}"),
         }
     }
 }
@@ -158,7 +153,6 @@ impl std::error::Error for MpcError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             MpcError::Sss(e) => Some(e),
-            MpcError::Fragment(e) => Some(e),
             _ => None,
         }
     }
@@ -167,12 +161,6 @@ impl std::error::Error for MpcError {
 impl From<SssError> for MpcError {
     fn from(e: SssError) -> Self {
         MpcError::Sss(e)
-    }
-}
-
-impl From<FragmentError> for MpcError {
-    fn from(e: FragmentError) -> Self {
-        MpcError::Fragment(e)
     }
 }
 
@@ -228,9 +216,6 @@ mod tests {
         assert!(!anon.to_string().contains("aggregator"));
         let e = MpcError::from(SssError::InconsistentShares);
         assert!(e.to_string().contains("secret-sharing"));
-        assert!(std::error::Error::source(&e).is_some());
-        let e = MpcError::from(FragmentError::Truncated { len: 2 });
-        assert!(e.to_string().contains("fragmentation"));
         assert!(std::error::Error::source(&e).is_some());
     }
 

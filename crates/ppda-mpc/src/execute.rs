@@ -21,7 +21,6 @@ use std::io::Write as _;
 use ppda_crypto::{Aes128, CtrDrbg};
 use ppda_ct::{Delivery, FaultPlan, LinkConditionsCache, MiniCastResult};
 use ppda_integrity::{IntegrityVerdict, ShareCommitment, SumAudit, TamperAction, TamperPlan};
-use ppda_radio::{Fragmenter, Reassembler};
 use ppda_sim::{derive_stream, SimDuration, SimTime, Xoshiro256};
 use ppda_sss::{
     open_share_lanes, seal_share_lanes, BatchSplitter, CommitPacket, ReconstructionPlan,
@@ -75,33 +74,6 @@ fn phase_stats(result: &MiniCastResult, chain_len: usize, ntx: u32, fragments: u
         ntx,
         fragments,
     }
-}
-
-/// Run one sealed datagram through the fragment codec — cut into
-/// per-frame fragments, reassembled at the receiver — leaving the
-/// reassembled bytes in `out`. Fragmented plans route every delivered
-/// multi-frame packet through here so the codec is exercised on the hot
-/// path, not just modeled in the chain timing.
-fn fragment_round_trip(
-    fragmenter: &mut Fragmenter,
-    reassembler: &mut Reassembler,
-    src: u16,
-    datagram: &[u8],
-    out: &mut Vec<u8>,
-) -> Result<(), MpcError> {
-    let frames = fragmenter.fragment(datagram)?;
-    out.clear();
-    for frame in &frames {
-        if let Some(whole) = reassembler.accept(src, frame)? {
-            *out = whole;
-        }
-    }
-    if out.is_empty() {
-        return Err(MpcError::InputMismatch {
-            what: "fragment reassembly did not complete".into(),
-        });
-    }
-    Ok(())
 }
 
 /// Record `source`'s contribution in a mask, with the scalar
@@ -172,12 +144,6 @@ struct RoundScratch {
     /// Per sub-slot: the sealed frame payload.
     sealed: Vec<Vec<u8>>,
     slot_live: Vec<bool>,
-    /// Fragment codec state for sealed packets wider than one frame
-    /// (inert while the plan's chains are unfragmented).
-    fragmenter: Fragmenter,
-    reassembler: Reassembler,
-    /// Reassembled datagram of the fragmented packet being opened.
-    frag_buf: Vec<u8>,
     /// Decrypted payload and decoded lanes of the packet being opened.
     open_payload: Vec<u8>,
     open_lanes: Vec<Elem>,
@@ -245,9 +211,6 @@ impl ExecState {
                 share_live: vec![false; n_sources],
                 sealed: vec![Vec::new(); n_slots],
                 slot_live: vec![false; n_slots],
-                fragmenter: Fragmenter::default(),
-                reassembler: Reassembler::default(),
-                frag_buf: Vec::new(),
                 open_payload: Vec::with_capacity(lanes * 8),
                 open_lanes: Vec::with_capacity(lanes),
                 sum_ys: vec![Elem::ZERO; n_dests * lanes],
@@ -477,7 +440,6 @@ impl ExecState {
         };
 
         // ---- Local sum accumulation ---------------------------------------
-        let share_frags = plan.sharing_schedule.chain().fragments();
         for (di, &d) in plan.destinations.iter().enumerate() {
             scratch.sum_live[di] = false;
             scratch.sum_mask[di] = 0;
@@ -524,21 +486,6 @@ impl ExecState {
                     Delivery::Duplicated => report.duplicates += 1,
                     Delivery::OnTime => {}
                 }
-                // Multi-frame packets cross the fragment codec before they
-                // decode; single-frame packets keep the pre-fragmentation
-                // wire format (and code path) exactly.
-                let sealed: &[u8] = if share_frags > 1 {
-                    fragment_round_trip(
-                        &mut scratch.fragmenter,
-                        &mut scratch.reassembler,
-                        slot.src,
-                        &scratch.sealed[j],
-                        &mut scratch.frag_buf,
-                    )?;
-                    &scratch.frag_buf
-                } else {
-                    &scratch.sealed[j]
-                };
                 open_share_lanes(
                     &plan.slot_ccm[j],
                     slot.src,
@@ -546,7 +493,7 @@ impl ExecState {
                     round_id,
                     plan.dest_xs[di],
                     lanes,
-                    sealed,
+                    &scratch.sealed[j],
                     &mut scratch.open_payload,
                     &mut scratch.open_lanes,
                 )?;
@@ -915,7 +862,6 @@ fn aggregate_lanes(
 mod tests {
     use super::*;
     use ppda_field::share_x;
-    use ppda_radio::{FragmentError, MAX_DATAGRAM_LEN};
 
     fn readings(config: &ProtocolConfig, round_id: u32, seed: u64, lanes: usize) -> Vec<u64> {
         let mut out = Vec::new();
@@ -953,24 +899,6 @@ mod tests {
         assert_eq!(four_lanes.len(), 8 * 4);
         assert!(four_lanes.iter().all(|&v| v < 1000));
         assert_eq!(one_lane[..], four_lanes[..8]);
-    }
-
-    #[test]
-    fn oversized_datagrams_fail_with_a_typed_fragment_error() {
-        let err = fragment_round_trip(
-            &mut Fragmenter::default(),
-            &mut Reassembler::default(),
-            3,
-            &vec![0u8; MAX_DATAGRAM_LEN + 1],
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            MpcError::Fragment(FragmentError::DatagramTooLong { len })
-                if len == MAX_DATAGRAM_LEN + 1
-        ));
-        assert!(std::error::Error::source(&err).is_some());
     }
 
     fn weights(nodes: &[usize], threshold: usize) -> ReconstructionPlan<Field> {

@@ -273,11 +273,6 @@ impl MembershipTimeline {
         &self.deltas
     }
 
-    /// `true` when the timeline never changes the membership.
-    pub fn is_static(&self) -> bool {
-        self.deltas.is_empty() && self.initial.iter().all(|&l| l)
-    }
-
     /// The membership view in force when round `round` executes.
     pub fn view_at(&self, round: u32) -> Vec<bool> {
         let mut live = self.initial.clone();
@@ -313,7 +308,7 @@ mod tests {
         let b = Bootstrap::run(&t, &config).unwrap();
         let tl =
             MembershipTimeline::compile(&b, &config, &[], &TrickleConfig::default(), 1).unwrap();
-        assert!(tl.is_static());
+        assert!(tl.deltas().is_empty());
         assert_eq!(tl.initial(), &vec![true; 26][..]);
         assert_eq!(tl.view_at(100), vec![true; 26]);
     }

@@ -769,7 +769,6 @@ fn build_sharing_schedule(
             // Early sleep requires the completion-tracking machinery S4
             // introduces; the naive build just follows the schedule.
             early_radio_off: !variant.strict_completion,
-            ..MiniCastConfig::default()
         },
     ))
 }

@@ -1,8 +1,8 @@
 //! Deterministic simulation substrate.
 //!
-//! The transport above this crate is slot-synchronous: Glossy floods and
-//! MiniCast chains advance one TDMA sub-slot at a time and account time
-//! by slot arithmetic, so no event queue is needed. What they share is
+//! The transport above this crate is slot-synchronous: MiniCast chains
+//! advance one TDMA sub-slot at a time and account time by slot
+//! arithmetic, so no event queue is needed. What they share is
 //! provided here:
 //!
 //! * [`SimTime`] / [`SimDuration`] — µs-resolution virtual time. There is no

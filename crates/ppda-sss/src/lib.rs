@@ -61,38 +61,3 @@ pub use packet::{
 };
 pub use share::{reconstruct, reconstruct_checked, split_secret, Share};
 pub use weights::{ReconstructionPlan, WeightCache, DEFAULT_WEIGHT_CAPACITY};
-
-use rand::RngCore;
-
-/// Split a secret destined for the nodes `0..n` using their canonical
-/// public points (`x = id + 1`) — convenience over [`split_secret`].
-///
-/// # Errors
-///
-/// Same conditions as [`split_secret`].
-pub fn split_for_nodes<P: ppda_field::PrimeField, R: RngCore + ?Sized>(
-    secret: ppda_field::Gf<P>,
-    degree: usize,
-    n: usize,
-    rng: &mut R,
-) -> Result<Vec<Share<P>>, SssError> {
-    let xs: Vec<_> = (0..n).map(ppda_field::share_x::<P>).collect();
-    split_secret(secret, degree, &xs, rng)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ppda_field::{Gf31, Mersenne31};
-    use ppda_sim::Xoshiro256;
-
-    #[test]
-    fn split_for_nodes_uses_canonical_points() {
-        let mut rng = Xoshiro256::seed_from(3);
-        let shares = split_for_nodes::<Mersenne31, _>(Gf31::new(5), 2, 6, &mut rng).unwrap();
-        assert_eq!(shares.len(), 6);
-        for (i, s) in shares.iter().enumerate() {
-            assert_eq!(s.x, Gf31::new(i as u64 + 1));
-        }
-    }
-}

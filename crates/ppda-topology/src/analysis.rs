@@ -1,5 +1,5 @@
 //! Graph analysis over link-quality topologies: BFS hop counts, diameter,
-//! connectivity, and the NTX-reachability neighbor rings S4 exploits.
+//! eccentricity, connectivity and the center node.
 
 use crate::Topology;
 
@@ -73,23 +73,6 @@ impl Topology {
             .map(|(_, v)| v)
             .unwrap_or(0)
     }
-
-    /// Nodes within `max_hops` hops of `node` (excluding the node itself),
-    /// ordered by (hops, id) — the "reachable at this NTX" ring used by the
-    /// S4 bootstrapping phase.
-    pub fn ring(&self, node: usize, max_hops: u32, min_prr: f64) -> Vec<usize> {
-        let hops = self.hops_from(node, min_prr);
-        let mut out: Vec<(u32, usize)> = hops
-            .iter()
-            .enumerate()
-            .filter_map(|(v, h)| match h {
-                Some(d) if *d > 0 && *d <= max_hops => Some((*d, v)),
-                _ => None,
-            })
-            .collect();
-        out.sort();
-        out.into_iter().map(|(_, v)| v).collect()
-    }
 }
 
 #[cfg(test)]
@@ -130,45 +113,6 @@ mod tests {
     fn hops_from_self_is_zero() {
         let t = Topology::flocklab();
         assert_eq!(t.hops_from(7, 0.5)[7], Some(0));
-    }
-
-    #[test]
-    fn ring_grows_with_hops() {
-        let t = Topology::flocklab();
-        let r1 = t.ring(0, 1, 0.5);
-        let r2 = t.ring(0, 2, 0.5);
-        let rmax = t.ring(0, 10, 0.5);
-        assert!(r1.len() <= r2.len());
-        assert!(r2.len() <= rmax.len());
-        assert_eq!(rmax.len(), t.len() - 1, "everything reachable eventually");
-        // Ring never contains the node itself.
-        assert!(!r2.contains(&0));
-        // One-hop ring equals the neighbor set at the same threshold.
-        let mut nb = t.neighbors(0, 0.5);
-        nb.sort_unstable();
-        let mut r1s = r1.clone();
-        r1s.sort_unstable();
-        assert_eq!(nb, r1s);
-    }
-
-    #[test]
-    fn ring_is_sorted_by_hops_then_id() {
-        let t = Topology::line(6, 22.0, 1);
-        let hops = t.hops_from(2, 0.5);
-        let ring = t.ring(2, 2, 0.5);
-        // Sorted by (hop, id), self excluded, only hops 1..=2.
-        let mut expect: Vec<(u32, usize)> = hops
-            .iter()
-            .enumerate()
-            .filter_map(|(v, h)| match h {
-                Some(d) if (1..=2).contains(d) => Some((*d, v)),
-                _ => None,
-            })
-            .collect();
-        expect.sort();
-        assert_eq!(ring, expect.into_iter().map(|(_, v)| v).collect::<Vec<_>>());
-        assert!(!ring.is_empty());
-        assert!(!ring.contains(&2));
     }
 
     #[test]

@@ -269,14 +269,6 @@ impl Topology {
         });
         out
     }
-
-    /// Mean neighbor count at a PRR threshold (network density indicator).
-    pub fn mean_degree(&self, min_prr: f64) -> f64 {
-        let total: usize = (0..self.len())
-            .map(|i| self.neighbors(i, min_prr).len())
-            .sum();
-        total as f64 / self.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -365,11 +357,5 @@ mod tests {
     fn rejects_single_node() {
         let model = PathLossModel::indoor_office();
         let _ = Topology::from_positions("bad", vec![(0.0, 0.0)], &model, 1);
-    }
-
-    #[test]
-    fn mean_degree_monotone_in_threshold() {
-        let t = Topology::dcube();
-        assert!(t.mean_degree(0.2) >= t.mean_degree(0.8));
     }
 }

@@ -1,7 +1,7 @@
-//! Integration tests of the CT transport on the testbed models: Glossy
-//! coverage, MiniCast's coverage-vs-NTX behaviour, schedule arithmetic.
+//! Integration tests of the CT transport on the testbed models:
+//! MiniCast's coverage-vs-NTX behaviour and schedule arithmetic.
 
-use ppda::ct::{ChainSpec, Glossy, GlossyConfig, LinkConditions, MiniCastConfig, MiniCastSchedule};
+use ppda::ct::{ChainSpec, LinkConditions, MiniCastConfig, MiniCastSchedule};
 use ppda::radio::FrameSpec;
 use ppda::sim::Xoshiro256;
 use ppda::topology::Topology;
@@ -13,37 +13,6 @@ fn frame() -> FrameSpec {
 /// Calm, loss-free link conditions.
 fn calm(topology: &Topology) -> LinkConditions {
     LinkConditions::new(topology, 0.0, 0.0)
-}
-
-#[test]
-fn glossy_covers_both_testbeds() {
-    for topology in [Topology::flocklab(), Topology::dcube()] {
-        let glossy = Glossy::new(&topology, frame(), GlossyConfig::default());
-        let mut covered = 0;
-        let runs = 20;
-        for seed in 0..runs {
-            let r = glossy.run(&mut Xoshiro256::seed_from(seed));
-            if r.reliability() == 1.0 {
-                covered += 1;
-            }
-        }
-        assert!(
-            covered >= runs - 1,
-            "{}: only {covered}/{runs} floods covered everyone",
-            topology.name()
-        );
-    }
-}
-
-#[test]
-fn glossy_latency_in_milliseconds_range() {
-    // A flood over a 4-hop network of ~1.3 ms slots completes within tens
-    // of milliseconds — the property that makes CT attractive at all.
-    let topology = Topology::flocklab();
-    let glossy = Glossy::new(&topology, frame(), GlossyConfig::default());
-    let r = glossy.run(&mut Xoshiro256::seed_from(1));
-    let latency = r.flood_latency().expect("flood covers");
-    assert!(latency.as_millis() < 50, "flood took {latency}");
 }
 
 #[test]
