@@ -6,8 +6,9 @@
 //!    recorded while the legacy single-shot paths still matched the
 //!    driver, holds a digest of every `RoundReport` field at the legacy
 //!    differentials' coordinates; each differential checks its own lines
-//!    and one test checks and regenerates the whole file. A second
-//!    fixture freezes fragmented rounds (B = 64 and 256) the same way.
+//!    and one test checks and regenerates the whole file. Two more
+//!    fixtures freeze fragmented rounds (B = 64 and 256) and rounds on
+//!    81- and 128-node grids the same way.
 //! 2. **One pipeline, every scenario** — batching, fault plans and churn
 //!    all flow through the same `step()`; observers see every round.
 //! 3. **The report format is frozen** — a golden fixture pins
@@ -236,6 +237,45 @@ fn fragmented_rounds_match_golden_digests() {
         .iter()
         .any(|r| r.degraded.faults.duplicates > 0));
     assert_golden("fragmented_rounds.txt", &lines);
+}
+
+/// Driver rounds on grids of 81 and 128 nodes (the protocol maximum), so
+/// node sets span more than one 64-bit word: three stepped rounds each of
+/// S3 and S4 with 24 sources under 10% link loss and 5% dropout at base
+/// seed 11 — 12 lines.
+#[test]
+fn large_topology_rounds_match_golden_digests() {
+    let faults = FaultPlan::lossy(9, 0.1).with_dropout(0.05);
+    let mut lines = String::new();
+    for (name, topology) in [
+        ("grid9x9", Topology::grid(9, 9, 16.0, 5)),
+        ("grid16x8", Topology::grid(16, 8, 15.0, 7)),
+    ] {
+        let config = ProtocolConfig::builder(topology.len())
+            .sources(24)
+            .build()
+            .unwrap();
+        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
+            let deployment = Deployment::builder()
+                .topology_ref(&topology)
+                .config(config.clone())
+                .protocol(kind)
+                .faults(faults.clone())
+                .seed(11)
+                .build()
+                .unwrap();
+            let mut driver = deployment.driver();
+            for round in 0..3 {
+                let key = format!(
+                    "{name} {} sources=24 faults=lossy+dropout seed=11 round={round}",
+                    kind.name()
+                );
+                lines.push_str(&golden_line(&key, &driver.step().unwrap()));
+            }
+        }
+    }
+    assert_eq!(lines.lines().count(), 12);
+    assert_golden("large_topology_rounds.txt", &lines);
 }
 
 /// Zero-fault B = 1 rounds with generated readings, S3 and S4 on both

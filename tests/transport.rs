@@ -1,10 +1,12 @@
 //! Integration tests of the CT transport on the testbed models:
-//! MiniCast's coverage-vs-NTX behaviour and schedule arithmetic.
+//! MiniCast's coverage-vs-NTX behaviour and schedule arithmetic, and a
+//! golden fixture freezing MiniCast rounds on topologies over 64 nodes.
 
-use ppda::ct::{ChainSpec, LinkConditions, MiniCastConfig, MiniCastSchedule};
+use ppda::ct::{ChainSpec, LinkConditions, MiniCastConfig, MiniCastResult, MiniCastSchedule};
 use ppda::radio::FrameSpec;
 use ppda::sim::Xoshiro256;
 use ppda::topology::Topology;
+use ppda_testkit::assert_golden;
 
 fn frame() -> FrameSpec {
     FrameSpec::new(8, 4).unwrap()
@@ -140,4 +142,74 @@ fn early_off_saves_radio_time() {
         r.mean_radio_on_ms()
     };
     assert!(run(true) < run(false));
+}
+
+/// One golden line: the case key and a transcript digest of the round's
+/// `cycles_run` and the `Debug` text of its per-node outcomes, which
+/// covers every field of every `NodeOutcome`.
+fn golden_line(key: &str, result: &MiniCastResult) -> String {
+    let text = format!("{} {:?}", result.cycles_run, result.nodes);
+    let mut transcript = ppda::integrity::Transcript::new(b"ppda/golden/minicast_rounds");
+    transcript.absorb(b"result", text.as_bytes());
+    let digest: String = transcript
+        .challenge_block(b"digest")
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    format!("{key} {digest}\n")
+}
+
+/// MiniCast rounds on four topologies of 65 to 128 nodes, so node sets
+/// span more than one 64-bit word: all-to-all chains of 1 or 3
+/// fragments, at (NTX 3, early radio-off) or (NTX 6, always on), under
+/// 2 dB of attenuation at seed 1 or with 30% link loss at seed 2 and the
+/// initiator failed. The last node and node 63 are failed in every case,
+/// and nodes complete on every third packet (or at once, for multiples
+/// of 7) — 32 lines.
+#[test]
+fn minicast_rounds_over_64_nodes_match_golden_digests() {
+    let topologies = [
+        ("line65", Topology::line(65, 12.0, 2)),
+        ("grid9x9", Topology::grid(9, 9, 16.0, 5)),
+        ("grid16x8", Topology::grid(16, 8, 15.0, 7)),
+        ("rgg100", Topology::random_geometric(100, 120.0, 90.0, 3)),
+    ];
+    let mut lines = String::new();
+    for (name, topology) in &topologies {
+        let n = topology.len();
+        let owners: Vec<u16> = (0..n as u16).collect();
+        for fragments in [1, 3] {
+            let chain = ChainSpec::with_fragments(frame(), owners.clone(), fragments).unwrap();
+            for (ntx, early_radio_off) in [(3, true), (6, false)] {
+                let config = MiniCastConfig {
+                    ntx,
+                    early_radio_off,
+                    ..MiniCastConfig::default()
+                };
+                let mc = MiniCastSchedule::new(topology, chain.clone(), config);
+                for (loss, seed) in [(0.0, 1), (0.3, 2)] {
+                    let mut failed = vec![false; n];
+                    failed[n - 1] = true;
+                    failed[63] = true;
+                    if seed == 2 {
+                        failed[mc.initiator()] = true;
+                    }
+                    let conditions = LinkConditions::new(topology, 2.0, loss);
+                    let result = mc.run_with(
+                        &conditions,
+                        &mut Xoshiro256::seed_from(seed),
+                        &failed,
+                        |v, have| have.iter().step_by(3).all(|&x| x) || v % 7 == 0,
+                    );
+                    let key = format!(
+                        "{name} fragments={fragments} ntx={ntx} early_off={early_radio_off} \
+                         loss={loss} seed={seed}"
+                    );
+                    lines.push_str(&golden_line(&key, &result));
+                }
+            }
+        }
+    }
+    assert_eq!(lines.lines().count(), 32);
+    assert_golden("minicast_rounds.txt", &lines);
 }
