@@ -1,21 +1,37 @@
-//! Shared slot-reception machinery for the CT protocols.
+//! Shared slot-reception machinery for the CT protocols: node bitsets and
+//! the per-round link table.
 
 use ppda_radio::channel::CI_RELIABILITY;
 use ppda_topology::Topology;
 
-/// Precomputed per-node neighbor lists (links with non-zero PRR), used to
-/// resolve one TDMA sub-slot in O(degree) instead of O(n).
-///
-/// Two views of the same links are kept: receiver-major (`neighbors[v]` =
-/// who `v` can hear) for the one-receiver [`LinkTable::reception_prob`]
-/// query, and transmitter-major (`in_neighbors[u]` = who hears `u`) for
-/// the slot loop, which accumulates all receivers' miss products in one
-/// pass over the *transmitter* set — usually far smaller than the
-/// receiver set early in a flood.
+/// Words of a bitset over `n` nodes: bit `v % 64` of word `v / 64` is
+/// node `v`.
+pub(crate) fn words(n: usize) -> usize {
+    n.div_ceil(64)
+}
+
+/// Whether node `v` is in the set.
+pub(crate) fn contains(set: &[u64], v: usize) -> bool {
+    set[v / 64] >> (v % 64) & 1 != 0
+}
+
+/// Add node `v` to the set.
+pub(crate) fn insert(set: &mut [u64], v: usize) {
+    set[v / 64] |= 1 << (v % 64);
+}
+
+/// One round's links, receiver-major: for each receiver `v`, the bitset
+/// of nodes it can hear (links with non-zero PRR) and the dense row of
+/// link miss probabilities `1 − prr(v ← u)`. A sub-slot is resolved per
+/// listener in O(⌈n/64⌉ + in-range transmitters).
 #[derive(Debug, Clone)]
 pub(crate) struct LinkTable {
-    neighbors: Vec<Vec<(u16, f64)>>,
-    in_neighbors: Vec<Vec<(u16, f64)>>,
+    n: usize,
+    words: usize,
+    /// `hears[v * words..][..words]`: the nodes `v` can hear.
+    hears: Vec<u64>,
+    /// `miss[v * n + u]`: `1 − prr(v ← u)` (1 where there is no link).
+    miss: Vec<f64>,
 }
 
 impl LinkTable {
@@ -26,77 +42,63 @@ impl LinkTable {
     pub(crate) fn new(topology: &Topology, attenuation_db: f64, loss: f64) -> Self {
         let keep = 1.0 - loss.clamp(0.0, 1.0);
         let n = topology.len();
-        let neighbors: Vec<Vec<(u16, f64)>> = (0..n)
-            .map(|i| {
-                (0..n)
-                    .filter(|&j| j != i)
-                    .filter_map(|j| {
-                        let p = topology.prr_at(i, j, attenuation_db) * keep;
-                        (p > 0.0).then_some((j as u16, p))
-                    })
-                    .collect()
-            })
-            .collect();
-        // Transpose, preserving ascending order on the inner index so the
-        // transmitter-major accumulation multiplies link misses in exactly
-        // the order `reception_prob` does (bit-identical f64 products).
-        let mut in_neighbors: Vec<Vec<(u16, f64)>> = vec![Vec::new(); n];
-        for (v, nbs) in neighbors.iter().enumerate() {
-            for &(u, prr) in nbs {
-                in_neighbors[u as usize].push((v as u16, prr));
+        let words = words(n);
+        let mut hears = vec![0u64; n * words];
+        let mut miss = vec![1.0f64; n * n];
+        for v in 0..n {
+            for u in 0..n {
+                // `prr_at` is 0 on the diagonal: nobody hears itself.
+                let prr = topology.prr_at(v, u, attenuation_db) * keep;
+                if prr > 0.0 {
+                    insert(&mut hears[v * words..], u);
+                    miss[v * n + u] = 1.0 - prr;
+                }
             }
         }
         LinkTable {
-            neighbors,
-            in_neighbors,
+            n,
+            words,
+            hears,
+            miss,
         }
     }
 
-    /// Receivers in range of transmitter `u`, with the PRR of the link
-    /// *towards* each receiver (i.e. `prr(receiver ← u)`).
-    pub(crate) fn in_neighbors(&self, u: usize) -> &[(u16, f64)] {
-        &self.in_neighbors[u]
-    }
-
-    /// Fold an accumulated miss product and in-range count into the final
-    /// reception probability (the tail of [`LinkTable::reception_prob`]).
-    #[inline]
-    pub(crate) fn combine(miss: f64, in_range: u32) -> f64 {
-        if in_range == 0 {
-            0.0
-        } else {
-            let combined = 1.0 - miss;
-            if in_range >= 2 {
-                combined * CI_RELIABILITY
-            } else {
-                combined
-            }
-        }
-    }
-
-    /// Probability that `receiver` decodes the packet of the current
-    /// sub-slot, given `is_tx[v]` flags for all transmitters (which all
-    /// carry the *same* packet — the MiniCast/Glossy case).
+    /// Probability that `receiver` decodes the packet of a sub-slot whose
+    /// transmitters, all carrying the *same* packet (the MiniCast case),
+    /// are the set `tx`.
     ///
-    /// Sender diversity: `1 − Π(1 − PRRᵢ)` over in-range transmitters, with
-    /// the constructive-interference reliability factor applied when more
+    /// Sender diversity: `1 − Π(1 − PRRᵤ)` over the in-range
+    /// transmitters `u`, multiplied in ascending order, with the
+    /// constructive-interference reliability factor applied when more
     /// than one copy arrives.
-    pub(crate) fn reception_prob(&self, receiver: usize, is_tx: &[bool]) -> f64 {
+    pub(crate) fn reception_prob(&self, receiver: usize, tx: &[u64]) -> f64 {
+        let hears = &self.hears[receiver * self.words..][..self.words];
+        let row = &self.miss[receiver * self.n..][..self.n];
         let mut miss = 1.0;
-        let mut in_range = 0u32;
-        for &(nb, prr) in &self.neighbors[receiver] {
-            if is_tx[nb as usize] {
-                miss *= 1.0 - prr;
-                in_range += 1;
+        let mut in_range = 0;
+        for (w, (&h, &t)) in hears.iter().zip(tx).enumerate() {
+            let mut bits = h & t;
+            in_range += bits.count_ones();
+            while bits != 0 {
+                miss *= row[w * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
             }
         }
-        Self::combine(miss, in_range)
+        match in_range {
+            0 => 0.0,
+            1 => 1.0 - miss,
+            _ => (1.0 - miss) * CI_RELIABILITY,
+        }
     }
 
-    /// Neighbor count of a node (non-zero-PRR links).
+    /// Receiver `v`'s row: the bitset of nodes it hears and its miss
+    /// probabilities.
     #[cfg(test)]
-    pub(crate) fn degree(&self, node: usize) -> usize {
-        self.neighbors[node].len()
+    pub(crate) fn row(&self, v: usize) -> (&[u64], &[f64]) {
+        (
+            &self.hears[v * self.words..][..self.words],
+            &self.miss[v * self.n..][..self.n],
+        )
     }
 }
 
@@ -104,29 +106,35 @@ impl LinkTable {
 mod tests {
     use super::*;
 
+    /// The set of the given nodes over `n`.
+    fn set(n: usize, nodes: &[usize]) -> Vec<u64> {
+        let mut s = vec![0u64; words(n)];
+        for &v in nodes {
+            insert(&mut s, v);
+        }
+        s
+    }
+
     #[test]
     fn no_transmitters_no_reception() {
         let t = Topology::line(4, 30.0, 1);
         let links = LinkTable::new(&t, 0.0, 0.0);
-        assert_eq!(links.reception_prob(0, &[false; 4]), 0.0);
+        assert_eq!(links.reception_prob(0, &set(4, &[])), 0.0);
     }
 
     #[test]
     fn out_of_range_transmitter_is_silent() {
         let t = Topology::line(4, 30.0, 1);
         let links = LinkTable::new(&t, 0.0, 0.0);
-        let mut is_tx = [false; 4];
-        is_tx[3] = true; // 90 m away from node 0
-        assert_eq!(links.reception_prob(0, &is_tx), 0.0);
+        // Node 3 is 90 m away from node 0.
+        assert_eq!(links.reception_prob(0, &set(4, &[3])), 0.0);
     }
 
     #[test]
     fn single_neighbor_prob_matches_link_prr() {
         let t = Topology::line(4, 30.0, 1);
         let links = LinkTable::new(&t, 0.0, 0.0);
-        let mut is_tx = [false; 4];
-        is_tx[1] = true;
-        let p = links.reception_prob(0, &is_tx);
+        let p = links.reception_prob(0, &set(4, &[1]));
         assert!((p - t.prr(0, 1)).abs() < 1e-12);
     }
 
@@ -134,40 +142,64 @@ mod tests {
     fn diversity_increases_probability() {
         let t = Topology::grid(3, 3, 12.0, 2);
         let links = LinkTable::new(&t, 0.0, 0.0);
-        let mut one = vec![false; 9];
-        one[1] = true;
-        let p1 = links.reception_prob(0, &one);
-        let mut two = one.clone();
-        two[3] = true;
-        let p2 = links.reception_prob(0, &two);
+        let p1 = links.reception_prob(0, &set(9, &[1]));
+        let p2 = links.reception_prob(0, &set(9, &[1, 3]));
         assert!(p2 >= p1 * 0.999, "diversity must not hurt: {p1} vs {p2}");
     }
 
     #[test]
     fn transmitter_major_accumulation_is_bit_identical() {
-        // The slot loop accumulates miss products transmitter-major; the
-        // result must equal reception_prob bit-for-bit (same multiply
-        // order), for every receiver and transmitter set.
-        let t = Topology::grid(4, 4, 14.0, 3);
-        let n = t.len();
-        let links = LinkTable::new(&t, 2.0, 0.0);
-        for pattern in [0b1u32, 0b1010, 0b111100, 0xFFFF] {
-            let is_tx: Vec<bool> = (0..n).map(|v| pattern & (1 << v) != 0).collect();
-            let mut miss = vec![1.0f64; n];
-            let mut in_range = vec![0u32; n];
-            for (u, &tx) in is_tx.iter().enumerate() {
-                if !tx {
-                    continue;
-                }
-                for &(v, prr) in links.in_neighbors(u) {
-                    miss[v as usize] *= 1.0 - prr;
-                    in_range[v as usize] += 1;
+        // An independent oracle straight from the topology: multiply link
+        // misses over the ascending transmitters with a non-zero scaled
+        // PRR, then apply the constructive-interference rule. The bitset
+        // table must match it bit for bit, for every receiver and
+        // transmitter set, on both sides of the bit 63/64 word boundary.
+        fn oracle(t: &Topology, att: f64, keep: f64, v: usize, tx: &[usize]) -> f64 {
+            let mut miss = 1.0;
+            let mut in_range = 0;
+            for &u in tx {
+                let prr = t.prr_at(v, u, att) * keep;
+                if prr > 0.0 {
+                    miss *= 1.0 - prr;
+                    in_range += 1;
                 }
             }
-            for v in 0..n {
-                let direct = links.reception_prob(v, &is_tx);
-                let folded = LinkTable::combine(miss[v], in_range[v]);
-                assert_eq!(direct.to_bits(), folded.to_bits(), "receiver {v}");
+            match in_range {
+                0 => 0.0,
+                1 => 1.0 - miss,
+                _ => (1.0 - miss) * CI_RELIABILITY,
+            }
+        }
+        let small = Topology::grid(4, 4, 14.0, 3);
+        let large = Topology::grid(10, 9, 14.0, 3);
+        let cases: [(&Topology, &[&[usize]]); 2] = [
+            (
+                &small,
+                &[&[0], &[1, 3], &[2, 3, 4, 5], &[0, 5, 6, 9, 15], &[]],
+            ),
+            (
+                &large,
+                &[
+                    &[63],
+                    &[64],
+                    &[62, 63, 64, 65],
+                    &[53, 54, 63, 64, 72, 73],
+                    &[0, 9, 44, 63, 64, 80, 89],
+                ],
+            ),
+        ];
+        for (t, patterns) in cases {
+            let n = t.len();
+            let all: Vec<usize> = (0..n).collect();
+            for (att, loss) in [(2.0, 0.0), (0.0, 0.3)] {
+                let links = LinkTable::new(t, att, loss);
+                for tx in patterns.iter().copied().chain([&all[..]]) {
+                    for v in 0..n {
+                        let table = links.reception_prob(v, &set(n, tx));
+                        let expected = oracle(t, att, 1.0 - loss, v, tx);
+                        assert_eq!(table.to_bits(), expected.to_bits(), "receiver {v}, {tx:?}");
+                    }
+                }
             }
         }
     }
@@ -176,7 +208,8 @@ mod tests {
     fn degree_counts_nonzero_links() {
         let t = Topology::line(4, 30.0, 1);
         let links = LinkTable::new(&t, 0.0, 0.0);
-        // End node has at least its adjacent neighbor.
-        assert!(links.degree(0) >= 1);
+        // End node has at least its adjacent neighbor: with everyone else
+        // transmitting, it hears something.
+        assert!(links.reception_prob(0, &set(4, &[1, 2, 3])) > 0.0);
     }
 }

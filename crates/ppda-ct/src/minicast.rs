@@ -21,7 +21,7 @@ use ppda_sim::{derive_stream, SimDuration, SimTime, Xoshiro256};
 use ppda_topology::Topology;
 
 use crate::chain::ChainSpec;
-use crate::engine::LinkTable;
+use crate::engine::{contains, insert, words, LinkTable};
 
 /// MiniCast round parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -382,7 +382,11 @@ impl MiniCastSchedule {
     /// `failed[v]` nodes never power their radio. The predicate receives
     /// `(node, received)` and decides when the node has all it needs; a
     /// node switches off once its predicate holds *and* it has transmitted
-    /// the chain NTX times (its relay duty).
+    /// the chain NTX times (its relay duty). The predicate must be
+    /// monotone — once it holds for a node it holds for every superset of
+    /// that node's packets — because it is called only until it first
+    /// holds. It may keep state (`FnMut`), for instance a per-node cursor
+    /// over the packets it still waits for.
     ///
     /// # Panics
     ///
@@ -393,11 +397,12 @@ impl MiniCastSchedule {
         conditions: &LinkConditions,
         rng: &mut Xoshiro256,
         failed: &[bool],
-        predicate: impl Fn(usize, &[bool]) -> bool,
+        mut predicate: impl FnMut(usize, &[bool]) -> bool,
     ) -> MiniCastResult {
         let n = self.n;
         assert_eq!(conditions.len(), n, "link conditions size mismatch");
         assert_eq!(failed.len(), n, "failure mask size mismatch");
+        let links = &conditions.links;
         let l = self.chain.len();
         let slot = self.chain.slot_duration();
         let airtime = self.chain.frame().airtime();
@@ -405,36 +410,45 @@ impl MiniCastSchedule {
         // Fragmented packets occupy `frags` frames per sub-slot: a
         // transmitter sends (and a receiver draws reception for) each
         // fragment individually, and a packet counts as received only when
-        // every fragment arrived. `frags == 1` is the classic single-frame
-        // chain and takes the exact code path (and RNG draw sequence)
-        // below.
+        // every fragment arrived.
         let frags = self.chain.fragments();
-        let frag_full: u64 = if frags as usize >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << frags) - 1
-        };
+        let frag_full = u64::MAX >> (64 - frags);
         let tx_air = airtime * u64::from(frags);
 
-        // State.
-        let mut have = vec![vec![false; l]; n];
-        // Per-(node, packet) fragment receipt bitmaps; only allocated and
-        // consulted on fragmented chains.
-        let mut frag_have: Vec<Vec<u64>> = if frags > 1 {
-            vec![vec![0u64; l]; n]
-        } else {
-            Vec::new()
-        };
+        // Node sets are bitsets of `w` words (see `engine`): the holders
+        // of packet `j` at `holders[j * w..][..w]`, the nodes whose radio
+        // is on, the joined ones (the initiator and everyone who has
+        // decoded a frame), a cycle's chain transmitters, and one
+        // sub-slot's transmitters: its packet's holders among the cycle's
+        // active nodes. A silent sub-slot thus costs one AND and draws no
+        // randomness. Each listener multiplies `1 − prr` over its
+        // in-range transmitters in ascending order, and listeners draw in
+        // ascending order, so the probabilities and the RNG draw sequence
+        // depend on the node order alone.
+        let w = words(n);
+        let mut holders = vec![0u64; l * w];
+        let (mut on, mut joined) = (vec![0u64; w], vec![0u64; w]);
+        let (mut active, mut tx) = (vec![0u64; w], vec![0u64; w]);
+        // Per-(node, packet) fragment receipt bitmaps, on fragmented
+        // chains only.
+        let mut frag_have = vec![0u64; if frags > 1 { n * l } else { 0 }];
+        let mut nodes: Vec<NodeOutcome> = (0..n)
+            .map(|v| NodeOutcome {
+                received: vec![false; l],
+                predicate_met_at: None,
+                radio_off_at: None,
+                ledger: EnergyLedger::new(),
+                chain_tx: 0,
+                failed: failed[v],
+            })
+            .collect();
         for (j, &owner) in self.chain.owners().iter().enumerate() {
-            if !failed[owner as usize] {
-                have[owner as usize][j] = true;
-                if frags > 1 {
-                    frag_have[owner as usize][j] = frag_full;
-                }
+            let owner = owner as usize;
+            if !failed[owner] {
+                nodes[owner].received[j] = true;
+                insert(&mut holders[j * w..], owner);
             }
         }
-        let mut joined = vec![false; n];
-        let mut heard = vec![false; n];
         // If the designated initiator is dead, the deployment's failover
         // kicks in: the next most central live chain owner starts the
         // round (real CT stacks rotate initiators on sync silence).
@@ -444,181 +458,130 @@ impl MiniCastSchedule {
             Some(self.initiator)
         };
         if let Some(init) = initiator {
-            joined[init] = true;
+            insert(&mut joined, init);
         }
-        let mut tx_count = vec![0u32; n];
-        let mut off: Vec<bool> = failed.to_vec();
-        let mut predicate_met_at: Vec<Option<SimTime>> = vec![None; n];
-        let mut radio_off_at: Vec<Option<SimTime>> = vec![None; n];
-        let mut ledgers = vec![EnergyLedger::new(); n];
-
         // Initial predicate check (e.g. a node that owns everything it needs).
-        for v in 0..n {
-            if !failed[v] && predicate(v, &have[v]) {
-                predicate_met_at[v] = Some(SimTime::ZERO);
+        for (v, node) in nodes.iter_mut().enumerate() {
+            if !node.failed {
+                insert(&mut on, v);
+                if predicate(v, &node.received) {
+                    node.predicate_met_at = Some(SimTime::ZERO);
+                }
             }
         }
 
-        let mut is_tx_scratch = vec![false; n];
-        // Slot resolution runs in whichever direction touches fewer links:
-        // transmitter-major (one pass over the transmitter set accumulates
-        // every receiver's miss product; stamps make resets O(touched))
-        // when few nodes transmit — the join wave and the tail of a round —
-        // or receiver-major (`reception_prob` per listener) when the flood
-        // is dense and listeners are the minority. Both directions multiply
-        // link misses in ascending transmitter order, so the probabilities,
-        // the RNG draw sequence and the round outcomes are bit-identical
-        // (see `engine::tests::transmitter_major_accumulation_is_bit_identical`).
-        let mut tx_list: Vec<usize> = Vec::with_capacity(n);
-        let mut miss = vec![1.0f64; n];
-        let mut in_range = vec![0u32; n];
-        let mut slot_stamp = vec![u64::MAX; n];
-        let mut stamp = 0u64;
-        let mut active = vec![false; n];
-        let mut off_count = off.iter().filter(|&&o| o).count();
+        let ntx = self.config.ntx;
         let mut cycles_run = 0u32;
-
-        'round: for cycle in 0..self.round_cycles {
+        for cycle in 0..self.round_cycles {
             cycles_run = cycle + 1;
-            let cycle_start = SimTime::ZERO + cycle_dur * cycle as u64;
-
-            // Who transmits the chain during this cycle.
-            for v in 0..n {
-                active[v] = joined[v] && !off[v] && tx_count[v] < self.config.ntx;
+            let cycle_start = SimTime::ZERO + cycle_dur * u64::from(cycle);
+            // Who transmits the chain during this cycle. A transmitter
+            // sends every packet it holds now: a packet's holders change
+            // only in its own sub-slot, where its transmitters don't
+            // listen.
+            active.fill(0);
+            for (v, node) in nodes.iter_mut().enumerate() {
+                if contains(&on, v) && contains(&joined, v) && node.chain_tx < ntx {
+                    insert(&mut active, v);
+                    node.chain_tx += 1;
+                    let held = node.received.iter().filter(|&&h| h).count();
+                    node.ledger.add_tx(tx_air * held as u64);
+                }
             }
 
             for j in 0..l {
-                let slot_start = cycle_start + slot * j as u64;
-                // Transmitter set: active nodes holding packet j.
-                tx_list.clear();
-                for v in 0..n {
-                    let tx = active[v] && have[v][j];
-                    is_tx_scratch[v] = tx;
-                    if tx {
-                        tx_list.push(v);
-                        ledgers[v].add_tx(tx_air);
-                        ledgers[v].add_listen(slot.saturating_sub(tx_air));
-                    }
+                let mut any_tx = 0;
+                for ((t, &held), &a) in tx.iter_mut().zip(&holders[j * w..][..w]).zip(&active) {
+                    *t = held & a;
+                    any_tx |= *t;
                 }
-                let any_tx = !tx_list.is_empty();
-                let listeners = n - off_count - tx_list.len();
-                let tx_major = any_tx && tx_list.len() < listeners;
-                if tx_major {
-                    stamp = stamp.wrapping_add(1);
-                    for &u in &tx_list {
-                        for &(v, prr) in conditions.links.in_neighbors(u) {
-                            let v = v as usize;
-                            if slot_stamp[v] != stamp {
-                                slot_stamp[v] = stamp;
-                                miss[v] = 1.0;
-                                in_range[v] = 0;
-                            }
-                            miss[v] *= 1.0 - prr;
-                            in_range[v] += 1;
+                if any_tx == 0 {
+                    continue;
+                }
+                let slot_end = cycle_start + slot * (j as u64 + 1);
+                for (k, (&on_k, &tx_k)) in on.iter().zip(&tx).enumerate() {
+                    // The listeners: radio on and not transmitting.
+                    let mut rest = on_k & !tx_k;
+                    while rest != 0 {
+                        let v = k * 64 + rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        let p = links.reception_prob(v, &tx);
+                        if p <= 0.0 {
+                            continue;
                         }
-                    }
-                }
-                // Receivers.
-                for v in 0..n {
-                    if off[v] || is_tx_scratch[v] {
-                        continue;
-                    }
-                    if any_tx {
-                        let p = if !tx_major {
-                            conditions.links.reception_prob(v, &is_tx_scratch)
-                        } else if slot_stamp[v] == stamp {
-                            LinkTable::combine(miss[v], in_range[v])
-                        } else {
-                            0.0
-                        };
-                        if !have[v][j] {
-                            if frags == 1 {
-                                if p > 0.0 && rng.chance(p) {
-                                    have[v][j] = true;
-                                    heard[v] = true;
-                                    ledgers[v].add_rx(airtime);
-                                    ledgers[v].add_listen(slot.saturating_sub(airtime));
-                                    if predicate_met_at[v].is_none() && predicate(v, &have[v]) {
-                                        predicate_met_at[v] = Some(slot_start + slot);
-                                    }
-                                    continue;
-                                }
-                            } else if p > 0.0 {
-                                // Fragmented packet: each still-missing
-                                // fragment is an independent reception
-                                // opportunity this sub-slot (transmitters
-                                // hold complete packets, so every fragment
-                                // is on the air). The packet completes only
-                                // once the receipt bitmap fills — losing
-                                // one fragment forfeits the whole packet
-                                // for this sub-slot, never splices.
-                                let mut new_rx = 0u64;
-                                for f in 0..frags {
-                                    let bit = 1u64 << f;
-                                    if frag_have[v][j] & bit == 0 && rng.chance(p) {
-                                        frag_have[v][j] |= bit;
-                                        new_rx += 1;
-                                    }
-                                }
-                                if new_rx > 0 {
-                                    heard[v] = true;
-                                    ledgers[v].add_rx(airtime * new_rx);
-                                    ledgers[v].add_listen(slot.saturating_sub(airtime * new_rx));
-                                    if frag_have[v][j] == frag_full {
-                                        have[v][j] = true;
-                                        if predicate_met_at[v].is_none() && predicate(v, &have[v]) {
-                                            predicate_met_at[v] = Some(slot_start + slot);
-                                        }
-                                    }
-                                    continue;
-                                }
-                            }
-                        } else {
+                        if contains(&holders[j * w..], v) {
                             // Overhearing a known packet still synchronizes.
-                            if p > 0.0 && rng.chance(p) {
-                                heard[v] = true;
+                            if rng.chance(p) {
+                                insert(&mut joined, v);
+                            }
+                            continue;
+                        }
+                        // Each still-missing fragment is an independent
+                        // reception opportunity this sub-slot (transmitters
+                        // hold complete packets, so every fragment is on
+                        // the air). The packet completes only once the
+                        // receipt bitmap fills — losing one fragment
+                        // forfeits the whole packet for this sub-slot,
+                        // never splices.
+                        let mut got = if frags > 1 { frag_have[v * l + j] } else { 0 };
+                        let mut new_rx = 0u64;
+                        for f in 0..frags {
+                            if got >> f & 1 == 0 && rng.chance(p) {
+                                got |= 1 << f;
+                                new_rx += 1;
+                            }
+                        }
+                        if new_rx == 0 {
+                            continue;
+                        }
+                        insert(&mut joined, v);
+                        let node = &mut nodes[v];
+                        node.ledger.add_rx(airtime * new_rx);
+                        if frags > 1 {
+                            frag_have[v * l + j] = got;
+                        }
+                        if got == frag_full {
+                            node.received[j] = true;
+                            insert(&mut holders[j * w..], v);
+                            if node.predicate_met_at.is_none() && predicate(v, &node.received) {
+                                node.predicate_met_at = Some(slot_end);
                             }
                         }
                     }
-                    ledgers[v].add_listen(slot);
                 }
             }
 
-            // Cycle boundary: count chain transmissions, admit new joiners,
-            // switch off finished nodes.
+            // Cycle boundary: switch off finished nodes. Nodes that
+            // decoded a frame this cycle joined already; they transmit
+            // from the next cycle on.
             let cycle_end = cycle_start + cycle_dur;
-            for v in 0..n {
-                if active[v] {
-                    tx_count[v] += 1;
-                }
-                if !joined[v] && heard[v] && !off[v] {
-                    joined[v] = true;
-                }
+            for (v, node) in nodes.iter_mut().enumerate() {
                 if self.config.early_radio_off
-                    && !off[v]
-                    && tx_count[v] >= self.config.ntx
-                    && predicate_met_at[v].is_some()
+                    && contains(&on, v)
+                    && node.chain_tx >= ntx
+                    && node.predicate_met_at.is_some()
                 {
-                    off[v] = true;
-                    off_count += 1;
-                    radio_off_at[v] = Some(cycle_end);
+                    on[v / 64] &= !(1 << (v % 64));
+                    node.radio_off_at = Some(cycle_end);
                 }
             }
-            if off_count == n {
-                break 'round;
+            if on.iter().all(|&word| word == 0) {
+                break;
             }
         }
 
-        let nodes = (0..n)
-            .map(|v| NodeOutcome {
-                received: std::mem::take(&mut have[v]),
-                predicate_met_at: predicate_met_at[v],
-                radio_off_at: radio_off_at[v],
-                ledger: ledgers[v],
-                chain_tx: tx_count[v],
-                failed: failed[v],
-            })
-            .collect();
+        // Every sub-slot a node's radio is on lasts one `slot`: airtime
+        // plus turnaround and processing per frame, so never less than
+        // what the node sent or received in it. The radio switches only
+        // at cycle boundaries, so a node's on-time is whole cycles, and
+        // its listen time is the exact remainder after its tx and rx
+        // time — the ledger needs no per-sub-slot writes.
+        let round_end = SimTime::ZERO + cycle_dur * u64::from(cycles_run);
+        for node in nodes.iter_mut().filter(|node| !node.failed) {
+            let on_time = node.radio_off_at.unwrap_or(round_end) - SimTime::ZERO;
+            let busy = node.ledger.tx_time() + node.ledger.rx_time();
+            node.ledger.add_listen(on_time.saturating_sub(busy));
+        }
 
         MiniCastResult {
             cycles_run,
@@ -947,10 +910,18 @@ mod tests {
         for &(db, loss) in &[(0.0, 0.0), (3.5, 0.0), (0.0, 0.0), (0.0, 0.2), (0.0, 0.0)] {
             let fresh = LinkConditions::new(&t, db, loss);
             let cached = cache.get(&t, db, loss);
-            for u in 0..t.len() {
+            for v in 0..t.len() {
+                let ((cached_hears, cached_miss), (fresh_hears, fresh_miss)) =
+                    (cached.links.row(v), fresh.links.row(v));
                 assert_eq!(
-                    cached.links.in_neighbors(u),
-                    fresh.links.in_neighbors(u),
+                    cached_hears, fresh_hears,
+                    "bitsets differ at ({db}, {loss})"
+                );
+                assert!(
+                    cached_miss
+                        .iter()
+                        .zip(fresh_miss)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "cached table must be bit-identical at ({db}, {loss})"
                 );
             }

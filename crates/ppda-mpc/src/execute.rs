@@ -166,6 +166,10 @@ struct RoundScratch {
     recon_out: Vec<Elem>,
     /// Destination indices a node holds, grouped during aggregation.
     held: Vec<usize>,
+    /// Per node: how far a monotone completion predicate has scanned the
+    /// packets it waits for (they never un-arrive), so a flood checks each
+    /// node's list once in total instead of once per reception.
+    cursor: Vec<usize>,
 }
 
 /// A driver's execution state: scratch buffers plus the per-driver
@@ -224,6 +228,7 @@ impl ExecState {
                 recon_slab: Vec::with_capacity(plan.threshold * lanes),
                 recon_out: Vec::with_capacity(lanes),
                 held: Vec::with_capacity(n_dests),
+                cursor: vec![0; config.n_nodes],
             },
         }
     }
@@ -416,22 +421,29 @@ impl ExecState {
             let slots_by_dest = &plan.slots_by_dest;
             let offsets = &plan.dest_slot_offsets;
             let strict = plan.variant.strict_completion;
+            let cursor = &mut scratch.cursor;
+            cursor.fill(0);
             let mut rng = Xoshiro256::seed_from(derive_stream(seed, 0x5A1));
             plan.sharing_schedule
                 .run_with(conditions, &mut rng, failed, |v, have| {
+                    let at = &mut cursor[v];
                     if strict {
                         // Naive: wait for the complete chain. The static
                         // schedule has no notion of node liveness, so a
                         // dead source's sub-slots stall the predicate —
                         // exactly the rigidity the paper's S4 removes.
-                        have.iter().all(|&h| h)
+                        *at += have[*at..].iter().take_while(|&&h| h).count();
+                        *at == have.len()
                     } else if is_destination[v] {
                         // Aggregator: needs exactly the packets addressed
                         // to it (the plan's per-destination slot index).
                         let di = dest_index[v];
-                        slots_by_dest[offsets[di]..offsets[di + 1]]
+                        let mine = &slots_by_dest[offsets[di]..offsets[di + 1]];
+                        *at += mine[*at..]
                             .iter()
-                            .all(|&j| !slot_live[j] || have[j])
+                            .take_while(|&&j| !slot_live[j] || have[j])
+                            .count();
+                        *at == mine.len()
                     } else {
                         // Pure relay: no data needs of its own.
                         true
@@ -621,11 +633,15 @@ impl ExecState {
         let recon_result = {
             let strict = plan.variant.strict_completion;
             let usable = &scratch.usable;
+            let cursor = &mut scratch.cursor;
+            cursor.fill(0);
             let mut rng = Xoshiro256::seed_from(derive_stream(seed, 0x5A2));
             plan.recon_schedule
-                .run_with(conditions, &mut rng, failed, move |_, have| {
+                .run_with(conditions, &mut rng, failed, |v, have| {
                     if strict {
-                        have.iter().all(|&h| h)
+                        let at = &mut cursor[v];
+                        *at += have[*at..].iter().take_while(|&&h| h).count();
+                        *at == have.len()
                     } else {
                         have.iter().zip(usable).filter(|&(&h, &u)| h && u).count() >= threshold
                     }

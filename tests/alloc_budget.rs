@@ -112,7 +112,7 @@ fn steady_state_rounds_stay_within_their_allocation_budget() {
             ntx: 7,
             full_coverage_ntx: 20,
             fading: FadingProfile::industrial_interference(),
-            bound: 499,
+            bound: 318,
         },
         // perfbench's `wide_b64_audit`: FlockLab S4, 6 sources, B = 64,
         // fragmented, integrity on.
@@ -126,7 +126,7 @@ fn steady_state_rounds_stay_within_their_allocation_budget() {
             ntx: 6,
             full_coverage_ntx: 15,
             fading: FadingProfile::office(),
-            bound: 386,
+            bound: 244,
         },
         // FlockLab S3, 10 sources, B = 1: the strict all-to-all predicate.
         Point {
@@ -139,7 +139,7 @@ fn steady_state_rounds_stay_within_their_allocation_budget() {
             ntx: 6,
             full_coverage_ntx: 15,
             fading: FadingProfile::office(),
-            bound: 294,
+            bound: 203,
         },
     ];
     let measured: Vec<(&str, u64, u64)> = points
