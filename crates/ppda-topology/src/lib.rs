@@ -254,21 +254,6 @@ impl Topology {
             p
         }
     }
-
-    /// Neighbors of `i` with PRR at least `min_prr`, sorted by descending
-    /// PRR (ties by node id).
-    pub fn neighbors(&self, i: usize, min_prr: f64) -> Vec<usize> {
-        let mut out: Vec<usize> = (0..self.len())
-            .filter(|&j| j != i && self.prr(i, j) >= min_prr)
-            .collect();
-        out.sort_by(|&a, &b| {
-            self.prr(i, b)
-                .partial_cmp(&self.prr(i, a))
-                .expect("PRRs are finite")
-                .then(a.cmp(&b))
-        });
-        out
-    }
 }
 
 #[cfg(test)]
@@ -332,16 +317,6 @@ mod tests {
         // Adjacent grid nodes at ~10 m must be solid links.
         let p = t.prr(0, 1);
         assert!(p > 0.85, "10 m link prr = {p}");
-    }
-
-    #[test]
-    fn neighbors_sorted_by_quality() {
-        let t = Topology::flocklab();
-        let nb = t.neighbors(0, 0.1);
-        for w in nb.windows(2) {
-            assert!(t.prr(0, w[0]) >= t.prr(0, w[1]));
-        }
-        assert!(!nb.contains(&0), "self is not a neighbor");
     }
 
     #[test]
