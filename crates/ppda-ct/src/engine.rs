@@ -72,8 +72,7 @@ impl LinkTable {
     /// constructive-interference reliability factor applied when more
     /// than one copy arrives.
     pub(crate) fn reception_prob(&self, receiver: usize, tx: &[u64]) -> f64 {
-        let hears = &self.hears[receiver * self.words..][..self.words];
-        let row = &self.miss[receiver * self.n..][..self.n];
+        let (hears, row) = self.row(receiver);
         let mut miss = 1.0;
         let mut in_range = 0;
         for (w, (&h, &t)) in hears.iter().zip(tx).enumerate() {
@@ -93,7 +92,6 @@ impl LinkTable {
 
     /// Receiver `v`'s row: the bitset of nodes it hears and its miss
     /// probabilities.
-    #[cfg(test)]
     pub(crate) fn row(&self, v: usize) -> (&[u64], &[f64]) {
         (
             &self.hears[v * self.words..][..self.words],
@@ -172,6 +170,9 @@ mod tests {
         }
         let small = Topology::grid(4, 4, 14.0, 3);
         let large = Topology::grid(10, 9, 14.0, 3);
+        // Some receivers hear transmitters in both words of a set.
+        assert!((0..large.len())
+            .any(|v| large.prr_at(v, 63, 2.0) > 0.0 && large.prr_at(v, 64, 2.0) > 0.0));
         let cases: [(&Topology, &[&[usize]]); 2] = [
             (
                 &small,

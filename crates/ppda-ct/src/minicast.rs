@@ -554,15 +554,13 @@ impl MiniCastSchedule {
             // Cycle boundary: switch off finished nodes. Nodes that
             // decoded a frame this cycle joined already; they transmit
             // from the next cycle on.
-            let cycle_end = cycle_start + cycle_dur;
-            for (v, node) in nodes.iter_mut().enumerate() {
-                if self.config.early_radio_off
-                    && contains(&on, v)
-                    && node.chain_tx >= ntx
-                    && node.predicate_met_at.is_some()
-                {
-                    on[v / 64] &= !(1 << (v % 64));
-                    node.radio_off_at = Some(cycle_end);
+            if self.config.early_radio_off {
+                let cycle_end = cycle_start + cycle_dur;
+                for (v, node) in nodes.iter_mut().enumerate() {
+                    if contains(&on, v) && node.chain_tx >= ntx && node.predicate_met_at.is_some() {
+                        on[v / 64] &= !(1 << (v % 64));
+                        node.radio_off_at = Some(cycle_end);
+                    }
                 }
             }
             if on.iter().all(|&word| word == 0) {
