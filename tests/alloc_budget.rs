@@ -48,8 +48,7 @@ static GLOBAL: Counting = Counting;
 const WARMUP_STEPS: u32 = 20;
 const COUNTED_STEPS: u32 = 50;
 
-/// One operating point: its name, protocol run, the per-step bound, and
-/// how to build its deployment's topology and configuration.
+/// A benchmark operating point and its allocation bound per step.
 struct Point {
     name: &'static str,
     topology: Topology,
