@@ -6,9 +6,10 @@
 //!    recorded while the legacy single-shot paths still matched the
 //!    driver, holds a digest of every `RoundReport` field at the legacy
 //!    differentials' coordinates; each differential checks its own lines
-//!    and one test checks and regenerates the whole file. Two more
-//!    fixtures freeze fragmented rounds (B = 64 and 256) and rounds on
-//!    81- and 128-node grids the same way.
+//!    and one test checks and regenerates the whole file. Three more
+//!    fixtures freeze fragmented rounds (B = 64 and 256), rounds on
+//!    81- and 128-node grids, and integrity-on rounds under every tamper
+//!    kind the same way.
 //! 2. **One pipeline, every scenario** — batching, fault plans and churn
 //!    all flow through the same `step()`; observers see every round.
 //! 3. **The report format is frozen** — a golden fixture pins
@@ -237,6 +238,84 @@ fn fragmented_rounds_match_golden_digests() {
         .iter()
         .any(|r| r.degraded.faults.duplicates > 0));
     assert_golden("fragmented_rounds.txt", &lines);
+}
+
+/// Integrity-on rounds that fit one frame, frozen under every tamper
+/// kind: per testbed, S3 and S4 at B ∈ {1, 8}, each driven at
+/// `round_at(round_id, 1)` honest, under a forging, a lane-swapping and a
+/// bit-flipping aggregator, and under all three at once over a lossy
+/// network with dropout — 40 lines.
+#[test]
+fn integrity_rounds_match_golden_digests() {
+    let lossy = FaultPlan::lossy(0x10, 0.35).with_dropout(0.1);
+    let mixed = TamperPlan::forging(0x7B, 0.3)
+        .with_lane_swap(0.3)
+        .with_bit_flip(0.3);
+    // (key suffix, faults, tampering).
+    let plans = [
+        ("tamper=none", FaultPlan::none(), TamperPlan::none()),
+        (
+            "tamper=forging",
+            FaultPlan::none(),
+            TamperPlan::forging(0x7A, 0.5),
+        ),
+        (
+            "tamper=lane_swap",
+            FaultPlan::none(),
+            TamperPlan::none().with_lane_swap(0.5),
+        ),
+        (
+            "tamper=bit_flip",
+            FaultPlan::none(),
+            TamperPlan::none().with_bit_flip(0.5),
+        ),
+        ("faults=lossy+dropout tamper=mixed", lossy, mixed),
+    ];
+    let mut lines = String::new();
+    let mut verdicts = Vec::new();
+    for (topology, base_config) in testbeds() {
+        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
+            for lanes in [1, 8] {
+                let mut config = base_config.clone();
+                config.batch = lanes;
+                config.integrity = IntegrityMode::On;
+                for (plans_key, faults, tamper) in &plans {
+                    let deployment = Deployment::builder()
+                        .topology_ref(&topology)
+                        .config(config.clone())
+                        .protocol(kind)
+                        .faults(faults.clone())
+                        .tamper(tamper.clone())
+                        .build()
+                        .unwrap();
+                    let report = deployment.driver().round_at(config.round_id, 1).unwrap();
+                    let key = format!(
+                        "{} {} B={lanes} integrity=On {plans_key} seed=1",
+                        topology.name(),
+                        kind.name()
+                    );
+                    lines.push_str(&golden_line(&key, &report));
+                    verdicts.push((key, report.integrity()));
+                }
+            }
+        }
+    }
+    assert_eq!(lines.lines().count(), 40);
+    assert!(verdicts.iter().any(|(_, v)| v.is_verified()));
+    assert!(verdicts.iter().any(|(_, v)| v.is_tampered()));
+    // Too few usable sum shares survive the lossy D-Cube S4 rounds for
+    // the audit to reach its quorum, at both lane widths.
+    let unchecked: Vec<&str> = verdicts
+        .iter()
+        .filter(|(_, v)| *v == IntegrityVerdict::Unchecked)
+        .map(|(key, _)| key.as_str())
+        .collect();
+    for lanes in [1, 8] {
+        let key =
+            format!("dcube S4 B={lanes} integrity=On faults=lossy+dropout tamper=mixed seed=1");
+        assert!(unchecked.contains(&key.as_str()), "{key} must be Unchecked");
+    }
+    assert_golden("integrity_rounds.txt", &lines);
 }
 
 /// Driver rounds on grids of 81 and 128 nodes (the protocol maximum), so
