@@ -329,58 +329,82 @@ fn churn_never_shrinks_the_secrecy_margin() {
 fn tamper_forgeries_are_detected_across_testbeds() {
     // The active-adversary property the integrity subsystem exists for:
     // on both real testbed models and both protocol variants, a seeded
-    // cheating aggregator that forges its reported sums is caught by the
-    // sum audit — while the identical deployment (same seeds, same
-    // coordinates) with the adversary removed renders `Verified`.
+    // cheating aggregator that forges, lane-swaps or bit-flips its
+    // reported sums is caught by the sum audit — while the identical
+    // deployment (same seeds, same coordinates) with the adversary
+    // removed renders `Verified`.
     use ppda::prelude::*;
 
+    // (tamper kind, lane width, plan). A lane swap runs at B = 8: with one
+    // lane a drawn swap degrades to a bit flip.
+    let kinds = [
+        (
+            "forging",
+            1,
+            TamperPlan::forging(0xBAD, 1.0).with_lane_swap(0.0),
+        ),
+        (
+            "lane swap",
+            8,
+            TamperPlan::forging(0xBAD, 0.0).with_lane_swap(1.0),
+        ),
+        (
+            "bit flip",
+            1,
+            TamperPlan::forging(0xBAD, 0.0).with_bit_flip(1.0),
+        ),
+    ];
     for topology in [Topology::flocklab(), Topology::dcube()] {
         for protocol in [ProtocolKind::S3, ProtocolKind::S4] {
-            let config = ppda::mpc::ProtocolConfig::builder(topology.len())
-                .sources(6)
-                .ntx_sharing(7)
-                .ntx_reconstruction(7)
-                .integrity(IntegrityMode::On)
-                .build()
-                .unwrap();
-            let run = |tamper: TamperPlan| {
-                let deployment = Deployment::builder()
-                    .topology(topology.clone())
-                    .config(config.clone())
-                    .protocol(protocol)
-                    .seed(0x7A3)
-                    .tamper(tamper)
+            for (kind, lanes, plan) in &kinds {
+                let config = ppda::mpc::ProtocolConfig::builder(topology.len())
+                    .sources(6)
+                    .ntx_sharing(7)
+                    .ntx_reconstruction(7)
+                    .batch(*lanes)
+                    .integrity(IntegrityMode::On)
                     .build()
                     .unwrap();
-                let mut driver = deployment.driver();
-                let reports: Vec<RoundReport> = (0..4).map(|_| driver.step().unwrap()).collect();
-                (reports, driver.stats())
-            };
+                let run = |tamper: TamperPlan| {
+                    let deployment = Deployment::builder()
+                        .topology(topology.clone())
+                        .config(config.clone())
+                        .protocol(protocol)
+                        .seed(0x7A3)
+                        .tamper(tamper)
+                        .build()
+                        .unwrap();
+                    let mut driver = deployment.driver();
+                    let reports: Vec<RoundReport> =
+                        (0..4).map(|_| driver.step().unwrap()).collect();
+                    (reports, driver.stats())
+                };
 
-            let (tampered, stats) = run(TamperPlan::forging(0xBAD, 1.0).with_lane_swap(0.0));
-            for report in &tampered {
-                assert!(
-                    report.integrity().is_tampered(),
-                    "{protocol:?}: an always-forging aggregator must be caught"
-                );
-                assert!(matches!(
-                    report.require_verified(),
-                    Err(ppda::mpc::MpcError::IntegrityViolation { .. })
-                ));
-            }
-            assert_eq!(stats.audited_rounds, 4);
-            assert_eq!(stats.tampered_rounds, 4);
+                let (tampered, stats) = run(plan.clone());
+                for report in &tampered {
+                    assert!(
+                        report.integrity().is_tampered(),
+                        "{protocol:?}: an always-cheating aggregator ({kind}) must be caught"
+                    );
+                    assert!(matches!(
+                        report.require_verified(),
+                        Err(ppda::mpc::MpcError::IntegrityViolation { .. })
+                    ));
+                }
+                assert_eq!(stats.audited_rounds, 4, "{kind}");
+                assert_eq!(stats.tampered_rounds, 4, "{kind}");
 
-            let (honest, stats) = run(TamperPlan::none());
-            for report in &honest {
-                assert!(
-                    report.integrity().is_verified(),
-                    "{protocol:?}: same seeds without the adversary must verify"
-                );
-                report.require_verified().unwrap();
+                let (honest, stats) = run(TamperPlan::none());
+                for report in &honest {
+                    assert!(
+                        report.integrity().is_verified(),
+                        "{protocol:?}: same seeds without the adversary must verify"
+                    );
+                    report.require_verified().unwrap();
+                }
+                assert_eq!(stats.audited_rounds, 4);
+                assert_eq!(stats.tampered_rounds, 0);
             }
-            assert_eq!(stats.audited_rounds, 4);
-            assert_eq!(stats.tampered_rounds, 0);
         }
     }
 }
