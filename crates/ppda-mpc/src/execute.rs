@@ -20,11 +20,10 @@ use std::io::Write as _;
 
 use ppda_crypto::{Aes128, CtrDrbg};
 use ppda_ct::{Delivery, FaultPlan, LinkConditionsCache, MiniCastResult};
-use ppda_integrity::{IntegrityVerdict, ShareCommitment, SumAudit, TamperAction, TamperPlan};
+use ppda_integrity::{IntegrityVerdict, SumAudit, TamperAction, TamperPlan};
 use ppda_sim::{derive_stream, SimDuration, SimTime, Xoshiro256};
 use ppda_sss::{
-    open_share_lanes, seal_share_lanes, BatchSplitter, CommitPacket, ReconstructionPlan,
-    WeightCache,
+    open_share_lanes, seal_share_lanes, BatchSplitter, ReconstructionPlan, WeightCache,
 };
 use rand::RngCore;
 
@@ -153,13 +152,6 @@ struct RoundScratch {
     sum_mask: Vec<u128>,
     sum_live: Vec<bool>,
     usable: Vec<bool>,
-    /// Integrity workspace: the slab-encoding buffer a source's share
-    /// vector is serialized into before committing, the per-source
-    /// commitments carried through the round (`None` for dead sources or
-    /// integrity-off rounds), and the commitment packet wire buffer.
-    commit_bytes: Vec<u8>,
-    commitments: Vec<Option<ShareCommitment>>,
-    commit_wire: Vec<u8>,
     /// Reconstruction workspace: chosen subset rows and per-lane output.
     recon_xs: Vec<Elem>,
     recon_slab: Vec<Elem>,
@@ -221,9 +213,6 @@ impl ExecState {
                 sum_mask: vec![0; n_dests],
                 sum_live: vec![false; n_dests],
                 usable: vec![false; n_dests],
-                commit_bytes: Vec::new(),
-                commitments: vec![None; n_sources],
-                commit_wire: Vec::new(),
                 recon_xs: Vec::with_capacity(plan.threshold),
                 recon_slab: Vec::with_capacity(plan.threshold * lanes),
                 recon_out: Vec::with_capacity(lanes),
@@ -381,37 +370,6 @@ impl ExecState {
             )?;
         }
 
-        // ---- Share commitments (integrity on) -----------------------------
-        // Each live source binds a transcript digest over its full share
-        // slab into the round, and the commitment crosses the wire format
-        // once so the carried bytes are exactly what a radio would flood.
-        // Off-mode rounds skip this block entirely: no digest, no packet,
-        // no RNG draw — byte-identical to the pre-integrity pipeline.
-        if config.integrity.is_on() {
-            for (si, ctx) in plan.commit_ctx.iter().enumerate() {
-                scratch.commitments[si] = None;
-                if !scratch.share_live[si] {
-                    continue;
-                }
-                scratch.commit_bytes.clear();
-                for y in &scratch.share_slabs[si] {
-                    scratch.commit_bytes.extend_from_slice(&y.to_bytes());
-                }
-                let commitment = ctx.commit(round_id, &scratch.commit_bytes);
-                let pkt = CommitPacket {
-                    src: commitment.src,
-                    round: round_id,
-                    digest: commitment.digest,
-                };
-                pkt.encode_into(&mut scratch.commit_wire);
-                let carried = CommitPacket::decode(&scratch.commit_wire)?;
-                scratch.commitments[si] = Some(ShareCommitment {
-                    src: carried.src,
-                    digest: carried.digest,
-                });
-            }
-        }
-
         let sharing_result = {
             // Predicate: which sub-slots a node must hold before its
             // sharing duty is complete.
@@ -560,55 +518,31 @@ impl ExecState {
         }
 
         // ---- Sum audit (integrity on) -------------------------------------
-        // Any t+1 survivor set re-derives each aggregator's honest sum
-        // share from the committed share slabs and compares it against
+        // Given t+1 usable sum shares, re-derive each aggregator's honest
+        // sum share from the sources' share slabs and compare it against
         // what the aggregator actually reported. A clean round renders
         // `Verified`; the first lane whose reported share disagrees with
-        // the committed recomputation renders `Tampered`.
+        // the recomputation renders `Tampered`. The slabs are executor
+        // memory no real node holds, so this is a simulator oracle.
         let integrity = if config.integrity.is_on() {
             let mut audit = SumAudit::new(config.degree);
             audit.set_survivors(scratch.usable.iter().filter(|&&u| u).count());
             if audit.quorum() {
-                // Spot-check one source's digest per round (rotating with
-                // the round id): recomputing every digest would double
-                // the transcript work for a check that only fails if a
-                // share slab was corrupted after commit time, and the
-                // committed-sum comparison below covers the reported
-                // aggregates themselves every round.
-                let n_sources = config.sources.len();
-                let spot = (0..n_sources)
-                    .map(|k| (round_id as usize + k) % n_sources)
-                    .find_map(|si| scratch.commitments[si].map(|c| (si, c)));
-                if let Some((si, c)) = spot {
-                    scratch.commit_bytes.clear();
-                    for y in &scratch.share_slabs[si] {
-                        scratch.commit_bytes.extend_from_slice(&y.to_bytes());
-                    }
-                    if !c.verify(round_id, &scratch.commit_bytes) {
-                        audit.flag(0, None);
-                    }
-                }
                 for (di, &d) in plan.destinations.iter().enumerate() {
                     if !scratch.sum_live[di] {
                         continue;
                     }
                     let row = di * lanes;
-                    'lane: for lane in 0..lanes {
-                        let mut committed = Elem::ZERO;
+                    for lane in 0..lanes {
+                        let mut honest = Elem::ZERO;
                         for (si, &src) in config.sources.iter().enumerate() {
-                            if scratch.sum_mask[di] & (1u128 << src) == 0 {
-                                continue;
+                            if scratch.sum_mask[di] & (1u128 << src) != 0 {
+                                honest += scratch.share_slabs[si][di * lanes + lane];
                             }
-                            if scratch.commitments[si].is_none() {
-                                // A contribution with no surviving
-                                // commitment cannot be audited.
-                                continue 'lane;
-                            }
-                            committed += scratch.share_slabs[si][di * lanes + lane];
                         }
                         audit.check_lane(
                             lane as u16,
-                            &committed.to_bytes(),
+                            &honest.to_bytes(),
                             &scratch.sum_ys[row + lane].to_bytes(),
                             Some(d),
                         );

@@ -93,7 +93,7 @@ pub use ppda_ct::{Delivery, FaultPlan};
 // The integrity subsystem's surface, re-exported for the same reason:
 // the config switch, the per-round verdict, and the cheating-aggregator
 // model driven rounds (and tests) inject with.
-pub use ppda_integrity::{IntegrityMode, IntegrityVerdict, ShareCommitment, SumAudit, TamperPlan};
+pub use ppda_integrity::{IntegrityMode, IntegrityVerdict, TamperPlan};
 pub use ppda_sim::{ChurnSchedule, MembershipEvent, MembershipEventKind, TrickleConfig};
 
 /// The field all protocol arithmetic runs in (p = 2³¹ − 1): a sensor

@@ -19,7 +19,6 @@ use std::collections::HashMap;
 use ppda_crypto::{Aes128, Ccm};
 use ppda_ct::{ChainSpec, MiniCastConfig, MiniCastSchedule};
 use ppda_field::share_x;
-use ppda_integrity::CommitContext;
 use ppda_sss::ReconstructionPlan;
 use ppda_topology::Topology;
 
@@ -238,12 +237,6 @@ pub struct RoundPlan<'t> {
     /// is deployment-scoped, so the AES key schedule expands once here
     /// instead of once per sealed packet per round.
     pub(crate) slot_ccm: Vec<Ccm>,
-    /// Per-source commitment contexts for the integrity transcript, one
-    /// per sharing-chain slot group (indexed like `config.sources`).
-    /// Empty unless the config enables integrity — the contexts are the
-    /// round-invariant transcript prefixes, compiled once like the CCM
-    /// key schedules above.
-    pub(crate) commit_ctx: Vec<CommitContext>,
     /// The master secret's expanded key schedule, shared by every per-round
     /// DRBG instantiation.
     pub(crate) master_cipher: Aes128,
@@ -358,15 +351,6 @@ impl<'t> RoundPlan<'t> {
             .map(|s| slot_cipher(&bootstrap, &config, s))
             .collect::<Result<_, MpcError>>()?;
         let master_cipher = Aes128::new(&config.master_key);
-        let commit_ctx: Vec<CommitContext> = if config.integrity.is_on() {
-            config
-                .sources
-                .iter()
-                .map(|&s| CommitContext::new(s))
-                .collect()
-        } else {
-            Vec::new()
-        };
 
         let ntx_sharing = if variant.full_coverage {
             config.full_coverage_ntx
@@ -407,7 +391,6 @@ impl<'t> RoundPlan<'t> {
             dest_slot_offsets: layout.dest_slot_offsets,
             slots: layout.slots,
             slot_ccm,
-            commit_ctx,
             master_cipher,
             sharing_schedule,
             recon_schedule,
@@ -556,7 +539,6 @@ impl<'t> RoundPlan<'t> {
             dest_slot_offsets: self.dest_slot_offsets,
             slots: self.slots,
             slot_ccm: self.slot_ccm,
-            commit_ctx: self.commit_ctx,
             master_cipher: self.master_cipher,
             sharing_schedule: self.sharing_schedule,
             recon_schedule: self.recon_schedule,
