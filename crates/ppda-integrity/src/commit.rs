@@ -1,24 +1,27 @@
-//! Share commitments and the sum audit.
+//! The sum audit, and share commitments that no round computes.
 //!
-//! At sharing time every source binds a [`ShareCommitment`] — a 16-byte
-//! transcript digest over its full per-lane share vector — into the round.
-//! After reconstruction, any `t+1` survivor set re-derives the committed
-//! aggregate from those share slabs and a [`SumAudit`] compares it against
-//! what the aggregators actually reported, rendering an
-//! [`IntegrityVerdict`]. An aggregator that forges its reported sums can
-//! no longer do so silently: the commitments pin what the honest sums must
-//! have been.
+//! Once at least `t+1` usable sum shares survive a round, the executor
+//! re-derives every aggregator's honest sum share from the sources' share
+//! slabs and a [`SumAudit`] compares it against what the aggregator
+//! actually reported, rendering an [`IntegrityVerdict`]. An aggregator
+//! that forges its reported sums cannot do so silently. Integrity-on
+//! rounds run this audit only.
+//!
+//! A [`ShareCommitment`] is a 16-byte transcript digest over a source's
+//! full per-lane share vector. No round computes one: the audit reads the
+//! share slabs directly, so a commitment cannot change a verdict. The
+//! commitment types remain only because perfbench's traced replay still
+//! times a commitment pass.
 
 use crate::Transcript;
 
 /// Domain label for share commitments.
 const COMMIT_DOMAIN: &[u8] = b"ppda/share-commitment/v1";
 
-/// Whether rounds carry transcript commitments and run the sum audit.
+/// Whether rounds run the sum audit.
 ///
 /// `Off` (the default) is byte-identical to a build without the integrity
-/// subsystem: no commitment is computed, no packet grows, no RNG draw
-/// shifts.
+/// subsystem: no audit runs, no packet grows, no RNG draw shifts.
 ///
 /// # Example
 ///
@@ -30,15 +33,15 @@ const COMMIT_DOMAIN: &[u8] = b"ppda/share-commitment/v1";
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum IntegrityMode {
-    /// No commitments, no audit — the pre-integrity wire format.
+    /// No audit — the pre-integrity round.
     #[default]
     Off,
-    /// Sources commit to their shares; survivors audit the reported sums.
+    /// Every round audits the aggregators' reported sum shares.
     On,
 }
 
 impl IntegrityMode {
-    /// `true` when commitments are computed and audited.
+    /// `true` when rounds run the sum audit.
     pub fn is_on(self) -> bool {
         matches!(self, IntegrityMode::On)
     }
@@ -57,18 +60,18 @@ impl IntegrityMode {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum IntegrityVerdict {
-    /// Every audited lane matched its committed aggregate.
+    /// Every audited lane matched its recomputed honest sum share.
     Verified,
-    /// At least one reported sum disagrees with the commitments.
+    /// At least one reported sum share disagrees with its recomputation.
     Tampered {
         /// First batch lane whose reported aggregate mismatched.
         lane: u16,
         /// The first aggregator whose reported sum share disagrees with
-        /// the committed recomputation, when one is identifiable.
+        /// the recomputation, when one is identifiable.
         aggregator: Option<u16>,
     },
-    /// No audit ran: integrity is off, or fewer than `t+1` survivors
-    /// held commitments this round.
+    /// No audit ran: integrity is off, or fewer than `t+1` usable sum
+    /// shares survived this round.
     #[default]
     Unchecked,
 }
@@ -90,7 +93,7 @@ impl IntegrityVerdict {
 /// The digest covers the round id, the source id, and the source's entire
 /// encoded share vector (every destination × every batch lane), so a
 /// survivor set that re-derives the shares can detect any later
-/// substitution.
+/// substitution. No round computes one; perfbench's traced replay does.
 ///
 /// # Example
 ///
@@ -125,7 +128,7 @@ impl ShareCommitment {
 
 /// A source's reusable commitment context: the transcript prefix that
 /// never changes across rounds (domain separator + source id), absorbed
-/// once at plan-compile time and cloned per round.
+/// once and cloned per commitment.
 ///
 /// # Example
 ///
@@ -168,11 +171,11 @@ impl CommitContext {
 
 /// Spot-checker comparing reported aggregates against committed ones.
 ///
-/// Feed it the survivor count and, per lane, the committed (recomputed)
-/// aggregate next to the reported one; it renders the round's
+/// Feed it the survivor count and, per lane, the recomputed honest sum
+/// share next to the reported one; it renders the round's
 /// [`IntegrityVerdict`]. The audit only claims a verdict when at least
-/// `threshold + 1` survivors held commitments — below that the committed
-/// aggregate is not reconstructible and the round stays
+/// `threshold + 1` usable sum shares survived — below that the aggregate
+/// is not reconstructible and the round stays
 /// [`IntegrityVerdict::Unchecked`].
 ///
 /// # Example
@@ -207,7 +210,8 @@ impl SumAudit {
         }
     }
 
-    /// Record how many survivors held auditable commitments this round.
+    /// Record how many usable sum shares (ones covering every live
+    /// source) survived this round.
     pub fn set_survivors(&mut self, survivors: usize) {
         self.survivors = survivors;
     }
@@ -218,25 +222,26 @@ impl SumAudit {
         self.survivors > self.threshold
     }
 
-    /// Compare one lane's committed aggregate bytes against the reported
-    /// ones. `aggregator` names the node whose reported sum share first
-    /// disagreed with the committed recomputation, when identifiable.
+    /// Compare one lane's recomputed honest sum-share bytes against the
+    /// reported ones. `aggregator` names the node whose reported sum share
+    /// first disagreed with the recomputation, when identifiable.
     /// The first mismatching lane wins; later checks don't overwrite it.
     pub fn check_lane(
         &mut self,
         lane: u16,
-        committed: &[u8],
+        honest: &[u8],
         reported: &[u8],
         aggregator: Option<u16>,
     ) {
         self.checked = true;
-        if committed != reported && self.mismatch.is_none() {
+        if honest != reported && self.mismatch.is_none() {
             self.mismatch = Some((lane, aggregator));
         }
     }
 
     /// Flag a mismatch found out-of-band (e.g. a share commitment that
-    /// failed [`ShareCommitment::verify`]).
+    /// failed [`ShareCommitment::verify`]). No round calls it; perfbench's
+    /// traced replay does.
     pub fn flag(&mut self, lane: u16, aggregator: Option<u16>) {
         self.checked = true;
         if self.mismatch.is_none() {

@@ -1,16 +1,16 @@
 //! A deterministic byte-oriented transcript over the repo's own AES-128.
 //!
-//! Rounds commit to their share traffic by absorbing labeled byte strings
-//! into a running hash; challenges squeezed from the transcript bind
-//! everything absorbed before them. The compression function is a
-//! single-permutation Davies–Meyer over [`Aes128`] under one fixed,
-//! public key (`x = H_{i-1} ⊕ m_i; H_i = π(x) ⊕ x`, the Even–Mansour
-//! shape), which turns the block cipher we already trust for CCM into a
-//! one-way 128-bit hash without pulling in a dedicated hash dependency.
-//! Keying AES once — instead of re-running the key schedule per message
-//! block as classic Davies–Meyer would — is what keeps per-round
-//! commitments cheap enough for the hot path (perfbench's traced
-//! `wide_b64_audit` run reports the commit and audit spans).
+//! A transcript absorbs labeled byte strings into a running hash;
+//! challenges squeezed from it bind everything absorbed before them. The
+//! compression function is a single-permutation Davies–Meyer over
+//! [`Aes128`] under one fixed, public key
+//! (`x = H_{i-1} ⊕ m_i; H_i = π(x) ⊕ x`, the Even–Mansour shape), which
+//! turns the block cipher we already trust for CCM into a one-way
+//! 128-bit hash without pulling in a dedicated hash dependency. Keying
+//! AES once — instead of re-running the key schedule per message block as
+//! classic Davies–Meyer would — keeps a digest over a whole share slab
+//! cheap (perfbench's traced `wide_b64_audit` replay still times one per
+//! source per round as its commit span, which rounds no longer run).
 //!
 //! Raw Merkle–Damgård over zero-padded input would be ambiguous (the
 //! `CbcMac` tests pin exactly that pitfall), so every absorb is *framed*:
@@ -209,7 +209,7 @@ mod tests {
     }
 
     /// Known-answer tests: these digests are frozen. Any change to the
-    /// framing, compression, or squeeze breaks every stored commitment.
+    /// framing, compression, or squeeze breaks every stored digest.
     #[test]
     fn kat_empty_transcript() {
         let mut t = Transcript::new(b"ppda/kat");
@@ -349,7 +349,7 @@ mod tests {
         }
 
         /// Any single-byte perturbation of the absorbed data changes the
-        /// challenge (collision stability for the commitment use-case).
+        /// challenge (collision stability for the digest use-case).
         #[test]
         fn flipping_a_byte_changes_the_challenge(
             data in proptest::collection::vec(any::<u8>(), 1..120),

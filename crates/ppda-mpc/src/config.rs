@@ -138,9 +138,9 @@ pub struct ProtocolConfig {
     /// transport schedules every fragment and loses a packet unless all of
     /// them land; a packet that lands decodes from its sealed bytes.
     pub fragmentation: bool,
-    /// Whether rounds carry transcript commitments and run the sum audit
-    /// (see [`ppda_integrity`]). Off by default: commitments cost extra
-    /// AES work per source per round, and `Off` is byte-identical to the
+    /// Whether rounds run the sum audit (see [`ppda_integrity`]). Off by
+    /// default: the audit re-derives every aggregator's sum share per
+    /// lane each round, and `Off` is byte-identical to the
     /// pre-integrity protocol — no packet grows, no RNG draw shifts.
     pub integrity: IntegrityMode,
 }
@@ -419,7 +419,7 @@ impl ProtocolConfigBuilder {
         self
     }
 
-    /// Carry transcript commitments and audit reported sums (see
+    /// Audit the aggregators' reported sums each round (see
     /// [`ppda_integrity`]). Default [`IntegrityMode::Off`], which is
     /// byte-identical to the pre-integrity protocol.
     pub fn integrity(mut self, mode: IntegrityMode) -> Self {

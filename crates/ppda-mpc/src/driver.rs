@@ -152,13 +152,13 @@ pub struct DriverStats {
     /// without a membership event stream.
     pub plan_patches: u64,
     /// Rounds whose sum audit actually ran (the config enabled integrity
-    /// and a `t+1` survivor quorum held commitments). Always 0 with
+    /// and at least `t+1` usable sum shares survived). Always 0 with
     /// integrity off.
     pub audited_rounds: u64,
     /// Audited rounds whose verdict was
     /// [`IntegrityVerdict::Tampered`](crate::IntegrityVerdict::Tampered):
-    /// some aggregator's reported sums disagreed with the share
-    /// commitments.
+    /// some aggregator's reported sums disagreed with the audit's
+    /// recomputation.
     pub tampered_rounds: u64,
 }
 

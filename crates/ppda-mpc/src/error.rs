@@ -77,9 +77,9 @@ pub enum MpcError {
         /// The earlier round that was requested.
         requested: u32,
     },
-    /// The sum audit caught a reported aggregate that disagrees with the
-    /// sources' share commitments: some aggregator forged, swapped or
-    /// corrupted a sum share after honest accumulation. Raised by
+    /// The sum audit caught a reported sum share that disagrees with the
+    /// one it recomputed from the sources' shares: some aggregator forged,
+    /// swapped or corrupted a sum share after honest accumulation. Raised by
     /// [`DegradedOutcome::require_verified`](crate::DegradedOutcome::require_verified)
     /// when a round's verdict is
     /// [`IntegrityVerdict::Tampered`](crate::IntegrityVerdict::Tampered);
@@ -88,7 +88,7 @@ pub enum MpcError {
         /// First batch lane whose reported aggregate mismatched.
         lane: u16,
         /// The first aggregator whose reported sum share disagreed with
-        /// the committed recomputation, when one is identifiable.
+        /// the audit's recomputation, when one is identifiable.
         aggregator: Option<u16>,
     },
     /// Propagated SSS-layer failure.

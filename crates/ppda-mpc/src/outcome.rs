@@ -92,8 +92,8 @@ pub struct BatchAggregationOutcome {
     /// Number of configured sources.
     pub source_count: usize,
     /// The sum audit's verdict ([`IntegrityVerdict::Unchecked`] unless
-    /// the config enables integrity and a `t+1` survivor quorum held
-    /// commitments).
+    /// the config enables integrity and at least `t+1` usable sum shares
+    /// survived).
     pub integrity: IntegrityVerdict,
 }
 
@@ -217,9 +217,10 @@ pub struct DegradedOutcome {
     pub live_nodes: usize,
     /// Observed fault events.
     pub faults: FaultReport,
-    /// The sum audit's verdict: whether the reported aggregates matched
-    /// the transcript commitments ([`IntegrityVerdict::Unchecked`] when
-    /// integrity is off or no `t+1` quorum survived).
+    /// The sum audit's verdict: whether the reported sum shares matched
+    /// the ones recomputed from the sources' shares
+    /// ([`IntegrityVerdict::Unchecked`] when integrity is off or no `t+1`
+    /// quorum survived).
     pub integrity: IntegrityVerdict,
 }
 
@@ -397,7 +398,7 @@ impl RoundReport {
 
     /// The round's sum-audit verdict:
     /// [`IntegrityVerdict::Unchecked`] unless the config enables
-    /// integrity and a `t+1` survivor quorum held commitments.
+    /// integrity and at least `t+1` usable sum shares survived.
     pub fn integrity(&self) -> IntegrityVerdict {
         self.degraded.integrity
     }

@@ -226,7 +226,7 @@ fn encode_spec(out: &mut Vec<u8>, spec: &DeploymentSpec) {
     // Version 3: the fragmentation flag (wide lane batches span frames).
     out.push(u8::from(c.fragmentation));
 
-    // Version 4: the integrity mode (transcript-committed sums).
+    // Version 4: the integrity mode (sum audit on or off).
     out.push(u8::from(c.integrity.is_on()));
 }
 

@@ -373,10 +373,9 @@ impl<P: PrimeField> SumBatch<P> {
 }
 
 /// The sharing-phase integrity packet: a source's transcript commitment
-/// to its full per-lane share vector for one round. Carried alongside the
-/// sealed share packets when the deployment enables integrity; absent
-/// from the wire entirely otherwise (the pre-integrity format is
-/// unchanged).
+/// to its full per-lane share vector for one round. No round sends it:
+/// integrity-on rounds run the sum audit only, and perfbench's traced
+/// replay is its one caller.
 ///
 /// The digest itself is computed by the integrity layer (`ppda-integrity`);
 /// this type only fixes its wire form.
