@@ -169,7 +169,7 @@ impl CommitContext {
     }
 }
 
-/// Spot-checker comparing reported aggregates against committed ones.
+/// Checker comparing reported sum shares against recomputed honest ones.
 ///
 /// Feed it the survivor count and, per lane, the recomputed honest sum
 /// share next to the reported one; it renders the round's

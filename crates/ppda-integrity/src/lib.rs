@@ -1,4 +1,4 @@
-//! The sum audit and a cheating-aggregator detector.
+//! The sum audit and a cheating-aggregator model.
 //!
 //! Everything below `ppda-mpc` assumes an honest-but-curious world: a
 //! passive collusion learns nothing beyond the aggregate, but a Byzantine
