@@ -8,11 +8,12 @@
 //! To regenerate after an *intentional* format change:
 //! `GOLDEN_REGEN=1 cargo test --test wire_formats` — then review the diff.
 
-use ppda::crypto::{Ccm, PairwiseKeys};
+use ppda::crypto::{Aes128, Ccm, CtrDrbg, PairwiseKeys};
 use ppda::field::{share_x, Gf31, Gf61, Mersenne31, Mersenne61};
 use ppda::radio::FrameSpec;
-use ppda::sss::{Share, SharePacket, SumPacket};
+use ppda::sss::{open_share_lanes, seal_share_lanes, Share, SharePacket, SumPacket};
 use ppda_testkit::assert_golden;
+use rand::RngCore;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -78,6 +79,79 @@ fn golden_sealed_share_packet() {
         SharePacket::<Mersenne31>::open(&keys, 4, 2, 5, 7, share_x::<Mersenne31>(5), &sealed)
             .unwrap();
     assert_eq!(opened, pkt);
+}
+
+#[test]
+fn golden_sealed_share_lanes() {
+    // The scalar fixture above seals a 4-byte payload, which never reaches
+    // the 4-block keystream runs of the bulk CTR path. Lane batches of
+    // B ∈ {1, 3, 4, 16, 64} seal 4, 12, 16, 64 and 256 bytes: tail only,
+    // exactly one run, and several runs.
+    let keys = PairwiseKeys::derive(&[9u8; 16], 8);
+    let ccm = Ccm::new(keys.key(2, 5).unwrap(), 4).unwrap();
+    let x = share_x::<Mersenne31>(5);
+    let mut lines = String::new();
+    let (mut sealed, mut scratch, mut opened) = (Vec::new(), Vec::new(), Vec::new());
+    for lanes in [1usize, 3, 4, 16, 64] {
+        let ys: Vec<Gf31> = (0..lanes as u64)
+            .map(|i| Gf31::new(i.wrapping_mul(0x9E37_79B9) ^ lanes as u64))
+            .collect();
+        seal_share_lanes(&ccm, 2, 5, 7, x, &ys, &mut sealed).unwrap();
+        assert_eq!(
+            sealed.len(),
+            SharePacket::<Mersenne31>::sealed_len_batch(lanes, 4)
+        );
+        lines.push_str(&format!("B{lanes} {}\n", hex(&sealed)));
+        open_share_lanes(&ccm, 2, 5, 7, x, lanes, &sealed, &mut scratch, &mut opened).unwrap();
+        assert_eq!(opened, ys, "B = {lanes} did not reopen to its lanes");
+    }
+    assert_golden("sealed_share_lanes_m31.hex", &lines);
+}
+
+#[test]
+fn golden_drbg_stream() {
+    // Share randomness and readings come from `CtrDrbg`; freeze its stream
+    // under a mix of word reads and byte requests that start and end at
+    // every kind of offset within a keystream block and across blocks.
+    enum Read {
+        U64,
+        U32,
+        Bytes(usize),
+    }
+    let reads = [
+        Read::U64,
+        Read::U32,
+        Read::Bytes(0),
+        Read::Bytes(5),
+        Read::U64,
+        Read::Bytes(16),
+        Read::U32,
+        Read::Bytes(64),
+        Read::Bytes(100),
+        Read::U64,
+        Read::Bytes(5),
+        Read::U32,
+    ];
+    let master = Aes128::new(&[0x5E; 16]);
+    let mut lines = String::new();
+    for domain in ["node-3", "a domain longer than one AES block"] {
+        let mut rng = CtrDrbg::with_master_cipher(&master, domain.as_bytes());
+        for pass in 0..2 {
+            for read in &reads {
+                let (label, bytes) = match *read {
+                    Read::U64 => ("u64".to_string(), rng.next_u64().to_le_bytes().to_vec()),
+                    Read::U32 => ("u32".to_string(), rng.next_u32().to_le_bytes().to_vec()),
+                    Read::Bytes(len) => {
+                        let mut buf = vec![0u8; len];
+                        rng.fill_bytes(&mut buf);
+                        (format!("bytes{len}"), buf)
+                    }
+                };
+                lines.push_str(&format!("{domain} {pass} {label}={}\n", hex(&bytes)));
+            }
+        }
+    }
+    assert_golden("drbg_stream.hex", &lines);
 }
 
 #[test]
