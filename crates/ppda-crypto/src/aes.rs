@@ -1,15 +1,23 @@
 //! AES-128 block cipher (FIPS-197).
 //!
-//! Two encryption paths share one key schedule:
+//! Three encryption paths share one byte-oriented key schedule:
 //!
-//! * [`Aes128::encrypt_block`] — the hot path: a word-oriented T-table
-//!   round function (SubBytes, ShiftRows and MixColumns folded into one
-//!   256-entry table, built at compile time). Every CCM seal/open and every
-//!   DRBG output block in a simulated round goes through it, so it *is* a
-//!   campaign bottleneck at scale.
+//! * **AES-NI** — the hardware round instructions. [`Aes128::new`] checks
+//!   once, at run time, whether the CPU executes them (std caches the CPUID
+//!   probe) and, if so, every block this context encrypts runs on them.
+//! * **T-table** — the portable fallback off x86-64 or on CPUs without
+//!   AES-NI: a word-oriented round function (SubBytes, ShiftRows and
+//!   MixColumns folded into one 256-entry table, built at compile time).
 //! * [`Aes128::encrypt_block_reference`] — the original byte-oriented
 //!   implementation (S-box lookups plus `xtime` doubling), kept as the
-//!   auditable test oracle the table path is checked against.
+//!   auditable test oracle both fast paths are checked against.
+//!
+//! Each fast path has two kernels: one block ([`Aes128::encrypt_block`],
+//! for CBC-MAC, CCM's S₀ tag block and key derivation) and four
+//! independent blocks (`encrypt4`, for CTR keystream runs and the DRBG),
+//! which AES-NI pipelines. Every CCM seal and open and every DRBG output
+//! block in a simulated round goes through them, so they *are* a
+//! campaign bottleneck at scale. No build flag or option picks the path.
 
 /// AES block length in bytes.
 pub const BLOCK_LEN: usize = 16;
@@ -127,8 +135,8 @@ fn t0(b: u32) -> u32 {
 #[derive(Clone)]
 pub struct Aes128 {
     round_keys: [[u8; 16]; 11],
-    /// The same schedule as little-endian column words, for the T-table path.
-    round_key_words: [[u32; 4]; 11],
+    /// `Some` iff the CPU executes AES-NI; both kernels then run on it.
+    ni: Option<ni::AesNi>,
 }
 
 impl core::fmt::Debug for Aes128 {
@@ -138,8 +146,15 @@ impl core::fmt::Debug for Aes128 {
     }
 }
 
+/// Round key `rk`'s state column `c` as a little-endian word.
+#[inline(always)]
+fn column(rk: &[u8; 16], c: usize) -> u32 {
+    u32::from_le_bytes([rk[4 * c], rk[4 * c + 1], rk[4 * c + 2], rk[4 * c + 3]])
+}
+
 impl Aes128 {
-    /// Expand `key` into the 11 round keys.
+    /// Expand `key` into the 11 round keys, and run on AES-NI from here on
+    /// if the CPU has it.
     pub fn new(key: &Key) -> Self {
         let mut w = [[0u8; 4]; 44];
         for i in 0..4 {
@@ -159,17 +174,28 @@ impl Aes128 {
             }
         }
         let mut round_keys = [[0u8; 16]; 11];
-        let mut round_key_words = [[0u32; 4]; 11];
         for (round, rk) in round_keys.iter_mut().enumerate() {
             for c in 0..4 {
                 rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * round + c]);
-                round_key_words[round][c] = u32::from_le_bytes(w[4 * round + c]);
             }
         }
         Aes128 {
             round_keys,
-            round_key_words,
+            ni: ni::AesNi::detect(),
         }
+    }
+
+    /// This context pinned to the T-table path, whatever the CPU.
+    #[cfg(test)]
+    pub(crate) fn table_only(mut self) -> Self {
+        self.ni = None;
+        self
+    }
+
+    /// Whether this context runs on AES-NI.
+    #[cfg(test)]
+    pub(crate) fn uses_ni(&self) -> bool {
+        self.ni.is_some()
     }
 
     fn add_round_key(state: &mut Block, rk: &[u8; 16]) {
@@ -243,42 +269,64 @@ impl Aes128 {
         }
     }
 
-    /// Encrypt one block (word-oriented T-table path).
+    /// Encrypt one block.
     #[inline]
     pub fn encrypt_block(&self, block: &Block) -> Block {
-        let rk = &self.round_key_words;
+        match self.ni {
+            Some(ni) => ni.encrypt_block(&self.round_keys, block),
+            None => self.encrypt_block_table(block),
+        }
+    }
+
+    /// Encrypt four independent blocks in place. AES-NI interleaves their
+    /// rounds; the T-table path encrypts them one after another.
+    #[inline]
+    pub(crate) fn encrypt4(&self, blocks: &mut [Block; 4]) {
+        match self.ni {
+            Some(ni) => ni.encrypt4(&self.round_keys, blocks),
+            None => {
+                for block in blocks.iter_mut() {
+                    *block = self.encrypt_block_table(block);
+                }
+            }
+        }
+    }
+
+    /// Encrypt one block on the word-oriented T-table path.
+    fn encrypt_block_table(&self, block: &Block) -> Block {
+        let rk = &self.round_keys;
         // State column c lives in word c: bytes [row0, row1, row2, row3],
         // little-endian. ShiftRows means output column c pulls row r from
         // input column (c + r) mod 4.
-        let mut w0 = u32::from_le_bytes(block[0..4].try_into().expect("4 bytes")) ^ rk[0][0];
-        let mut w1 = u32::from_le_bytes(block[4..8].try_into().expect("4 bytes")) ^ rk[0][1];
-        let mut w2 = u32::from_le_bytes(block[8..12].try_into().expect("4 bytes")) ^ rk[0][2];
-        let mut w3 = u32::from_le_bytes(block[12..16].try_into().expect("4 bytes")) ^ rk[0][3];
+        let mut w0 = column(block, 0) ^ column(&rk[0], 0);
+        let mut w1 = column(block, 1) ^ column(&rk[0], 1);
+        let mut w2 = column(block, 2) ^ column(&rk[0], 2);
+        let mut w3 = column(block, 3) ^ column(&rk[0], 3);
         for round in rk[1..10].iter() {
             let n0 = t0(w0)
                 ^ t0(w1 >> 8).rotate_left(8)
                 ^ t0(w2 >> 16).rotate_left(16)
                 ^ t0(w3 >> 24).rotate_left(24)
-                ^ round[0];
+                ^ column(round, 0);
             let n1 = t0(w1)
                 ^ t0(w2 >> 8).rotate_left(8)
                 ^ t0(w3 >> 16).rotate_left(16)
                 ^ t0(w0 >> 24).rotate_left(24)
-                ^ round[1];
+                ^ column(round, 1);
             let n2 = t0(w2)
                 ^ t0(w3 >> 8).rotate_left(8)
                 ^ t0(w0 >> 16).rotate_left(16)
                 ^ t0(w1 >> 24).rotate_left(24)
-                ^ round[2];
+                ^ column(round, 2);
             let n3 = t0(w3)
                 ^ t0(w0 >> 8).rotate_left(8)
                 ^ t0(w1 >> 16).rotate_left(16)
                 ^ t0(w2 >> 24).rotate_left(24)
-                ^ round[3];
+                ^ column(round, 3);
             (w0, w1, w2, w3) = (n0, n1, n2, n3);
         }
         // Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
-        let rk10 = &self.round_keys[10];
+        let rk10 = &rk[10];
         let mut out = [0u8; 16];
         let words = [w0, w1, w2, w3];
         for c in 0..4 {
@@ -292,10 +340,10 @@ impl Aes128 {
 
     /// Encrypt one block with the byte-oriented FIPS-197 transcription.
     ///
-    /// This is the test oracle for [`Aes128::encrypt_block`]: slower but a
-    /// line-by-line match with the standard's pseudocode. Equivalence over
-    /// the full input space is enforced by known-answer tests and the
-    /// property suite.
+    /// This is the test oracle for [`Aes128::encrypt_block`] on both of its
+    /// paths: slower but a line-by-line match with the standard's
+    /// pseudocode. Equivalence over the full input space is enforced by
+    /// known-answer tests and the property suites.
     pub fn encrypt_block_reference(&self, block: &Block) -> Block {
         let mut state = *block;
         Self::add_round_key(&mut state, &self.round_keys[0]);
@@ -328,6 +376,120 @@ impl Aes128 {
     }
 }
 
+/// The AES-NI kernels, behind a token only CPU detection can mint.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni {
+    use core::arch::x86_64::{
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_storeu_si128,
+        _mm_xor_si128,
+    };
+
+    use super::Block;
+
+    /// Proof that the running CPU executes the AES-NI instructions: the
+    /// field is private, so [`AesNi::detect`] is the only constructor.
+    #[derive(Clone, Copy)]
+    pub(super) struct AesNi(());
+
+    impl AesNi {
+        /// `Some` iff the CPU reports AES-NI (std caches the CPUID probe).
+        pub(super) fn detect() -> Option<Self> {
+            std::arch::is_x86_feature_detected!("aes").then_some(AesNi(()))
+        }
+
+        /// Encrypt one block under the expanded `round_keys`.
+        #[inline]
+        pub(super) fn encrypt_block(self, round_keys: &[Block; 11], block: &Block) -> Block {
+            // SAFETY: `self` exists only if `detect` found AES-NI on this CPU,
+            // which is all `encrypt1`'s target feature requires.
+            unsafe { encrypt1(round_keys, block) }
+        }
+
+        /// Encrypt four independent blocks in place, their rounds interleaved.
+        #[inline]
+        pub(super) fn encrypt4(self, round_keys: &[Block; 11], blocks: &mut [Block; 4]) {
+            // SAFETY: as in `encrypt_block`.
+            unsafe { encrypt4(round_keys, blocks) }
+        }
+    }
+
+    #[inline(always)]
+    fn load(bytes: &Block) -> __m128i {
+        // SAFETY: an unaligned load of exactly the 16 bytes `bytes` borrows;
+        // SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    #[inline(always)]
+    fn store(state: __m128i) -> Block {
+        let mut out = [0u8; 16];
+        // SAFETY: an unaligned store of exactly the 16 bytes of `out`; SSE2
+        // is part of the x86-64 baseline.
+        unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), state) };
+        out
+    }
+
+    /// One block through the AES-NI rounds. Outside code compiled for
+    /// AES-NI, calling it needs an `AesNi` token as proof the CPU has it.
+    #[target_feature(enable = "aes")]
+    fn encrypt1(round_keys: &[Block; 11], block: &Block) -> Block {
+        let mut state = _mm_xor_si128(load(block), load(&round_keys[0]));
+        for rk in &round_keys[1..10] {
+            state = _mm_aesenc_si128(state, load(rk));
+        }
+        store(_mm_aesenclast_si128(state, load(&round_keys[10])))
+    }
+
+    /// Four independent blocks through the AES-NI rounds, interleaved so
+    /// the instruction latencies overlap. Same calling condition as
+    /// `encrypt1`.
+    #[target_feature(enable = "aes")]
+    fn encrypt4(round_keys: &[Block; 11], blocks: &mut [Block; 4]) {
+        let rk0 = load(&round_keys[0]);
+        let mut state = [
+            _mm_xor_si128(load(&blocks[0]), rk0),
+            _mm_xor_si128(load(&blocks[1]), rk0),
+            _mm_xor_si128(load(&blocks[2]), rk0),
+            _mm_xor_si128(load(&blocks[3]), rk0),
+        ];
+        for rk in &round_keys[1..10] {
+            let rk = load(rk);
+            for s in state.iter_mut() {
+                *s = _mm_aesenc_si128(*s, rk);
+            }
+        }
+        let rk10 = load(&round_keys[10]);
+        for (block, s) in blocks.iter_mut().zip(state) {
+            *block = store(_mm_aesenclast_si128(s, rk10));
+        }
+    }
+}
+
+/// Off x86-64 there is no AES-NI: the token cannot exist, and every
+/// context runs the T-table path.
+#[cfg(not(target_arch = "x86_64"))]
+mod ni {
+    use super::Block;
+
+    #[derive(Clone, Copy)]
+    pub(super) enum AesNi {}
+
+    impl AesNi {
+        pub(super) fn detect() -> Option<Self> {
+            None
+        }
+
+        pub(super) fn encrypt_block(self, _: &[Block; 11], _: &Block) -> Block {
+            match self {}
+        }
+
+        pub(super) fn encrypt4(self, _: &[Block; 11], _: &mut [Block; 4]) {
+            match self {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,73 +505,103 @@ mod tests {
         hex(s).try_into().unwrap()
     }
 
+    /// Encrypt four blocks on every path this build can run: the byte
+    /// oracle, the T-table path (one block and four), and AES-NI's one- and
+    /// four-block kernels when the CPU has them. Returns each path's name
+    /// and output.
+    fn every_path(key: &Key, blocks: &[Block; 4]) -> Vec<(&'static str, [Block; 4])> {
+        let native = Aes128::new(key);
+        let table = native.clone().table_only();
+        let mut table4 = *blocks;
+        table.encrypt4(&mut table4);
+        let mut paths = vec![
+            (
+                "reference",
+                blocks.map(|b| native.encrypt_block_reference(&b)),
+            ),
+            ("T-table", blocks.map(|b| table.encrypt_block(&b))),
+            ("T-table x4", table4),
+        ];
+        if native.uses_ni() {
+            let mut ni4 = *blocks;
+            native.encrypt4(&mut ni4);
+            paths.push(("AES-NI", blocks.map(|b| native.encrypt_block(&b))));
+            paths.push(("AES-NI x4", ni4));
+        }
+        paths
+    }
+
+    fn assert_every_path(key: &Key, blocks: &[Block; 4], want: &[Block; 4]) {
+        for (path, got) in every_path(key, blocks) {
+            assert_eq!(&got, want, "{path} path");
+        }
+    }
+
     #[test]
     fn fips197_appendix_b() {
         // FIPS-197 Appendix B worked example.
         let key: Key = block("2b7e151628aed2a6abf7158809cf4f3c");
-        let aes = Aes128::new(&key);
         let pt = block("3243f6a8885a308d313198a2e0370734");
-        let ct = aes.encrypt_block(&pt);
-        assert_eq!(ct, block("3925841d02dc09fbdc118597196a0b32"));
-        assert_eq!(aes.encrypt_block_reference(&pt), ct);
-        assert_eq!(aes.decrypt_block(&ct), pt);
+        let ct = block("3925841d02dc09fbdc118597196a0b32");
+        assert_every_path(&key, &[pt; 4], &[ct; 4]);
+        assert_eq!(Aes128::new(&key).decrypt_block(&ct), pt);
     }
 
     #[test]
     fn fips197_appendix_c1() {
         // FIPS-197 Appendix C.1 example vectors.
         let key: Key = block("000102030405060708090a0b0c0d0e0f");
-        let aes = Aes128::new(&key);
         let pt = block("00112233445566778899aabbccddeeff");
-        let ct = aes.encrypt_block(&pt);
-        assert_eq!(ct, block("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        assert_eq!(aes.encrypt_block_reference(&pt), ct);
-        assert_eq!(aes.decrypt_block(&ct), pt);
+        let ct = block("69c4e0d86a7b0430d8cdb78070b4c55a");
+        assert_every_path(&key, &[pt; 4], &[ct; 4]);
+        assert_eq!(Aes128::new(&key).decrypt_block(&ct), pt);
     }
 
     #[test]
     fn sp800_38a_ecb_vectors() {
-        // NIST SP 800-38A F.1.1 (AES-128 ECB), all four blocks, exercising
-        // both the T-table path and the byte-oriented oracle.
-        let aes = Aes128::new(&block("2b7e151628aed2a6abf7158809cf4f3c"));
-        let cases = [
-            (
-                "6bc1bee22e409f96e93d7e117393172a",
-                "3ad77bb40d7a3660a89ecaf32466ef97",
-            ),
-            (
-                "ae2d8a571e03ac9c9eb76fac45af8e51",
-                "f5d3d58503b9699de785895a96fdbaaf",
-            ),
-            (
-                "30c81c46a35ce411e5fbc1191a0a52ef",
-                "43b1cd7f598ece23881b00e3ed030688",
-            ),
-            (
-                "f69f2445df4f9b17ad2b417be66c3710",
-                "7b0c785e27e8ad3f8223207104725dd4",
-            ),
-        ];
-        for (pt, ct) in cases {
-            assert_eq!(aes.encrypt_block(&block(pt)), block(ct));
-            assert_eq!(aes.encrypt_block_reference(&block(pt)), block(ct));
-            assert_eq!(aes.decrypt_block(&block(ct)), block(pt));
+        // NIST SP 800-38A F.1.1 (AES-128 ECB): its four blocks are one
+        // 4-block kernel call, checked on every path.
+        let key = block("2b7e151628aed2a6abf7158809cf4f3c");
+        let pts = [
+            "6bc1bee22e409f96e93d7e117393172a",
+            "ae2d8a571e03ac9c9eb76fac45af8e51",
+            "30c81c46a35ce411e5fbc1191a0a52ef",
+            "f69f2445df4f9b17ad2b417be66c3710",
+        ]
+        .map(block);
+        let cts = [
+            "3ad77bb40d7a3660a89ecaf32466ef97",
+            "f5d3d58503b9699de785895a96fdbaaf",
+            "43b1cd7f598ece23881b00e3ed030688",
+            "7b0c785e27e8ad3f8223207104725dd4",
+        ]
+        .map(block);
+        assert_every_path(&key, &pts, &cts);
+        let aes = Aes128::new(&key);
+        for (pt, ct) in pts.iter().zip(&cts) {
+            assert_eq!(aes.decrypt_block(ct), *pt);
         }
     }
 
     #[test]
     fn ttable_matches_reference_exhaustive_bytes() {
-        // Single-active-byte inputs hit every T0 entry in every position.
-        let aes = Aes128::new(&[0x5A; 16]);
+        // Single-active-byte inputs hit every T0 entry in every position;
+        // every path must agree with the byte oracle on each of them.
+        let key = [0x5A; 16];
         for pos in 0..16 {
-            for v in 0..=255u8 {
-                let mut pt = [0u8; 16];
-                pt[pos] = v;
-                assert_eq!(
-                    aes.encrypt_block(&pt),
-                    aes.encrypt_block_reference(&pt),
-                    "diverged at byte {pos} = {v:#04x}"
-                );
+            for v in (0..=255u8).step_by(4) {
+                let blocks: [Block; 4] = core::array::from_fn(|i| {
+                    let mut pt = [0u8; 16];
+                    pt[pos] = v + i as u8;
+                    pt
+                });
+                let paths = every_path(&key, &blocks);
+                for (path, got) in &paths[1..] {
+                    assert_eq!(
+                        got, &paths[0].1,
+                        "{path} diverged at byte {pos} = {v:#04x}.."
+                    );
+                }
             }
         }
     }
@@ -435,6 +627,14 @@ mod tests {
         let b = Aes128::new(&[1u8; 16]);
         let pt = [0x42; 16];
         assert_ne!(a.encrypt_block(&pt), b.encrypt_block(&pt));
+    }
+
+    #[test]
+    fn context_holds_one_key_schedule() {
+        // 11 round keys as bytes plus the one-byte AES-NI token; plans hold
+        // one context per pairwise CCM key, so a second copy of the
+        // schedule would double their size.
+        assert!(core::mem::size_of::<Aes128>() <= 11 * 16 + 1);
     }
 
     #[test]

@@ -57,6 +57,13 @@ impl Ccm {
         self.tag_len
     }
 
+    /// This context pinned to the T-table path, whatever the CPU.
+    #[cfg(test)]
+    pub(crate) fn table_only(mut self) -> Self {
+        self.aes = self.aes.table_only();
+        self
+    }
+
     /// Deterministic 13-byte nonce for a protocol packet, built from the
     /// (source, destination, round, sequence) coordinates that make every
     /// packet unique within a deployment.
@@ -96,10 +103,18 @@ impl Ccm {
         let mut mac = CbcMac::new(&self.aes);
         mac.update(&self.b0(nonce, aad.len(), payload.len()));
         if !aad.is_empty() {
-            // RFC 3610 length encoding; the protocols never exceed 0xFEFF
-            // bytes of AAD, so only the 2-byte form is needed.
-            debug_assert!(aad.len() < 0xFF00, "AAD beyond 2-byte length encoding");
-            mac.update(&(aad.len() as u16).to_be_bytes());
+            // RFC 3610 §2.2 length encoding: 2 bytes below 0xFF00,
+            // 0xFF 0xFE ‖ u32 below 2³², 0xFF 0xFF ‖ u64 beyond.
+            let len = aad.len();
+            if len < 0xFF00 {
+                mac.update(&(len as u16).to_be_bytes());
+            } else if let Ok(len) = u32::try_from(len) {
+                mac.update(&[0xFF, 0xFE]);
+                mac.update(&len.to_be_bytes());
+            } else {
+                mac.update(&[0xFF, 0xFF]);
+                mac.update(&(len as u64).to_be_bytes());
+            }
             mac.update(aad);
             mac.pad_zero();
         }
@@ -234,6 +249,13 @@ mod tests {
             .collect()
     }
 
+    /// `Ccm::new`'s context (AES-NI when the CPU has it) and the same key
+    /// pinned to the T-table path.
+    fn both_paths(key: Key, tag_len: usize) -> [Ccm; 2] {
+        let ccm = Ccm::new(key, tag_len).unwrap();
+        [ccm.clone().table_only(), ccm]
+    }
+
     /// RFC 3610 Packet Vector #1: M = 8, L = 2.
     #[test]
     fn rfc3610_vector_1() {
@@ -241,13 +263,14 @@ mod tests {
         let nonce: [u8; 13] = hex("00000003020100A0A1A2A3A4A5").try_into().unwrap();
         let aad = hex("0001020304050607");
         let payload = hex("08090A0B0C0D0E0F101112131415161718191A1B1C1D1E");
-        let ccm = Ccm::new(key, 8).unwrap();
-        let sealed = ccm.seal(&nonce, &aad, &payload).unwrap();
-        assert_eq!(
-            sealed,
-            hex("588C979A61C663D2F066D0C2C0F989806D5F6B61DAC38417E8D12CFDF926E0")
-        );
-        assert_eq!(ccm.open(&nonce, &aad, &sealed).unwrap(), payload);
+        for ccm in both_paths(key, 8) {
+            let sealed = ccm.seal(&nonce, &aad, &payload).unwrap();
+            assert_eq!(
+                sealed,
+                hex("588C979A61C663D2F066D0C2C0F989806D5F6B61DAC38417E8D12CFDF926E0")
+            );
+            assert_eq!(ccm.open(&nonce, &aad, &sealed).unwrap(), payload);
+        }
     }
 
     /// RFC 3610 Packet Vector #2: M = 8, L = 2, 16-byte payload.
@@ -257,13 +280,14 @@ mod tests {
         let nonce: [u8; 13] = hex("00000004030201A0A1A2A3A4A5").try_into().unwrap();
         let aad = hex("0001020304050607");
         let payload = hex("08090A0B0C0D0E0F101112131415161718191A1B1C1D1E1F");
-        let ccm = Ccm::new(key, 8).unwrap();
-        let sealed = ccm.seal(&nonce, &aad, &payload).unwrap();
-        assert_eq!(
-            sealed,
-            hex("72C91A36E135F8CF291CA894085C87E3CC15C439C9E43A3BA091D56E10400916")
-        );
-        assert_eq!(ccm.open(&nonce, &aad, &sealed).unwrap(), payload);
+        for ccm in both_paths(key, 8) {
+            let sealed = ccm.seal(&nonce, &aad, &payload).unwrap();
+            assert_eq!(
+                sealed,
+                hex("72C91A36E135F8CF291CA894085C87E3CC15C439C9E43A3BA091D56E10400916")
+            );
+            assert_eq!(ccm.open(&nonce, &aad, &sealed).unwrap(), payload);
+        }
     }
 
     /// RFC 3610 Packet Vector #3: M = 8, L = 2, payload not block-aligned.
@@ -273,12 +297,35 @@ mod tests {
         let nonce: [u8; 13] = hex("00000005040302A0A1A2A3A4A5").try_into().unwrap();
         let aad = hex("0001020304050607");
         let payload = hex("08090A0B0C0D0E0F101112131415161718191A1B1C1D1E1F20");
-        let ccm = Ccm::new(key, 8).unwrap();
-        let sealed = ccm.seal(&nonce, &aad, &payload).unwrap();
-        assert_eq!(
-            sealed,
-            hex("51B1E5F44A197D1DA46B0F8E2D282AE871E838BB64DA8596574ADAA76FBD9FB0C5")
-        );
+        for ccm in both_paths(key, 8) {
+            let sealed = ccm.seal(&nonce, &aad, &payload).unwrap();
+            assert_eq!(
+                sealed,
+                hex("51B1E5F44A197D1DA46B0F8E2D282AE871E838BB64DA8596574ADAA76FBD9FB0C5")
+            );
+            assert_eq!(ccm.open(&nonce, &aad, &sealed).unwrap(), payload);
+        }
+    }
+
+    /// NIST SP 800-38C Example 4: 2¹⁶ bytes of AAD take the six-byte
+    /// length encoding (0xFF 0xFE ‖ u32).
+    #[test]
+    fn sp800_38c_example_4_long_aad() {
+        let key: Key = core::array::from_fn(|i| 0x40 + i as u8);
+        let nonce: [u8; 13] = core::array::from_fn(|i| 0x10 + i as u8);
+        let aad: Vec<u8> = (0..65_536u32).map(|i| i as u8).collect();
+        let payload: Vec<u8> = (0x20..0x40).collect();
+        for ccm in both_paths(key, 14) {
+            let sealed = ccm.seal(&nonce, &aad, &payload).unwrap();
+            assert_eq!(
+                sealed,
+                hex(
+                    "69915dad1e84c6376a68c2967e4dab615ae0fd1faec44cc484828529463ccf72
+                     b4ac6bec93e8598e7f0dadbcea5b"
+                )
+            );
+            assert_eq!(ccm.open(&nonce, &aad, &sealed).unwrap(), payload);
+        }
     }
 
     #[test]

@@ -45,8 +45,22 @@ pub fn xor_keystream(aes: &Aes128, counter_block: &mut Block, data: &mut [u8]) {
     }
 }
 
-/// Number of blocks [`xor_keystream_bulk`] encrypts per inner iteration.
-const BULK_LANES: usize = 4;
+/// Number of counter blocks in one keystream run.
+pub(crate) const RUN_BLOCKS: usize = 4;
+
+/// The keystream of the [`RUN_BLOCKS`] counter blocks starting at
+/// `counter_block`, which advances past them. The four encryptions are
+/// independent, so they go through the cipher's 4-block kernel.
+#[inline]
+pub(crate) fn keystream_run(aes: &Aes128, counter_block: &mut Block) -> [Block; RUN_BLOCKS] {
+    let mut run = [[0u8; BLOCK_LEN]; RUN_BLOCKS];
+    for block in run.iter_mut() {
+        *block = *counter_block;
+        increment_block(counter_block);
+    }
+    aes.encrypt4(&mut run);
+    run
+}
 
 /// XOR one whole block of keystream into `chunk` using 64-bit lanes.
 #[inline(always)]
@@ -63,22 +77,19 @@ fn xor_block(chunk: &mut [u8], keystream: &Block) {
 /// producing keystream in multi-block runs.
 ///
 /// Byte-for-byte identical to [`xor_keystream`] (same counter layout, same
-/// per-block advance), but the keystream is generated four counter blocks
-/// at a time — the encryptions are data-independent, so the word-oriented
-/// cipher rounds pipeline across blocks — and the XOR runs on 64-bit lanes
-/// instead of bytes. Use this on bulk paths (DRBG output, batched CCM
-/// payloads); the equivalence is enforced by the property suite.
+/// per-block advance), but every whole 64-byte stretch of `data` takes its
+/// keystream from one run of four counter blocks. Their encryptions are
+/// data-independent, so they go through the cipher's 4-block kernel: on
+/// AES-NI the four blocks' rounds interleave, on the T-table path they
+/// run one after another. The remaining whole blocks and the partial tail
+/// are encrypted one block at a time, and the XOR runs on 64-bit lanes
+/// instead of bytes. Use this on bulk paths (batched CCM payloads); the
+/// equivalence is enforced by the property suites.
 pub fn xor_keystream_bulk(aes: &Aes128, counter_block: &mut Block, data: &mut [u8]) {
-    let mut wide = data.chunks_exact_mut(BULK_LANES * BLOCK_LEN);
+    let mut wide = data.chunks_exact_mut(RUN_BLOCKS * BLOCK_LEN);
     for run in &mut wide {
-        let mut counters = [*counter_block; BULK_LANES];
-        for counter in counters.iter_mut().skip(1) {
-            increment_block(counter_block);
-            *counter = *counter_block;
-        }
-        increment_block(counter_block);
-        let keystream = counters.map(|c| aes.encrypt_block(&c));
-        for (chunk, ks) in run.chunks_exact_mut(BLOCK_LEN).zip(keystream.iter()) {
+        let keystream = keystream_run(aes, counter_block);
+        for (chunk, ks) in run.chunks_exact_mut(BLOCK_LEN).zip(&keystream) {
             xor_block(chunk, ks);
         }
     }

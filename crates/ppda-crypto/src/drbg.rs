@@ -1,9 +1,11 @@
 //! Deterministic AES-CTR random bit generator.
 //!
 //! A simplified CTR_DRBG (in the spirit of NIST SP 800-90A, without the
-//! personalization/derivation-function machinery): the generator holds an
-//! AES-128 key and a 128-bit counter; output blocks are `AES_K(counter++)`,
-//! and `reseed` mixes fresh entropy into the key via an update step.
+//! personalization/derivation-function and reseed machinery): the
+//! generator holds an AES-128 key and a 128-bit big-endian counter, and
+//! output block `i` (from 1) is `AES_K(i)`. Blocks are produced four at a
+//! time, one keystream run through the cipher's 4-block kernel, and
+//! handed out in order.
 //!
 //! Each node in the simulated deployment instantiates its DRBG from the
 //! network master secret and its node id, giving reproducible yet
@@ -11,8 +13,11 @@
 
 use rand::{Error, RngCore, SeedableRng};
 
-use crate::aes::{Aes128, Block, Key};
-use crate::ctr::increment_block;
+use crate::aes::{Aes128, Block, Key, BLOCK_LEN};
+use crate::ctr::{self, RUN_BLOCKS};
+
+/// Bytes in one keystream run.
+const RUN_LEN: usize = RUN_BLOCKS * BLOCK_LEN;
 
 /// A deterministic AES-CTR random bit generator implementing [`RngCore`].
 ///
@@ -30,9 +35,11 @@ use crate::ctr::increment_block;
 #[derive(Clone)]
 pub struct CtrDrbg {
     aes: Aes128,
+    /// The counter block of the next run's first block.
     counter: Block,
-    buffer: Block,
-    buffered: usize,
+    /// The current run of keystream blocks; bytes `used..` are unread.
+    run: [Block; RUN_BLOCKS],
+    used: usize,
 }
 
 impl core::fmt::Debug for CtrDrbg {
@@ -71,87 +78,56 @@ impl CtrDrbg {
         }
         CtrDrbg {
             aes: Aes128::new(&derived),
-            counter: [0u8; 16],
-            buffer: [0u8; 16],
-            buffered: 0,
+            counter: 1u128.to_be_bytes(),
+            run: [[0u8; BLOCK_LEN]; RUN_BLOCKS],
+            used: RUN_LEN,
         }
     }
 
-    /// Mix additional entropy into the generator.
-    pub fn reseed(&mut self, entropy: &[u8]) {
-        let mut new_key: Block = self.next_block();
-        for (i, b) in entropy.iter().enumerate() {
-            new_key[i % 16] ^= *b;
-        }
-        self.aes = Aes128::new(&new_key);
-        self.buffered = 0;
+    /// This generator pinned to the T-table path, whatever the CPU.
+    #[cfg(test)]
+    pub(crate) fn table_only(mut self) -> Self {
+        self.aes = self.aes.table_only();
+        self
     }
 
-    fn next_block(&mut self) -> Block {
-        increment_block(&mut self.counter);
-        self.aes.encrypt_block(&self.counter)
-    }
-
-    fn refill(&mut self) {
-        self.buffer = self.next_block();
-        self.buffered = 16;
-    }
-
-    /// Fill whole 16-byte blocks of output.
-    ///
-    /// Emits exactly the same byte stream as [`RngCore::fill_bytes`] over
-    /// the same total length: a partially drained buffer is consumed first,
-    /// after which every block comes straight off the cipher with no
-    /// intermediate buffering.
-    pub fn fill_blocks(&mut self, out: &mut [Block]) {
-        if self.buffered == 0 {
-            for block in out.iter_mut() {
-                *block = self.next_block();
+    /// The next `N` bytes of the stream, read straight from the current
+    /// run when it holds them.
+    #[inline]
+    fn next_array<const N: usize>(&mut self) -> [u8; N] {
+        let mut out = [0u8; N];
+        match self.run.as_flattened().get(self.used..self.used + N) {
+            Some(bytes) => {
+                out.copy_from_slice(bytes);
+                self.used += N;
             }
-        } else {
-            // Unaligned relative to the buffered tail; the generic path
-            // below handles the straddling copies.
-            for block in out.iter_mut() {
-                self.fill_bytes(block);
-            }
+            None => self.fill_bytes(&mut out),
         }
+        out
     }
 }
 
 impl RngCore for CtrDrbg {
     fn next_u32(&mut self) -> u32 {
-        let mut bytes = [0u8; 4];
-        self.fill_bytes(&mut bytes);
-        u32::from_le_bytes(bytes)
+        u32::from_le_bytes(self.next_array())
     }
 
     fn next_u64(&mut self) -> u64 {
-        let mut bytes = [0u8; 8];
-        self.fill_bytes(&mut bytes);
-        u64::from_le_bytes(bytes)
+        u64::from_le_bytes(self.next_array())
     }
 
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        // Drain any partially consumed buffer first (bytes come off the
-        // front, i.e. index 16 - buffered), …
-        let take = self.buffered.min(dest.len());
-        if take > 0 {
-            let start = 16 - self.buffered;
-            dest[..take].copy_from_slice(&self.buffer[start..start + take]);
-            self.buffered -= take;
-        }
-        let rest = &mut dest[take..];
-        // … then copy whole blocks straight from the cipher, …
-        let mut blocks = rest.chunks_exact_mut(16);
-        for chunk in &mut blocks {
-            chunk.copy_from_slice(&self.next_block());
-        }
-        // … and buffer only the tail block.
-        let tail = blocks.into_remainder();
-        if !tail.is_empty() {
-            self.refill();
-            tail.copy_from_slice(&self.buffer[..tail.len()]);
-            self.buffered = 16 - tail.len();
+    fn fill_bytes(&mut self, mut dest: &mut [u8]) {
+        loop {
+            let unread = &self.run.as_flattened()[self.used..];
+            let take = unread.len().min(dest.len());
+            dest[..take].copy_from_slice(&unread[..take]);
+            self.used += take;
+            dest = &mut dest[take..];
+            if dest.is_empty() {
+                return;
+            }
+            self.run = ctr::keystream_run(&self.aes, &mut self.counter);
+            self.used = 0;
         }
     }
 
@@ -221,14 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn reseed_changes_stream() {
-        let mut a = CtrDrbg::new([1u8; 16], b"x");
-        let mut b = CtrDrbg::new([1u8; 16], b"x");
-        b.reseed(b"fresh entropy");
-        assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
     fn output_distribution_rough_sanity() {
         // Bit-balance check: ~50% ones over 64k bits.
         let mut rng = CtrDrbg::new([7u8; 16], b"balance");
@@ -256,55 +224,38 @@ mod tests {
         assert_eq!(bulk, pieces);
     }
 
-    /// The pre-fast-path semantics, byte by byte: the provable oracle for
-    /// the block-aligned `fill_bytes`.
-    fn fill_bytes_bytewise(rng: &mut CtrDrbg, dest: &mut [u8]) {
-        for b in dest.iter_mut() {
-            if rng.buffered == 0 {
-                rng.refill();
-            }
-            *b = rng.buffer[16 - rng.buffered];
-            rng.buffered -= 1;
-        }
+    /// The first `len` bytes of the stream, from an independent oracle:
+    /// block i (from 0) is the byte-oriented reference encryption of
+    /// counter i + 1 under the generator's derived key.
+    fn reference_stream(rng: &CtrDrbg, len: usize) -> Vec<u8> {
+        (1..=len.div_ceil(16) as u128)
+            .flat_map(|i| rng.aes.encrypt_block_reference(&i.to_be_bytes()))
+            .take(len)
+            .collect()
     }
 
     #[test]
     fn fast_path_emits_identical_stream() {
         // Every request length from 0..64, issued twice back-to-back so the
-        // second request starts at every possible buffer offset.
+        // second request starts at every possible offset within a block and
+        // a run; a word read of each width then checks that nothing was
+        // skipped or read twice.
         for len in 0..64usize {
-            let mut fast = CtrDrbg::new([4u8; 16], b"stream");
-            let mut slow = CtrDrbg::new([4u8; 16], b"stream");
-            for _ in 0..2 {
-                let mut a = vec![0u8; len];
-                let mut b = vec![0u8; len];
-                fast.fill_bytes(&mut a);
-                fill_bytes_bytewise(&mut slow, &mut b);
-                assert_eq!(a, b, "diverged at request length {len}");
+            let mut rng = CtrDrbg::new([4u8; 16], b"stream");
+            let oracle = reference_stream(&rng, 2 * len + 12);
+            for i in 0..2 {
+                let mut got = vec![0u8; len];
+                rng.fill_bytes(&mut got);
+                assert_eq!(
+                    got,
+                    oracle[i * len..(i + 1) * len],
+                    "diverged at request length {len}"
+                );
             }
-            assert_eq!(fast.buffered, slow.buffered);
-            assert_eq!(fast.counter, slow.counter);
+            let tail = &oracle[2 * len..];
+            assert_eq!(rng.next_u64().to_le_bytes(), tail[..8], "length {len}");
+            assert_eq!(rng.next_u32().to_le_bytes(), tail[8..], "length {len}");
         }
-    }
-
-    #[test]
-    fn fill_blocks_matches_fill_bytes() {
-        // Aligned: straight off the cipher.
-        let mut a = CtrDrbg::new([6u8; 16], b"blocks");
-        let mut b = CtrDrbg::new([6u8; 16], b"blocks");
-        let mut blocks = [[0u8; 16]; 5];
-        let mut bytes = [0u8; 80];
-        a.fill_blocks(&mut blocks);
-        b.fill_bytes(&mut bytes);
-        assert_eq!(blocks.concat(), bytes);
-
-        // Unaligned: a partially drained buffer must be consumed first.
-        let mut skew = [0u8; 3];
-        a.fill_bytes(&mut skew);
-        b.fill_bytes(&mut skew);
-        a.fill_blocks(&mut blocks);
-        b.fill_bytes(&mut bytes);
-        assert_eq!(blocks.concat(), bytes);
     }
 
     #[test]

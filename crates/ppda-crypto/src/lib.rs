@@ -6,8 +6,15 @@
 //! bootstrapping phase"). This crate provides:
 //!
 //! * [`Aes128`] — the FIPS-197 block cipher (encrypt + decrypt), verified
-//!   against the official test vectors.
-//! * [`ctr`] — CTR keystream mode (NIST SP 800-38A).
+//!   against the official test vectors. It runs on the CPU's AES-NI
+//!   instructions when [`Aes128::new`] finds them at run time, and on a
+//!   portable T-table implementation otherwise (off x86-64, or on CPUs
+//!   without AES-NI); both produce the same bytes, and no build flag or
+//!   option is involved. A byte-oriented transcription of the standard,
+//!   [`Aes128::encrypt_block_reference`], is the oracle the tests check
+//!   both against.
+//! * [`ctr`] — CTR keystream mode (NIST SP 800-38A); the bulk variant and
+//!   the DRBG encrypt four counter blocks per cipher call.
 //! * [`CbcMac`] — CBC-MAC over whole blocks, the authentication core of CCM.
 //! * [`Ccm`] — CCM authenticated encryption as used by IEEE 802.15.4
 //!   security (L = 2, 13-byte nonce, 4/8/16-byte tag), verified against
@@ -33,7 +40,9 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// The only `unsafe` is the AES-NI kernel module in `aes.rs`, which allows
+// it for itself.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod aes;
@@ -50,3 +59,95 @@ pub use ccm::{Ccm, NONCE_LEN};
 pub use drbg::CtrDrbg;
 pub use error::CryptoError;
 pub use keys::PairwiseKeys;
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+    use rand::RngCore;
+
+    use crate::{ctr, Aes128, Block, Ccm, CtrDrbg};
+
+    /// One DRBG read picked by `pick`: a word of either width, or a byte
+    /// request of up to 99 bytes.
+    fn read(rng: &mut CtrDrbg, pick: usize) -> Vec<u8> {
+        match pick % 3 {
+            0 => rng.next_u64().to_le_bytes().to_vec(),
+            1 => rng.next_u32().to_le_bytes().to_vec(),
+            _ => {
+                let mut buf = vec![0u8; pick / 3];
+                rng.fill_bytes(&mut buf);
+                buf
+            }
+        }
+    }
+
+    proptest! {
+        /// Every backend this build can run agrees, block by block and
+        /// through every mode above the cipher: the T-table path with the
+        /// byte-oriented reference, and AES-NI (skipped when the CPU lacks
+        /// it) with both.
+        #[test]
+        fn backends_agree_through_every_mode(
+            key in any::<[u8; 16]>(),
+            blocks in prop::collection::vec(any::<[u8; 16]>(), 4),
+            counter in any::<[u8; 16]>(),
+            data in prop::collection::vec(any::<u8>(), 200),
+            nonce in any::<[u8; 13]>(),
+            aad in prop::collection::vec(any::<u8>(), 0..40),
+            payload_len in 0usize..=200,
+            reads in prop::collection::vec(0usize..300, 1..12),
+        ) {
+            let blocks: [Block; 4] = blocks.try_into().unwrap();
+            let table = Aes128::new(&key).table_only();
+            let reference = blocks.map(|b| table.encrypt_block_reference(&b));
+            prop_assert_eq!(blocks.map(|b| table.encrypt_block(&b)), reference);
+            let mut four = blocks;
+            table.encrypt4(&mut four);
+            prop_assert_eq!(four, reference);
+
+            let native = Aes128::new(&key);
+            if !native.uses_ni() {
+                return Ok(());
+            }
+            prop_assert_eq!(blocks.map(|b| native.encrypt_block(&b)), reference);
+            let mut four = blocks;
+            native.encrypt4(&mut four);
+            prop_assert_eq!(four, reference);
+
+            // Bulk CTR over every length 0..=200, from the random counter
+            // and from one that wraps all 128 bits two blocks in.
+            let mut near_wrap = [0xFF; 16];
+            near_wrap[15] = 0xFE;
+            for start in [counter, near_wrap] {
+                for len in 0..=data.len() {
+                    let (mut c_ni, mut c_table) = (start, start);
+                    let mut d_ni = data[..len].to_vec();
+                    let mut d_table = d_ni.clone();
+                    ctr::xor_keystream_bulk(&native, &mut c_ni, &mut d_ni);
+                    ctr::xor_keystream_bulk(&table, &mut c_table, &mut d_table);
+                    prop_assert_eq!(d_ni, d_table);
+                    prop_assert_eq!(c_ni, c_table);
+                }
+            }
+
+            // CCM seal and open at every tag length the protocols use (the
+            // RFC 3610 vectors run on both paths in `ccm`'s tests).
+            let payload = &data[..payload_len];
+            for tag_len in [4, 8, 16] {
+                let ccm_ni = Ccm::new(key, tag_len).unwrap();
+                let ccm_table = ccm_ni.clone().table_only();
+                let sealed = ccm_ni.seal(&nonce, &aad, payload).unwrap();
+                prop_assert_eq!(&sealed, &ccm_table.seal(&nonce, &aad, payload).unwrap());
+                prop_assert_eq!(ccm_table.open(&nonce, &aad, &sealed).unwrap(), payload);
+                prop_assert_eq!(ccm_ni.open(&nonce, &aad, &sealed).unwrap(), payload);
+            }
+
+            // DRBG streams under the same mixed read sequence.
+            let mut rng_ni = CtrDrbg::with_master_cipher(&native, &aad);
+            let mut rng_table = CtrDrbg::with_master_cipher(&native, &aad).table_only();
+            for &pick in &reads {
+                prop_assert_eq!(read(&mut rng_ni, pick), read(&mut rng_table, pick));
+            }
+        }
+    }
+}

@@ -127,8 +127,10 @@ proptest! {
         key in any::<[u8; 16]>(),
         block in any::<[u8; 16]>(),
     ) {
-        // The word-oriented T-table hot path against its auditable
-        // FIPS-197 transcription oracle.
+        // The hot path `Aes128::new` picks (AES-NI when the CPU has it,
+        // else the word-oriented T-table) against its auditable FIPS-197
+        // transcription oracle. The crate's unit tests pin the T-table
+        // path on its own.
         let aes = Aes128::new(&key);
         prop_assert_eq!(aes.encrypt_block(&block), aes.encrypt_block_reference(&block));
     }
@@ -155,7 +157,7 @@ proptest! {
         master in any::<[u8; 16]>(),
         chunks in prop::collection::vec(0usize..40, 1..8),
     ) {
-        // The block-aligned fill_bytes fast path must emit the same
+        // Reads served from a 64-byte keystream run must emit the same
         // stream as one contiguous read, whatever the request pattern.
         let total: usize = chunks.iter().sum();
         let mut one_shot = vec![0u8; total];
@@ -169,25 +171,6 @@ proptest! {
             pieced.extend_from_slice(&part);
         }
         prop_assert_eq!(one_shot, pieced);
-    }
-
-    #[test]
-    fn drbg_fill_blocks_matches_fill_bytes(
-        master in any::<[u8; 16]>(),
-        skew in 0usize..16,
-        blocks in 1usize..6,
-    ) {
-        let mut a = CtrDrbg::new(master, b"fb");
-        let mut b = CtrDrbg::new(master, b"fb");
-        // Put both generators at an arbitrary buffer offset first.
-        let mut pre = vec![0u8; skew];
-        a.fill_bytes(&mut pre);
-        b.fill_bytes(&mut pre);
-        let mut as_blocks = vec![[0u8; 16]; blocks];
-        let mut as_bytes = vec![0u8; blocks * 16];
-        a.fill_blocks(&mut as_blocks);
-        b.fill_bytes(&mut as_bytes);
-        prop_assert_eq!(as_blocks.concat(), as_bytes);
     }
 
     #[test]
