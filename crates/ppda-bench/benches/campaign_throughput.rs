@@ -2,12 +2,13 @@
 //! executed round at the testbed operating points, scalar vs batched.
 //!
 //! The bench isolates the single-round cost the batching work targets:
-//! per-round crypto (T-table AES, cached CCM contexts, one seal per
-//! (source, destination) carrying all B lanes) plus the MiniCast
-//! transport simulation. B = 64 sits past the 23-lane single-frame cap,
-//! so its packets span three frames each; `config_wide` enables that
-//! fragmentation and changes nothing at the narrower widths. End-to-end
-//! throughput over whole campaigns is perfbench's job (`BENCHMARK.json`).
+//! per-round crypto (AES on AES-NI when the CPU has it, else the T-table
+//! path; cached CCM contexts; one seal per (source, destination) carrying
+//! all B lanes) plus the MiniCast transport simulation. B = 64 sits past
+//! the 23-lane single-frame cap, so its packets span three frames each;
+//! `config_wide` enables that fragmentation and changes nothing at the
+//! narrower widths. End-to-end throughput over whole campaigns is
+//! perfbench's job (`BENCHMARK.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

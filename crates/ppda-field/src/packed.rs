@@ -24,7 +24,7 @@
 //!
 //! Every packed path is *bit-identical* to its scalar oracle
 //! ([`horner_lanes_scalar_into`], [`weighted_sum_rows_scalar_into`]) — the
-//! same discipline the T-table AES keeps with `encrypt_block_reference`.
+//! same discipline both AES fast paths keep with `encrypt_block_reference`.
 //! Field arithmetic is exact, so this is a strict equality, proptest-proven
 //! in `tests/packed_equivalence.rs` for both fields, and it is why golden
 //! wire fixtures are unaffected by the backend choice.
