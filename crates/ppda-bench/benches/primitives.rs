@@ -59,10 +59,10 @@ fn bench_lagrange(c: &mut Criterion) {
 }
 
 fn bench_packed(c: &mut Criterion) {
-    // The lane kernels the batched hot path runs through, packed build
-    // backend against the scalar oracle. Build with
-    // `RUSTFLAGS="-C target-cpu=native"` to measure the SIMD backend;
-    // the group name records which one the binary actually selected.
+    // The lane kernels the batched hot path runs through, on the lanes
+    // this CPU runs, against the scalar oracle. AVX2 is picked at run time
+    // when the CPU has it, so no build flag is needed; the group name
+    // records which lanes ran.
     use ppda_field::packed;
     let mut group = c.benchmark_group(format!("packed[{}]", packed::backend_name::<Mersenne31>()));
     let mut rng = Xoshiro256::seed_from(7);

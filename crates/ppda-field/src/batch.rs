@@ -102,10 +102,12 @@ impl<P: PrimeField> PolyBatch<P> {
         &self.coeffs[..self.lanes]
     }
 
-    /// Evaluate every lane at `x` by Horner's rule through the build's
-    /// packed backend (see [`crate::packed`]): whole vector-width chunks
-    /// keep their accumulators in registers across all degrees, and the
-    /// `lanes % WIDTH` tail runs the scalar path — both produce the exact
+    /// Evaluate every lane at `x` by Horner's rule through
+    /// [`packed::horner_lanes_into`](crate::packed::horner_lanes_into), on
+    /// the lanes this CPU runs (AVX2 for Mersenne-31 when the CPU has it,
+    /// detected at run time; else portable): whole four-lane chunks keep
+    /// their accumulators in registers across all degrees, and the
+    /// `lanes % 4` tail runs the scalar path — both produce the exact
     /// element the scalar oracle does.
     ///
     /// A zero-lane batch is a no-op; a degree-0 batch copies the constants.

@@ -8,6 +8,8 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 
 use rand::RngCore;
 
+use crate::packed::Avx2;
+
 /// A prime modulus usable as the characteristic of a [`Gf`] field.
 ///
 /// This trait is implemented by zero-sized marker types ([`Mersenne31`],
@@ -15,6 +17,12 @@ use rand::RngCore;
 /// although nothing prevents it for experimentation with other primes below
 /// 2⁶². All arithmetic goes through [`PrimeField::reduce`], so a non-Mersenne
 /// prime only costs an extra `%`.
+///
+/// The field also picks the lanes its two hot kernels run on
+/// ([`PrimeField::horner_lanes`], [`PrimeField::weighted_sum_rows`]). The
+/// defaults run portable lanes. [`Mersenne31`] asks the CPU at run time
+/// whether it has AVX2 and, if so, runs AVX2 lanes; no build flag or
+/// option is involved, and every choice gives the same elements.
 pub trait PrimeField:
     'static + Copy + Clone + fmt::Debug + Eq + PartialEq + Send + Sync + Default
 {
@@ -25,12 +33,6 @@ pub trait PrimeField:
     const NAME: &'static str;
     /// Number of bytes needed to encode one element on the wire.
     const ENCODED_LEN: usize;
-
-    /// The packed backend the lane hot paths use for this field, selected
-    /// at build time (see [`crate::packed`]). Experimental fields can
-    /// simply name the generic portable lanes:
-    /// `type Packed = ppda_field::packed::PortableGf<Self>;`.
-    type Packed: crate::packed::PackedField<Self>;
 
     /// Reduce an arbitrary 128-bit value into `[0, MODULUS)`.
     #[inline]
@@ -53,6 +55,42 @@ pub trait PrimeField:
     fn mul_reduced(a: u64, b: u64) -> u64 {
         Self::reduce(a as u128 * b as u128)
     }
+
+    /// The lane kernel behind
+    /// [`packed::horner_lanes_into`](crate::packed::horner_lanes_into),
+    /// which checks the slice lengths and then calls it. The default runs
+    /// the portable lanes; [`Mersenne31`] runs AVX2 lanes when the CPU
+    /// has AVX2, detected at run time on each call.
+    #[inline]
+    fn horner_lanes(
+        coeffs: &[Gf<Self>],
+        lanes: usize,
+        degree: usize,
+        x: Gf<Self>,
+        out: &mut [Gf<Self>],
+    ) {
+        crate::packed::horner_lanes_portable(coeffs, lanes, degree, x, out);
+    }
+
+    /// The lane kernel behind
+    /// [`packed::weighted_sum_rows_into`](crate::packed::weighted_sum_rows_into),
+    /// chosen as for [`PrimeField::horner_lanes`].
+    #[inline]
+    fn weighted_sum_rows(
+        weights: &[Gf<Self>],
+        slab: &[Gf<Self>],
+        lanes: usize,
+        out: &mut [Gf<Self>],
+    ) {
+        crate::packed::weighted_sum_rows_portable(weights, slab, lanes, out);
+    }
+
+    /// Which lanes the two kernels above run on this CPU (`"portable"`,
+    /// `"avx2"`), as [`packed::backend_name`](crate::packed::backend_name)
+    /// reports it.
+    fn lane_backend() -> &'static str {
+        "portable"
+    }
 }
 
 /// Marker for the Mersenne prime field with p = 2³¹ − 1.
@@ -68,18 +106,29 @@ impl PrimeField for Mersenne31 {
     const NAME: &'static str = "M31";
     const ENCODED_LEN: usize = 4;
 
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        not(feature = "force-portable")
-    ))]
-    type Packed = crate::packed::Avx2Gf31;
-    #[cfg(not(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        not(feature = "force-portable")
-    )))]
-    type Packed = crate::packed::PortableGf<Mersenne31>;
+    #[inline]
+    fn horner_lanes(coeffs: &[Gf31], lanes: usize, degree: usize, x: Gf31, out: &mut [Gf31]) {
+        match Avx2::detect() {
+            Some(avx2) => avx2.horner_lanes(coeffs, lanes, degree, x, out),
+            None => crate::packed::horner_lanes_portable(coeffs, lanes, degree, x, out),
+        }
+    }
+
+    #[inline]
+    fn weighted_sum_rows(weights: &[Gf31], slab: &[Gf31], lanes: usize, out: &mut [Gf31]) {
+        match Avx2::detect() {
+            Some(avx2) => avx2.weighted_sum_rows(weights, slab, lanes, out),
+            None => crate::packed::weighted_sum_rows_portable(weights, slab, lanes, out),
+        }
+    }
+
+    fn lane_backend() -> &'static str {
+        if Avx2::detect().is_some() {
+            "avx2"
+        } else {
+            "portable"
+        }
+    }
 
     #[inline]
     fn mul_reduced(a: u64, b: u64) -> u64 {
@@ -129,9 +178,7 @@ impl PrimeField for Mersenne61 {
     const ENCODED_LEN: usize = 8;
 
     // 61-bit products need 122 bits, out of reach of AVX2's 32×32
-    // multiplier — the branchless portable lanes are the packed backend on
-    // every target.
-    type Packed = crate::packed::PortableGf<Mersenne61>;
+    // multiplier, so the lane kernels keep their portable defaults.
 
     #[inline]
     fn mul_reduced(a: u64, b: u64) -> u64 {
@@ -185,7 +232,7 @@ impl PrimeField for Mersenne61 {
 /// assert_eq!((a * b) / b, a);
 /// assert_eq!(a - a, Gf31::ZERO);
 /// ```
-// repr(transparent) lets the packed backends load/store slabs of elements
+// repr(transparent) lets the AVX2 lanes load/store slabs of elements
 // directly as their u64 residues.
 #[repr(transparent)]
 pub struct Gf<P: PrimeField>(u64, PhantomData<P>);
@@ -207,8 +254,8 @@ impl<P: PrimeField> Gf<P> {
         Gf(P::reduce64(v), PhantomData)
     }
 
-    /// Wrap an already-reduced residue without the reduction pass (packed
-    /// backends store lanes they have proven canonical).
+    /// Wrap an already-reduced residue without the reduction pass (the
+    /// portable lanes store residues they keep canonical).
     ///
     /// Callers must guarantee `v < P::MODULUS`.
     #[inline]

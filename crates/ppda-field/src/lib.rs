@@ -35,7 +35,8 @@
 //! ```
 
 // Unsafe is denied crate-wide and allowed back in exactly one place: the
-// cfg-gated AVX2 module of `packed`, whose intrinsics carry SAFETY notes.
+// private AVX2 module of `packed`. It runs only behind a token that run-time
+// CPU detection mints, and its intrinsics carry SAFETY notes.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -52,7 +53,6 @@ pub use batch::PolyBatch;
 pub use element::{Gf, Gf31, Gf61, GfBytes, Mersenne31, Mersenne61, PrimeField};
 pub use error::FieldError;
 pub use lagrange::batch_invert;
-pub use packed::PackedField;
 pub use poly::Polynomial;
 pub use rng::SplitMix64;
 

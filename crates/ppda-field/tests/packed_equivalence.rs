@@ -1,13 +1,16 @@
-//! Property suite: the packed backend is bit-identical to the scalar
-//! oracle — mul/add lane-wise, Horner evaluation, and weighted sums, over
-//! both Mersenne fields, at lane counts that force `lanes % WIDTH != 0`
-//! tails. Replayed in CI under `PROPTEST_SEED=1` like the fault suite.
+//! Property suite: the public lane kernels, on the lanes this CPU runs
+//! (AVX2 for Mersenne-31 when the CPU has it, else portable), are
+//! bit-identical to the scalar operators and oracles: lane-wise add, mul
+//! and mul_add, Horner evaluation and weighted sums, over both Mersenne
+//! fields, at lane counts that force `lanes % 4 != 0` tails. The crate's
+//! unit tests check every path against the others in one build. Replayed
+//! in CI under `PROPTEST_SEED=1` like the fault suite.
 
 use proptest::prelude::*;
 
 use ppda_field::packed::{
-    self, horner_lanes_into, horner_lanes_scalar_into, weighted_sum_rows_into,
-    weighted_sum_rows_scalar_into, PackedField,
+    horner_lanes_into, horner_lanes_scalar_into, weighted_sum_rows_into,
+    weighted_sum_rows_scalar_into,
 };
 use ppda_field::{Gf, Gf31, Gf61, Mersenne31, Mersenne61, PolyBatch, PrimeField, SplitMix64};
 
@@ -19,26 +22,30 @@ fn gf61() -> impl Strategy<Value = Gf61> {
     any::<u64>().prop_map(Gf61::new)
 }
 
-/// Lane-wise packed mul/add/mul_add versus scalar operators, including the
-/// moduli's worst-case residues, generically over the field.
+/// Lane-wise add, mul and mul_add through the kernels versus the scalar
+/// operators, generically over the field: the first half of `values` is
+/// lane vector `a`, the second `b`. Rows `a` and `b` under weights 1 and 1
+/// add; row `a` under weight `w` multiplies every lane by `w`; Horner at
+/// degree 1 over coefficients `b`, `a` at `w` is `a · w + b`. Every lane of
+/// `b` serves as `w` once.
 fn lanes_match_scalar<P: PrimeField>(values: Vec<Gf<P>>) {
-    let width = packed::backend_width::<P>();
-    if values.len() < 2 * width {
-        return;
+    let lanes = values.len() / 2;
+    let (a, b) = (&values[..lanes], &values[lanes..2 * lanes]);
+    let mut sum = vec![Gf::ZERO; lanes];
+    weighted_sum_rows_into(&[Gf::ONE, Gf::ONE], &[a, b].concat(), lanes, &mut sum);
+    let coeffs = [b, a].concat();
+    let mut prod = vec![Gf::ZERO; lanes];
+    let mut fused = vec![Gf::ZERO; lanes];
+    for &w in b {
+        weighted_sum_rows_into(&[w], a, lanes, &mut prod);
+        horner_lanes_into(&coeffs, lanes, 1, w, &mut fused);
+        for i in 0..lanes {
+            assert_eq!(prod[i], a[i] * w, "mul lane {i}");
+            assert_eq!(fused[i], a[i] * w + b[i], "mul_add lane {i}");
+        }
     }
-    let (a, b) = values.split_at(width);
-    let pa = packed::Packed::<P>::load(a);
-    let pb = packed::Packed::<P>::load(b);
-    let mut sum = vec![Gf::ZERO; width];
-    let mut prod = vec![Gf::ZERO; width];
-    let mut fused = vec![Gf::ZERO; width];
-    pa.add(pb).store(&mut sum);
-    pa.mul(pb).store(&mut prod);
-    pa.mul_add(pb, pa).store(&mut fused);
-    for i in 0..width {
+    for i in 0..lanes {
         assert_eq!(sum[i], a[i] + b[i], "add lane {i}");
-        assert_eq!(prod[i], a[i] * b[i], "mul lane {i}");
-        assert_eq!(fused[i], a[i] * b[i] + a[i], "mul_add lane {i}");
     }
 }
 
@@ -61,15 +68,7 @@ proptest! {
         let p = Gf31::modulus();
         let a = vec![Gf31::new(p - 1 - offset_a); 8];
         let b = vec![Gf31::new(p - 1 - offset_b); 8];
-        let mut out = vec![Gf31::ZERO; 4];
-        packed::Packed::<Mersenne31>::load(&a)
-            .mul(packed::Packed::<Mersenne31>::load(&b))
-            .store(&mut out);
-        prop_assert_eq!(out[0], a[0] * b[0]);
-        packed::Packed::<Mersenne31>::load(&a)
-            .add(packed::Packed::<Mersenne31>::load(&b))
-            .store(&mut out);
-        prop_assert_eq!(out[0], a[0] + b[0]);
+        lanes_match_scalar::<Mersenne31>([a, b].concat());
     }
 
     // ---- Horner over lanes ≡ scalar oracle (odd lane counts → tails) ----

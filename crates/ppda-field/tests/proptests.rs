@@ -213,9 +213,9 @@ proptest! {
 
     #[test]
     fn poly_batch_equals_sequential_scalar_polynomials(
-        // Lane counts past the packed width so the SIMD tail (`lanes %
-        // WIDTH != 0`) is exercised against the scalar oracle, odd counts
-        // included.
+        // Lane counts past the four-lane chunk width so the SIMD tail
+        // (`lanes % 4 != 0`) is exercised against the scalar oracle, odd
+        // counts included.
         secrets in prop::collection::vec(0u64..1_000_000, 1..26),
         degree in 0usize..6,
         seed in any::<u64>(),

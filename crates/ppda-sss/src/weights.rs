@@ -100,10 +100,11 @@ impl<P: PrimeField> ReconstructionPlan<P> {
     /// x-major slab (`ys[i * lanes + lane]` = lane `lane`'s sum share at
     /// canonical point `i`), `out[lane]` becomes `Σᵢ wᵢ · ys[i][lane]`.
     ///
-    /// The sum runs through the build's packed backend
-    /// ([`ppda_field::packed`]) with exact scalar tails, so lane `l`
-    /// equals [`ReconstructionPlan::reconstruct`] over lane `l`'s scalar
-    /// shares bit for bit.
+    /// The sum runs through [`ppda_field::packed::weighted_sum_rows_into`]
+    /// on the lanes this CPU runs (AVX2 for Mersenne-31 when the CPU has
+    /// it, detected at run time; else portable) with exact scalar tails,
+    /// so lane `l` equals [`ReconstructionPlan::reconstruct`] over lane
+    /// `l`'s scalar shares bit for bit.
     ///
     /// `out` is cleared and resized to `lanes`.
     ///
