@@ -158,6 +158,8 @@ struct RoundScratch {
     recon_out: Vec<Elem>,
     /// Destination indices a node holds, grouped during aggregation.
     held: Vec<usize>,
+    /// The held indices in the chosen mask group, lowest x first.
+    members: Vec<usize>,
     /// Per node: how far a monotone completion predicate has scanned the
     /// packets it waits for (they never un-arrive), so a flood checks each
     /// node's list once in total instead of once per reception.
@@ -217,6 +219,7 @@ impl ExecState {
                 recon_slab: Vec::with_capacity(plan.threshold * lanes),
                 recon_out: Vec::with_capacity(lanes),
                 held: Vec::with_capacity(n_dests),
+                members: Vec::with_capacity(n_dests),
                 cursor: vec![0; config.n_nodes],
             },
         }
@@ -641,6 +644,7 @@ impl ExecState {
                         config.degree,
                         &plan.recon_weights,
                         weight_cache.as_mut(),
+                        &mut scratch.members,
                         &mut scratch.recon_xs,
                         &mut scratch.recon_slab,
                         &mut scratch.recon_out,
@@ -727,6 +731,7 @@ fn aggregate_lanes(
     degree: usize,
     weights: &ReconstructionPlan<Field>,
     cache: Option<&mut WeightCache<Field>>,
+    members: &mut Vec<usize>,
     recon_xs: &mut Vec<Elem>,
     recon_slab: &mut Vec<Elem>,
     recon_out: &mut Vec<Elem>,
@@ -764,18 +769,15 @@ fn aggregate_lanes(
         };
         (bits, mask)
     };
-    let mut members: Vec<usize> = held
-        .iter()
-        .copied()
-        .filter(|&di| sum_mask[di] == mask)
-        .collect();
+    members.clear();
+    members.extend(held.iter().copied().filter(|&di| sum_mask[di] == mask));
     members.sort_by_key(|&di| dest_xs[di]);
     members.truncate(degree + 1);
 
     recon_xs.clear();
     recon_xs.extend(members.iter().map(|&di| dest_xs[di]));
     recon_slab.clear();
-    for &di in &members {
+    for &di in members.iter() {
         recon_slab.extend_from_slice(&sum_ys[di * lanes..(di + 1) * lanes]);
     }
 
@@ -871,7 +873,8 @@ mod tests {
         let held = vec![2usize, 3, 4];
         let run = |w: &ReconstructionPlan<Field>| {
             let mut cache = WeightCache::new(&dest_xs, 2).unwrap();
-            let (mut xs, mut slab, mut out) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut members, mut xs, mut slab) = (Vec::new(), Vec::new(), Vec::new());
+            let mut out = Vec::new();
             aggregate_lanes(
                 &held,
                 &sum_ys,
@@ -881,6 +884,7 @@ mod tests {
                 1,
                 w,
                 Some(&mut cache),
+                &mut members,
                 &mut xs,
                 &mut slab,
                 &mut out,
@@ -912,7 +916,8 @@ mod tests {
         let held = vec![0usize, 1, 2, 3];
         let w = weights(&[0, 1, 2, 3], 2);
         let mut cache = WeightCache::new(&dest_xs, 2).unwrap();
-        let (mut xs, mut slab, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut members, mut xs, mut slab) = (Vec::new(), Vec::new(), Vec::new());
+        let mut out = Vec::new();
         let (agg, bits) = aggregate_lanes(
             &held,
             &sum_ys,
@@ -922,6 +927,7 @@ mod tests {
             1,
             &w,
             Some(&mut cache),
+            &mut members,
             &mut xs,
             &mut slab,
             &mut out,
@@ -937,7 +943,8 @@ mod tests {
         let sum_mask = vec![1u128, 1];
         let w = weights(&[0, 1], 2);
         let mut cache = WeightCache::new(&dest_xs, 2).unwrap();
-        let (mut xs, mut slab, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut members, mut xs, mut slab) = (Vec::new(), Vec::new(), Vec::new());
+        let mut out = Vec::new();
         let (agg, bits) = aggregate_lanes(
             &[0],
             &sum_ys,
@@ -947,6 +954,7 @@ mod tests {
             1,
             &w,
             Some(&mut cache),
+            &mut members,
             &mut xs,
             &mut slab,
             &mut out,
@@ -968,7 +976,8 @@ mod tests {
         let held = vec![2usize, 3, 4]; // not the canonical lowest-x subset
         let w = weights(&[0, 1], 2);
         let mut cache = WeightCache::new(&dest_xs, 2).unwrap();
-        let (mut xs, mut slab, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut members, mut xs, mut slab) = (Vec::new(), Vec::new(), Vec::new());
+        let mut out = Vec::new();
         let first = aggregate_lanes(
             &held,
             &sum_ys,
@@ -978,6 +987,7 @@ mod tests {
             1,
             &w,
             Some(&mut cache),
+            &mut members,
             &mut xs,
             &mut slab,
             &mut out,
@@ -993,6 +1003,7 @@ mod tests {
             1,
             &w,
             Some(&mut cache),
+            &mut members,
             &mut xs,
             &mut slab,
             &mut out,

@@ -111,7 +111,7 @@ fn steady_state_rounds_stay_within_their_allocation_budget() {
             ntx: 7,
             full_coverage_ntx: 20,
             fading: FadingProfile::industrial_interference(),
-            bound: 318,
+            bound: 175,
         },
         // perfbench's `wide_b64_audit`: FlockLab S4, 6 sources, B = 64,
         // fragmented, integrity on.
@@ -125,7 +125,7 @@ fn steady_state_rounds_stay_within_their_allocation_budget() {
             ntx: 6,
             full_coverage_ntx: 15,
             fading: FadingProfile::office(),
-            bound: 244,
+            bound: 167,
         },
         // FlockLab S3, 10 sources, B = 1: the strict all-to-all predicate.
         Point {
@@ -138,7 +138,7 @@ fn steady_state_rounds_stay_within_their_allocation_budget() {
             ntx: 6,
             full_coverage_ntx: 15,
             fading: FadingProfile::office(),
-            bound: 203,
+            bound: 99,
         },
     ];
     let measured: Vec<(&str, u64, u64)> = points
