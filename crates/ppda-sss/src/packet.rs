@@ -217,7 +217,7 @@ pub fn open_share_lanes<P: PrimeField>(
         sealed,
         scratch,
     )?;
-    if scratch.len() != lanes * P::ENCODED_LEN {
+    if lanes.checked_mul(P::ENCODED_LEN) != Some(scratch.len()) {
         return Err(SssError::BadPacket {
             what: "lane payload length disagrees with the batch width",
         });
@@ -343,9 +343,16 @@ impl<P: PrimeField> SumBatch<P> {
     ///
     /// # Errors
     ///
-    /// [`SssError::BadPacket`] on truncation or a non-canonical lane value.
+    /// [`SssError::BadPacket`] on truncation, a non-canonical lane value,
+    /// or a lane count whose encoded length overflows `usize`.
     pub fn decode(bytes: &[u8], lanes: usize) -> Result<Self, SssError> {
-        if bytes.len() < Self::encoded_len(lanes) {
+        let len = lanes
+            .checked_mul(P::ENCODED_LEN)
+            .and_then(|ys| ys.checked_add(Self::encoded_len(0)))
+            .ok_or(SssError::BadPacket {
+                what: "sum batch lane count overflows its encoded length",
+            })?;
+        if bytes.len() < len {
             return Err(SssError::BadPacket {
                 what: "sum batch truncated",
             });
@@ -583,6 +590,21 @@ mod tests {
     }
 
     #[test]
+    fn open_share_lanes_rejects_an_oversized_lane_count() {
+        // 2^62 lanes of 4 bytes is 2^64 bytes: an unchecked product wraps
+        // to 0 and would accept this empty plaintext as the whole batch.
+        let ccm = Ccm::new(keys().key(1, 3).unwrap(), 4).unwrap();
+        let x = share_x::<Mersenne31>(3);
+        let mut sealed = Vec::new();
+        seal_share_lanes::<Mersenne31>(&ccm, 1, 3, 9, x, &[], &mut sealed).unwrap();
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        assert!(matches!(
+            open_share_lanes(&ccm, 1, 3, 9, x, 1 << 62, &sealed, &mut scratch, &mut out),
+            Err(SssError::BadPacket { .. })
+        ));
+    }
+
+    #[test]
     fn wide_lane_batch_exceeding_one_frame_round_trips() {
         // 64 lanes = 256 payload bytes: past the single-frame budget, the
         // regime the fragmenting transport carries. The sealing path must
@@ -662,6 +684,16 @@ mod tests {
         assert_eq!(decoded, batch);
         assert!(matches!(
             SumBatch::<Mersenne31>::decode(&bytes[..bytes.len() - 1], 5),
+            Err(SssError::BadPacket { .. })
+        ));
+    }
+
+    #[test]
+    fn sum_batch_decode_rejects_an_oversized_lane_count() {
+        // The encoded length of 2^62 lanes overflows usize: an error, not
+        // an arithmetic-overflow or capacity-overflow panic.
+        assert!(matches!(
+            SumBatch::<Mersenne31>::decode(&[0; 64], 1 << 62),
             Err(SssError::BadPacket { .. })
         ));
     }
