@@ -11,6 +11,7 @@ pub(crate) fn words(n: usize) -> usize {
 }
 
 /// Whether node `v` is in the set.
+#[cfg(test)]
 pub(crate) fn contains(set: &[u64], v: usize) -> bool {
     set[v / 64] >> (v % 64) & 1 != 0
 }
@@ -22,14 +23,19 @@ pub(crate) fn insert(set: &mut [u64], v: usize) {
 
 /// One round's links, receiver-major: for each receiver `v`, the bitset
 /// of nodes it can hear (links with non-zero PRR) and the dense row of
-/// link miss probabilities `1 − prr(v ← u)`. A sub-slot is resolved per
-/// listener in O(⌈n/64⌉ + in-range transmitters).
+/// link miss probabilities `1 − prr(v ← u)`; plus the transpose, for each
+/// transmitter `u`, the bitset of nodes that hear it. A listener's
+/// reception probability costs O(⌈n/64⌉ + in-range transmitters), and
+/// the transpose tells a flood which listeners a change of transmitters
+/// can reach, so it recomputes only those.
 #[derive(Debug, Clone)]
 pub(crate) struct LinkTable {
     n: usize,
     words: usize,
     /// `hears[v * words..][..words]`: the nodes `v` can hear.
     hears: Vec<u64>,
+    /// `heard_by[u * words..][..words]`: the nodes that can hear `u`.
+    heard_by: Vec<u64>,
     /// `miss[v * n + u]`: `1 − prr(v ← u)` (1 where there is no link).
     miss: Vec<f64>,
 }
@@ -44,6 +50,7 @@ impl LinkTable {
         let n = topology.len();
         let words = words(n);
         let mut hears = vec![0u64; n * words];
+        let mut heard_by = vec![0u64; n * words];
         let mut miss = vec![1.0f64; n * n];
         for v in 0..n {
             for u in 0..n {
@@ -51,6 +58,7 @@ impl LinkTable {
                 let prr = topology.prr_at(v, u, attenuation_db) * keep;
                 if prr > 0.0 {
                     insert(&mut hears[v * words..], u);
+                    insert(&mut heard_by[u * words..], v);
                     miss[v * n + u] = 1.0 - prr;
                 }
             }
@@ -59,6 +67,7 @@ impl LinkTable {
             n,
             words,
             hears,
+            heard_by,
             miss,
         }
     }
@@ -71,6 +80,11 @@ impl LinkTable {
     /// transmitters `u`, multiplied in ascending order, with the
     /// constructive-interference reliability factor applied when more
     /// than one copy arrives.
+    ///
+    /// With no transmitter in range the product is empty, and `1 − 1`
+    /// times 1 is exactly the 0 the rule gives; a single copy multiplies
+    /// by exactly 1. The factor is thus picked without a branch.
+    #[inline]
     pub(crate) fn reception_prob(&self, receiver: usize, tx: &[u64]) -> f64 {
         let (hears, row) = self.row(receiver);
         let mut miss = 1.0;
@@ -83,20 +97,24 @@ impl LinkTable {
                 bits &= bits - 1;
             }
         }
-        match in_range {
-            0 => 0.0,
-            1 => 1.0 - miss,
-            _ => (1.0 - miss) * CI_RELIABILITY,
-        }
+        let diversity = if in_range > 1 { CI_RELIABILITY } else { 1.0 };
+        (1.0 - miss) * diversity
     }
 
     /// Receiver `v`'s row: the bitset of nodes it hears and its miss
     /// probabilities.
+    #[inline]
     pub(crate) fn row(&self, v: usize) -> (&[u64], &[f64]) {
         (
             &self.hears[v * self.words..][..self.words],
             &self.miss[v * self.n..][..self.n],
         )
+    }
+
+    /// The bitset of nodes that can hear transmitter `u`.
+    #[inline]
+    pub(crate) fn heard_by(&self, u: usize) -> &[u64] {
+        &self.heard_by[u * self.words..][..self.words]
     }
 }
 
@@ -200,6 +218,25 @@ mod tests {
                         let expected = oracle(t, att, 1.0 - loss, v, tx);
                         assert_eq!(table.to_bits(), expected.to_bits(), "receiver {v}, {tx:?}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heard_by_is_the_transpose_of_hears() {
+        // On both sides of the bit 63/64 word boundary, with and without
+        // loss: `v` hears `u` exactly when `u` is heard by `v`.
+        let t = Topology::grid(10, 9, 14.0, 3);
+        for loss in [0.0, 0.4] {
+            let links = LinkTable::new(&t, 1.0, loss);
+            for v in 0..t.len() {
+                for u in 0..t.len() {
+                    assert_eq!(
+                        contains(links.row(v).0, u),
+                        contains(links.heard_by(u), v),
+                        "{v} ← {u} at loss {loss}"
+                    );
                 }
             }
         }

@@ -13,7 +13,8 @@
 //! sub-slots it has data for. This is the transport on which both SSS
 //! variants of the paper run. A [`MiniCastSchedule`] is compiled once per
 //! chain; each round runs it over one [`LinkConditions`], the link table
-//! under that round's attenuation and loss.
+//! under that round's attenuation and loss, into a caller-owned
+//! [`MiniCastScratch`].
 //!
 //! Nodes are assumed to be time-synchronized before a round starts, as in
 //! the paper's evaluation: no synchronization flood is simulated, and none
@@ -58,5 +59,5 @@ pub use chain::{ChainError, ChainSpec};
 pub use fault::{Delivery, FaultPlan, RoundFaults};
 pub use minicast::{
     LinkConditions, LinkConditionsCache, MiniCastConfig, MiniCastResult, MiniCastSchedule,
-    NodeOutcome,
+    MiniCastScratch, NodeOutcome,
 };

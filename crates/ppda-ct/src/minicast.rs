@@ -11,17 +11,30 @@
 //!   this round's attenuation draw and link loss. One instance serves
 //!   every phase of a round (all phases happen within seconds, under the
 //!   same fading); [`LinkConditionsCache`] replays recurring ones.
+//! * [`MiniCastScratch`] — the caller-owned flood state: every buffer a
+//!   flood writes, and its result. A holder that runs one flood per
+//!   round phase keeps one per phase and allocates nothing per flood.
 //!
-//! A round runs through [`MiniCastSchedule::run_with`] (or
-//! [`MiniCastSchedule::run`], its all-to-all preset) over one
-//! `LinkConditions`.
+//! A round runs through [`MiniCastSchedule::run_into`] over one
+//! `LinkConditions` and a scratch; [`MiniCastSchedule::run_with`] is its
+//! allocating form, and [`MiniCastSchedule::run`] the all-to-all preset.
+//!
+//! A flood is simulated on node bitsets. A sub-slot's transmitters are
+//! its packet's holders among the cycle's transmitting nodes, so a
+//! silent sub-slot costs one AND. Each listener's reception probability
+//! is memoized from one non-silent sub-slot to the next and recomputed
+//! only when its in-range transmitters changed, which the link table's
+//! transpose (who hears whom) tells from the change of transmitters. On
+//! single-fragment chains a word of listeners draws into a success
+//! bitset before its receptions are booked. Probabilities and the RNG
+//! draw sequence are those of the plain per-listener loop, bit for bit.
 
 use ppda_radio::{EnergyLedger, FrameSpec};
 use ppda_sim::{derive_stream, SimDuration, SimTime, Xoshiro256};
 use ppda_topology::Topology;
 
 use crate::chain::ChainSpec;
-use crate::engine::{contains, insert, words, LinkTable};
+use crate::engine::{insert, words, LinkTable};
 
 /// MiniCast round parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -272,6 +285,76 @@ impl LinkConditionsCache {
     }
 }
 
+/// Caller-owned MiniCast flood state: every buffer a flood writes, and
+/// its result.
+///
+/// [`MiniCastSchedule::run_into`] resets and reuses all of it, so a
+/// holder that keeps one per flood it runs — an executor keeps one per
+/// round phase — allocates nothing per flood once the buffers have grown
+/// to its largest topology and chain. The contents between floods carry
+/// nothing over: a flood's draws and result do not depend on them.
+#[derive(Debug)]
+pub struct MiniCastScratch {
+    /// The holders of packet `j`, at `holders[j * w..][..w]`.
+    holders: Vec<u64>,
+    /// Node sets: radio on; joined the flood; live with the predicate
+    /// not yet met; this cycle's chain transmitters; this sub-slot's
+    /// transmitters; the last non-silent sub-slot's transmitters; the
+    /// listeners to recompute; the nodes whose memoized probability is
+    /// positive.
+    on: Vec<u64>,
+    joined: Vec<u64>,
+    waiting: Vec<u64>,
+    active: Vec<u64>,
+    tx: Vec<u64>,
+    last_tx: Vec<u64>,
+    stale: Vec<u64>,
+    drawable: Vec<u64>,
+    /// Per node: reception probability under `last_tx`, packets held and
+    /// frames received.
+    prob: Vec<f64>,
+    held: Vec<u64>,
+    frames: Vec<u64>,
+    /// Per-(node, packet) fragment receipt bitmaps, on fragmented chains
+    /// only.
+    frag_have: Vec<u64>,
+    result: MiniCastResult,
+}
+
+impl Default for MiniCastScratch {
+    fn default() -> Self {
+        MiniCastScratch {
+            holders: Vec::new(),
+            on: Vec::new(),
+            joined: Vec::new(),
+            waiting: Vec::new(),
+            active: Vec::new(),
+            tx: Vec::new(),
+            last_tx: Vec::new(),
+            stale: Vec::new(),
+            drawable: Vec::new(),
+            prob: Vec::new(),
+            held: Vec::new(),
+            frames: Vec::new(),
+            frag_have: Vec::new(),
+            result: MiniCastResult {
+                cycles_run: 0,
+                cycles_scheduled: 0,
+                cycle_duration: SimDuration::ZERO,
+                nodes: Vec::new(),
+                chain_len: 0,
+            },
+        }
+    }
+}
+
+/// Clear `buf` and refill it with `len` copies of `value`, keeping its
+/// allocation.
+fn reset<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
+    buf.clear();
+    buf.resize(len, value);
+}
+
 /// The immutable, reusable part of a MiniCast round: chain layout,
 /// initiator election (the most central chain owner, plus the failover
 /// ranking used when it is failure-injected), and the scheduled round
@@ -377,7 +460,9 @@ impl MiniCastSchedule {
     }
 
     /// Run one round with failure injection and a custom per-node
-    /// completion predicate.
+    /// completion predicate, into a fresh [`MiniCastScratch`]: the
+    /// allocating form of [`MiniCastSchedule::run_into`], with the same
+    /// draws and the same result.
     ///
     /// `failed[v]` nodes never power their radio. The predicate receives
     /// `(node, received)` and decides when the node has all it needs; a
@@ -397,8 +482,33 @@ impl MiniCastSchedule {
         conditions: &LinkConditions,
         rng: &mut Xoshiro256,
         failed: &[bool],
-        mut predicate: impl FnMut(usize, &[bool]) -> bool,
+        predicate: impl FnMut(usize, &[bool]) -> bool,
     ) -> MiniCastResult {
+        let mut scratch = MiniCastScratch::default();
+        self.run_into(conditions, rng, failed, predicate, &mut scratch);
+        scratch.result
+    }
+
+    /// [`MiniCastSchedule::run_with`] into caller-owned state: the flood
+    /// resets and reuses every buffer of `scratch`, its result's per-node
+    /// `received` rows included, and returns that result. A holder that
+    /// keeps one scratch per flood it runs allocates nothing once the
+    /// buffers have grown to its largest topology and chain. The draws,
+    /// the predicate calls and every result field equal a fresh
+    /// `run_with`'s, whatever `scratch` held before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `failed.len()` or the conditions' node count differs from
+    /// the topology size the schedule was built for.
+    pub fn run_into<'s>(
+        &self,
+        conditions: &LinkConditions,
+        rng: &mut Xoshiro256,
+        failed: &[bool],
+        mut predicate: impl FnMut(usize, &[bool]) -> bool,
+        scratch: &'s mut MiniCastScratch,
+    ) -> &'s MiniCastResult {
         let n = self.n;
         assert_eq!(conditions.len(), n, "link conditions size mismatch");
         assert_eq!(failed.len(), n, "failure mask size mismatch");
@@ -415,38 +525,70 @@ impl MiniCastSchedule {
         let frag_full = u64::MAX >> (64 - frags);
         let tx_air = airtime * u64::from(frags);
 
-        // Node sets are bitsets of `w` words (see `engine`): the holders
-        // of packet `j` at `holders[j * w..][..w]`, the nodes whose radio
-        // is on, the joined ones (the initiator and everyone who has
-        // decoded a frame), a cycle's chain transmitters, and one
-        // sub-slot's transmitters: its packet's holders among the cycle's
-        // active nodes. A silent sub-slot thus costs one AND and draws no
-        // randomness. Each listener multiplies `1 − prr` over its
-        // in-range transmitters in ascending order, and listeners draw in
-        // ascending order, so the probabilities and the RNG draw sequence
-        // depend on the node order alone.
         let w = words(n);
-        let mut holders = vec![0u64; l * w];
-        let (mut on, mut joined) = (vec![0u64; w], vec![0u64; w]);
-        let (mut active, mut tx) = (vec![0u64; w], vec![0u64; w]);
-        // Per-(node, packet) fragment receipt bitmaps, on fragmented
-        // chains only.
-        let mut frag_have = vec![0u64; if frags > 1 { n * l } else { 0 }];
-        let mut nodes: Vec<NodeOutcome> = (0..n)
-            .map(|v| NodeOutcome {
-                received: vec![false; l],
-                predicate_met_at: None,
-                radio_off_at: None,
-                ledger: EnergyLedger::new(),
-                chain_tx: 0,
-                failed: failed[v],
-            })
-            .collect();
+        let MiniCastScratch {
+            holders,
+            on,
+            joined,
+            waiting,
+            active,
+            tx,
+            last_tx,
+            stale,
+            drawable,
+            prob,
+            held,
+            frames,
+            frag_have,
+            result,
+        } = scratch;
+        reset(holders, l * w, 0);
+        for set in [
+            &mut *on,
+            &mut *joined,
+            &mut *waiting,
+            &mut *active,
+            &mut *tx,
+            &mut *last_tx,
+            &mut *stale,
+            &mut *drawable,
+        ] {
+            reset(set, w, 0);
+        }
+        reset(prob, n, 0.0);
+        reset(held, n, 0);
+        reset(frames, n, 0);
+        reset(frag_have, if frags > 1 { n * l } else { 0 }, 0);
+        result.cycles_scheduled = self.round_cycles;
+        result.cycle_duration = cycle_dur;
+        result.chain_len = l;
+        let nodes = &mut result.nodes;
+        nodes.truncate(n);
+        for (node, &f) in nodes.iter_mut().zip(failed) {
+            node.received.clear();
+            node.received.resize(l, false);
+            node.predicate_met_at = None;
+            node.radio_off_at = None;
+            node.ledger = EnergyLedger::new();
+            node.chain_tx = 0;
+            node.failed = f;
+        }
+        let reused = nodes.len();
+        nodes.extend(failed[reused..].iter().map(|&f| NodeOutcome {
+            received: vec![false; l],
+            predicate_met_at: None,
+            radio_off_at: None,
+            ledger: EnergyLedger::new(),
+            chain_tx: 0,
+            failed: f,
+        }));
+
         for (j, &owner) in self.chain.owners().iter().enumerate() {
             let owner = owner as usize;
             if !failed[owner] {
                 nodes[owner].received[j] = true;
                 insert(&mut holders[j * w..], owner);
+                held[owner] += 1;
             }
         }
         // If the designated initiator is dead, the deployment's failover
@@ -458,18 +600,44 @@ impl MiniCastSchedule {
             Some(self.initiator)
         };
         if let Some(init) = initiator {
-            insert(&mut joined, init);
+            insert(joined, init);
         }
-        // Initial predicate check (e.g. a node that owns everything it needs).
+        // Initial predicate check (e.g. a node that owns everything it
+        // needs). `waiting` holds the live nodes whose predicate has not
+        // held yet: the only ones it is called for.
         for (v, node) in nodes.iter_mut().enumerate() {
             if !node.failed {
-                insert(&mut on, v);
+                insert(on, v);
                 if predicate(v, &node.received) {
                     node.predicate_met_at = Some(SimTime::ZERO);
+                } else {
+                    insert(waiting, v);
                 }
             }
         }
 
+        // Node sets are bitsets of `w` words (see `engine`): the holders
+        // of packet `j` at `holders[j * w..][..w]`, the nodes whose radio
+        // is on, the joined ones (the initiator and everyone who has
+        // decoded a frame), a cycle's chain transmitters, and one
+        // sub-slot's transmitters: its packet's holders among the cycle's
+        // active nodes. A silent sub-slot thus costs one AND and draws no
+        // randomness. Each listener multiplies `1 − prr` over its
+        // in-range transmitters in ascending order, and listeners draw in
+        // ascending order, so the probabilities and the RNG draw sequence
+        // depend on the node order alone.
+        //
+        // `prob[v]` memoizes listener `v`'s reception probability under
+        // `last_tx`, the previous non-silent sub-slot's transmitters, and
+        // `drawable` holds the nodes whose memoized probability is
+        // positive. The link table is fixed within a flood and `on` only
+        // shrinks, so a listener that hears no node of `tx ^ last_tx`
+        // has the same in-range transmitters, hence the same ascending
+        // product, as before. Only the others are recomputed, and those
+        // that were transmitting, whose probability was never taken. The
+        // memo starts empty in every flood.
+        let mut local_rng = rng.clone();
+        let mut primed = false;
         let ntx = self.config.ntx;
         let mut cycles_run = 0u32;
         for cycle in 0..self.round_cycles {
@@ -479,40 +647,115 @@ impl MiniCastSchedule {
             // sends every packet it holds now: a packet's holders change
             // only in its own sub-slot, where its transmitters don't
             // listen.
-            active.fill(0);
-            for (v, node) in nodes.iter_mut().enumerate() {
-                if contains(&on, v) && contains(&joined, v) && node.chain_tx < ntx {
-                    insert(&mut active, v);
-                    node.chain_tx += 1;
-                    let held = node.received.iter().filter(|&&h| h).count();
-                    node.ledger.add_tx(tx_air * held as u64);
+            for (k, a) in active.iter_mut().enumerate() {
+                *a = 0;
+                let mut bits = on[k] & joined[k];
+                while bits != 0 {
+                    let v = k * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let node = &mut nodes[v];
+                    if node.chain_tx < ntx {
+                        *a |= 1 << (v % 64);
+                        node.chain_tx += 1;
+                        node.ledger.add_tx(tx_air * held[v]);
+                    }
                 }
             }
 
             for j in 0..l {
+                let holders_j = &mut holders[j * w..][..w];
                 let mut any_tx = 0;
-                for ((t, &held), &a) in tx.iter_mut().zip(&holders[j * w..][..w]).zip(&active) {
-                    *t = held & a;
+                for ((t, &h), &a) in tx.iter_mut().zip(&*holders_j).zip(&*active) {
+                    *t = h & a;
                     any_tx |= *t;
                 }
                 if any_tx == 0 {
                     continue;
                 }
                 let slot_end = cycle_start + slot * (j as u64 + 1);
-                for (k, (&on_k, &tx_k)) in on.iter().zip(&tx).enumerate() {
-                    // The listeners: radio on and not transmitting.
-                    let mut rest = on_k & !tx_k;
-                    while rest != 0 {
-                        let v = k * 64 + rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        let p = links.reception_prob(v, &tx);
-                        if p <= 0.0 {
-                            continue;
+
+                // The listeners to recompute, among `on & !tx`: those
+                // that were transmitting and those that hear a node of
+                // `tx ^ last_tx` (held in `last_tx` meanwhile). A repeated
+                // transmitter set recomputes none.
+                if primed {
+                    for ((s, last), &t) in stale.iter_mut().zip(last_tx.iter_mut()).zip(&*tx) {
+                        *s = *last;
+                        *last ^= t;
+                    }
+                    for (k, &t) in tx.iter().enumerate() {
+                        let mut delta = std::mem::replace(&mut last_tx[k], t);
+                        while delta != 0 {
+                            let u = k * 64 + delta.trailing_zeros() as usize;
+                            delta &= delta - 1;
+                            for (s, &h) in stale.iter_mut().zip(links.heard_by(u)) {
+                                *s |= h;
+                            }
                         }
-                        if contains(&holders[j * w..], v) {
-                            // Overhearing a known packet still synchronizes.
-                            if rng.chance(p) {
-                                insert(&mut joined, v);
+                    }
+                } else {
+                    stale.fill(u64::MAX);
+                    last_tx.copy_from_slice(tx);
+                    primed = true;
+                }
+                for (k, s) in stale.iter().enumerate() {
+                    let mut bits = s & on[k] & !tx[k];
+                    while bits != 0 {
+                        let v = k * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let p = links.reception_prob(v, tx);
+                        prob[v] = p;
+                        let bit = 1u64 << (v % 64);
+                        drawable[k] = drawable[k] & !bit | u64::from(p > 0.0) << (v % 64);
+                    }
+                }
+
+                for k in 0..w {
+                    let mut rest = on[k] & !tx[k] & drawable[k];
+                    if frags == 1 {
+                        // One draw per listener: resolve the word's draws
+                        // into a success bitset, then do its bookkeeping.
+                        // No reception changes another listener's draw
+                        // within a sub-slot, so the draw sequence is the
+                        // per-listener one.
+                        let mut hits = 0u64;
+                        while rest != 0 {
+                            let b = rest.trailing_zeros() as usize;
+                            rest &= rest - 1;
+                            hits |= u64::from(local_rng.chance(prob[k * 64 + b])) << b;
+                        }
+                        // Overhearing a known packet still synchronizes.
+                        joined[k] |= hits;
+                        let mut new = hits & !holders_j[k];
+                        holders_j[k] |= new;
+                        let mut check = new & waiting[k];
+                        while new != 0 {
+                            let v = k * 64 + new.trailing_zeros() as usize;
+                            new &= new - 1;
+                            nodes[v].received[j] = true;
+                            held[v] += 1;
+                            frames[v] += 1;
+                        }
+                        while check != 0 {
+                            let v = k * 64 + check.trailing_zeros() as usize;
+                            check &= check - 1;
+                            let node = &mut nodes[v];
+                            if predicate(v, &node.received) {
+                                node.predicate_met_at = Some(slot_end);
+                                waiting[k] &= !(1 << (v % 64));
+                            }
+                        }
+                        continue;
+                    }
+                    // Fragmented chains draw per listener and fragment.
+                    while rest != 0 {
+                        let b = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        let (v, bit) = (k * 64 + b, 1u64 << b);
+                        let p = prob[v];
+                        if holders_j[k] & bit != 0 {
+                            if local_rng.chance(p) {
+                                joined[k] |= bit;
                             }
                             continue;
                         }
@@ -523,10 +766,10 @@ impl MiniCastSchedule {
                         // receipt bitmap fills — losing one fragment
                         // forfeits the whole packet for this sub-slot,
                         // never splices.
-                        let mut got = if frags > 1 { frag_have[v * l + j] } else { 0 };
+                        let mut got = frag_have[v * l + j];
                         let mut new_rx = 0u64;
                         for f in 0..frags {
-                            if got >> f & 1 == 0 && rng.chance(p) {
+                            if got >> f & 1 == 0 && local_rng.chance(p) {
                                 got |= 1 << f;
                                 new_rx += 1;
                             }
@@ -534,32 +777,38 @@ impl MiniCastSchedule {
                         if new_rx == 0 {
                             continue;
                         }
-                        insert(&mut joined, v);
-                        let node = &mut nodes[v];
-                        node.ledger.add_rx(airtime * new_rx);
-                        if frags > 1 {
-                            frag_have[v * l + j] = got;
-                        }
+                        joined[k] |= bit;
+                        frames[v] += new_rx;
+                        frag_have[v * l + j] = got;
                         if got == frag_full {
+                            let node = &mut nodes[v];
                             node.received[j] = true;
-                            insert(&mut holders[j * w..], v);
-                            if node.predicate_met_at.is_none() && predicate(v, &node.received) {
+                            holders_j[k] |= bit;
+                            held[v] += 1;
+                            if waiting[k] & bit != 0 && predicate(v, &node.received) {
                                 node.predicate_met_at = Some(slot_end);
+                                waiting[k] &= !bit;
                             }
                         }
                     }
                 }
             }
 
-            // Cycle boundary: switch off finished nodes. Nodes that
-            // decoded a frame this cycle joined already; they transmit
-            // from the next cycle on.
+            // Cycle boundary: switch off finished nodes, those no longer
+            // waiting whose NTX duty is done. Nodes that decoded a frame
+            // this cycle joined already; they transmit from the next
+            // cycle on.
             if self.config.early_radio_off {
                 let cycle_end = cycle_start + cycle_dur;
-                for (v, node) in nodes.iter_mut().enumerate() {
-                    if contains(&on, v) && node.chain_tx >= ntx && node.predicate_met_at.is_some() {
-                        on[v / 64] &= !(1 << (v % 64));
-                        node.radio_off_at = Some(cycle_end);
+                for (k, word) in on.iter_mut().enumerate() {
+                    let mut done = *word & !waiting[k];
+                    while done != 0 {
+                        let v = k * 64 + done.trailing_zeros() as usize;
+                        done &= done - 1;
+                        if nodes[v].chain_tx >= ntx {
+                            *word &= !(1 << (v % 64));
+                            nodes[v].radio_off_at = Some(cycle_end);
+                        }
                     }
                 }
             }
@@ -567,27 +816,28 @@ impl MiniCastSchedule {
                 break;
             }
         }
+        *rng = local_rng;
 
         // Every sub-slot a node's radio is on lasts one `slot`: airtime
         // plus turnaround and processing per frame, so never less than
         // what the node sent or received in it. The radio switches only
         // at cycle boundaries, so a node's on-time is whole cycles, and
         // its listen time is the exact remainder after its tx and rx
-        // time — the ledger needs no per-sub-slot writes.
+        // time — the ledger needs no per-sub-slot writes. Durations are
+        // whole microseconds, so one rx entry per node equals the sum of
+        // one per frame.
         let round_end = SimTime::ZERO + cycle_dur * u64::from(cycles_run);
-        for node in nodes.iter_mut().filter(|node| !node.failed) {
+        for (node, &rx_frames) in nodes.iter_mut().zip(&*frames) {
+            if node.failed {
+                continue;
+            }
+            node.ledger.add_rx(airtime * rx_frames);
             let on_time = node.radio_off_at.unwrap_or(round_end) - SimTime::ZERO;
             let busy = node.ledger.tx_time() + node.ledger.rx_time();
             node.ledger.add_listen(on_time.saturating_sub(busy));
         }
-
-        MiniCastResult {
-            cycles_run,
-            cycles_scheduled: self.round_cycles,
-            cycle_duration: cycle_dur,
-            nodes,
-            chain_len: l,
-        }
+        result.cycles_run = cycles_run;
+        result
     }
 
     /// Measure mean all-to-all coverage as a function of NTX — the
@@ -632,7 +882,9 @@ impl MiniCastSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::contains;
     use ppda_radio::FrameSpec;
+    use proptest::prelude::*;
 
     fn frame() -> FrameSpec {
         FrameSpec::new(8, 0).unwrap()
@@ -915,6 +1167,11 @@ mod tests {
                     cached_hears, fresh_hears,
                     "bitsets differ at ({db}, {loss})"
                 );
+                assert_eq!(
+                    cached.links.heard_by(v),
+                    fresh.links.heard_by(v),
+                    "transposed bitsets differ at ({db}, {loss})"
+                );
                 assert!(
                     cached_miss
                         .iter()
@@ -1061,5 +1318,354 @@ mod tests {
         let b = mc.run(&calm(&t), &mut Xoshiro256::seed_from(5));
         assert_eq!(a.nodes, b.nodes);
         assert_eq!(a.cycles_run, b.cycles_run);
+    }
+
+    /// The flood's plain listener loop, the oracle of the incremental one:
+    /// one listener and one `reception_prob` at a time, one draw per
+    /// listener with p > 0 (per missing fragment on fragmented chains),
+    /// the bookkeeping and the predicate call per reception, and a scan
+    /// of `received` for each cycle's tx time.
+    fn reference_flood(
+        schedule: &MiniCastSchedule,
+        conditions: &LinkConditions,
+        rng: &mut Xoshiro256,
+        failed: &[bool],
+        mut predicate: impl FnMut(usize, &[bool]) -> bool,
+    ) -> MiniCastResult {
+        let n = schedule.n;
+        let links = &conditions.links;
+        let chain = &schedule.chain;
+        let l = chain.len();
+        let slot = chain.slot_duration();
+        let airtime = chain.frame().airtime();
+        let cycle_dur = chain.cycle_duration();
+        let frags = chain.fragments();
+        let frag_full = u64::MAX >> (64 - frags);
+        let tx_air = airtime * u64::from(frags);
+        let w = words(n);
+        let mut holders = vec![0u64; l * w];
+        let (mut on, mut joined) = (vec![0u64; w], vec![0u64; w]);
+        let (mut active, mut tx) = (vec![0u64; w], vec![0u64; w]);
+        let mut frag_have = vec![0u64; n * l];
+        let mut nodes: Vec<NodeOutcome> = (0..n)
+            .map(|v| NodeOutcome {
+                received: vec![false; l],
+                predicate_met_at: None,
+                radio_off_at: None,
+                ledger: EnergyLedger::new(),
+                chain_tx: 0,
+                failed: failed[v],
+            })
+            .collect();
+        for (j, &owner) in chain.owners().iter().enumerate() {
+            let owner = owner as usize;
+            if !failed[owner] {
+                nodes[owner].received[j] = true;
+                insert(&mut holders[j * w..], owner);
+            }
+        }
+        let initiator = if failed[schedule.initiator] {
+            schedule.owner_rank.iter().copied().find(|&v| !failed[v])
+        } else {
+            Some(schedule.initiator)
+        };
+        if let Some(init) = initiator {
+            insert(&mut joined, init);
+        }
+        for (v, node) in nodes.iter_mut().enumerate() {
+            if !node.failed {
+                insert(&mut on, v);
+                if predicate(v, &node.received) {
+                    node.predicate_met_at = Some(SimTime::ZERO);
+                }
+            }
+        }
+        let ntx = schedule.config.ntx;
+        let mut cycles_run = 0u32;
+        for cycle in 0..schedule.round_cycles {
+            cycles_run = cycle + 1;
+            let cycle_start = SimTime::ZERO + cycle_dur * u64::from(cycle);
+            active.fill(0);
+            for (v, node) in nodes.iter_mut().enumerate() {
+                if contains(&on, v) && contains(&joined, v) && node.chain_tx < ntx {
+                    insert(&mut active, v);
+                    node.chain_tx += 1;
+                    let held = node.received.iter().filter(|&&h| h).count();
+                    node.ledger.add_tx(tx_air * held as u64);
+                }
+            }
+            for j in 0..l {
+                for ((t, &held), &a) in tx.iter_mut().zip(&holders[j * w..][..w]).zip(&active) {
+                    *t = held & a;
+                }
+                if tx.iter().all(|&t| t == 0) {
+                    continue;
+                }
+                let slot_end = cycle_start + slot * (j as u64 + 1);
+                for v in 0..n {
+                    if !contains(&on, v) || contains(&tx, v) {
+                        continue;
+                    }
+                    let p = links.reception_prob(v, &tx);
+                    if p <= 0.0 {
+                        continue;
+                    }
+                    if contains(&holders[j * w..], v) {
+                        if rng.chance(p) {
+                            insert(&mut joined, v);
+                        }
+                        continue;
+                    }
+                    let mut got = frag_have[v * l + j];
+                    let mut new_rx = 0u64;
+                    for f in 0..frags {
+                        if got >> f & 1 == 0 && rng.chance(p) {
+                            got |= 1 << f;
+                            new_rx += 1;
+                        }
+                    }
+                    if new_rx == 0 {
+                        continue;
+                    }
+                    insert(&mut joined, v);
+                    let node = &mut nodes[v];
+                    node.ledger.add_rx(airtime * new_rx);
+                    frag_have[v * l + j] = got;
+                    if got == frag_full {
+                        node.received[j] = true;
+                        insert(&mut holders[j * w..], v);
+                        if node.predicate_met_at.is_none() && predicate(v, &node.received) {
+                            node.predicate_met_at = Some(slot_end);
+                        }
+                    }
+                }
+            }
+            if schedule.config.early_radio_off {
+                let cycle_end = cycle_start + cycle_dur;
+                for (v, node) in nodes.iter_mut().enumerate() {
+                    if contains(&on, v) && node.chain_tx >= ntx && node.predicate_met_at.is_some() {
+                        on[v / 64] &= !(1 << (v % 64));
+                        node.radio_off_at = Some(cycle_end);
+                    }
+                }
+            }
+            if on.iter().all(|&word| word == 0) {
+                break;
+            }
+        }
+        let round_end = SimTime::ZERO + cycle_dur * u64::from(cycles_run);
+        for node in nodes.iter_mut().filter(|node| !node.failed) {
+            let on_time = node.radio_off_at.unwrap_or(round_end) - SimTime::ZERO;
+            let busy = node.ledger.tx_time() + node.ledger.rx_time();
+            node.ledger.add_listen(on_time.saturating_sub(busy));
+        }
+        MiniCastResult {
+            cycles_run,
+            cycles_scheduled: schedule.round_cycles,
+            cycle_duration: cycle_dur,
+            nodes,
+            chain_len: l,
+        }
+    }
+
+    /// A drawn flood: its schedule, link conditions, failed nodes and the
+    /// packets each node's predicate waits for.
+    struct Flood {
+        schedule: MiniCastSchedule,
+        conditions: LinkConditions,
+        failed: Vec<bool>,
+        needs: Vec<Vec<usize>>,
+    }
+
+    /// Draw a flood from one seed: a line, grid or random geometric
+    /// topology of about `n` nodes; a chain of 1–8 runs, each owner
+    /// holding 1–20 consecutive sub-slots as S4's per-source runs do;
+    /// failures (the initiator one time in four); per-node needs, from
+    /// nothing (a relay) to the whole chain.
+    #[allow(clippy::too_many_arguments)]
+    fn draw_flood(
+        shape: u8,
+        n: usize,
+        seed: u64,
+        frags: u32,
+        ntx: u32,
+        early_radio_off: bool,
+        loss_pct: u32,
+        attenuation_tenths_db: u32,
+    ) -> Flood {
+        let mut rng = Xoshiro256::seed_from(seed);
+        let topology = match shape {
+            0 => Topology::line(n, 22.0 + rng.below(16) as f64, seed),
+            1 => {
+                let nx = (n as f64).sqrt().ceil() as usize;
+                Topology::grid(nx, n.div_ceil(nx), 14.0 + rng.below(8) as f64, seed)
+            }
+            _ => {
+                let side = (n as f64).sqrt() * (14.0 + rng.below(10) as f64);
+                Topology::random_geometric(n, side, side, seed)
+            }
+        };
+        let n = topology.len();
+        let mut owners = Vec::new();
+        for _ in 0..1 + rng.below(8) {
+            let owner = rng.below(n as u64) as u16;
+            owners.extend(std::iter::repeat_n(owner, 1 + rng.below(20) as usize));
+        }
+        let l = owners.len();
+        let chain = ChainSpec::with_fragments(frame(), owners, frags).unwrap();
+        let config = MiniCastConfig {
+            ntx,
+            // Some floods run a short fixed round, the rest the automatic
+            // length.
+            max_cycles: rng.chance(0.3).then(|| 1 + rng.below(6) as u32),
+            early_radio_off,
+            ..MiniCastConfig::default()
+        };
+        let schedule = MiniCastSchedule::new(&topology, chain, config);
+        let mut failed: Vec<bool> = (0..n).map(|_| rng.chance(0.1)).collect();
+        if rng.chance(0.25) {
+            failed[schedule.initiator()] = true;
+        }
+        // A flood of relays only ends early once their duty is done.
+        let relays_only = rng.chance(0.25);
+        let needs = (0..n)
+            .map(|_| match if relays_only { 0 } else { rng.below(4) } {
+                0 => Vec::new(),
+                1 => (0..l).collect(),
+                _ => (0..l).filter(|_| rng.chance(0.3)).collect(),
+            })
+            .collect();
+        let conditions = LinkConditions::new(
+            &topology,
+            f64::from(attenuation_tenths_db) / 10.0,
+            f64::from(loss_pct) / 100.0,
+        );
+        Flood {
+            schedule,
+            conditions,
+            failed,
+            needs,
+        }
+    }
+
+    /// A stateful, monotone predicate: per node, a cursor over the
+    /// packets it waits for. It logs every call with a fingerprint of
+    /// the packets it was shown.
+    struct Needs<'a> {
+        needs: &'a [Vec<usize>],
+        cursor: Vec<usize>,
+        calls: Vec<(usize, u64)>,
+    }
+
+    impl<'a> Needs<'a> {
+        fn new(needs: &'a [Vec<usize>]) -> Self {
+            Needs {
+                needs,
+                cursor: vec![0; needs.len()],
+                calls: Vec::new(),
+            }
+        }
+
+        fn check(&mut self, v: usize, have: &[bool]) -> bool {
+            let fingerprint = have.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            });
+            self.calls.push((v, fingerprint));
+            let need = &self.needs[v];
+            let at = &mut self.cursor[v];
+            *at += need[*at..].iter().take_while(|&&j| have[j]).count();
+            *at == need.len()
+        }
+    }
+
+    /// Every field of two results, the predicate calls and the RNG states
+    /// after the floods must be equal.
+    fn assert_same_flood(
+        (got, got_calls, got_rng): (&MiniCastResult, &[(usize, u64)], &Xoshiro256),
+        (want, want_calls, want_rng): (&MiniCastResult, &[(usize, u64)], &Xoshiro256),
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.cycles_run, want.cycles_run);
+        prop_assert_eq!(got.cycles_scheduled, want.cycles_scheduled);
+        prop_assert_eq!(got.cycle_duration, want.cycle_duration);
+        prop_assert_eq!(got.chain_len, want.chain_len);
+        prop_assert_eq!(&got.nodes, &want.nodes);
+        prop_assert_eq!(got_calls, want_calls);
+        prop_assert_eq!(got_rng, want_rng);
+        Ok(())
+    }
+
+    proptest! {
+        /// The incremental flood equals the plain listener loop: every
+        /// result field, every predicate call and the RNG state after the
+        /// flood, on topologies whose node sets span one to three words,
+        /// with and without fragments, failures and early radio-off.
+        #[test]
+        fn incremental_flood_matches_the_reference(
+            shape in 0u8..3,
+            n in 2usize..=130,
+            seed in any::<u64>(),
+            frags in 1u32..=4,
+            ntx in 1u32..=8,
+            early in any::<bool>(),
+            loss_pct in 0u32..=60,
+            attenuation in 0u32..=60,
+        ) {
+            let f = draw_flood(shape, n, seed, frags, ntx, early, loss_pct, attenuation);
+            let rng = Xoshiro256::seed_from(seed ^ 0x5A1);
+            let (mut got_rng, mut want_rng) = (rng.clone(), rng);
+            let (mut got_needs, mut want_needs) = (Needs::new(&f.needs), Needs::new(&f.needs));
+            let got = f.schedule.run_with(&f.conditions, &mut got_rng, &f.failed, |v, h| {
+                got_needs.check(v, h)
+            });
+            let want = reference_flood(&f.schedule, &f.conditions, &mut want_rng, &f.failed, |v, h| {
+                want_needs.check(v, h)
+            });
+            assert_same_flood(
+                (&got, &got_needs.calls, &got_rng),
+                (&want, &want_needs.calls, &want_rng),
+            )?;
+        }
+
+        /// One scratch carried through floods of different sizes,
+        /// fragment counts and link conditions gives, every time, what a
+        /// fresh `run_with` gives.
+        #[test]
+        fn reused_scratch_matches_fresh_floods(
+            shapes in prop::collection::vec(0u8..3, 2..6),
+            sizes in prop::collection::vec(2usize..=130, 5),
+            seed in any::<u64>(),
+        ) {
+            let mut scratch = MiniCastScratch::default();
+            let mut draw = Xoshiro256::seed_from(seed);
+            for (i, &shape) in shapes.iter().enumerate() {
+                let f = draw_flood(
+                    shape,
+                    sizes[i],
+                    draw.below(u64::MAX),
+                    1 + draw.below(4) as u32,
+                    1 + draw.below(8) as u32,
+                    draw.chance(0.5),
+                    draw.below(61) as u32,
+                    draw.below(61) as u32,
+                );
+                let rng = Xoshiro256::seed_from(draw.below(u64::MAX));
+                let (mut got_rng, mut want_rng) = (rng.clone(), rng);
+                let (mut got_needs, mut want_needs) = (Needs::new(&f.needs), Needs::new(&f.needs));
+                let got = f.schedule.run_into(
+                    &f.conditions,
+                    &mut got_rng,
+                    &f.failed,
+                    |v, h| got_needs.check(v, h),
+                    &mut scratch,
+                );
+                let want = f.schedule.run_with(&f.conditions, &mut want_rng, &f.failed, |v, h| {
+                    want_needs.check(v, h)
+                });
+                assert_same_flood(
+                    (got, &got_needs.calls, &got_rng),
+                    (&want, &want_needs.calls, &want_rng),
+                )?;
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 use std::io::Write as _;
 
 use ppda_crypto::{Aes128, CtrDrbg};
-use ppda_ct::{Delivery, FaultPlan, LinkConditionsCache, MiniCastResult};
+use ppda_ct::{Delivery, FaultPlan, LinkConditionsCache, MiniCastResult, MiniCastScratch};
 use ppda_integrity::{IntegrityVerdict, SumAudit, TamperAction, TamperPlan};
 use ppda_sim::{derive_stream, SimDuration, SimTime, Xoshiro256};
 use ppda_sss::{
@@ -156,14 +156,18 @@ struct RoundScratch {
     recon_xs: Vec<Elem>,
     recon_slab: Vec<Elem>,
     recon_out: Vec<Elem>,
-    /// Destination indices a node holds, grouped during aggregation.
+    /// Destination indices a node holds.
     held: Vec<usize>,
-    /// The held indices in the chosen mask group, lowest x first.
+    /// The held indices grouped by mask during aggregation, then the
+    /// chosen group, lowest x first.
     members: Vec<usize>,
     /// Per node: how far a monotone completion predicate has scanned the
     /// packets it waits for (they never un-arrive), so a flood checks each
     /// node's list once in total instead of once per reception.
     cursor: Vec<usize>,
+    /// Flood state and result of the sharing and reconstruction phases.
+    sharing_flood: MiniCastScratch,
+    recon_flood: MiniCastScratch,
 }
 
 /// A driver's execution state: scratch buffers plus the per-driver
@@ -221,6 +225,8 @@ impl ExecState {
                 held: Vec::with_capacity(n_dests),
                 members: Vec::with_capacity(n_dests),
                 cursor: vec![0; config.n_nodes],
+                sharing_flood: MiniCastScratch::default(),
+                recon_flood: MiniCastScratch::default(),
             },
         }
     }
@@ -385,8 +391,11 @@ impl ExecState {
             let cursor = &mut scratch.cursor;
             cursor.fill(0);
             let mut rng = Xoshiro256::seed_from(derive_stream(seed, 0x5A1));
-            plan.sharing_schedule
-                .run_with(conditions, &mut rng, failed, |v, have| {
+            plan.sharing_schedule.run_into(
+                conditions,
+                &mut rng,
+                failed,
+                |v, have| {
                     let at = &mut cursor[v];
                     if strict {
                         // Naive: wait for the complete chain. The static
@@ -409,7 +418,9 @@ impl ExecState {
                         // Pure relay: no data needs of its own.
                         true
                     }
-                })
+                },
+                &mut scratch.sharing_flood,
+            )
         };
 
         // ---- Local sum accumulation ---------------------------------------
@@ -573,8 +584,11 @@ impl ExecState {
             let cursor = &mut scratch.cursor;
             cursor.fill(0);
             let mut rng = Xoshiro256::seed_from(derive_stream(seed, 0x5A2));
-            plan.recon_schedule
-                .run_with(conditions, &mut rng, failed, |v, have| {
+            plan.recon_schedule.run_into(
+                conditions,
+                &mut rng,
+                failed,
+                |v, have| {
                     if strict {
                         let at = &mut cursor[v];
                         *at += have[*at..].iter().take_while(|&&h| h).count();
@@ -582,7 +596,9 @@ impl ExecState {
                     } else {
                         have.iter().zip(usable).filter(|&(&h, &u)| h && u).count() >= threshold
                     }
-                })
+                },
+                &mut scratch.recon_flood,
+            )
         };
 
         // ---- Per-node aggregation -------------------------------------------
@@ -684,13 +700,13 @@ impl ExecState {
                 expected_sums: expected.iter().map(|e| e.value()).collect(),
                 nodes,
                 sharing: phase_stats(
-                    &sharing_result,
+                    sharing_result,
                     plan.slots.len(),
                     plan.ntx_sharing,
                     plan.sharing_schedule.chain().fragments(),
                 ),
                 reconstruction: phase_stats(
-                    &recon_result,
+                    recon_result,
                     plan.destinations.len(),
                     plan.ntx_reconstruction,
                     plan.recon_schedule.chain().fragments(),
@@ -720,7 +736,8 @@ impl ExecState {
 /// once a group reaches degree+1 members — one weight application across
 /// all lanes, with the plan's precomputed weights on the canonical subset
 /// and cached survivor-mask weights otherwise (value-identical to a fresh
-/// basis; see [`WeightCache`]).
+/// basis; see [`WeightCache`]). `members` is the grouping buffer; it ends
+/// holding the chosen subset, lowest x first.
 #[allow(clippy::too_many_arguments)]
 fn aggregate_lanes(
     held: &[usize],
@@ -736,42 +753,34 @@ fn aggregate_lanes(
     recon_slab: &mut Vec<Elem>,
     recon_out: &mut Vec<Elem>,
 ) -> (Option<Vec<u64>>, u32) {
-    use std::collections::HashMap;
-    let uniform = held.windows(2).all(|w| sum_mask[w[0]] == sum_mask[w[1]]);
-    let (bits, mask) = if uniform {
-        // Fast path for the loss-free round: one mask, no grouping map.
-        let Some(&first) = held.first() else {
-            return (None, 0);
-        };
-        let mask = sum_mask[first];
-        if mask == 0 || held.len() < degree + 1 {
-            return (None, 0);
-        }
-        (mask.count_ones(), mask)
-    } else {
-        let mut groups: HashMap<u128, usize> = HashMap::new();
-        for &di in held {
-            *groups.entry(sum_mask[di]).or_default() += 1;
-        }
-        let mut best: Option<(u32, usize, u128)> = None;
-        for (&mask, &count) in &groups {
-            // An empty mask is an aggregate of nothing; never reconstruct it.
-            if mask == 0 || count < degree + 1 {
-                continue;
-            }
-            let key = (mask.count_ones(), count, mask);
-            if best.is_none_or(|b| key > b) {
-                best = Some(key);
-            }
-        }
-        let Some((bits, _, mask)) = best else {
-            return (None, 0);
-        };
-        (bits, mask)
-    };
+    // Group the held sums by mask: sort them by mask into `members`, then
+    // scan its runs. A node holds at most one sum per destination.
     members.clear();
-    members.extend(held.iter().copied().filter(|&di| sum_mask[di] == mask));
-    members.sort_by_key(|&di| dest_xs[di]);
+    members.extend_from_slice(held);
+    members.sort_unstable_by_key(|&di| sum_mask[di]);
+    let mut best: Option<((u32, usize, u128), usize)> = None;
+    let mut start = 0;
+    while start < members.len() {
+        let mask = sum_mask[members[start]];
+        let count = members[start..]
+            .iter()
+            .take_while(|&&di| sum_mask[di] == mask)
+            .count();
+        // An empty mask is an aggregate of nothing; never reconstruct it.
+        if mask != 0 && count > degree {
+            let key = (mask.count_ones(), count, mask);
+            if best.is_none_or(|(b, _)| key > b) {
+                best = Some((key, start));
+            }
+        }
+        start += count;
+    }
+    let Some(((bits, count, _), start)) = best else {
+        return (None, 0);
+    };
+    members.drain(..start);
+    members.truncate(count);
+    members.sort_unstable_by_key(|&di| dest_xs[di]);
     members.truncate(degree + 1);
 
     recon_xs.clear();
@@ -934,6 +943,79 @@ mod tests {
         );
         assert_eq!(agg, Some(vec![10, 30]));
         assert_eq!(bits, 3);
+    }
+
+    /// Aggregate one lane over `held`, under the plan weights of the
+    /// lowest-x pair, with a fresh cache.
+    fn aggregate_one_lane(
+        dest_xs: &[Elem],
+        sum_ys: &[Elem],
+        sum_mask: &[u128],
+        held: &[usize],
+    ) -> (Option<Vec<u64>>, u32) {
+        let w = weights(&[0, 1], 2);
+        let mut cache = WeightCache::new(dest_xs, 2).unwrap();
+        let (mut members, mut xs, mut slab) = (Vec::new(), Vec::new(), Vec::new());
+        let mut out = Vec::new();
+        aggregate_lanes(
+            held,
+            sum_ys,
+            sum_mask,
+            dest_xs,
+            1,
+            1,
+            &w,
+            Some(&mut cache),
+            &mut members,
+            &mut xs,
+            &mut slab,
+            &mut out,
+        )
+    }
+
+    #[test]
+    fn aggregate_lanes_breaks_source_ties_by_member_count() {
+        // Two masks of two sources each reach the threshold: the one held
+        // by three nodes (polynomial 10 + x) beats the one held by two
+        // (50 + 3x), although its mask value is lower.
+        let dest_xs: Vec<Elem> = (0..5).map(share_x::<Field>).collect();
+        let sum_ys: Vec<Elem> = [11u64, 12, 13, 62, 65].map(Elem::new).to_vec();
+        let sum_mask = vec![0b011u128, 0b011, 0b011, 0b101, 0b101];
+        let held = [0usize, 1, 2, 3, 4];
+        assert_eq!(
+            aggregate_one_lane(&dest_xs, &sum_ys, &sum_mask, &held),
+            (Some(vec![10]), 2)
+        );
+        // The held order does not matter.
+        let shuffled = [3usize, 0, 4, 2, 1];
+        assert_eq!(
+            aggregate_one_lane(&dest_xs, &sum_ys, &sum_mask, &shuffled),
+            (Some(vec![10]), 2)
+        );
+    }
+
+    #[test]
+    fn aggregate_lanes_breaks_count_ties_by_mask_value() {
+        // Same sources covered, same member count: the higher mask
+        // (polynomial 40 + 2x at x = 3, 4) wins over 10 + x at x = 1, 2.
+        let dest_xs: Vec<Elem> = (0..4).map(share_x::<Field>).collect();
+        let sum_ys: Vec<Elem> = [11u64, 12, 46, 48].map(Elem::new).to_vec();
+        let sum_mask = vec![0b011u128, 0b011, 0b101, 0b101];
+        assert_eq!(
+            aggregate_one_lane(&dest_xs, &sum_ys, &sum_mask, &[0, 1, 2, 3]),
+            (Some(vec![40]), 2)
+        );
+        // A wider mask held by a single node is below the threshold and
+        // does not compete.
+        let mut wider = sum_mask.clone();
+        wider.push(0b111);
+        let mut ys = sum_ys.clone();
+        ys.push(Elem::new(7));
+        let xs: Vec<Elem> = (0..5).map(share_x::<Field>).collect();
+        assert_eq!(
+            aggregate_one_lane(&xs, &ys, &wider, &[0, 1, 2, 3, 4]),
+            (Some(vec![40]), 2)
+        );
     }
 
     #[test]

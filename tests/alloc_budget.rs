@@ -111,7 +111,7 @@ fn steady_state_rounds_stay_within_their_allocation_budget() {
             ntx: 7,
             full_coverage_ntx: 20,
             fading: FadingProfile::industrial_interference(),
-            bound: 175,
+            bound: 46,
         },
         // perfbench's `wide_b64_audit`: FlockLab S4, 6 sources, B = 64,
         // fragmented, integrity on.
@@ -125,7 +125,7 @@ fn steady_state_rounds_stay_within_their_allocation_budget() {
             ntx: 6,
             full_coverage_ntx: 15,
             fading: FadingProfile::office(),
-            bound: 167,
+            bound: 99,
         },
         // FlockLab S3, 10 sources, B = 1: the strict all-to-all predicate.
         Point {
@@ -138,7 +138,7 @@ fn steady_state_rounds_stay_within_their_allocation_budget() {
             ntx: 6,
             full_coverage_ntx: 15,
             fading: FadingProfile::office(),
-            bound: 99,
+            bound: 36,
         },
     ];
     let measured: Vec<(&str, u64, u64)> = points
