@@ -80,10 +80,6 @@ impl LinkTable {
     /// transmitters `u`, multiplied in ascending order, with the
     /// constructive-interference reliability factor applied when more
     /// than one copy arrives.
-    ///
-    /// With no transmitter in range the product is empty, and `1 − 1`
-    /// times 1 is exactly the 0 the rule gives; a single copy multiplies
-    /// by exactly 1. The factor is thus picked without a branch.
     #[inline]
     pub(crate) fn reception_prob(&self, receiver: usize, tx: &[u64]) -> f64 {
         let (hears, row) = self.row(receiver);
@@ -97,8 +93,11 @@ impl LinkTable {
                 bits &= bits - 1;
             }
         }
-        let diversity = if in_range > 1 { CI_RELIABILITY } else { 1.0 };
-        (1.0 - miss) * diversity
+        match in_range {
+            0 => 0.0,
+            1 => 1.0 - miss,
+            _ => (1.0 - miss) * CI_RELIABILITY,
+        }
     }
 
     /// Receiver `v`'s row: the bitset of nodes it hears and its miss

@@ -88,7 +88,7 @@ pub struct NodeOutcome {
 }
 
 /// Aggregate outcome of a MiniCast round.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MiniCastResult {
     /// Cycles actually simulated (≤ scheduled round length).
     pub cycles_run: u32,
@@ -293,7 +293,7 @@ impl LinkConditionsCache {
 /// round phase — allocates nothing per flood once the buffers have grown
 /// to its largest topology and chain. The contents between floods carry
 /// nothing over: a flood's draws and result do not depend on them.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MiniCastScratch {
     /// The holders of packet `j`, at `holders[j * w..][..w]`.
     holders: Vec<u64>,
@@ -319,33 +319,6 @@ pub struct MiniCastScratch {
     /// only.
     frag_have: Vec<u64>,
     result: MiniCastResult,
-}
-
-impl Default for MiniCastScratch {
-    fn default() -> Self {
-        MiniCastScratch {
-            holders: Vec::new(),
-            on: Vec::new(),
-            joined: Vec::new(),
-            waiting: Vec::new(),
-            active: Vec::new(),
-            tx: Vec::new(),
-            last_tx: Vec::new(),
-            stale: Vec::new(),
-            drawable: Vec::new(),
-            prob: Vec::new(),
-            held: Vec::new(),
-            frames: Vec::new(),
-            frag_have: Vec::new(),
-            result: MiniCastResult {
-                cycles_run: 0,
-                cycles_scheduled: 0,
-                cycle_duration: SimDuration::ZERO,
-                nodes: Vec::new(),
-                chain_len: 0,
-            },
-        }
-    }
 }
 
 /// Clear `buf` and refill it with `len` copies of `value`, keeping its
@@ -717,7 +690,10 @@ impl MiniCastSchedule {
                         // into a success bitset, then do its bookkeeping.
                         // No reception changes another listener's draw
                         // within a sub-slot, so the draw sequence is the
-                        // per-listener one.
+                        // per-listener one. The draws do not branch on
+                        // whether a listener holds the packet; this path
+                        // runs `paper_b1` 1.24× faster than the loop
+                        // below (EXPERIMENTS.md).
                         let mut hits = 0u64;
                         while rest != 0 {
                             let b = rest.trailing_zeros() as usize;
