@@ -8,7 +8,7 @@ use std::hint::black_box;
 use ppda_crypto::{Aes128, Ccm, CtrDrbg, PairwiseKeys};
 use ppda_field::{lagrange, share_x, Gf31, Mersenne31, Polynomial};
 use ppda_sim::Xoshiro256;
-use ppda_sss::{reconstruct, split_secret, Share};
+use ppda_sss::{reconstruct, split_secret, BatchSplitter, Share};
 
 fn bench_field(c: &mut Criterion) {
     let mut group = c.benchmark_group("field");
@@ -155,10 +155,16 @@ fn bench_sss(c: &mut Criterion) {
         )
     });
     let secrets16: Vec<Gf31> = (0..16).map(|i| Gf31::new(42 + i)).collect();
+    let mut splitter = BatchSplitter::new(8, secrets16.len());
+    let mut slab = Vec::new();
     group.bench_function("split_batch16/k8-n9", |bench| {
         bench.iter_batched(
             || Xoshiro256::seed_from(3),
-            |mut rng| ppda_sss::split_secret_batch(&secrets16, 8, &xs9, &mut rng).unwrap(),
+            |mut rng| {
+                splitter
+                    .split_into(&secrets16, &xs9, &mut rng, &mut slab)
+                    .unwrap()
+            },
             BatchSize::SmallInput,
         )
     });

@@ -69,6 +69,27 @@ impl<P: PrimeField> ShareBatch<P> {
 
 /// A reusable batched splitter: owns the polynomial slab so periodic
 /// callers (one split per source per round) never reallocate.
+///
+/// # Example
+///
+/// ```
+/// use ppda_field::{share_x, Gf31, Mersenne31};
+/// use ppda_sss::{BatchSplitter, ReconstructionPlan};
+/// # fn main() -> Result<(), ppda_sss::SssError> {
+/// let mut rng = ppda_sim::Xoshiro256::seed_from(7);
+/// let xs: Vec<_> = (0..3).map(share_x::<Mersenne31>).collect();
+/// let secrets = [Gf31::new(10), Gf31::new(20)];
+/// let mut splitter = BatchSplitter::new(2, secrets.len());
+/// // The x-major slab: the lanes at xs[0], then at xs[1], then at xs[2].
+/// let mut slab = Vec::new();
+/// splitter.split_into(&secrets, &xs, &mut rng, &mut slab)?;
+/// let plan = ReconstructionPlan::new(&xs)?;
+/// let mut out = Vec::new();
+/// plan.reconstruct_batch_into(2, &slab, &mut out)?;
+/// assert_eq!(out, secrets);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct BatchSplitter<P: PrimeField> {
     poly: PolyBatch<P>,
@@ -157,6 +178,18 @@ mod tests {
         (0..n).map(share_x::<Mersenne31>).collect()
     }
 
+    /// Split `secrets` once through a fresh splitter: the x-major slab.
+    fn split(
+        secrets: &[Gf31],
+        degree: usize,
+        points: &[Gf31],
+        rng: &mut Xoshiro256,
+    ) -> Result<Vec<Gf31>, SssError> {
+        let mut ys = Vec::new();
+        BatchSplitter::new(degree, secrets.len()).split_into(secrets, points, rng, &mut ys)?;
+        Ok(ys)
+    }
+
     #[test]
     fn batch_equals_sequential_scalar_splits() {
         let secrets: Vec<Gf31> = (0..6).map(|i| Gf31::new(1000 + i)).collect();
@@ -164,13 +197,14 @@ mod tests {
         let degree = 3;
 
         let mut rng_batch = Xoshiro256::seed_from(42);
-        let batch = split_secret_batch(&secrets, degree, &points, &mut rng_batch).unwrap();
+        let ys = split(&secrets, degree, &points, &mut rng_batch).unwrap();
 
         let mut rng_scalar = Xoshiro256::seed_from(42);
         for (lane, &s) in secrets.iter().enumerate() {
             let scalar = split_secret(s, degree, &points, &mut rng_scalar).unwrap();
             for (i, sh) in scalar.iter().enumerate() {
-                assert_eq!(batch.share(i, lane), *sh, "lane {lane}, point {i}");
+                assert_eq!(sh.x, points[i]);
+                assert_eq!(ys[i * secrets.len() + lane], sh.y, "lane {lane}, point {i}");
             }
         }
     }
@@ -180,13 +214,10 @@ mod tests {
         let points = xs(5);
         let mut rng_a = Xoshiro256::seed_from(9);
         let mut rng_b = Xoshiro256::seed_from(9);
-        let batch = split_secret_batch(&[Gf31::new(77)], 2, &points, &mut rng_a).unwrap();
+        let ys = split(&[Gf31::new(77)], 2, &points, &mut rng_a).unwrap();
         let scalar = split_secret(Gf31::new(77), 2, &points, &mut rng_b).unwrap();
-        assert_eq!(batch.lanes(), 1);
-        for (i, sh) in scalar.iter().enumerate() {
-            assert_eq!(batch.share(i, 0), *sh);
-            assert_eq!(batch.values_at(i), &[sh.y]);
-        }
+        let scalar_ys: Vec<Gf31> = scalar.iter().map(|sh| sh.y).collect();
+        assert_eq!(ys, scalar_ys);
     }
 
     #[test]
@@ -194,17 +225,17 @@ mod tests {
         let mut rng = Xoshiro256::seed_from(1);
         let secrets = [Gf31::new(1), Gf31::new(2)];
         assert_eq!(
-            split_secret_batch(&secrets, 5, &xs(5), &mut rng).unwrap_err(),
+            split(&secrets, 5, &xs(5), &mut rng).unwrap_err(),
             SssError::TooFewPoints { needed: 6, got: 5 }
         );
         let bad = vec![Gf31::ZERO, Gf31::ONE];
         assert!(matches!(
-            split_secret_batch(&secrets, 1, &bad, &mut rng),
+            split(&secrets, 1, &bad, &mut rng),
             Err(SssError::Field(ppda_field::FieldError::ZeroAbscissa))
         ));
         let dup = vec![Gf31::new(3), Gf31::new(3)];
         assert!(matches!(
-            split_secret_batch(&secrets, 1, &dup, &mut rng),
+            split(&secrets, 1, &dup, &mut rng),
             Err(SssError::Field(ppda_field::FieldError::DuplicateX { x: 3 }))
         ));
     }

@@ -445,83 +445,80 @@ mod tests {
         PairwiseKeys::derive(&[9u8; 16], 8)
     }
 
+    fn ccm(src: u16, dst: u16) -> Ccm {
+        Ccm::new(keys().key(src, dst).unwrap(), 4).unwrap()
+    }
+
+    /// Seal one share value at `(src, dst, round)`: the paper's
+    /// sharing-phase packet is a one-lane batch.
+    fn seal1(src: u16, dst: u16, round: u32, y: Gf31) -> Vec<u8> {
+        let x = share_x::<Mersenne31>(dst as usize);
+        let mut sealed = Vec::new();
+        seal_share_lanes(&ccm(src, dst), src, dst, round, x, &[y], &mut sealed).unwrap();
+        sealed
+    }
+
+    /// Open a one-lane batch as `reader` would, with its pairwise key
+    /// and its own coordinate.
+    fn open1(src: u16, reader: u16, round: u32, sealed: &[u8]) -> Result<Vec<Gf31>, SssError> {
+        let x = share_x::<Mersenne31>(reader as usize);
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        let ccm = ccm(src, reader);
+        open_share_lanes(
+            &ccm,
+            src,
+            reader,
+            round,
+            x,
+            1,
+            sealed,
+            &mut scratch,
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
+    /// The paper's reconstruction-phase packet: a one-lane sum batch.
+    fn sum1(node: u16, round: u32, y: Gf31, mask: u128) -> SumBatch<Mersenne31> {
+        SumBatch {
+            node,
+            round,
+            x: share_x::<Mersenne31>(node as usize),
+            ys: vec![y],
+            mask,
+        }
+    }
+
     #[test]
     fn share_packet_seal_open_round_trip() {
-        let pkt = SharePacket::<Mersenne31> {
-            src: 2,
-            dst: 5,
-            round: 7,
-            share: Share {
-                x: share_x::<Mersenne31>(5),
-                y: Gf31::new(123456789),
-            },
-        };
-        let sealed = pkt.seal(&keys(), 4).unwrap();
-        assert_eq!(sealed.len(), SharePacket::<Mersenne31>::sealed_len(4));
-        let opened =
-            SharePacket::<Mersenne31>::open(&keys(), 4, 2, 5, 7, share_x::<Mersenne31>(5), &sealed)
-                .unwrap();
-        assert_eq!(opened, pkt);
+        let y = Gf31::new(123456789);
+        let sealed = seal1(2, 5, 7, y);
+        assert_eq!(
+            sealed.len(),
+            SharePacket::<Mersenne31>::sealed_len_batch(1, 4)
+        );
+        assert_eq!(open1(2, 5, 7, &sealed).unwrap(), [y]);
     }
 
     #[test]
     fn wrong_reader_cannot_open() {
-        let pkt = SharePacket::<Mersenne31> {
-            src: 2,
-            dst: 5,
-            round: 7,
-            share: Share {
-                x: share_x::<Mersenne31>(5),
-                y: Gf31::new(42),
-            },
-        };
-        let sealed = pkt.seal(&keys(), 4).unwrap();
+        let sealed = seal1(2, 5, 7, Gf31::new(42));
         // Node 3 tries to decrypt with its own pairwise key (2,3).
-        let eavesdrop =
-            SharePacket::<Mersenne31>::open(&keys(), 4, 2, 3, 7, share_x::<Mersenne31>(3), &sealed);
-        assert!(matches!(eavesdrop, Err(SssError::Crypto(_))));
+        assert!(matches!(open1(2, 3, 7, &sealed), Err(SssError::Crypto(_))));
     }
 
     #[test]
     fn replay_across_rounds_fails() {
-        let pkt = SharePacket::<Mersenne31> {
-            src: 1,
-            dst: 4,
-            round: 10,
-            share: Share {
-                x: share_x::<Mersenne31>(4),
-                y: Gf31::new(5),
-            },
-        };
-        let sealed = pkt.seal(&keys(), 4).unwrap();
-        let replayed = SharePacket::<Mersenne31>::open(
-            &keys(),
-            4,
-            1,
-            4,
-            11, // a later round
-            share_x::<Mersenne31>(4),
-            &sealed,
-        );
-        assert!(matches!(replayed, Err(SssError::Crypto(_))));
+        let sealed = seal1(1, 4, 10, Gf31::new(5));
+        // Replayed in a later round.
+        assert!(matches!(open1(1, 4, 11, &sealed), Err(SssError::Crypto(_))));
     }
 
     #[test]
     fn tampered_ciphertext_rejected() {
-        let pkt = SharePacket::<Mersenne31> {
-            src: 0,
-            dst: 1,
-            round: 0,
-            share: Share {
-                x: share_x::<Mersenne31>(1),
-                y: Gf31::new(77),
-            },
-        };
-        let mut sealed = pkt.seal(&keys(), 4).unwrap();
+        let mut sealed = seal1(0, 1, 0, Gf31::new(77));
         sealed[0] ^= 0x80;
-        let r =
-            SharePacket::<Mersenne31>::open(&keys(), 4, 0, 1, 0, share_x::<Mersenne31>(1), &sealed);
-        assert!(matches!(r, Err(SssError::Crypto(_))));
+        assert!(matches!(open1(0, 1, 0, &sealed), Err(SssError::Crypto(_))));
     }
 
     #[test]
@@ -700,67 +697,33 @@ mod tests {
 
     #[test]
     fn sum_packet_round_trip() {
-        let pkt = SumPacket::<Mersenne31> {
-            node: 3,
-            round: 9,
-            share: Share {
-                x: share_x::<Mersenne31>(3),
-                y: Gf31::new(999),
-            },
-            mask: 0b1011,
-        };
+        let pkt = sum1(3, 9, Gf31::new(999), 0b1011);
         let encoded = pkt.encode();
-        assert_eq!(encoded.len(), SumPacket::<Mersenne31>::encoded_len());
-        let decoded = SumPacket::<Mersenne31>::decode(&encoded).unwrap();
-        assert_eq!(decoded, pkt);
+        assert_eq!(encoded.len(), SumBatch::<Mersenne31>::encoded_len(1));
+        assert_eq!(SumBatch::<Mersenne31>::decode(&encoded, 1).unwrap(), pkt);
     }
 
     #[test]
     fn sum_packet_truncation_rejected() {
-        let pkt = SumPacket::<Mersenne31> {
-            node: 3,
-            round: 9,
-            share: Share {
-                x: share_x::<Mersenne31>(3),
-                y: Gf31::new(999),
-            },
-            mask: 1,
-        };
-        let encoded = pkt.encode();
+        let encoded = sum1(3, 9, Gf31::new(999), 1).encode();
         assert!(matches!(
-            SumPacket::<Mersenne31>::decode(&encoded[..encoded.len() - 1]),
+            SumBatch::<Mersenne31>::decode(&encoded[..encoded.len() - 1], 1),
             Err(SssError::BadPacket { .. })
         ));
     }
 
     #[test]
     fn sum_packet_x_derived_from_node() {
-        let pkt = SumPacket::<Mersenne31> {
-            node: 7,
-            round: 0,
-            share: Share {
-                x: share_x::<Mersenne31>(7),
-                y: Gf31::new(1),
-            },
-            mask: 0,
-        };
-        let decoded = SumPacket::<Mersenne31>::decode(&pkt.encode()).unwrap();
-        assert_eq!(decoded.share.x, Gf31::new(8));
+        let encoded = sum1(7, 0, Gf31::new(1), 0).encode();
+        let decoded = SumBatch::<Mersenne31>::decode(&encoded, 1).unwrap();
+        assert_eq!(decoded.x, Gf31::new(8));
     }
 
     #[test]
     fn large_mask_round_trips() {
-        let pkt = SumPacket::<Mersenne31> {
-            node: 0,
-            round: 1,
-            share: Share {
-                x: share_x::<Mersenne31>(0),
-                y: Gf31::new(2),
-            },
-            mask: u128::MAX,
-        };
+        let encoded = sum1(0, 1, Gf31::new(2), u128::MAX).encode();
         assert_eq!(
-            SumPacket::<Mersenne31>::decode(&pkt.encode()).unwrap().mask,
+            SumBatch::<Mersenne31>::decode(&encoded, 1).unwrap().mask,
             u128::MAX
         );
     }

@@ -24,7 +24,11 @@ use crate::share::{reconstruct, Share};
 /// let xs: Vec<_> = (0..3).map(share_x::<Mersenne31>).collect();
 /// let plan = ReconstructionPlan::new(&xs)?;
 /// let shares = split_secret(Gf31::new(77), 2, &xs, &mut rng)?;
-/// assert_eq!(plan.reconstruct(&shares)?, Gf31::new(77));
+/// // One lane: the slab holds one share value per canonical point.
+/// let ys: Vec<_> = shares.iter().map(|s| s.y).collect();
+/// let mut out = Vec::new();
+/// plan.reconstruct_batch_into(1, &ys, &mut out)?;
+/// assert_eq!(out, [Gf31::new(77)]);
 /// # Ok(())
 /// # }
 /// ```
@@ -350,12 +354,11 @@ mod tests {
         let plan = ReconstructionPlan::new(&points[..4]).unwrap();
         let shares = split_secret(Gf31::new(123456), 3, &points, &mut rng).unwrap();
         let canonical = &shares[..4];
-        assert!(plan.matches(canonical));
-        assert_eq!(
-            plan.reconstruct(canonical).unwrap(),
-            reconstruct(canonical).unwrap()
-        );
-        assert_eq!(plan.reconstruct(canonical).unwrap(), Gf31::new(123456));
+        let ys: Vec<Gf31> = canonical.iter().map(|s| s.y).collect();
+        let mut out = Vec::new();
+        plan.reconstruct_batch_into(1, &ys, &mut out).unwrap();
+        assert_eq!(out, [reconstruct(canonical).unwrap()]);
+        assert_eq!(out, [Gf31::new(123456)]);
     }
 
     #[test]
@@ -390,15 +393,23 @@ mod tests {
         let points = xs(4);
         let plan = ReconstructionPlan::new(&points).unwrap();
         let secrets: Vec<Gf31> = (0..6).map(|i| Gf31::new(7000 + i)).collect();
-        let batch = crate::split_secret_batch(&secrets, 3, &points, &mut rng).unwrap();
-        let slab: Vec<Gf31> = (0..points.len())
-            .flat_map(|i| batch.values_at(i).to_vec())
-            .collect();
-        let recovered = plan.reconstruct_batch(secrets.len(), &slab).unwrap();
+        let lanes = secrets.len();
+        let mut slab = Vec::new();
+        crate::BatchSplitter::new(3, lanes)
+            .split_into(&secrets, &points, &mut rng, &mut slab)
+            .unwrap();
+        let mut recovered = Vec::new();
+        plan.reconstruct_batch_into(lanes, &slab, &mut recovered)
+            .unwrap();
         assert_eq!(recovered, secrets);
         for (lane, &rec) in recovered.iter().enumerate() {
-            let shares: Vec<_> = (0..points.len()).map(|i| batch.share(i, lane)).collect();
-            assert_eq!(plan.reconstruct(&shares).unwrap(), rec);
+            let shares: Vec<_> = (0..points.len())
+                .map(|i| Share {
+                    x: points[i],
+                    y: slab[i * lanes + lane],
+                })
+                .collect();
+            assert_eq!(reconstruct(&shares).unwrap(), rec);
         }
     }
 
@@ -407,7 +418,7 @@ mod tests {
         let plan = ReconstructionPlan::new(&xs(3)).unwrap();
         let slab = vec![Gf31::ONE; 5]; // not 3 × lanes for any integer lanes=2
         assert!(matches!(
-            plan.reconstruct_batch(2, &slab),
+            plan.reconstruct_batch_into(2, &slab, &mut Vec::new()),
             Err(SssError::BadPacket { .. })
         ));
     }

@@ -123,19 +123,24 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use ppda::field::{share_x, Gf31, Mersenne31};
-        use ppda::sss::{split_secret, split_secret_batch};
+        use ppda::sss::{split_secret, BatchSplitter};
 
         let constants: Vec<Gf31> = secrets.iter().map(|&s| Gf31::new(s)).collect();
         let xs: Vec<Gf31> = (0..holders).map(share_x::<Mersenne31>).collect();
+        let lanes = constants.len();
 
         let mut rng_batch = ppda::sim::Xoshiro256::seed_from(seed);
-        let batch = split_secret_batch(&constants, degree, &xs, &mut rng_batch).unwrap();
+        let mut slab = Vec::new();
+        BatchSplitter::new(degree, lanes)
+            .split_into(&constants, &xs, &mut rng_batch, &mut slab)
+            .unwrap();
 
         let mut rng_scalar = ppda::sim::Xoshiro256::seed_from(seed);
         for (lane, &c) in constants.iter().enumerate() {
             let scalar = split_secret(c, degree, &xs, &mut rng_scalar).unwrap();
             for (i, sh) in scalar.iter().enumerate() {
-                prop_assert_eq!(batch.share(i, lane), *sh);
+                prop_assert_eq!(sh.x, xs[i]);
+                prop_assert_eq!(slab[i * lanes + lane], sh.y);
             }
         }
     }
@@ -223,22 +228,28 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use ppda::field::{share_x, Gf31, Mersenne31};
-        use ppda::sss::{split_secret_batch, ReconstructionPlan};
+        use ppda::sss::{reconstruct, BatchSplitter, ReconstructionPlan, Share};
 
         let constants: Vec<Gf31> = secrets.iter().map(|&s| Gf31::new(s)).collect();
         let xs: Vec<Gf31> = (0..degree + 1).map(share_x::<Mersenne31>).collect();
         let plan = ReconstructionPlan::new(&xs).unwrap();
+        let lanes = constants.len();
 
         let mut rng = ppda::sim::Xoshiro256::seed_from(seed);
-        let batch = split_secret_batch(&constants, degree, &xs, &mut rng).unwrap();
-        let slab: Vec<Gf31> = (0..xs.len())
-            .flat_map(|i| batch.values_at(i).to_vec())
-            .collect();
-        let lanes = plan.reconstruct_batch(constants.len(), &slab).unwrap();
-        prop_assert_eq!(&lanes, &constants);
+        let mut slab = Vec::new();
+        BatchSplitter::new(degree, lanes)
+            .split_into(&constants, &xs, &mut rng, &mut slab)
+            .unwrap();
+        let mut recovered = Vec::new();
+        plan.reconstruct_batch_into(lanes, &slab, &mut recovered).unwrap();
+        prop_assert_eq!(&recovered, &constants);
         for (lane, &c) in constants.iter().enumerate() {
-            let shares: Vec<_> = (0..xs.len()).map(|i| batch.share(i, lane)).collect();
-            prop_assert_eq!(plan.reconstruct(&shares).unwrap(), c);
+            let shares: Vec<_> = xs
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| Share { x, y: slab[i * lanes + lane] })
+                .collect();
+            prop_assert_eq!(reconstruct(&shares).unwrap(), c);
         }
     }
 }

@@ -11,7 +11,7 @@
 use ppda::crypto::{Aes128, Ccm, CtrDrbg, PairwiseKeys};
 use ppda::field::{share_x, Gf31, Gf61, Mersenne31, Mersenne61};
 use ppda::radio::FrameSpec;
-use ppda::sss::{open_share_lanes, seal_share_lanes, Share, SharePacket, SumPacket};
+use ppda::sss::{open_share_lanes, seal_share_lanes, SharePacket, SumBatch};
 use ppda_testkit::assert_golden;
 use rand::RngCore;
 
@@ -19,36 +19,51 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+/// The paper's reconstruction-phase packet: a one-lane sum batch.
+fn sum1<P: ppda::field::PrimeField>(
+    node: u16,
+    round: u32,
+    y: ppda::field::Gf<P>,
+    mask: u128,
+) -> SumBatch<P> {
+    SumBatch {
+        node,
+        round,
+        x: share_x::<P>(node as usize),
+        ys: vec![y],
+        mask,
+    }
+}
+
+/// The paper's sharing-phase packet: one share value sealed as a
+/// one-lane batch at `(src, dst, round)` under the pairwise key.
+fn seal1(keys: &PairwiseKeys, tag_len: usize, src: u16, dst: u16, round: u32, y: Gf31) -> Vec<u8> {
+    let ccm = Ccm::new(keys.key(src, dst).unwrap(), tag_len).unwrap();
+    let x = share_x::<Mersenne31>(dst as usize);
+    let mut sealed = Vec::new();
+    seal_share_lanes(&ccm, src, dst, round, x, &[y], &mut sealed).unwrap();
+    sealed
+}
+
 #[test]
 fn golden_sum_packet_m31() {
-    let pkt = SumPacket::<Mersenne31> {
-        node: 3,
-        round: 0x0102_0304,
-        share: Share {
-            x: share_x::<Mersenne31>(3),
-            y: Gf31::new(0x0BAD_CAFE),
-        },
-        mask: 0x0000_0000_0000_0000_0000_0000_DEAD_BEEF,
-    };
+    let pkt = sum1::<Mersenne31>(
+        3,
+        0x0102_0304,
+        Gf31::new(0x0BAD_CAFE),
+        0x0000_0000_0000_0000_0000_0000_DEAD_BEEF,
+    );
     let encoded = pkt.encode();
     assert_golden("sum_packet_m31.hex", &format!("{}\n", hex(&encoded)));
-    assert_eq!(SumPacket::<Mersenne31>::decode(&encoded).unwrap(), pkt);
+    assert_eq!(SumBatch::<Mersenne31>::decode(&encoded, 1).unwrap(), pkt);
 }
 
 #[test]
 fn golden_sum_packet_m61() {
-    let pkt = SumPacket::<Mersenne61> {
-        node: 44,
-        round: 7,
-        share: Share {
-            x: share_x::<Mersenne61>(44),
-            y: Gf61::new(0x1234_5678_9ABC_DEF0),
-        },
-        mask: u128::MAX,
-    };
+    let pkt = sum1::<Mersenne61>(44, 7, Gf61::new(0x1234_5678_9ABC_DEF0), u128::MAX);
     let encoded = pkt.encode();
     assert_golden("sum_packet_m61.hex", &format!("{}\n", hex(&encoded)));
-    assert_eq!(SumPacket::<Mersenne61>::decode(&encoded).unwrap(), pkt);
+    assert_eq!(SumBatch::<Mersenne61>::decode(&encoded, 1).unwrap(), pkt);
 }
 
 #[test]
@@ -58,32 +73,28 @@ fn golden_sealed_share_packet() {
     // pairwise KDF, the nonce layout, the AAD layout and the CCM encoding
     // all at once.
     let keys = PairwiseKeys::derive(&[9u8; 16], 8);
-    let pkt = SharePacket::<Mersenne31> {
-        src: 2,
-        dst: 5,
-        round: 7,
-        share: Share {
-            x: share_x::<Mersenne31>(5),
-            y: Gf31::new(123_456_789),
-        },
-    };
+    let y = Gf31::new(123_456_789);
     let mut lines = String::new();
     for tag_len in [4usize, 8, 16] {
-        let sealed = pkt.seal(&keys, tag_len).unwrap();
-        assert_eq!(sealed.len(), SharePacket::<Mersenne31>::sealed_len(tag_len));
+        let sealed = seal1(&keys, tag_len, 2, 5, 7, y);
+        assert_eq!(
+            sealed.len(),
+            SharePacket::<Mersenne31>::sealed_len_batch(1, tag_len)
+        );
         lines.push_str(&format!("tag{tag_len} {}\n", hex(&sealed)));
     }
     assert_golden("sealed_share_packet_m31.hex", &lines);
-    let sealed = pkt.seal(&keys, 4).unwrap();
-    let opened =
-        SharePacket::<Mersenne31>::open(&keys, 4, 2, 5, 7, share_x::<Mersenne31>(5), &sealed)
-            .unwrap();
-    assert_eq!(opened, pkt);
+    let sealed = seal1(&keys, 4, 2, 5, 7, y);
+    let ccm = Ccm::new(keys.key(2, 5).unwrap(), 4).unwrap();
+    let (mut scratch, mut opened) = (Vec::new(), Vec::new());
+    let x = share_x::<Mersenne31>(5);
+    open_share_lanes(&ccm, 2, 5, 7, x, 1, &sealed, &mut scratch, &mut opened).unwrap();
+    assert_eq!(opened, [y]);
 }
 
 #[test]
 fn golden_sealed_share_lanes() {
-    // The scalar fixture above seals a 4-byte payload, which never reaches
+    // The one-lane fixture above seals a 4-byte payload, which never reaches
     // the 4-block keystream runs of the bulk CTR path. Lane batches of
     // B ∈ {1, 3, 4, 16, 64} seal 4, 12, 16, 64 and 256 bytes: tail only,
     // exactly one run, and several runs.
@@ -192,34 +203,17 @@ fn golden_frame_timing_table() {
 #[test]
 fn share_packet_fits_its_frame_budget() {
     // The sharing-phase FrameSpec used by the protocols: 4-byte payload +
-    // 4-byte MIC. The sealed SharePacket must fit exactly.
+    // 4-byte MIC. The sealed one-lane share must fit exactly.
     let frame = FrameSpec::new(4, 4).unwrap();
     let keys = PairwiseKeys::derive(&[5u8; 16], 8);
-    let pkt = SharePacket::<Mersenne31> {
-        src: 1,
-        dst: 2,
-        round: 3,
-        share: Share {
-            x: share_x::<Mersenne31>(2),
-            y: Gf31::new(4242),
-        },
-    };
-    let sealed = pkt.seal(&keys, 4).unwrap();
+    let sealed = seal1(&keys, 4, 1, 2, 3, Gf31::new(4242));
     assert_eq!(sealed.len(), frame.payload_len() + frame.mic_len());
 }
 
 #[test]
 fn sum_packet_fits_its_frame_budget() {
-    let frame = FrameSpec::new(SumPacket::<Mersenne31>::encoded_len(), 0).unwrap();
-    let pkt = SumPacket::<Mersenne31> {
-        node: 7,
-        round: 1,
-        share: Share {
-            x: share_x::<Mersenne31>(7),
-            y: Gf31::new(99),
-        },
-        mask: 0b1111,
-    };
+    let frame = FrameSpec::new(SumBatch::<Mersenne31>::encoded_len(1), 0).unwrap();
+    let pkt = sum1::<Mersenne31>(7, 1, Gf31::new(99), 0b1111);
     assert_eq!(pkt.encode().len(), frame.payload_len());
 }
 
@@ -227,8 +221,8 @@ fn sum_packet_fits_its_frame_budget() {
 fn all_testbed_frames_respect_psdu_limit() {
     // 128 sources is the configured maximum; the sum packet must still fit
     // an 802.15.4 frame.
-    assert!(SumPacket::<Mersenne31>::encoded_len() <= 116);
-    assert!(FrameSpec::new(SumPacket::<Mersenne31>::encoded_len(), 0).is_ok());
+    assert!(SumBatch::<Mersenne31>::encoded_len(1) <= 116);
+    assert!(FrameSpec::new(SumBatch::<Mersenne31>::encoded_len(1), 0).is_ok());
     for tag in [4usize, 8, 16] {
         assert!(FrameSpec::new(4, tag).is_ok());
     }
@@ -255,36 +249,18 @@ fn cross_round_ciphertexts_differ() {
     // ciphertexts (nonce freshness), so traffic analysis across epochs
     // learns nothing from repeats.
     let keys = PairwiseKeys::derive(&[5u8; 16], 4);
-    let mk = |round: u32| SharePacket::<Mersenne31> {
-        src: 0,
-        dst: 1,
-        round,
-        share: Share {
-            x: share_x::<Mersenne31>(1),
-            y: Gf31::new(1234),
-        },
-    };
-    let a = mk(1).seal(&keys, 4).unwrap();
-    let b = mk(2).seal(&keys, 4).unwrap();
+    let a = seal1(&keys, 4, 0, 1, 1, Gf31::new(1234));
+    let b = seal1(&keys, 4, 0, 1, 2, Gf31::new(1234));
     assert_ne!(a, b);
 }
 
 #[test]
 fn decode_rejects_garbage() {
-    assert!(SumPacket::<Mersenne31>::decode(&[]).is_err());
-    assert!(SumPacket::<Mersenne31>::decode(&[0u8; 5]).is_err());
+    assert!(SumBatch::<Mersenne31>::decode(&[], 1).is_err());
+    assert!(SumBatch::<Mersenne31>::decode(&[0u8; 5], 1).is_err());
     // A non-canonical field value (≥ p) in the y slot must be rejected.
-    let pkt = SumPacket::<Mersenne31> {
-        node: 0,
-        round: 0,
-        share: Share {
-            x: share_x::<Mersenne31>(0),
-            y: Gf31::new(1),
-        },
-        mask: 0,
-    };
-    let mut bytes = pkt.encode();
+    let mut bytes = sum1::<Mersenne31>(0, 0, Gf31::new(1), 0).encode();
     // y occupies bytes [6, 10); overwrite with p (non-canonical).
     bytes[6..10].copy_from_slice(&(Gf31::modulus() as u32).to_le_bytes());
-    assert!(SumPacket::<Mersenne31>::decode(&bytes).is_err());
+    assert!(SumBatch::<Mersenne31>::decode(&bytes, 1).is_err());
 }
