@@ -4,7 +4,7 @@
 //! wastes the fixed radio/crypto cost of a round. Batching B readings per
 //! source into lanes amortizes that cost: one polynomial batch, one CCM
 //! seal per (source, destination), one transport round — B aggregates out.
-//! [`split_secret_batch`] is the vectorized twin of
+//! [`BatchSplitter`] is the vectorized twin of
 //! [`split_secret`](crate::split_secret); with the same RNG it draws the
 //! identical randomness, so lane `l` of the batch *is* the scalar share
 //! vector of secret `l` (enforced by the equivalence suite).
@@ -13,59 +13,7 @@ use ppda_field::{Gf, PolyBatch, PrimeField};
 use rand::RngCore;
 
 use crate::error::SssError;
-use crate::share::{validate_points, Share};
-
-/// Shares of a batch of secrets at a common set of public points, stored
-/// x-major: `values_at(i)` is the B-lane slab evaluated at `xs[i]`.
-///
-/// # Example
-///
-/// ```
-/// use ppda_field::{share_x, Gf31, Mersenne31};
-/// use ppda_sss::{split_secret_batch, ReconstructionPlan};
-/// # fn main() -> Result<(), ppda_sss::SssError> {
-/// let mut rng = ppda_sim::Xoshiro256::seed_from(7);
-/// let xs: Vec<_> = (0..3).map(share_x::<Mersenne31>).collect();
-/// let secrets = [Gf31::new(10), Gf31::new(20)];
-/// let batch = split_secret_batch(&secrets, 2, &xs, &mut rng)?;
-/// let plan = ReconstructionPlan::new(&xs)?;
-/// let slab: Vec<_> = (0..3).flat_map(|i| batch.values_at(i).to_vec()).collect();
-/// assert_eq!(plan.reconstruct_batch(2, &slab)?, secrets);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShareBatch<P: PrimeField> {
-    xs: Vec<Gf<P>>,
-    lanes: usize,
-    /// x-major slab: `ys[i * lanes + lane]`.
-    ys: Vec<Gf<P>>,
-}
-
-impl<P: PrimeField> ShareBatch<P> {
-    /// Number of secrets (lanes) in the batch.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The public evaluation points.
-    pub fn xs(&self) -> &[Gf<P>] {
-        &self.xs
-    }
-
-    /// The lane values at point index `i` (a B-length slab).
-    pub fn values_at(&self, i: usize) -> &[Gf<P>] {
-        &self.ys[i * self.lanes..(i + 1) * self.lanes]
-    }
-
-    /// One lane's share at point index `i`, as a scalar [`Share`].
-    pub fn share(&self, i: usize, lane: usize) -> Share<P> {
-        Share {
-            x: self.xs[i],
-            y: self.ys[i * self.lanes + lane],
-        }
-    }
-}
+use crate::share::validate_points;
 
 /// A reusable batched splitter: owns the polynomial slab so periodic
 /// callers (one split per source per round) never reallocate.
@@ -143,28 +91,6 @@ impl<P: PrimeField> BatchSplitter<P> {
         self.poly.eval_many_into(xs, ys_out);
         Ok(())
     }
-}
-
-/// Split a batch of secrets into lane-parallel shares at the public points
-/// `xs` (allocating convenience over [`BatchSplitter`]).
-///
-/// # Errors
-///
-/// Same conditions as [`split_secret`](crate::split_secret).
-pub fn split_secret_batch<P: PrimeField, R: RngCore + ?Sized>(
-    secrets: &[Gf<P>],
-    degree: usize,
-    xs: &[Gf<P>],
-    rng: &mut R,
-) -> Result<ShareBatch<P>, SssError> {
-    let mut splitter = BatchSplitter::new(degree, secrets.len());
-    let mut ys = Vec::new();
-    splitter.split_into(secrets, xs, rng, &mut ys)?;
-    Ok(ShareBatch {
-        xs: xs.to_vec(),
-        lanes: secrets.len(),
-        ys,
-    })
 }
 
 #[cfg(test)]

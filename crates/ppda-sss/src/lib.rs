@@ -8,9 +8,11 @@
 //!   (the additive homomorphism that makes aggregation private).
 //! * [`reconstruct`] / [`reconstruct_checked`] — Lagrange reconstruction of
 //!   the aggregate from any k+1 sum shares.
-//! * [`SharePacket`] / [`SumPacket`] — the wire formats carried in MiniCast
-//!   sub-slots: AES-CCM-sealed shares in the sharing phase, plaintext sums
-//!   with contributor masks in the reconstruction phase.
+//! * [`seal_share_lanes`] / [`open_share_lanes`] and [`SumBatch`] — the
+//!   wire formats carried in MiniCast sub-slots: AES-CCM-sealed share
+//!   lanes in the sharing phase, plaintext sum lanes with a contributor
+//!   mask in the reconstruction phase. The one-lane batch is the paper's
+//!   packet.
 //!
 //! # Example: the full algebraic pipeline
 //!
@@ -53,11 +55,10 @@ mod share;
 mod weights;
 
 pub use accumulate::SumAccumulator;
-pub use batch::{split_secret_batch, BatchSplitter, ShareBatch};
+pub use batch::BatchSplitter;
 pub use error::SssError;
 pub use packet::{
-    open_share_lanes, seal_share_lanes, CommitPacket, SharePacket, SumBatch, SumPacket,
-    MAX_MASK_SOURCES,
+    open_share_lanes, seal_share_lanes, CommitPacket, SharePacket, SumBatch, MAX_MASK_SOURCES,
 };
 pub use share::{reconstruct, reconstruct_checked, split_secret, Share};
 pub use weights::{ReconstructionPlan, WeightCache, DEFAULT_WEIGHT_CAPACITY};

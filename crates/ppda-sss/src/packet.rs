@@ -1,43 +1,34 @@
-//! Wire formats for the two protocol phases.
+//! Wire formats for the two protocol phases. Each carries a lane batch;
+//! the one-lane batch is the paper's packet.
 //!
-//! * [`SharePacket`] — sharing phase: one evaluation value, AES-CCM sealed
-//!   with the pairwise key of (source, destination). The MAC header fields
-//!   (src, dst, round, sub-slot) are authenticated as associated data.
-//! * [`SumPacket`] — reconstruction phase: one sum share plus its 128-bit
-//!   contributor mask, in plaintext (the sums are blinded by share
-//!   randomness; the paper runs this phase "in plane text").
+//! * Sharing phase: [`seal_share_lanes`] seals a source's share values for
+//!   one destination under their pairwise AES-CCM key, and
+//!   [`open_share_lanes`] authenticates and decodes them. The MAC header
+//!   fields (src, dst, round) are authenticated as associated data;
+//!   [`SharePacket`] names the format and its length.
+//! * Reconstruction phase: [`SumBatch`] carries a node's sum shares plus
+//!   their 128-bit contributor mask, in plaintext (the sums are blinded by
+//!   share randomness; the paper runs this phase "in plane text").
+
+use std::marker::PhantomData;
 
 use bytes::{Buf, BufMut};
-use ppda_crypto::{Ccm, PairwiseKeys};
+use ppda_crypto::Ccm;
 use ppda_field::{Gf, PrimeField};
 
 use crate::error::SssError;
-use crate::share::Share;
 
 /// Maximum number of distinct source ids representable in the contributor
 /// mask (u128).
 pub const MAX_MASK_SOURCES: usize = 128;
 
-/// A sharing-phase packet: source `src` delivers `share` to destination
-/// `dst` in round `round`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SharePacket<P: PrimeField> {
-    /// Originating source node.
-    pub src: u16,
-    /// Designated destination node.
-    pub dst: u16,
-    /// Aggregation round identifier (freshness for the CCM nonce).
-    pub round: u32,
-    /// The share carried to the destination's public point.
-    pub share: Share<P>,
-}
+/// The sharing-phase packet format: a lane batch of share values for one
+/// `(src, dst, round, x)` coordinate, sealed by [`seal_share_lanes`] and
+/// opened by [`open_share_lanes`].
+#[derive(Debug)]
+pub struct SharePacket<P: PrimeField>(PhantomData<P>);
 
 impl<P: PrimeField> SharePacket<P> {
-    /// Sealed (ciphertext) payload length for this field and tag size.
-    pub fn sealed_len(tag_len: usize) -> usize {
-        Self::sealed_len_batch(1, tag_len)
-    }
-
     /// Sealed payload length for a `lanes`-wide batch (see
     /// [`seal_share_lanes`]).
     pub fn sealed_len_batch(lanes: usize, tag_len: usize) -> usize {
@@ -52,98 +43,14 @@ impl<P: PrimeField> SharePacket<P> {
         aad[4..8].copy_from_slice(&round.to_be_bytes());
         aad
     }
-
-    /// Encrypt the share value with the (src, dst) pairwise key.
-    ///
-    /// # Errors
-    ///
-    /// Propagates key-lookup and sealing failures from `ppda-crypto`.
-    pub fn seal(&self, keys: &PairwiseKeys, tag_len: usize) -> Result<Vec<u8>, SssError> {
-        let key = keys.key(self.src, self.dst)?;
-        let ccm = Ccm::new(key, tag_len)?;
-        let mut out = Vec::new();
-        self.seal_with(&ccm, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`SharePacket::seal`] with a prebuilt cipher context and a reusable
-    /// output buffer: the pairwise key of a (src, dst) pair never changes
-    /// within a deployment, so periodic senders expand the AES key schedule
-    /// once instead of once per packet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sealing failures from `ppda-crypto`.
-    pub fn seal_with(&self, ccm: &Ccm, out: &mut Vec<u8>) -> Result<(), SssError> {
-        seal_share_lanes(
-            ccm,
-            self.src,
-            self.dst,
-            self.round,
-            self.share.x,
-            &[self.share.y],
-            out,
-        )
-    }
-
-    /// Decrypt and authenticate a sealed share value.
-    ///
-    /// The destination knows `(src, dst, round, x)` from the TDMA schedule;
-    /// only the `y` value travels encrypted.
-    ///
-    /// # Errors
-    ///
-    /// * [`SssError::Crypto`] on authentication failure (wrong key, replay
-    ///   across rounds, tampering).
-    /// * [`SssError::BadPacket`] if the plaintext does not decode as a
-    ///   canonical field element.
-    pub fn open(
-        keys: &PairwiseKeys,
-        tag_len: usize,
-        src: u16,
-        dst: u16,
-        round: u32,
-        x: Gf<P>,
-        sealed: &[u8],
-    ) -> Result<Self, SssError> {
-        let key = keys.key(src, dst)?;
-        let ccm = Ccm::new(key, tag_len)?;
-        Self::open_with(&ccm, src, dst, round, x, sealed)
-    }
-
-    /// [`SharePacket::open`] with a prebuilt cipher context (the receiving
-    /// twin of [`SharePacket::seal_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SharePacket::open`].
-    pub fn open_with(
-        ccm: &Ccm,
-        src: u16,
-        dst: u16,
-        round: u32,
-        x: Gf<P>,
-        sealed: &[u8],
-    ) -> Result<Self, SssError> {
-        let nonce = Ccm::nonce(src, dst, round, x.value() as u32);
-        let plain = ccm.open(&nonce, &Self::aad(src, dst, round), sealed)?;
-        let y = Gf::from_bytes(&plain).ok_or(SssError::BadPacket {
-            what: "share value is not a canonical field element",
-        })?;
-        Ok(SharePacket {
-            src,
-            dst,
-            round,
-            share: Share { x, y },
-        })
-    }
 }
 
 /// Seal a lane batch of share values for one `(src, dst, round, x)`
 /// coordinate under **one** CCM invocation: the payload is the
-/// concatenation of the B little-endian lane encodings, the nonce and
-/// associated data are exactly those of the scalar [`SharePacket::seal`] —
-/// so a 1-lane batch is byte-identical to the scalar packet on the wire.
+/// concatenation of the B little-endian lane encodings, the nonce is
+/// derived from the coordinate and the associated data binds
+/// `(src, dst, round)`, so the ciphertext opens only for its destination,
+/// in its round.
 ///
 /// `out` is cleared and receives `ciphertext ‖ tag`.
 ///
@@ -231,75 +138,10 @@ pub fn open_share_lanes<P: PrimeField>(
     Ok(())
 }
 
-/// A reconstruction-phase packet: the sum share of one aggregation point,
-/// with the mask of sources whose shares were folded in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SumPacket<P: PrimeField> {
-    /// The node publishing its sum (identifies the public point).
-    pub node: u16,
-    /// Round identifier.
-    pub round: u32,
-    /// The sum share (x = the node's public point).
-    pub share: Share<P>,
-    /// Contributor mask: bit s set iff source s's share was included.
-    pub mask: u128,
-}
-
-impl<P: PrimeField> SumPacket<P> {
-    /// Encoded payload length: node(2) + round(4) + y + mask(16).
-    /// (`x` is implied by `node` and not transmitted.)
-    pub fn encoded_len() -> usize {
-        2 + 4 + P::ENCODED_LEN + 16
-    }
-
-    /// Serialize to the wire form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::encoded_len());
-        out.put_u16(self.node);
-        out.put_u32(self.round);
-        out.extend_from_slice(&self.share.y.to_bytes());
-        out.put_u128(self.mask);
-        out
-    }
-
-    /// Deserialize from the wire form.
-    ///
-    /// # Errors
-    ///
-    /// [`SssError::BadPacket`] on truncation, a non-canonical field value,
-    /// or a node/x mismatch.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SssError> {
-        if bytes.len() < Self::encoded_len() {
-            return Err(SssError::BadPacket {
-                what: "sum packet truncated",
-            });
-        }
-        let mut buf = bytes;
-        let node = buf.get_u16();
-        let round = buf.get_u32();
-        let y = Gf::from_bytes(&buf[..P::ENCODED_LEN]).ok_or(SssError::BadPacket {
-            what: "sum value is not a canonical field element",
-        })?;
-        buf.advance(P::ENCODED_LEN);
-        let mask = buf.get_u128();
-        Ok(SumPacket {
-            node,
-            round,
-            share: Share {
-                x: ppda_field::share_x::<P>(node as usize),
-                y,
-            },
-            mask,
-        })
-    }
-}
-
 /// The reconstruction-phase packet of a batched round: one sum share *per
 /// lane* plus the shared contributor mask. Every lane was accumulated from
 /// the same set of sources (they travel in the same sealed share packets),
 /// so one mask covers the batch.
-///
-/// A 1-lane [`SumBatch`] is byte-identical on the wire to [`SumPacket`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SumBatch<P: PrimeField> {
     /// The node publishing its sums (identifies the public point).
@@ -439,6 +281,7 @@ impl CommitPacket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppda_crypto::PairwiseKeys;
     use ppda_field::{share_x, Gf31, Mersenne31};
 
     fn keys() -> PairwiseKeys {
@@ -522,41 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn one_lane_batch_seal_is_byte_identical_to_scalar() {
-        let pkt = SharePacket::<Mersenne31> {
-            src: 2,
-            dst: 5,
-            round: 7,
-            share: Share {
-                x: share_x::<Mersenne31>(5),
-                y: Gf31::new(987654),
-            },
-        };
-        let scalar = pkt.seal(&keys(), 4).unwrap();
-        let ccm = Ccm::new(keys().key(2, 5).unwrap(), 4).unwrap();
-        let mut batch = Vec::new();
-        seal_share_lanes(&ccm, 2, 5, 7, pkt.share.x, &[pkt.share.y], &mut batch).unwrap();
-        assert_eq!(scalar, batch);
-
-        // And the batch opener recovers the scalar value.
-        let mut scratch = Vec::new();
-        let mut lanes = Vec::new();
-        open_share_lanes(
-            &ccm,
-            2,
-            5,
-            7,
-            pkt.share.x,
-            1,
-            &batch,
-            &mut scratch,
-            &mut lanes,
-        )
-        .unwrap();
-        assert_eq!(lanes, vec![pkt.share.y]);
-    }
-
-    #[test]
     fn lane_batch_round_trips_and_authenticates() {
         let ccm = Ccm::new(keys().key(1, 3).unwrap(), 4).unwrap();
         let x = share_x::<Mersenne31>(3);
@@ -619,51 +427,6 @@ mod tests {
         let mut out = Vec::new();
         open_share_lanes(&ccm, 2, 4, 5, x, 64, &sealed, &mut scratch, &mut out).unwrap();
         assert_eq!(out, ys);
-    }
-
-    #[test]
-    fn seal_with_matches_seal() {
-        let pkt = SharePacket::<Mersenne31> {
-            src: 0,
-            dst: 6,
-            round: 3,
-            share: Share {
-                x: share_x::<Mersenne31>(6),
-                y: Gf31::new(31337),
-            },
-        };
-        let ccm = Ccm::new(keys().key(0, 6).unwrap(), 4).unwrap();
-        let mut reused = Vec::new();
-        pkt.seal_with(&ccm, &mut reused).unwrap();
-        assert_eq!(reused, pkt.seal(&keys(), 4).unwrap());
-        let opened =
-            SharePacket::<Mersenne31>::open_with(&ccm, 0, 6, 3, pkt.share.x, &reused).unwrap();
-        assert_eq!(opened, pkt);
-    }
-
-    #[test]
-    fn one_lane_sum_batch_matches_sum_packet_wire() {
-        let scalar = SumPacket::<Mersenne31> {
-            node: 3,
-            round: 9,
-            share: Share {
-                x: share_x::<Mersenne31>(3),
-                y: Gf31::new(999),
-            },
-            mask: 0b1011,
-        };
-        let batch = SumBatch::<Mersenne31> {
-            node: 3,
-            round: 9,
-            x: share_x::<Mersenne31>(3),
-            ys: vec![Gf31::new(999)],
-            mask: 0b1011,
-        };
-        assert_eq!(scalar.encode(), batch.encode());
-        assert_eq!(
-            SumBatch::<Mersenne31>::encoded_len(1),
-            SumPacket::<Mersenne31>::encoded_len()
-        );
     }
 
     #[test]

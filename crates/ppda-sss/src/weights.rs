@@ -3,14 +3,13 @@
 //! A periodic-aggregation deployment reconstructs at the *same* share-holder
 //! set every epoch (the designated aggregators), so the Lagrange basis at
 //! x = 0 can be computed once and each round reduced to `m` multiplications
-//! and additions. [`ReconstructionPlan`] packages that precomputation; when
-//! faults shrink the held set away from the canonical one it transparently
-//! falls back to fresh interpolation, which is value-identical.
+//! and additions. [`ReconstructionPlan`] packages that precomputation for
+//! the canonical set; [`WeightCache`] memoizes the weights of the survivor
+//! subsets that faults leave instead.
 
 use ppda_field::{lagrange, Gf, PrimeField};
 
 use crate::error::SssError;
-use crate::share::{reconstruct, Share};
 
 /// Precomputed Lagrange weights at x = 0 for one canonical abscissa set.
 ///
@@ -74,32 +73,6 @@ impl<P: PrimeField> ReconstructionPlan<P> {
         self.xs.is_empty()
     }
 
-    /// `true` when `shares` sit exactly on the canonical points, in order —
-    /// the precondition for the fast weighted-sum path.
-    pub fn matches(&self, shares: &[Share<P>]) -> bool {
-        shares.len() == self.xs.len() && shares.iter().zip(&self.xs).all(|(s, &x)| s.x == x)
-    }
-
-    /// Reconstruct the secret: the precomputed weighted sum when the shares
-    /// match the canonical points, a fresh interpolation otherwise. Both
-    /// paths produce the identical field element.
-    ///
-    /// # Errors
-    ///
-    /// On the fallback path, the same conditions as
-    /// [`reconstruct`](crate::reconstruct).
-    pub fn reconstruct(&self, shares: &[Share<P>]) -> Result<Gf<P>, SssError> {
-        if self.matches(shares) {
-            Ok(shares
-                .iter()
-                .zip(&self.weights)
-                .map(|(s, &w)| s.y * w)
-                .sum())
-        } else {
-            reconstruct(shares)
-        }
-    }
-
     /// Reconstruct a whole lane batch with one weight pass: `ys` is an
     /// x-major slab (`ys[i * lanes + lane]` = lane `lane`'s sum share at
     /// canonical point `i`), `out[lane]` becomes `Σᵢ wᵢ · ys[i][lane]`.
@@ -107,8 +80,8 @@ impl<P: PrimeField> ReconstructionPlan<P> {
     /// The sum runs through [`ppda_field::packed::weighted_sum_rows_into`]
     /// on the lanes this CPU runs (AVX2 for Mersenne-31 when the CPU has
     /// it, detected at run time; else portable) with exact scalar tails,
-    /// so lane `l` equals [`ReconstructionPlan::reconstruct`] over lane
-    /// `l`'s scalar shares bit for bit.
+    /// so lane `l` equals [`reconstruct`](crate::reconstruct) over lane
+    /// `l`'s scalar shares.
     ///
     /// `out` is cleared and resized to `lanes`.
     ///
@@ -131,17 +104,6 @@ impl<P: PrimeField> ReconstructionPlan<P> {
         out.resize(lanes, Gf::ZERO);
         ppda_field::packed::weighted_sum_rows_into(&self.weights, ys, lanes, out);
         Ok(())
-    }
-
-    /// Allocating convenience over [`ReconstructionPlan::reconstruct_batch_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ReconstructionPlan::reconstruct_batch_into`].
-    pub fn reconstruct_batch(&self, lanes: usize, ys: &[Gf<P>]) -> Result<Vec<Gf<P>>, SssError> {
-        let mut out = Vec::new();
-        self.reconstruct_batch_into(lanes, ys, &mut out)?;
-        Ok(out)
     }
 }
 
@@ -339,7 +301,7 @@ impl<P: PrimeField> WeightCache<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::share::split_secret;
+    use crate::share::{reconstruct, split_secret, Share};
     use ppda_field::{share_x, Gf31, Mersenne31};
     use ppda_sim::Xoshiro256;
 
@@ -359,21 +321,6 @@ mod tests {
         plan.reconstruct_batch_into(1, &ys, &mut out).unwrap();
         assert_eq!(out, [reconstruct(canonical).unwrap()]);
         assert_eq!(out, [Gf31::new(123456)]);
-    }
-
-    #[test]
-    fn fallback_on_noncanonical_subset() {
-        let mut rng = Xoshiro256::seed_from(2);
-        let points = xs(8);
-        let plan = ReconstructionPlan::new(&points[..3]).unwrap();
-        let shares = split_secret(Gf31::new(42), 2, &points, &mut rng).unwrap();
-        // A shifted subset: same size, different points.
-        let other = &shares[4..7];
-        assert!(!plan.matches(other));
-        assert_eq!(plan.reconstruct(other).unwrap(), Gf31::new(42));
-        // A differently-sized subset also falls back.
-        assert!(!plan.matches(&shares[..4]));
-        assert_eq!(plan.reconstruct(&shares[..4]).unwrap(), Gf31::new(42));
     }
 
     #[test]
