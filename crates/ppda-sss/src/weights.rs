@@ -247,7 +247,9 @@ impl<P: PrimeField> WeightCache<P> {
     /// surviving points, or [`SssError::BadPacket`] if a set bit is
     /// outside the canonical set.
     pub fn survivor_xs(&self, mask: u128) -> Result<Vec<Gf<P>>, SssError> {
-        if mask >> self.xs.len() != 0 {
+        // At 128 points every bit is inside the set; `>>` by 128 would
+        // overflow.
+        if mask.checked_shr(self.xs.len() as u32).unwrap_or(0) != 0 {
             return Err(SssError::BadPacket {
                 what: "survivor mask has bits outside the canonical point set",
             });
@@ -427,6 +429,20 @@ mod tests {
         assert_eq!(
             cache.weights(0b110110).unwrap(),
             &lagrange::basis_at_zero(&[points[1], points[2]]).unwrap()[..]
+        );
+    }
+
+    #[test]
+    fn full_width_masks_cover_all_128_points() {
+        // 128 canonical points fill the mask: no bit lies outside the set.
+        let points = xs(128);
+        let mut cache = WeightCache::new(&points, 3).unwrap();
+        let mask = (1u128 << 1) | (1 << 2) | (1 << 127);
+        let survivors = vec![points[1], points[2], points[127]];
+        assert_eq!(cache.survivor_xs(mask).unwrap(), survivors);
+        assert_eq!(
+            cache.weights(mask).unwrap(),
+            &lagrange::basis_at_zero(&survivors).unwrap()[..]
         );
     }
 

@@ -227,6 +227,38 @@ fn batched_lanes_take_the_same_degraded_path() {
     }
 }
 
+#[test]
+fn s3_reconstructs_from_full_width_survivor_masks_at_128_nodes() {
+    // S3 on 128 nodes makes every node a destination, so survivor masks
+    // span all 128 bits of the weight cache's mask. Under loss and
+    // decode-deadline misses (no dropout, so every sum is sent) nodes
+    // reconstruct from non-canonical survivor sets, and every live node
+    // must end with the correct aggregate.
+    let topology = Topology::grid(16, 8, 15.0, 7);
+    let config = ProtocolConfig::builder(topology.len())
+        .sources(24)
+        .build()
+        .unwrap();
+    let deployment = Deployment::builder()
+        .topology_ref(&topology)
+        .config(config)
+        .protocol(ProtocolKind::S3)
+        .faults(FaultPlan::lossy(9, 0.05).with_delay(0.02))
+        .seed(11)
+        .build()
+        .unwrap();
+    let mut driver = deployment.driver();
+    for round in 0..3 {
+        let report = driver.step().unwrap();
+        assert!(report.recovered(), "round {round}");
+        assert_eq!(
+            report.degraded.nodes_recovered, report.degraded.live_nodes,
+            "round {round}"
+        );
+        assert!(report.correct(), "round {round}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
