@@ -64,14 +64,12 @@ impl<P: PrimeField> BatchSplitter<P> {
     ///
     /// # Errors
     ///
+    /// Each is returned before any randomness is drawn.
+    ///
+    /// * [`SssError::BadPacket`] if `secrets.len()` differs from the
+    ///   splitter's lane count.
     /// * [`SssError::TooFewPoints`] if `xs.len() < degree + 1`.
     /// * [`SssError::Field`] if `xs` contains zero or duplicates.
-    /// * [`SssError::BadPacket`] never; lane mismatches are
-    ///   [`SssError::TooFewPoints`]-free programmer errors and panic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secrets.len()` differs from the splitter's lane count.
     pub fn split_into<R: RngCore + ?Sized>(
         &mut self,
         secrets: &[Gf<P>],
@@ -79,6 +77,11 @@ impl<P: PrimeField> BatchSplitter<P> {
         rng: &mut R,
         ys_out: &mut Vec<Gf<P>>,
     ) -> Result<(), SssError> {
+        if secrets.len() != self.poly.lanes() {
+            return Err(SssError::BadPacket {
+                what: "secret count disagrees with the splitter's lane count",
+            });
+        }
         let degree = self.poly.degree();
         if xs.len() < degree + 1 {
             return Err(SssError::TooFewPoints {
@@ -164,6 +167,22 @@ mod tests {
             split(&secrets, 1, &dup, &mut rng),
             Err(SssError::Field(ppda_field::FieldError::DuplicateX { x: 3 }))
         ));
+    }
+
+    #[test]
+    fn lane_mismatch_is_an_error_before_any_draw() {
+        use rand::RngCore;
+        let points = xs(4);
+        let mut splitter = BatchSplitter::new(2, 3);
+        let mut rng = Xoshiro256::seed_from(6);
+        let mut ys = Vec::new();
+        for secrets in [&[Gf31::new(1)][..], &[Gf31::new(1); 4]] {
+            assert!(matches!(
+                splitter.split_into(secrets, &points, &mut rng, &mut ys),
+                Err(SssError::BadPacket { .. })
+            ));
+        }
+        assert_eq!(rng.next_u64(), Xoshiro256::seed_from(6).next_u64());
     }
 
     #[test]
