@@ -282,7 +282,8 @@ impl CommitPacket {
 mod tests {
     use super::*;
     use ppda_crypto::PairwiseKeys;
-    use ppda_field::{share_x, Gf31, Mersenne31};
+    use ppda_field::{share_x, Gf31, Mersenne31, Mersenne61};
+    use proptest::prelude::*;
 
     fn keys() -> PairwiseKeys {
         PairwiseKeys::derive(&[9u8; 16], 8)
@@ -516,6 +517,123 @@ mod tests {
                 CommitPacket::decode(&bytes[..cut]),
                 Err(SssError::BadPacket { .. })
             ));
+        }
+    }
+
+    /// Arbitrary bytes (mode 0), or `valid` truncated (1), with one bit
+    /// flipped (2) or intact (3).
+    fn mutate(valid: &[u8], mode: u8, garbage: &[u8], at: prop::sample::Index) -> Vec<u8> {
+        let mut bytes = valid.to_vec();
+        match mode {
+            0 => bytes = garbage.to_vec(),
+            1 => bytes.truncate(at.index(valid.len() + 1)),
+            2 if !bytes.is_empty() => {
+                let bit = at.index(bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            _ => {}
+        }
+        bytes
+    }
+
+    /// `SumBatch::decode` returns `BadPacket` or a batch that re-encodes
+    /// to the prefix it was read from.
+    fn sum_decode_is_total<P: PrimeField>(
+        bytes: &[u8],
+        lanes: usize,
+    ) -> Result<Option<SumBatch<P>>, TestCaseError> {
+        match SumBatch::<P>::decode(bytes, lanes) {
+            Ok(batch) => {
+                let wire = batch.encode();
+                prop_assert_eq!(bytes.get(..wire.len()), Some(&wire[..]));
+                Ok(Some(batch))
+            }
+            Err(e) => {
+                prop_assert!(matches!(e, SssError::BadPacket { .. }), "{e:?}");
+                Ok(None)
+            }
+        }
+    }
+
+    proptest! {
+        /// Every decoder here is total. On arbitrary bytes, on truncations
+        /// and bit flips of valid encodings, and at lane counts whose
+        /// encoded length nears or passes `usize::MAX`, each call returns
+        /// a typed error or a value that re-encodes to the bytes it was
+        /// read from; an intact encoding reads back as what was written.
+        #[test]
+        fn decoders_are_total(
+            lanes in 0usize..80,
+            values in prop::collection::vec(any::<u64>(), 80),
+            node in any::<u16>(),
+            round in any::<u32>(),
+            mask in any::<u128>(),
+            digest in any::<[u8; 16]>(),
+            garbage in prop::collection::vec(any::<u8>(), 0..300),
+            mode in 0u8..4,
+            at in any::<prop::sample::Index>(),
+            huge in any::<bool>(),
+            below in 0usize..8,
+        ) {
+            let ys: Vec<Gf31> = values[..lanes].iter().map(|&v| Gf31::new(v)).collect();
+            // Lane counts just below usize::MAX / 4: the encoded length
+            // overflows for M61 lanes, and for M31 lanes overflows or
+            // exceeds any input.
+            let read_lanes = if huge { usize::MAX / 4 - below } else { lanes };
+            let intact = mode == 3 && !huge;
+
+            let sum = SumBatch::<Mersenne31> {
+                node,
+                round,
+                x: share_x::<Mersenne31>(node as usize),
+                ys: ys.clone(),
+                mask,
+            };
+            let bytes = mutate(&sum.encode(), mode, &garbage, at);
+            let decoded = sum_decode_is_total::<Mersenne31>(&bytes, read_lanes)?;
+            if intact {
+                prop_assert_eq!(decoded, Some(sum));
+            }
+            sum_decode_is_total::<Mersenne61>(&bytes, read_lanes)?;
+
+            let commit = CommitPacket { src: node, round, digest };
+            let bytes = mutate(&commit.encode(), mode, &garbage, at);
+            match CommitPacket::decode(&bytes) {
+                Ok(decoded) => {
+                    let wire = decoded.encode();
+                    prop_assert_eq!(bytes.get(..wire.len()), Some(&wire[..]));
+                    prop_assert!(mode != 3 || decoded == commit);
+                }
+                Err(e) => {
+                    prop_assert!(mode != 3, "an intact commit packet failed: {e:?}");
+                    prop_assert!(matches!(e, SssError::BadPacket { .. }), "{e:?}");
+                }
+            }
+
+            let (ccm, x) = (ccm(1, 3), share_x::<Mersenne31>(3));
+            let mut sealed = Vec::new();
+            seal_share_lanes(&ccm, 1, 3, round, x, &ys, &mut sealed).unwrap();
+            let bytes = mutate(&sealed, mode, &garbage, at);
+            let (mut scratch, mut opened) = (Vec::new(), Vec::new());
+            let result = open_share_lanes(
+                &ccm, 1, 3, round, x, read_lanes, &bytes, &mut scratch, &mut opened,
+            );
+            match result {
+                Ok(()) => {
+                    prop_assert_eq!(opened.len(), read_lanes);
+                    let mut resealed = Vec::new();
+                    seal_share_lanes(&ccm, 1, 3, round, x, &opened, &mut resealed).unwrap();
+                    prop_assert_eq!(&resealed, &bytes);
+                    prop_assert!(!intact || opened == ys);
+                }
+                Err(e) => {
+                    prop_assert!(!intact, "an intact sealed batch failed to open: {e:?}");
+                    prop_assert!(
+                        matches!(e, SssError::Crypto(_) | SssError::BadPacket { .. }),
+                        "{e:?}"
+                    );
+                }
+            }
         }
     }
 }
