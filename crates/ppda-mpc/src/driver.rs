@@ -236,7 +236,7 @@ enum DriverPlan<'d> {
     Shared(&'d RoundPlan<'d>),
     Owned {
         plan: Box<RoundPlan<'static>>,
-        cursor: MembershipCursor,
+        cursor: MembershipCursor<'d>,
     },
 }
 
@@ -251,8 +251,8 @@ impl DriverPlan<'_> {
 
 /// A driver's walk along its deployment's compiled membership timeline.
 #[derive(Debug)]
-struct MembershipCursor {
-    timeline: MembershipTimeline,
+struct MembershipCursor<'d> {
+    timeline: &'d MembershipTimeline,
     /// Index of the next unapplied delta.
     next: usize,
     /// Highest round id this driver has executed (or tried to): once the
@@ -590,7 +590,7 @@ impl<'t> Deployment<'t> {
             (Some(patched), Some(timeline)) => DriverPlan::Owned {
                 plan: patched.clone(),
                 cursor: MembershipCursor {
-                    timeline: timeline.clone(),
+                    timeline,
                     next: 0,
                     floor: None,
                 },
