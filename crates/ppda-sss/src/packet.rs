@@ -520,20 +520,20 @@ mod tests {
         }
     }
 
-    /// Arbitrary bytes (mode 0), or `valid` truncated (1), with one bit
-    /// flipped (2) or intact (3).
+    /// Arbitrary bytes (mode 0), or the non-empty `valid` truncated (1),
+    /// with one bit flipped (2) or intact (3).
     fn mutate(valid: &[u8], mode: u8, garbage: &[u8], at: prop::sample::Index) -> Vec<u8> {
-        let mut bytes = valid.to_vec();
         match mode {
-            0 => bytes = garbage.to_vec(),
-            1 => bytes.truncate(at.index(valid.len() + 1)),
-            2 if !bytes.is_empty() => {
+            0 => garbage.to_vec(),
+            1 => valid[..at.index(valid.len() + 1)].to_vec(),
+            2 => {
+                let mut bytes = valid.to_vec();
                 let bit = at.index(bytes.len() * 8);
                 bytes[bit / 8] ^= 1 << (bit % 8);
+                bytes
             }
-            _ => {}
+            _ => valid.to_vec(),
         }
-        bytes
     }
 
     /// `SumBatch::decode` returns `BadPacket` or a batch that re-encodes

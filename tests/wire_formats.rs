@@ -9,7 +9,7 @@
 //! `GOLDEN_REGEN=1 cargo test --test wire_formats` — then review the diff.
 
 use ppda::crypto::{Aes128, Ccm, CtrDrbg, PairwiseKeys};
-use ppda::field::{share_x, Gf31, Gf61, Mersenne31, Mersenne61};
+use ppda::field::{share_x, Gf, Gf31, Gf61, Mersenne31, Mersenne61, PrimeField};
 use ppda::radio::FrameSpec;
 use ppda::sss::{open_share_lanes, seal_share_lanes, SharePacket, SumBatch};
 use ppda_testkit::assert_golden;
@@ -20,12 +20,7 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 /// The paper's reconstruction-phase packet: a one-lane sum batch.
-fn sum1<P: ppda::field::PrimeField>(
-    node: u16,
-    round: u32,
-    y: ppda::field::Gf<P>,
-    mask: u128,
-) -> SumBatch<P> {
+fn sum1<P: PrimeField>(node: u16, round: u32, y: Gf<P>, mask: u128) -> SumBatch<P> {
     SumBatch {
         node,
         round,
