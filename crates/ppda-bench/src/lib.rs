@@ -194,9 +194,10 @@ pub struct CampaignResult {
 /// [`CampaignAccumulator`](ppda_metrics::CampaignAccumulator) folding
 /// each round into summary state the moment it completes. No
 /// per-iteration configuration clones, no buffered outcome structures, no
-/// hand-threaded metrics. (The accumulator keeps two scalars per live
-/// node-round for the exact percentile summaries; that is the only state
-/// growing with `iterations`.)
+/// hand-threaded metrics. (The accumulator keeps one (value, count) run
+/// per distinct latency and radio-on value for the exact percentile
+/// summaries, so its state grows with the distinct simulated values, not
+/// with `iterations`.)
 ///
 /// With `config.batch > 1` every round aggregates B values per source at
 /// one round's transport cost; a node-round counts as successful only if
@@ -206,7 +207,8 @@ pub struct CampaignResult {
 ///
 /// Rounds are distributed over all available cores; results are
 /// deterministic for a given `(base_seed, iterations)` regardless of the
-/// thread count (counters are order-independent and sample summaries sort).
+/// thread count (counters are order-independent, and merging sample runs
+/// adds counts per value).
 ///
 /// # Errors
 ///

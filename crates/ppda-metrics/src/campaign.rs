@@ -2,24 +2,26 @@
 //!
 //! A campaign of thousands of rounds must not buffer every round's full
 //! outcome structure until the end: [`CampaignAccumulator`] folds each
-//! round into counters and two flat per-node sample buffers (latency,
-//! radio-on) the moment it completes, so memory is a few scalars per
-//! *observation* instead of whole outcome graphs per *iteration*. The
-//! sample buffers still grow with `iterations × nodes` (16 bytes per live
-//! node-round) — the price of **exact** p95/p99 summaries; swap them for a
-//! quantile sketch if campaigns ever reach the 10⁸-round scale where that
-//! matters.
+//! round into counters and two run-length sample sets (latency, radio-on)
+//! the moment it completes. A sample set holds one (value, count) run per
+//! distinct value, so memory is bounded by the number of distinct values,
+//! not by the number of node-rounds. Simulated values repeat: latencies
+//! end on slot boundaries and radio-on time is whole cycles. The
+//! percentiles stay **exact**, and every figure keeps the bits a flat
+//! sorted sample would give. A value not seen before shifts the runs
+//! above it, so the form suits samples with few distinct values, as
+//! simulated ones are.
 //!
 //! Worker threads each fold their own accumulator and [`merge`] them at
 //! join time; all derived statistics are order-independent (counters are
-//! integers, and [`Summary`] sorts its sample), so results are identical
-//! for any thread count.
+//! integers, and merging runs adds counts per value), so results are
+//! identical for any thread count.
 //!
 //! [`merge`]: CampaignAccumulator::merge
 
 use ppda_mpc::{RoundObserver, RoundReport};
 
-use crate::summary::Summary;
+use crate::summary::{Runs, Summary};
 
 /// Folds per-round, per-node campaign observations into summary state.
 ///
@@ -37,8 +39,8 @@ use crate::summary::Summary;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CampaignAccumulator {
-    pub(crate) latencies: Vec<f64>,
-    pub(crate) radios: Vec<f64>,
+    pub(crate) latencies: Runs,
+    pub(crate) radios: Runs,
     pub(crate) node_ok: u64,
     pub(crate) node_total: u64,
     pub(crate) round_ok: u64,
@@ -74,9 +76,9 @@ impl CampaignAccumulator {
             self.node_ok += 1;
         }
         if let Some(l) = latency_ms {
-            self.latencies.push(l);
+            self.latencies.record(l);
         }
-        self.radios.push(radio_on_ms);
+        self.radios.record(radio_on_ms);
     }
 
     /// Record one fault-injected round's availability verdict:
@@ -106,8 +108,8 @@ impl CampaignAccumulator {
     /// `other` in without consuming it. Live snapshots use this to merge
     /// worker shards that keep accumulating afterwards.
     pub fn absorb(&mut self, other: &CampaignAccumulator) {
-        self.latencies.extend_from_slice(&other.latencies);
-        self.radios.extend_from_slice(&other.radios);
+        self.latencies.absorb(&other.latencies);
+        self.radios.absorb(&other.radios);
         self.node_ok += other.node_ok;
         self.node_total += other.node_total;
         self.round_ok += other.round_ok;
@@ -174,26 +176,25 @@ impl CampaignAccumulator {
         &self.margin_hist
     }
 
-    /// Summary over the recovery margins of recovered rounds (expands the
-    /// histogram; empty when no recoveries were recorded).
+    /// Summary over the recovery margins of recovered rounds (empty when
+    /// no recoveries were recorded).
     pub fn margin(&self) -> Summary {
-        let samples: Vec<f64> = self
-            .margin_hist
-            .iter()
-            .enumerate()
-            .flat_map(|(m, &count)| std::iter::repeat_n(m as f64, count as usize))
-            .collect();
-        Summary::of(&samples)
+        Summary::from_runs(
+            self.margin_hist
+                .iter()
+                .enumerate()
+                .map(|(m, &count)| (m as f64, count)),
+        )
     }
 
     /// Summary of per-node completion latencies (nodes that finished).
     pub fn latency(&self) -> Summary {
-        Summary::of(&self.latencies)
+        Summary::from_runs(self.latencies.as_slice().iter().copied())
     }
 
     /// Summary of per-node radio-on times.
     pub fn radio_on(&self) -> Summary {
-        Summary::of(&self.radios)
+        Summary::from_runs(self.radios.as_slice().iter().copied())
     }
 }
 
@@ -218,7 +219,10 @@ impl RoundObserver for CampaignAccumulator {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::summary::reference::{matches_reference, unit};
 
     #[test]
     fn counters_and_summaries() {
@@ -266,7 +270,8 @@ mod tests {
         assert_eq!(ab.rounds(), ba.rounds());
         assert_eq!(ab.round_success(), ba.round_success());
         assert_eq!(ab.node_success(), ba.node_success());
-        // Summaries sort, so the sample order of arrival cannot matter.
+        // Merging runs adds counts per value, so the order of arrival
+        // cannot matter.
         assert_eq!(ab.latency(), ba.latency());
         assert_eq!(ab.radio_on(), ba.radio_on());
         assert_eq!(ab.recovery_rate(), ba.recovery_rate());
@@ -299,5 +304,80 @@ mod tests {
         b.record_recovery(Some(1));
         a.merge(b);
         assert_eq!(a.margin_histogram(), &[0, 1, 0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn runs_are_bounded_by_distinct_values() {
+        let mut acc = CampaignAccumulator::new();
+        for i in 0..200_000u32 {
+            acc.record_node(true, Some(f64::from(i % 60) * 0.5), f64::from(i % 17));
+        }
+        assert_eq!(acc.latency().len(), 200_000);
+        assert!(acc.latencies.as_slice().len() <= 60);
+        assert!(acc.radios.as_slice().len() <= 17);
+    }
+
+    /// `0..n` shuffled by the drawn swaps (Fisher–Yates).
+    fn shuffled(n: usize, swaps: &[prop::sample::Index]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        for (i, swap) in swaps.iter().enumerate().take(n) {
+            order.swap(i, i + swap.index(n - i));
+        }
+        order
+    }
+
+    proptest! {
+        /// Calls drawn from small value pools, split over 1–6
+        /// accumulators and folded together through `merge` and through
+        /// `absorb` in random orders, summarise exactly as the flat
+        /// reference does over every recorded sample.
+        #[test]
+        fn summaries_match_the_flat_reference(
+            latency_pool in prop::collection::vec(any::<u64>(), 1..151),
+            radio_pool in prop::collection::vec(any::<u64>(), 1..21),
+            calls in prop::collection::vec(any::<u64>(), 0..3001),
+            parts in 1usize..7,
+            merge_swaps in prop::collection::vec(any::<prop::sample::Index>(), 6),
+            absorb_swaps in prop::collection::vec(any::<prop::sample::Index>(), 6),
+            qs in prop::collection::vec(any::<u64>(), 3),
+        ) {
+            // One pool latency in eight is a node that did not finish.
+            let latency_pool: Vec<Option<f64>> = latency_pool
+                .iter()
+                .map(|&raw| (raw % 8 != 0).then(|| 500.0 * unit(raw)))
+                .collect();
+            let radio_pool: Vec<f64> = radio_pool.iter().map(|&raw| 100.0 * unit(raw)).collect();
+            let mut shards = vec![CampaignAccumulator::new(); parts];
+            let (mut latencies, mut radios, mut margins) = (Vec::new(), Vec::new(), Vec::new());
+            for &call in &calls {
+                let shard = &mut shards[(call >> 48) as usize % parts];
+                if call & 1 == 0 {
+                    let latency = latency_pool[(call >> 8) as usize % latency_pool.len()];
+                    let radio = radio_pool[(call >> 24) as usize % radio_pool.len()];
+                    shard.record_node(call & 2 == 0, latency, radio);
+                    latencies.extend(latency);
+                    radios.push(radio);
+                } else {
+                    // Margins 0–10, and 11 for a round below the threshold.
+                    let margin = Some((call >> 8) as usize % 12).filter(|&m| m <= 10);
+                    shard.record_recovery(margin);
+                    margins.extend(margin.map(|m| m as f64));
+                }
+            }
+            let mut merged = CampaignAccumulator::new();
+            for i in shuffled(parts, &merge_swaps) {
+                merged.merge(shards[i].clone());
+            }
+            let mut absorbed = CampaignAccumulator::new();
+            for i in shuffled(parts, &absorb_swaps) {
+                absorbed.absorb(&shards[i]);
+            }
+            let qs: Vec<f64> = qs.iter().map(|&raw| unit(raw)).collect();
+            for acc in [&merged, &absorbed] {
+                matches_reference(&acc.latency(), &latencies, &qs)?;
+                matches_reference(&acc.radio_on(), &radios, &qs)?;
+                matches_reference(&acc.margin(), &margins, &qs)?;
+            }
+        }
     }
 }

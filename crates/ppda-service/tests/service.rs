@@ -419,6 +419,62 @@ mod checkpointing {
         restored.advance(2).expect("restored engine runs");
     }
 
+    /// Transcode a version-2 accumulator blob (sample sets as (value bits,
+    /// count) runs) to version 1 (flat samples), as older checkpoints
+    /// hold it: the header through the margin histogram is shared, and
+    /// each run becomes `count` copies of its value.
+    fn flat_accumulator_blob(v2: &[u8]) -> Vec<u8> {
+        let word = |at: usize| u64::from_le_bytes(v2[at..at + 8].try_into().unwrap());
+        let mut at = 1 + 8 * 6;
+        at += 8 + 8 * word(at) as usize;
+        let mut v1 = v2[..at].to_vec();
+        v1[0] = 1;
+        for _ in 0..2 {
+            let runs = word(at) as usize;
+            let samples: Vec<u64> = (0..runs)
+                .map(|i| at + 8 + 16 * i)
+                .flat_map(|run| std::iter::repeat_n(word(run), word(run + 8) as usize))
+                .collect();
+            v1.extend_from_slice(&(samples.len() as u64).to_le_bytes());
+            for bits in samples {
+                v1.extend_from_slice(&bits.to_le_bytes());
+            }
+            at += 8 + 16 * runs;
+        }
+        v1
+    }
+
+    /// Checkpoints keep their format version when the accumulator field
+    /// changes its own: one holding a version-1 (flat-sample) accumulator
+    /// restores to the same metrics.
+    #[test]
+    fn checkpoints_with_version_1_accumulators_still_restore() {
+        let spec = fleet().swap_remove(0);
+        let engine = CampaignEngine::builder()
+            .workers(1)
+            .deployment(spec)
+            .build()
+            .expect("spec compiles");
+        engine.advance(6).expect("first leg");
+        let metrics = engine.snapshot().merged();
+        let v2 = metrics.to_blob();
+        let v1 = flat_accumulator_blob(&v2);
+        assert!(v1.len() > v2.len());
+        // The lone deployment's length-prefixed accumulator ends the blob.
+        let bytes = Checkpoint::capture(&engine)
+            .expect("checkpoint")
+            .as_bytes()
+            .to_vec();
+        let mut legacy = bytes[..bytes.len() - 8 - v2.len()].to_vec();
+        legacy.extend_from_slice(&(v1.len() as u64).to_le_bytes());
+        legacy.extend_from_slice(&v1);
+
+        let restored = Checkpoint::from_bytes(legacy).restore().expect("restores");
+        assert_eq!(restored.completed(0), 6);
+        assert_same_metrics(&restored.snapshot().merged(), &metrics);
+        assert_eq!(restored.snapshot().merged().to_blob(), v2);
+    }
+
     #[test]
     fn integrity_mode_survives_checkpoint_round_trip() {
         let topology = Topology::grid(3, 3, 15.0, 9);

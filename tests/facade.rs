@@ -24,7 +24,7 @@ use ppda::mpc::{
 };
 use ppda::topology::Topology;
 use ppda_bench::TestbedSetup;
-use ppda_metrics::CampaignAccumulator;
+use ppda_metrics::{CampaignAccumulator, Summary};
 use ppda_testkit::{assert_golden, drive_round, grid9_deployment, lossy_flocklab_deployment};
 
 fn testbeds() -> Vec<(Topology, ProtocolConfig)> {
@@ -436,6 +436,16 @@ fn campaign_accumulator_subscribes_to_the_driver() {
     assert_eq!(acc.radio_on().len(), live_nodes);
     let perfect = reports.iter().filter(|r| r.correct()).count();
     assert_eq!(acc.round_success(), perfect as f64 / 6.0);
+    // The accumulator's run-length samples summarise exactly as the flat
+    // per-node samples do.
+    let nodes = || reports.iter().flat_map(|r| r.outcome.live_nodes());
+    let latencies: Vec<f64> = nodes()
+        .filter_map(|n| n.latency.map(|l| l.as_millis_f64()))
+        .collect();
+    let radios: Vec<f64> = nodes().map(|n| n.radio_on.as_millis_f64()).collect();
+    assert!(!latencies.is_empty());
+    assert_eq!(acc.latency(), Summary::of(&latencies));
+    assert_eq!(acc.radio_on(), Summary::of(&radios));
 }
 
 /// Fused fault plans and the driver's availability stats: a lossy
