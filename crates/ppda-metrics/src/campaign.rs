@@ -76,9 +76,9 @@ impl CampaignAccumulator {
             self.node_ok += 1;
         }
         if let Some(l) = latency_ms {
-            self.latencies.record(l);
+            self.latencies.add(l, 1);
         }
-        self.radios.record(radio_on_ms);
+        self.radios.add(radio_on_ms, 1);
     }
 
     /// Record one fault-injected round's availability verdict:

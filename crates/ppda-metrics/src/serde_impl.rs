@@ -374,37 +374,29 @@ mod tests {
     #[test]
     fn counters_that_contradict_each_other_or_the_samples_are_rejected() {
         let acc = sample();
-        let [node_ok, node_total, round_ok, rounds, recovered, failed] = counters(&acc);
-        let (latencies, radios) = ([10.5], [1.25, 2.5]);
-        let hist = acc.margin_histogram();
-        assert!(CampaignAccumulator::from_blob(&v1_blob(
-            counters(&acc),
-            hist,
-            &latencies,
-            &radios
-        ))
-        .is_ok());
+        let v1 = |counters| v1_blob(counters, acc.margin_histogram(), &[10.5], &[1.25, 2.5]);
+        let v2 = |counters| {
+            let mut blob = acc.to_blob();
+            blob[1..49].copy_from_slice(&header(2, counters, &[])[1..49]);
+            blob
+        };
+        let good = counters(&acc);
+        assert!(CampaignAccumulator::from_blob(&v1(good)).is_ok());
+        assert!(CampaignAccumulator::from_blob(&v2(good)).is_ok());
+        let with = |at: usize, value: u64| {
+            let mut bad = good;
+            bad[at] = value;
+            bad
+        };
         for bad in [
-            [
-                node_total + 1,
-                node_total,
-                round_ok,
-                rounds,
-                recovered,
-                failed,
-            ],
-            [node_ok, node_total, rounds + 1, rounds, recovered, failed],
-            [node_ok, node_total, round_ok, rounds, recovered + 1, failed],
-            [node_ok, node_total, round_ok, rounds, recovered, u64::MAX],
-            // Two radio-on samples, one node.
-            [node_ok, 1, round_ok, rounds, recovered, failed],
+            with(0, good[1] + 1), // more correct nodes than nodes
+            with(2, good[3] + 1), // more correct rounds than rounds
+            with(4, good[4] + 1), // margins do not sum to the recoveries
+            with(5, u64::MAX),    // recovered + failed overflows
+            with(1, 1),           // two radio-on samples, one node
         ] {
-            assert!(
-                CampaignAccumulator::from_blob(&v1_blob(bad, hist, &latencies, &radios)).is_err()
-            );
-            let mut v2 = acc.to_blob();
-            v2[1..49].copy_from_slice(&header(2, bad, &[])[1..49]);
-            assert!(CampaignAccumulator::from_blob(&v2).is_err());
+            assert!(CampaignAccumulator::from_blob(&v1(bad)).is_err());
+            assert!(CampaignAccumulator::from_blob(&v2(bad)).is_err());
         }
     }
 

@@ -12,7 +12,6 @@
 //! of a zero quantile can differ from a flat sort, and only for samples
 //! that mix both zeros.
 
-use core::cmp::Ordering;
 use core::fmt;
 use std::iter::repeat_n;
 
@@ -34,43 +33,22 @@ impl Runs {
         )
     }
 
-    /// Record one observation; NaN is dropped.
-    pub(crate) fn record(&mut self, x: f64) {
+    /// Record `count` observations of `x`; NaN is dropped.
+    pub(crate) fn add(&mut self, x: f64, count: u64) {
         if x.is_nan() {
             return;
         }
         match self.0.binary_search_by(|(value, _)| value.total_cmp(&x)) {
-            Ok(i) => self.0[i].1 += 1,
-            Err(i) => self.0.insert(i, (x, 1)),
+            Ok(i) => self.0[i].1 += count,
+            Err(i) => self.0.insert(i, (x, count)),
         }
     }
 
-    /// Add every observation of `other`: a linear merge of both run lists.
+    /// Add every observation of `other`.
     pub(crate) fn absorb(&mut self, other: &Runs) {
-        let (ours, theirs) = (std::mem::take(&mut self.0), &other.0);
-        let mut merged = Vec::with_capacity(ours.len() + theirs.len());
-        let (mut i, mut j) = (0, 0);
-        while i < ours.len() && j < theirs.len() {
-            let ((a, m), (b, n)) = (ours[i], theirs[j]);
-            match a.total_cmp(&b) {
-                Ordering::Less => {
-                    merged.push((a, m));
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    merged.push((b, n));
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    merged.push((a, m + n));
-                    i += 1;
-                    j += 1;
-                }
-            }
+        for &(x, count) in &other.0 {
+            self.add(x, count);
         }
-        merged.extend_from_slice(&ours[i..]);
-        merged.extend_from_slice(&theirs[j..]);
-        self.0 = merged;
     }
 
     /// Append a run above every run held, as a decoder reads them back.
