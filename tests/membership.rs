@@ -300,3 +300,70 @@ fn fresh_drivers_fast_forward_to_identical_reports() {
         }
     }
 }
+
+/// Compiled membership timelines, frozen byte for byte. The Trickle
+/// transmit points are drawn only when `i_min` > 1, so the grid spans
+/// wider intervals than every other suite (they all run at `i_min` = 1).
+/// The event stream holds every kind, a node whose first event is a
+/// join (24, absent at the start), an event in force before the first
+/// round (the leave at round 0), and a crash whose effective round
+/// falls before the first round at small `i_min` and after it at large.
+#[test]
+fn compiled_timelines_match_golden() {
+    const FIRST_ROUND: u32 = 100;
+    let events = [
+        MembershipEvent::leave(0, 3),
+        MembershipEvent::crash(90, 7),
+        MembershipEvent::join(100, 24),
+        MembershipEvent::leave(104, 12),
+        MembershipEvent::crash(104, 18),
+        MembershipEvent::rejoin(120, 3),
+        MembershipEvent::rejoin(121, 7),
+        MembershipEvent::leave(140, 24),
+        MembershipEvent::rejoin(141, 12),
+        MembershipEvent::join(150, 18),
+    ];
+    let testbeds = [
+        ("flocklab", Topology::flocklab()),
+        ("dcube", Topology::dcube()),
+        ("grid6x6", Topology::grid(6, 6, 15.0, 3)),
+    ];
+    let mut out = String::new();
+    for (name, topology) in &testbeds {
+        let config = ProtocolConfig::builder(topology.len())
+            .round_id(FIRST_ROUND)
+            .build()
+            .expect("config builds");
+        let bootstrap = ppda::mpc::Bootstrap::run(topology, &config).expect("bootstrap runs");
+        for i_min in [1, 2, 3, 8] {
+            for crash_detection in [0, 2] {
+                let trickle = TrickleConfig {
+                    i_min,
+                    crash_detection,
+                    ..TrickleConfig::default()
+                };
+                for seed in [1, 1009] {
+                    let timeline = ppda::mpc::MembershipTimeline::compile(
+                        &bootstrap, &config, &events, &trickle, seed,
+                    )
+                    .expect("timeline compiles");
+                    let absent: Vec<usize> = (0..topology.len())
+                        .filter(|&v| !timeline.initial()[v])
+                        .collect();
+                    out.push_str(&format!(
+                        "{name} i_min={i_min} crash_detection={crash_detection} \
+                         seed={seed} absent={absent:?}"
+                    ));
+                    for delta in timeline.deltas() {
+                        out.push_str(&format!(
+                            " | {} +{:?} -{:?}",
+                            delta.round, delta.joins, delta.leaves
+                        ));
+                    }
+                    out.push('\n');
+                }
+            }
+        }
+    }
+    ppda_testkit::assert_golden("membership_timelines.txt", &out);
+}
