@@ -1,4 +1,4 @@
-//! Field elements over fixed Mersenne primes.
+//! Field elements over the Mersenne prime 2³¹ − 1.
 
 use core::fmt;
 use core::hash::{Hash, Hasher};
@@ -12,17 +12,16 @@ use crate::packed::Avx2;
 
 /// A prime modulus usable as the characteristic of a [`Gf`] field.
 ///
-/// This trait is implemented by zero-sized marker types ([`Mersenne31`],
-/// [`Mersenne61`]); it is not meant to be implemented outside this crate,
-/// although nothing prevents it for experimentation with other primes below
-/// 2⁶². All arithmetic goes through [`PrimeField::reduce`], so a non-Mersenne
-/// prime only costs an extra `%`.
+/// This trait is implemented by the zero-sized marker [`Mersenne31`]; it
+/// is not meant to be implemented outside this crate, although nothing
+/// prevents it for experimentation with other primes below 2⁶². All
+/// arithmetic goes through [`PrimeField::reduce`].
 ///
 /// The field also picks the lanes its two hot kernels run on
-/// ([`PrimeField::horner_lanes`], [`PrimeField::weighted_sum_rows`]). The
-/// defaults run portable lanes. [`Mersenne31`] asks the CPU at run time
-/// whether it has AVX2 and, if so, runs AVX2 lanes; no build flag or
-/// option is involved, and every choice gives the same elements.
+/// ([`PrimeField::horner_lanes`], [`PrimeField::weighted_sum_rows`]).
+/// [`Mersenne31`] asks the CPU at run time whether it has AVX2 and, if so,
+/// runs AVX2 lanes, else the portable ones; no build flag or option is
+/// involved, and every choice gives the same elements.
 pub trait PrimeField:
     'static + Copy + Clone + fmt::Debug + Eq + PartialEq + Send + Sync + Default
 {
@@ -35,71 +34,46 @@ pub trait PrimeField:
     const ENCODED_LEN: usize;
 
     /// Reduce an arbitrary 128-bit value into `[0, MODULUS)`.
-    #[inline]
-    fn reduce(x: u128) -> u64 {
-        (x % Self::MODULUS as u128) as u64
-    }
+    fn reduce(x: u128) -> u64;
 
     /// Reduce a 64-bit value into `[0, MODULUS)`.
-    #[inline]
-    fn reduce64(x: u64) -> u64 {
-        x % Self::MODULUS
-    }
+    fn reduce64(x: u64) -> u64;
 
     /// Multiply two *reduced* residues and reduce the product — the
-    /// branch-free kernel the packed lanes build on. The default widens to
-    /// `u128`; the Mersenne fields override it with fold-based reductions
-    /// that stay in (or quickly return to) `u64` so the compiler can keep
-    /// lane loops in vector registers.
-    #[inline]
-    fn mul_reduced(a: u64, b: u64) -> u64 {
-        Self::reduce(a as u128 * b as u128)
-    }
+    /// branch-free kernel the packed lanes build on, kept in `u64` so the
+    /// compiler can keep lane loops in vector registers.
+    fn mul_reduced(a: u64, b: u64) -> u64;
 
     /// The lane kernel behind
     /// [`packed::horner_lanes_into`](crate::packed::horner_lanes_into),
-    /// which checks the slice lengths and then calls it. The default runs
-    /// the portable lanes; [`Mersenne31`] runs AVX2 lanes when the CPU
-    /// has AVX2, detected at run time on each call.
-    #[inline]
+    /// which checks the slice lengths and then calls it.
     fn horner_lanes(
         coeffs: &[Gf<Self>],
         lanes: usize,
         degree: usize,
         x: Gf<Self>,
         out: &mut [Gf<Self>],
-    ) {
-        crate::packed::horner_lanes_portable(coeffs, lanes, degree, x, out);
-    }
+    );
 
     /// The lane kernel behind
     /// [`packed::weighted_sum_rows_into`](crate::packed::weighted_sum_rows_into),
     /// chosen as for [`PrimeField::horner_lanes`].
-    #[inline]
     fn weighted_sum_rows(
         weights: &[Gf<Self>],
         slab: &[Gf<Self>],
         lanes: usize,
         out: &mut [Gf<Self>],
-    ) {
-        crate::packed::weighted_sum_rows_portable(weights, slab, lanes, out);
-    }
+    );
 
     /// Which lanes the two kernels above run on this CPU (`"portable"`,
     /// `"avx2"`), as [`packed::backend_name`](crate::packed::backend_name)
     /// reports it.
-    fn lane_backend() -> &'static str {
-        "portable"
-    }
+    fn lane_backend() -> &'static str;
 }
 
 /// Marker for the Mersenne prime field with p = 2³¹ − 1.
 #[derive(Copy, Clone, Debug, Default, Eq, PartialEq)]
 pub struct Mersenne31;
-
-/// Marker for the Mersenne prime field with p = 2⁶¹ − 1.
-#[derive(Copy, Clone, Debug, Default, Eq, PartialEq)]
-pub struct Mersenne61;
 
 impl PrimeField for Mersenne31 {
     const MODULUS: u64 = (1 << 31) - 1;
@@ -172,50 +146,6 @@ impl PrimeField for Mersenne31 {
     }
 }
 
-impl PrimeField for Mersenne61 {
-    const MODULUS: u64 = (1 << 61) - 1;
-    const NAME: &'static str = "M61";
-    const ENCODED_LEN: usize = 8;
-
-    // 61-bit products need 122 bits, out of reach of AVX2's 32×32
-    // multiplier, so the lane kernels keep their portable defaults.
-
-    #[inline]
-    fn mul_reduced(a: u64, b: u64) -> u64 {
-        const P: u64 = (1 << 61) - 1;
-        let prod = a as u128 * b as u128; // < 2^122
-                                          // One 128-bit fold brings it under 2^62, one 64-bit fold under
-                                          // p + 2, then the branchless conditional subtract.
-        let fold1 = (prod as u64 & P) + ((prod >> 61) as u64);
-        let fold2 = (fold1 & P) + (fold1 >> 61);
-        fold2.min(fold2.wrapping_sub(P))
-    }
-
-    #[inline]
-    fn reduce(x: u128) -> u64 {
-        const P: u128 = (1 << 61) - 1;
-        let x = (x & P) + (x >> 61);
-        let x = (x & P) + (x >> 61);
-        let x = x as u64;
-        if x >= Self::MODULUS {
-            x - Self::MODULUS
-        } else {
-            x
-        }
-    }
-
-    #[inline]
-    fn reduce64(x: u64) -> u64 {
-        const P: u64 = (1 << 61) - 1;
-        let x = (x & P) + (x >> 61);
-        if x >= P {
-            x - P
-        } else {
-            x
-        }
-    }
-}
-
 /// An element of the prime field GF(p) selected by the marker `P`.
 ///
 /// The value is kept reduced (`0 <= value < P::MODULUS`) at all times, which
@@ -239,8 +169,6 @@ pub struct Gf<P: PrimeField>(u64, PhantomData<P>);
 
 /// Field element over [`Mersenne31`].
 pub type Gf31 = Gf<Mersenne31>;
-/// Field element over [`Mersenne61`].
-pub type Gf61 = Gf<Mersenne61>;
 
 impl<P: PrimeField> Gf<P> {
     /// The additive identity.
@@ -306,7 +234,7 @@ impl<P: PrimeField> Gf<P> {
     /// The multiplicative inverse, or `None` for zero.
     ///
     /// Uses Fermat's little theorem (`a^(p-2)`), which is branch-free and
-    /// fast for the fixed Mersenne moduli used here.
+    /// fast for the fixed Mersenne modulus used here.
     ///
     /// # Example
     ///
@@ -600,7 +528,6 @@ mod tests {
         assert_eq!(Gf31::ZERO.value(), 0);
         assert_eq!(Gf31::ONE.value(), 1);
         assert_eq!(Gf31::modulus(), 2147483647);
-        assert_eq!(Gf61::modulus(), 2305843009213693951);
     }
 
     #[test]
@@ -608,7 +535,6 @@ mod tests {
         assert_eq!(Gf31::new(Gf31::modulus()).value(), 0);
         assert_eq!(Gf31::new(Gf31::modulus() + 5).value(), 5);
         assert_eq!(Gf31::new(u64::MAX).value(), Mersenne31::reduce64(u64::MAX));
-        assert_eq!(Gf61::new(Gf61::modulus() + 1).value(), 1);
     }
 
     #[test]
@@ -636,17 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_matches_u128_reference_m61() {
-        let mut rng = SplitMix64::new(0xfee2);
-        for _ in 0..2000 {
-            let a = Gf61::random(&mut rng);
-            let b = Gf61::random(&mut rng);
-            let expect = (a.value() as u128 * b.value() as u128 % Gf61::modulus() as u128) as u64;
-            assert_eq!((a * b).value(), expect);
-        }
-    }
-
-    #[test]
     fn mul_reduced_matches_u128_reference() {
         let mut rng = SplitMix64::new(0xfee3);
         for _ in 0..2000 {
@@ -654,21 +569,12 @@ mod tests {
             let b = Gf31::random(&mut rng);
             let expect = (a.value() as u128 * b.value() as u128 % Gf31::modulus() as u128) as u64;
             assert_eq!(Mersenne31::mul_reduced(a.value(), b.value()), expect);
-            let c = Gf61::random(&mut rng);
-            let d = Gf61::random(&mut rng);
-            let expect = (c.value() as u128 * d.value() as u128 % Gf61::modulus() as u128) as u64;
-            assert_eq!(Mersenne61::mul_reduced(c.value(), d.value()), expect);
         }
-        // Worst case: (p−1)² for both fields.
+        // Worst case: (p−1)².
         let p31 = Gf31::modulus();
         assert_eq!(
             Mersenne31::mul_reduced(p31 - 1, p31 - 1),
             ((p31 - 1) as u128 * (p31 - 1) as u128 % p31 as u128) as u64
-        );
-        let p61 = Gf61::modulus();
-        assert_eq!(
-            Mersenne61::mul_reduced(p61 - 1, p61 - 1),
-            ((p61 - 1) as u128 * (p61 - 1) as u128 % p61 as u128) as u64
         );
     }
 
@@ -688,15 +594,12 @@ mod tests {
         for _ in 0..200 {
             let a = Gf31::random_nonzero(&mut rng);
             assert_eq!(a * a.inverse().unwrap(), Gf31::ONE);
-            let b = Gf61::random_nonzero(&mut rng);
-            assert_eq!(b * b.inverse().unwrap(), Gf61::ONE);
         }
     }
 
     #[test]
     fn inverse_of_zero_is_none() {
         assert!(Gf31::ZERO.inverse().is_none());
-        assert!(Gf61::ZERO.inverse().is_none());
     }
 
     #[test]
@@ -733,8 +636,6 @@ mod tests {
         for _ in 0..100 {
             let a = Gf31::random(&mut rng);
             assert_eq!(Gf31::from_bytes(&a.to_bytes()), Some(a));
-            let b = Gf61::random(&mut rng);
-            assert_eq!(Gf61::from_bytes(&b.to_bytes()), Some(b));
         }
     }
 
@@ -747,13 +648,8 @@ mod tests {
             a.write_bytes(&mut buf);
             assert_eq!(&buf[..4], &*a.to_bytes());
             assert_eq!(buf[4..], [0xFF; 4], "only ENCODED_LEN bytes written");
-            let b = Gf61::random(&mut rng);
-            let mut buf = [0u8; 8];
-            b.write_bytes(&mut buf);
-            assert_eq!(&buf[..], &*b.to_bytes());
         }
         assert_eq!(Gf31::new(7).to_bytes().len(), 4);
-        assert_eq!(Gf61::new(7).to_bytes().len(), 8);
     }
 
     #[test]
@@ -778,7 +674,6 @@ mod tests {
     fn display_and_debug() {
         assert_eq!(format!("{}", Gf31::new(42)), "42");
         assert_eq!(format!("{:?}", Gf31::new(42)), "M31(42)");
-        assert_eq!(format!("{:?}", Gf61::new(7)), "M61(7)");
     }
 
     #[test]
@@ -788,11 +683,6 @@ mod tests {
             Mersenne31::reduce(u128::MAX),
             (u128::MAX % ((1u128 << 31) - 1)) as u64
         );
-        assert_eq!(
-            Mersenne61::reduce(u128::MAX),
-            (u128::MAX % ((1u128 << 61) - 1)) as u64
-        );
         assert_eq!(Mersenne31::reduce(0), 0);
-        assert_eq!(Mersenne61::reduce(0), 0);
     }
 }

@@ -1,17 +1,15 @@
 //! Prime-field arithmetic, polynomials and Lagrange interpolation.
 //!
 //! This crate provides the algebraic substrate for Shamir Secret Sharing
-//! (SSS) as used by the rest of the `ppda` workspace: fixed Mersenne prime
-//! fields, dense polynomials with Horner evaluation, and Lagrange
-//! interpolation (full, and the cheap "evaluate at zero" special case that
-//! SSS reconstruction needs).
+//! (SSS) as used by the rest of the `ppda` workspace: one prime field,
+//! dense polynomials with Horner evaluation, and Lagrange interpolation
+//! (full, and the cheap "evaluate at zero" special case that SSS
+//! reconstruction needs).
 //!
-//! Two fields are provided out of the box:
-//!
-//! * [`Mersenne31`] — p = 2³¹ − 1. The default for the IoT protocols: a
-//!   sensor reading fits comfortably, a share is 4 bytes on the wire, and
-//!   sums of dozens of readings never wrap.
-//! * [`Mersenne61`] — p = 2⁶¹ − 1, for wider payloads.
+//! The field is [`Mersenne31`], p = 2³¹ − 1, with elements [`Gf31`]: a
+//! sensor reading fits comfortably, a share is 4 bytes on the wire, and
+//! sums of dozens of readings never wrap. The element type [`Gf`] and the
+//! rest of the crate are generic over the [`PrimeField`] marker.
 //!
 //! # Example
 //!
@@ -50,7 +48,7 @@ pub mod lagrange;
 pub mod packed;
 
 pub use batch::PolyBatch;
-pub use element::{Gf, Gf31, Gf61, GfBytes, Mersenne31, Mersenne61, PrimeField};
+pub use element::{Gf, Gf31, GfBytes, Mersenne31, PrimeField};
 pub use error::FieldError;
 pub use lagrange::batch_invert;
 pub use poly::Polynomial;

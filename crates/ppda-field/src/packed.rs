@@ -15,8 +15,7 @@
 //!   subtract re-canonicalize them.
 //! * Portable lanes everywhere else: four `u64` residues with branchless
 //!   arithmetic, written so the compiler can autovectorize them on any
-//!   target (NEON on aarch64). Mersenne-61 always runs them: its products
-//!   need 122 bits, beyond AVX2's 32 × 32-bit multiplier.
+//!   target (NEON on aarch64).
 //!
 //! The choice is made at run time, the way `ppda_crypto::Aes128::new` picks
 //! AES-NI: each kernel call asks `is_x86_feature_detected!("avx2")` (std
@@ -131,8 +130,8 @@ impl<P: PrimeField> PortableGf<P> {
     }
 }
 
-/// [`horner_lanes_into`] on the portable lanes, tail included (the
-/// default [`PrimeField::horner_lanes`]).
+/// [`horner_lanes_into`] on the portable lanes, tail included (what
+/// [`PrimeField::horner_lanes`] runs on a CPU without AVX2).
 pub(crate) fn horner_lanes_portable<P: PrimeField>(
     coeffs: &[Gf<P>],
     lanes: usize,
@@ -152,8 +151,8 @@ pub(crate) fn horner_lanes_portable<P: PrimeField>(
     horner_tail_scalar(coeffs, lanes, degree, x, out, lanes - lanes % 4);
 }
 
-/// [`weighted_sum_rows_into`] on the portable lanes, tail included (the
-/// default [`PrimeField::weighted_sum_rows`]).
+/// [`weighted_sum_rows_into`] on the portable lanes, tail included (what
+/// [`PrimeField::weighted_sum_rows`] runs on a CPU without AVX2).
 pub(crate) fn weighted_sum_rows_portable<P: PrimeField>(
     weights: &[Gf<P>],
     slab: &[Gf<P>],
@@ -316,7 +315,7 @@ mod avx2 {
     }
 }
 
-/// Off x86-64 there is no AVX2: the token cannot exist, and every field
+/// Off x86-64 there is no AVX2: the token cannot exist, and the field
 /// runs the portable lanes.
 #[cfg(not(target_arch = "x86_64"))]
 mod avx2 {
@@ -476,7 +475,7 @@ mod tests {
     use rand::RngCore;
 
     use super::*;
-    use crate::element::{Gf31, Gf61, Mersenne31, Mersenne61};
+    use crate::element::{Gf31, Mersenne31};
     use crate::SplitMix64;
 
     type Horner<P> = fn(&[Gf<P>], usize, usize, Gf<P>, &mut [Gf<P>]);
@@ -646,7 +645,7 @@ mod tests {
     proptest! {
         /// AVX2 (when the CPU has it), the portable lanes, the dispatched
         /// entry points and the scalar oracles agree on Horner and weighted
-        /// sums over both fields, at lane counts with and without tails and
+        /// sums, at lane counts with and without tails and
         /// at uniform and worst-case residues.
         #[test]
         fn every_lane_kernel_matches_the_scalar_oracle(
@@ -658,19 +657,16 @@ mod tests {
         ) {
             let shape = (lanes, degree, rows);
             agree_on_draw(&m31_paths(), shape, pin, seed)?;
-            agree_on_draw(&paths::<Mersenne61>(), shape, pin, seed)?;
         }
     }
 
     #[test]
     fn packed_add_mul_match_scalar_lanewise() {
         let mut rng = SplitMix64::new(0xACED);
-        let (m31, m61) = (m31_paths(), paths::<Mersenne61>());
+        let m31 = m31_paths();
         for _ in 0..200 {
             let w = Gf31::random(&mut rng);
             assert_lane_ops(&m31, &random(&mut rng, 4), &random(&mut rng, 4), w);
-            let w = Gf61::random(&mut rng);
-            assert_lane_ops(&m61, &random(&mut rng, 4), &random(&mut rng, 4), w);
         }
     }
 
@@ -679,8 +675,6 @@ mod tests {
         // p−1 is the worst case for every fold and conditional subtract.
         let top31 = Gf31::new(Gf31::modulus() - 1);
         assert_lane_ops(&m31_paths(), &[top31; 4], &[top31; 4], top31);
-        let top61 = Gf61::new(Gf61::modulus() - 1);
-        assert_lane_ops(&paths::<Mersenne61>(), &[top61; 4], &[top61; 4], top61);
     }
 
     #[test]
@@ -724,15 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn m61_kernels_match_oracles() {
-        let mut rng = SplitMix64::new(0x61);
-        let paths = paths::<Mersenne61>();
-        let coeffs = random(&mut rng, 4 * 7);
-        agree_horner(&paths, &coeffs, 7, 3, Gf61::random(&mut rng)).unwrap();
-        agree_weighted(&paths, &random(&mut rng, 4), &coeffs, 7).unwrap();
-    }
-
-    #[test]
     fn backend_is_named_and_sized() {
         #[cfg(target_arch = "x86_64")]
         let avx2 = std::arch::is_x86_feature_detected!("avx2");
@@ -740,7 +725,6 @@ mod tests {
         let avx2 = false;
         let m31 = if avx2 { "avx2" } else { "portable" };
         assert_eq!(backend_name::<Mersenne31>(), m31);
-        assert_eq!(backend_name::<Mersenne61>(), "portable");
     }
 
     #[test]

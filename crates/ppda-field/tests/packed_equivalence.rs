@@ -1,10 +1,10 @@
 //! Property suite: the public lane kernels, on the lanes this CPU runs
 //! (AVX2 for Mersenne-31 when the CPU has it, else portable), are
 //! bit-identical to the scalar operators and oracles: lane-wise add, mul
-//! and mul_add, Horner evaluation and weighted sums, over both Mersenne
-//! fields, at lane counts that force `lanes % 4 != 0` tails. The crate's
-//! unit tests check every path against the others in one build. Replayed
-//! in CI under `PROPTEST_SEED=1` like the fault suite.
+//! and mul_add, Horner evaluation and weighted sums, at lane counts that
+//! force `lanes % 4 != 0` tails. The crate's unit tests check every path
+//! against the others in one build. Replayed in CI under
+//! `PROPTEST_SEED=1` like the fault suite.
 
 use proptest::prelude::*;
 
@@ -12,14 +12,10 @@ use ppda_field::packed::{
     horner_lanes_into, horner_lanes_scalar_into, weighted_sum_rows_into,
     weighted_sum_rows_scalar_into,
 };
-use ppda_field::{Gf, Gf31, Gf61, Mersenne31, Mersenne61, PolyBatch, PrimeField, SplitMix64};
+use ppda_field::{Gf, Gf31, Mersenne31, PolyBatch, PrimeField, SplitMix64};
 
 fn gf31() -> impl Strategy<Value = Gf31> {
     any::<u64>().prop_map(Gf31::new)
-}
-
-fn gf61() -> impl Strategy<Value = Gf61> {
-    any::<u64>().prop_map(Gf61::new)
 }
 
 /// Lane-wise add, mul and mul_add through the kernels versus the scalar
@@ -58,11 +54,6 @@ proptest! {
     }
 
     #[test]
-    fn m61_lanes_match_scalar(values in prop::collection::vec(gf61(), 8..16)) {
-        lanes_match_scalar::<Mersenne61>(values);
-    }
-
-    #[test]
     fn m31_worst_case_residues(offset_a in 0u64..4, offset_b in 0u64..4) {
         // Residues pinned next to p − 1 stress every fold and subtract.
         let p = Gf31::modulus();
@@ -91,24 +82,6 @@ proptest! {
         prop_assert_eq!(fast, slow);
     }
 
-    #[test]
-    fn m61_horner_packed_equals_scalar(
-        lanes in 0usize..26,
-        degree in 0usize..7,
-        seed in any::<u64>(),
-        x in gf61(),
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let coeffs: Vec<Gf61> = (0..(degree + 1) * lanes)
-            .map(|_| Gf61::random(&mut rng))
-            .collect();
-        let mut fast = vec![Gf61::ZERO; lanes];
-        let mut slow = vec![Gf61::ZERO; lanes];
-        horner_lanes_into(&coeffs, lanes, degree, x, &mut fast);
-        horner_lanes_scalar_into(&coeffs, lanes, degree, x, &mut slow);
-        prop_assert_eq!(fast, slow);
-    }
-
     // ---- Weighted sums ≡ scalar oracle ----
 
     #[test]
@@ -122,22 +95,6 @@ proptest! {
         let slab: Vec<Gf31> = (0..rows * lanes).map(|_| Gf31::random(&mut rng)).collect();
         let mut fast = vec![Gf31::ZERO; lanes];
         let mut slow = vec![Gf31::ZERO; lanes];
-        weighted_sum_rows_into(&weights, &slab, lanes, &mut fast);
-        weighted_sum_rows_scalar_into(&weights, &slab, lanes, &mut slow);
-        prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn m61_weighted_sum_packed_equals_scalar(
-        lanes in 0usize..26,
-        rows in 0usize..9,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let weights: Vec<Gf61> = (0..rows).map(|_| Gf61::random(&mut rng)).collect();
-        let slab: Vec<Gf61> = (0..rows * lanes).map(|_| Gf61::random(&mut rng)).collect();
-        let mut fast = vec![Gf61::ZERO; lanes];
-        let mut slow = vec![Gf61::ZERO; lanes];
         weighted_sum_rows_into(&weights, &slab, lanes, &mut fast);
         weighted_sum_rows_scalar_into(&weights, &slab, lanes, &mut slow);
         prop_assert_eq!(fast, slow);

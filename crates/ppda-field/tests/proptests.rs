@@ -1,16 +1,12 @@
-//! Property-based tests: field axioms, polynomial identities, interpolation
-//! round-trips for both provided fields.
+//! Property-based tests: field axioms, polynomial identities and
+//! interpolation round-trips over the provided field.
 
 use proptest::prelude::*;
 
-use ppda_field::{lagrange, Gf31, Gf61, Mersenne31, Mersenne61, Polynomial, SplitMix64};
+use ppda_field::{lagrange, Gf31, Mersenne31, Polynomial, SplitMix64};
 
 fn gf31() -> impl Strategy<Value = Gf31> {
     any::<u64>().prop_map(Gf31::new)
-}
-
-fn gf61() -> impl Strategy<Value = Gf61> {
-    any::<u64>().prop_map(Gf61::new)
 }
 
 proptest! {
@@ -83,25 +79,6 @@ proptest! {
     #[test]
     fn bytes_round_trip_m31(a in gf31()) {
         prop_assert_eq!(Gf31::from_bytes(&a.to_bytes()), Some(a));
-    }
-
-    // ---- Field axioms over M61 (sampled subset; same generic code path) ----
-
-    #[test]
-    fn m61_distributive(a in gf61(), b in gf61(), c in gf61()) {
-        prop_assert_eq!(a * (b + c), a * b + a * c);
-    }
-
-    #[test]
-    fn m61_inverse(a in gf61()) {
-        if !a.is_zero() {
-            prop_assert_eq!(a * a.inverse().unwrap(), Gf61::ONE);
-        }
-    }
-
-    #[test]
-    fn bytes_round_trip_m61(a in gf61()) {
-        prop_assert_eq!(Gf61::from_bytes(&a.to_bytes()), Some(a));
     }
 
     // ---- Polynomial identities ----
@@ -178,21 +155,6 @@ proptest! {
     }
 
     #[test]
-    fn m61_interpolation_recovers_secret(
-        secret in any::<u64>(),
-        degree in 0usize..8,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let secret = Gf61::new(secret);
-        let poly = Polynomial::<Mersenne61>::random_with_constant(secret, degree, &mut rng);
-        let points: Vec<(Gf61, Gf61)> = (1..=degree as u64 + 1)
-            .map(|x| (Gf61::new(x), poly.eval(Gf61::new(x))))
-            .collect();
-        prop_assert_eq!(lagrange::interpolate_at_zero(&points).unwrap(), secret);
-    }
-
-    #[test]
     fn batch_invert_matches_individual(
         seeds in prop::collection::vec(1u64..u64::MAX, 1..40),
     ) {
@@ -245,9 +207,6 @@ proptest! {
         let mut buf = [0u8; 8];
         a.write_bytes(&mut buf);
         prop_assert_eq!(&buf[..4], &*a.to_bytes());
-        let b = Gf61::new(v);
-        b.write_bytes(&mut buf);
-        prop_assert_eq!(&buf[..], &*b.to_bytes());
     }
 
     // ---- The SSS aggregation identity end-to-end in field land ----

@@ -9,7 +9,7 @@
 //! `GOLDEN_REGEN=1 cargo test --test wire_formats` — then review the diff.
 
 use ppda::crypto::{Aes128, Ccm, CtrDrbg, PairwiseKeys};
-use ppda::field::{share_x, Gf, Gf31, Gf61, Mersenne31, Mersenne61, PrimeField};
+use ppda::field::{share_x, Gf, Gf31, Mersenne31, PrimeField};
 use ppda::radio::FrameSpec;
 use ppda::sss::{open_share_lanes, seal_share_lanes, SharePacket, SumBatch};
 use ppda_testkit::assert_golden;
@@ -51,14 +51,6 @@ fn golden_sum_packet_m31() {
     let encoded = pkt.encode();
     assert_golden("sum_packet_m31.hex", &format!("{}\n", hex(&encoded)));
     assert_eq!(SumBatch::<Mersenne31>::decode(&encoded, 1).unwrap(), pkt);
-}
-
-#[test]
-fn golden_sum_packet_m61() {
-    let pkt = sum1::<Mersenne61>(44, 7, Gf61::new(0x1234_5678_9ABC_DEF0), u128::MAX);
-    let encoded = pkt.encode();
-    assert_golden("sum_packet_m61.hex", &format!("{}\n", hex(&encoded)));
-    assert_eq!(SumBatch::<Mersenne61>::decode(&encoded, 1).unwrap(), pkt);
 }
 
 #[test]
