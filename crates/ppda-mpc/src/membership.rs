@@ -211,14 +211,14 @@ impl MembershipTimeline {
             } else {
                 0
             };
-            let spread = disseminate(
+            // Bootstrapped topologies are connected, so convergence is
+            // guaranteed; saturate defensively anyway.
+            let converged = disseminate(
                 bootstrap.hops_from(ev.node as usize),
                 trickle,
                 derive_stream(stream, i as u64),
-            );
-            // Bootstrapped topologies are connected, so convergence is
-            // guaranteed; saturate defensively anyway.
-            let converged = spread.converged_after.unwrap_or(u32::MAX);
+            )
+            .unwrap_or(u32::MAX);
             let effective = ev
                 .round
                 .saturating_add(lag)

@@ -31,9 +31,11 @@ use crate::engine::{CampaignEngine, ClockMode, DeploymentSpec, EngineError};
 /// Current blob version. Version 2 appended the membership event
 /// stream and Trickle parameters to every spec; version 3 appended the
 /// config's fragmentation flag; version 4 appended the config's
-/// integrity mode. Older blobs (no membership / no flags) still
-/// restore.
-const FORMAT_VERSION: u8 = 4;
+/// integrity mode; version 5 dropped the two Trickle words (interval
+/// doublings and redundancy constant) that no dissemination delay
+/// reads. Older blobs (no membership / no flags / four Trickle words)
+/// still restore.
+const FORMAT_VERSION: u8 = 5;
 const OLDEST_SUPPORTED_VERSION: u8 = 1;
 
 /// A serialized, self-contained image of a quiesced engine.
@@ -219,8 +221,6 @@ fn encode_spec(out: &mut Vec<u8>, spec: &DeploymentSpec) {
     }
     let t = &spec.trickle;
     put_u32(out, t.i_min);
-    put_u32(out, t.doublings);
-    put_u32(out, t.k);
     put_u32(out, t.crash_detection);
 
     // Version 3: the fragmentation flag (wide lane batches span frames).
@@ -347,10 +347,14 @@ fn decode_spec(r: &mut Reader<'_>, version: u8) -> Result<DeploymentSpec, Checkp
             };
             membership.push(MembershipEvent { round, node, kind });
         }
+        let i_min = r.u32()?;
+        if version < 5 {
+            // Versions 2–4 also carried the interval doublings and the
+            // redundancy constant, which no dissemination delay reads.
+            r.take(8)?;
+        }
         trickle = TrickleConfig {
-            i_min: r.u32()?,
-            doublings: r.u32()?,
-            k: r.u32()?,
+            i_min,
             crash_detection: r.u32()?,
         };
     }

@@ -337,13 +337,16 @@ mod checkpointing {
         assert_eq!(recorded[churny], reports);
     }
 
-    /// A fresh, membership-free, single-deployment engine whose current
-    /// (v4) checkpoint blob this strips back down to an older encoding:
-    /// the per-spec appendices sit right before the trailing `completed`
-    /// u64 and the length-prefixed (empty) accumulator — v2 added a
-    /// 24-byte appendix (membership count 0 as u64, four u32 Trickle
-    /// params), v3 a single fragmentation-flag byte after it, v4 a
-    /// single integrity-mode byte after that.
+    /// A fresh, membership-free, single-deployment engine's checkpoint in
+    /// the v4 encoding, which the tests below strip back down to older
+    /// ones. The per-spec appendices sit right before the trailing
+    /// `completed` u64 and the length-prefixed (empty) accumulator — v2
+    /// added a 24-byte appendix (membership count 0 as u64, four u32
+    /// Trickle params), v3 a single fragmentation-flag byte after it, v4
+    /// a single integrity-mode byte after that. v5 keeps only `i_min`
+    /// and `crash_detection` of the Trickle params, so the v4 bytes are
+    /// the current capture with the two dropped words (interval
+    /// doublings 6, redundancy constant 2) re-inserted between them.
     fn legacy_checkpoint_fixture() -> (DeploymentSpec, Vec<u8>, usize) {
         let spec = {
             let topology = Topology::grid(3, 3, 15.0, 9);
@@ -359,10 +362,31 @@ mod checkpointing {
             .build()
             .expect("spec compiles");
         let current = Checkpoint::capture(&engine).expect("checkpoint");
-        let bytes = current.as_bytes().to_vec();
+        let mut bytes = current.as_bytes().to_vec();
+        assert_eq!(bytes[0], 5, "the current format");
         let metrics_len = 8 + CampaignAccumulator::new().to_blob().len();
         let trailer_len = 8 + metrics_len;
+        // Before `crash_detection` and the two flag bytes.
+        let crash_detection_at = bytes.len() - (trailer_len + 2 + 4);
+        let dropped = [6u32.to_le_bytes(), 2u32.to_le_bytes()].concat();
+        bytes.splice(crash_detection_at..crash_detection_at, dropped);
+        bytes[0] = 4;
         (spec, bytes, trailer_len)
+    }
+
+    #[test]
+    fn version_4_checkpoints_still_restore() {
+        let (spec, v4, _) = legacy_checkpoint_fixture();
+        let v4_len = v4.len();
+        let restored = Checkpoint::from_bytes(v4).restore().expect("v4 restores");
+        assert_eq!(restored.spec(0).name, "legacy");
+        assert_eq!(restored.spec(0).trickle, spec.trickle);
+        assert_eq!(restored.spec(0).config, spec.config);
+        // Captured again, it is the current encoding, 8 bytes shorter.
+        let current = Checkpoint::capture(&restored).expect("checkpoint");
+        assert_eq!(current.as_bytes()[0], 5);
+        assert_eq!(current.as_bytes().len(), v4_len - 8);
+        restored.advance(2).expect("restored engine runs");
     }
 
     #[test]

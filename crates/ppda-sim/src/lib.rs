@@ -12,10 +12,11 @@
 //!   independent streams from a campaign seed.
 //! * [`ChurnSchedule`] — deterministic per-round node outage windows,
 //!   consumed by the fault-injection layers above.
-//! * [`MembershipEvent`] / [`Trickle`] / [`disseminate`] — online
+//! * [`MembershipEvent`] / [`TrickleConfig`] / [`disseminate`] — online
 //!   membership changes (join, leave, crash, rejoin) and the
-//!   RFC-6206-style Trickle dissemination model that turns them into
-//!   per-round membership views with realistic propagation delay.
+//!   RFC-6206-style Trickle dissemination model: [`disseminate`] returns
+//!   the rounds until an announcement reaches every node, the delay that
+//!   turns events into per-round membership views.
 //!
 //! # Example
 //!
@@ -42,9 +43,6 @@ mod rng;
 mod time;
 
 pub use churn::{ChurnSchedule, ChurnWindow};
-pub use membership::{
-    disseminate, Dissemination, MembershipEvent, MembershipEventKind, Trickle, TrickleConfig,
-    TrickleTick,
-};
+pub use membership::{disseminate, MembershipEvent, MembershipEventKind, TrickleConfig};
 pub use rng::{derive_stream, Xoshiro256};
 pub use time::{SimDuration, SimTime};

@@ -5,13 +5,12 @@
 //! after a battery swap. A [`MembershipEvent`] records one such change on
 //! the round-id axis. Events do not take effect instantly — the network
 //! learns about them through a Trickle-style dissemination protocol
-//! (RFC 6206: exponentially growing beacon intervals with redundancy
-//! suppression), so a membership change becomes *effective* only once the
+//! (RFC 6206), so a membership change becomes *effective* only once the
 //! whole network has converged on the new view. [`disseminate`] models
 //! that propagation deterministically: given the hop distances from the
-//! announcing node, it replays the per-ring Trickle timers and returns
-//! when each node first hears the update and when the network as a whole
-//! has converged.
+//! announcing node, it draws each hop ring's Trickle transmit points and
+//! returns the convergence delay, the rounds until every node holds the
+//! announcement (`None` when some node never hears it).
 //!
 //! The protocol layers above (ppda-mpc) consume this to turn an event
 //! stream into per-round membership views with realistic propagation
@@ -122,31 +121,25 @@ impl MembershipEvent {
 
 /// Trickle timer parameters (RFC 6206), on a round-granular clock.
 ///
-/// Mirrors the classic embedded configuration — a minimum interval, a
-/// doubling cap and a redundancy constant `k` — with rounds as the time
-/// unit: control traffic piggybacks on the per-round TDMA schedule, so
-/// sub-round timing is invisible to the protocol layer.
+/// Rounds are the time unit: control traffic piggybacks on the per-round
+/// TDMA schedule, so sub-round timing is invisible to the protocol layer.
+/// The two parameters are the ones a convergence delay depends on.
 ///
 /// # Example
 ///
 /// ```
 /// use ppda_sim::TrickleConfig;
 /// let cfg = TrickleConfig::default();
-/// assert_eq!(cfg.i_max(), cfg.i_min << cfg.doublings);
-/// let fast = TrickleConfig { i_min: 2, doublings: 3, ..cfg };
-/// assert_eq!(fast.i_max(), 16);
+/// assert_eq!((cfg.i_min, cfg.crash_detection), (1, 2));
+/// let slow = TrickleConfig { i_min: 8, ..cfg };
+/// assert_eq!(slow.crash_detection, 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrickleConfig {
-    /// Minimum interval `I_min`, in rounds (≥ 1). Fresh information
-    /// resets a node's interval to this.
+    /// Minimum interval `I_min`, in rounds (0 counts as 1). A node that
+    /// first hears an announcement resets its interval to this and
+    /// transmits at a point drawn from `[I_min/2, I_min)`.
     pub i_min: u32,
-    /// Number of doublings before the interval saturates:
-    /// `I_max = I_min << doublings`.
-    pub doublings: u32,
-    /// Redundancy constant `k`: a node suppresses its own transmission
-    /// after hearing `k` consistent ones in the current interval.
-    pub k: u32,
     /// Rounds of silence before neighbors detect a crashed node (graceful
     /// departures announce themselves and skip this lag).
     pub crash_detection: u32,
@@ -156,56 +149,9 @@ impl Default for TrickleConfig {
     fn default() -> Self {
         TrickleConfig {
             i_min: 1,
-            doublings: 6,
-            k: 2,
             crash_detection: 2,
         }
     }
-}
-
-impl TrickleConfig {
-    /// The saturated maximum interval `I_min << doublings`, in rounds.
-    pub fn i_max(&self) -> u32 {
-        self.i_min.saturating_shl(self.doublings)
-    }
-}
-
-/// What one [`Trickle::tick`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrickleTick {
-    /// The node transmitted its beacon this round.
-    pub transmitted: bool,
-    /// The node reached its transmit point but was suppressed by
-    /// redundancy (heard ≥ k consistent beacons this interval).
-    pub suppressed: bool,
-}
-
-/// One node's Trickle timer state (RFC 6206 §4.2) on the round clock.
-///
-/// # Example
-///
-/// ```
-/// use ppda_sim::{Trickle, TrickleConfig, Xoshiro256};
-/// let cfg = TrickleConfig { i_min: 2, doublings: 3, ..TrickleConfig::default() };
-/// let mut rng = Xoshiro256::seed_from(7);
-/// let mut t = Trickle::new(cfg, &mut rng);
-/// // A quiet node transmits within its first interval, then the
-/// // interval doubles toward I_max.
-/// let fired = (0..64).filter(|_| t.tick(&mut rng).transmitted).count();
-/// assert!(fired >= 1);
-/// assert_eq!(t.interval(), cfg.i_max());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Trickle {
-    cfg: TrickleConfig,
-    /// Current interval length `I`, in rounds.
-    i_cur: u32,
-    /// Consistent transmissions heard this interval.
-    c: u32,
-    /// Transmit point within the interval, drawn from `[I/2, I)`.
-    t: u32,
-    /// Rounds elapsed in the current interval.
-    elapsed: u32,
 }
 
 /// Draw a transmit point uniformly from `[i/2, i)`.
@@ -219,94 +165,20 @@ fn draw_t(i: u32, rng: &mut Xoshiro256) -> u32 {
     }
 }
 
-impl Trickle {
-    /// Start a timer at the minimum interval (the state right after the
-    /// node heard something new).
-    pub fn new(cfg: TrickleConfig, rng: &mut Xoshiro256) -> Self {
-        let i_cur = cfg.i_min.max(1);
-        Trickle {
-            cfg,
-            i_cur,
-            c: 0,
-            t: draw_t(i_cur, rng),
-            elapsed: 0,
-        }
-    }
-
-    /// Current interval length, in rounds.
-    pub fn interval(&self) -> u32 {
-        self.i_cur
-    }
-
-    /// Note a consistent transmission heard this interval (counts toward
-    /// the redundancy constant `k`).
-    pub fn hear_consistent(&mut self) {
-        self.c = self.c.saturating_add(1);
-    }
-
-    /// Note an inconsistent transmission (new information): reset the
-    /// interval to `I_min` per RFC 6206 §4.2 step 6.
-    pub fn hear_inconsistent(&mut self, rng: &mut Xoshiro256) {
-        if self.i_cur > self.cfg.i_min.max(1) {
-            self.i_cur = self.cfg.i_min.max(1);
-            self.begin_interval(rng);
-        }
-    }
-
-    fn begin_interval(&mut self, rng: &mut Xoshiro256) {
-        self.c = 0;
-        self.elapsed = 0;
-        self.t = draw_t(self.i_cur, rng);
-    }
-
-    /// Advance the timer by one round: transmit at `t` unless suppressed
-    /// (`c ≥ k`), double the interval (up to `I_max`) at the interval
-    /// boundary.
-    pub fn tick(&mut self, rng: &mut Xoshiro256) -> TrickleTick {
-        let mut out = TrickleTick {
-            transmitted: false,
-            suppressed: false,
-        };
-        if self.elapsed == self.t {
-            if self.c < self.cfg.k {
-                out.transmitted = true;
-            } else {
-                out.suppressed = true;
-            }
-        }
-        self.elapsed += 1;
-        if self.elapsed >= self.i_cur {
-            self.i_cur = (self.i_cur.saturating_mul(2)).min(self.cfg.i_max().max(1));
-            self.begin_interval(rng);
-        }
-        out
-    }
-}
-
-/// How a membership announcement spread through the network.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dissemination {
-    /// Per node: rounds after the announcement until the node first holds
-    /// the update (`Some(0)` at the origin; `None` for unreachable nodes).
-    pub heard_after: Vec<Option<u32>>,
-    /// Rounds after the announcement until every reachable node holds the
-    /// update (`None` when some node is unreachable from the origin).
-    pub converged_after: Option<u32>,
-    /// Total beacon transmissions spent on this update.
-    pub transmissions: u32,
-    /// Transmissions saved by Trickle's redundancy suppression.
-    pub suppressed: u32,
-}
-
-/// Model the Trickle-governed spread of one announcement.
+/// Model the Trickle-governed spread of one announcement: the rounds
+/// after it until every node holds the update, or `None` when some node
+/// is unreachable from the origin.
 ///
 /// `hops_from_origin[v]` is the hop distance from the announcing node to
 /// `v` (`Some(0)` at the origin, `None` if unreachable). The update
 /// crosses one hop ring per Trickle transmit: every node in a ring resets
-/// its timer to `I_min` on first hearing the update and transmits at a
-/// point drawn from `[I/2, I)` unless `k` earlier transmissions in its
-/// ring already covered it. The next ring hears the update one round
-/// after the ring's earliest transmission.
+/// its timer to `I_min` on first hearing the update and draws a transmit
+/// point from `[I/2, I)`. The ring's earliest point fires, since no
+/// earlier transmission can suppress it, and the next ring hears the
+/// update one round later. The delay sums these ring delays up to the
+/// farthest ring, saturating at `u32::MAX`. A hop ring left empty below
+/// the farthest one relays nothing, so the nodes past it count as
+/// unreachable.
 ///
 /// Deterministic in `(hops, cfg, seed)`; per-ring draws come from
 /// [`derive_stream`] sub-streams of `seed`.
@@ -318,97 +190,31 @@ pub struct Dissemination {
 /// // A 4-node line: origin at one end.
 /// let hops = vec![Some(0), Some(1), Some(2), Some(3)];
 /// let cfg = TrickleConfig::default(); // i_min = 1: one round per hop
-/// let d = disseminate(&hops, &cfg, 42);
-/// assert_eq!(d.heard_after, vec![Some(0), Some(1), Some(2), Some(3)]);
-/// assert_eq!(d.converged_after, Some(3));
+/// assert_eq!(disseminate(&hops, &cfg, 42), Some(3));
+/// assert_eq!(disseminate(&[Some(0), Some(1), None], &cfg, 42), None);
 /// ```
 pub fn disseminate(
     hops_from_origin: &[Option<u32>],
     cfg: &TrickleConfig,
     seed: u64,
-) -> Dissemination {
-    let n = hops_from_origin.len();
-    let mut heard_after: Vec<Option<u32>> = vec![None; n];
-    let max_hop = hops_from_origin.iter().flatten().copied().max();
-    let Some(max_hop) = max_hop else {
-        return Dissemination {
-            heard_after,
-            converged_after: None,
-            transmissions: 0,
-            suppressed: 0,
-        };
-    };
-
-    let mut transmissions = 0u32;
-    let mut suppressed = 0u32;
-    // Cumulative delay at which ring `h` first holds the update.
-    let mut ring_delay = 0u32;
-    for h in 0..=max_hop {
-        // Nodes at exactly hop `h`, in id order for determinism.
-        let ring: Vec<usize> = (0..n).filter(|&v| hops_from_origin[v] == Some(h)).collect();
-        for &v in &ring {
-            heard_after[v] = Some(ring_delay);
-        }
-        if h == max_hop {
-            break;
-        }
-        // Each ring member restarts Trickle at I_min on hearing the
-        // update and picks its transmit point; members that hear k
-        // earlier transmissions first are suppressed.
+) -> Option<u32> {
+    if hops_from_origin.contains(&None) {
+        return None;
+    }
+    let farthest = hops_from_origin.iter().flatten().copied().max()?;
+    let mut delay = 0u32;
+    for h in 0..farthest {
+        // Ring members draw their transmit points in id order.
         let mut rng = Xoshiro256::seed_from(derive_stream(seed, h as u64));
-        let mut points: Vec<(u32, usize)> = ring
+        let fire = hops_from_origin
             .iter()
-            .map(|&v| (draw_t(cfg.i_min.max(1), &mut rng), v))
-            .collect();
-        points.sort_unstable();
-        let mut first_fire = None;
-        for &(t, _) in &points {
-            // Transmissions strictly before `t` are audible by then.
-            let heard = points
-                .iter()
-                .take_while(|&&(u, _)| u < t)
-                .count()
-                .min(points.len());
-            if (heard as u32) < cfg.k.max(1) {
-                transmissions += 1;
-                if first_fire.is_none() {
-                    first_fire = Some(t);
-                }
-            } else {
-                suppressed += 1;
-            }
-        }
-        let fire = first_fire.expect("every non-empty ring fires at least once");
+            .filter(|&&hop| hop == Some(h))
+            .map(|_| draw_t(cfg.i_min.max(1), &mut rng))
+            .min()?;
         // One round for the beacon to cross into the next ring.
-        ring_delay += fire + 1;
+        delay = delay.saturating_add(fire + 1);
     }
-
-    let reachable = hops_from_origin.iter().all(|h| h.is_some());
-    let converged_after = if reachable {
-        heard_after.iter().flatten().copied().max()
-    } else {
-        None
-    };
-    Dissemination {
-        heard_after,
-        converged_after,
-        transmissions,
-        suppressed,
-    }
-}
-
-/// `u32::checked_shl` with saturation at `u32::MAX` (helper for
-/// [`TrickleConfig::i_max`]).
-trait SaturatingShl {
-    fn saturating_shl(self, rhs: u32) -> u32;
-}
-
-impl SaturatingShl for u32 {
-    fn saturating_shl(self, rhs: u32) -> u32 {
-        self.checked_shl(rhs)
-            .filter(|&v| (v >> rhs) == self)
-            .unwrap_or(u32::MAX)
-    }
+    Some(delay)
 }
 
 #[cfg(test)]
@@ -435,139 +241,47 @@ mod tests {
     }
 
     #[test]
-    fn trickle_interval_doubles_to_i_max() {
-        let cfg = TrickleConfig {
-            i_min: 2,
-            doublings: 3,
-            ..TrickleConfig::default()
-        };
-        let mut rng = Xoshiro256::seed_from(1);
-        let mut t = Trickle::new(cfg, &mut rng);
-        assert_eq!(t.interval(), 2);
-        for _ in 0..200 {
-            t.tick(&mut rng);
-        }
-        assert_eq!(t.interval(), cfg.i_max());
-        assert_eq!(cfg.i_max(), 16);
-    }
-
-    #[test]
-    fn trickle_reset_returns_to_i_min() {
-        let cfg = TrickleConfig {
-            i_min: 2,
-            doublings: 4,
-            ..TrickleConfig::default()
-        };
-        let mut rng = Xoshiro256::seed_from(2);
-        let mut t = Trickle::new(cfg, &mut rng);
-        for _ in 0..100 {
-            t.tick(&mut rng);
-        }
-        assert!(t.interval() > cfg.i_min);
-        t.hear_inconsistent(&mut rng);
-        assert_eq!(t.interval(), cfg.i_min);
-    }
-
-    #[test]
-    fn trickle_suppression_respects_k() {
-        let cfg = TrickleConfig {
-            i_min: 4,
-            k: 1,
-            ..TrickleConfig::default()
-        };
-        let mut rng = Xoshiro256::seed_from(3);
-        let mut t = Trickle::new(cfg, &mut rng);
-        t.hear_consistent();
-        // c = 1 ≥ k = 1: the transmit point must suppress within the
-        // first interval.
-        let mut saw_suppression = false;
-        for _ in 0..4 {
-            let tick = t.tick(&mut rng);
-            assert!(!tick.transmitted, "suppressed node must not transmit");
-            saw_suppression |= tick.suppressed;
-        }
-        assert!(saw_suppression);
-    }
-
-    #[test]
     fn dissemination_is_deterministic_and_hop_monotone() {
         let hops: Vec<Option<u32>> = vec![Some(2), Some(1), Some(0), Some(1), Some(2), Some(3)];
-        let cfg = TrickleConfig::default();
-        let a = disseminate(&hops, &cfg, 99);
-        let b = disseminate(&hops, &cfg, 99);
-        assert_eq!(a, b);
-        // Larger hop distance never hears earlier.
-        for (v, &hv) in hops.iter().enumerate() {
-            for (w, &hw) in hops.iter().enumerate() {
-                if hv.unwrap() <= hw.unwrap() {
-                    assert!(
-                        a.heard_after[v].unwrap() <= a.heard_after[w].unwrap(),
-                        "{v} {w}"
-                    );
-                }
-            }
+        // Without the farthest ring (node 5): rings 0–2 keep their draws.
+        let nearer = &hops[..5];
+        for i_min in [1, 2, 5, 16] {
+            let cfg = TrickleConfig {
+                i_min,
+                ..TrickleConfig::default()
+            };
+            let delay = disseminate(&hops, &cfg, 99).expect("every node is reachable");
+            assert_eq!(disseminate(&hops, &cfg, 99), Some(delay));
+            assert!(disseminate(nearer, &cfg, 99).expect("reachable") < delay);
         }
-        assert_eq!(
-            a.converged_after,
-            a.heard_after.iter().flatten().copied().max()
-        );
     }
 
     #[test]
     fn unit_i_min_crosses_one_hop_per_round() {
         // I = 1 pins the transmit point to t = 0: the update crosses
         // exactly one hop ring per round, whatever the seed.
-        let hops: Vec<Option<u32>> = (0..7).map(|h| Some(h as u32)).collect();
+        let hops: Vec<Option<u32>> = (0..7).map(Some).collect();
         let cfg = TrickleConfig {
             i_min: 1,
             ..TrickleConfig::default()
         };
         for seed in [0u64, 1, 0xABCD] {
-            let d = disseminate(&hops, &cfg, seed);
-            for (v, h) in d.heard_after.iter().enumerate() {
-                assert_eq!(*h, Some(v as u32));
+            for farthest in 0..7 {
+                assert_eq!(
+                    disseminate(&hops[..=farthest as usize], &cfg, seed),
+                    Some(farthest)
+                );
             }
-            assert_eq!(d.converged_after, Some(6));
         }
     }
 
     #[test]
-    fn wide_rings_suppress_redundant_beacons() {
-        // 1 origin, 20 nodes at hop 1, 1 node at hop 2: with k = 2 and a
-        // wide I_min, most of the middle ring gets suppressed.
-        let mut hops = vec![Some(0)];
-        hops.extend(std::iter::repeat_n(Some(1), 20));
-        hops.push(Some(2));
-        let cfg = TrickleConfig {
-            i_min: 8,
-            k: 2,
-            ..TrickleConfig::default()
-        };
-        let d = disseminate(&hops, &cfg, 5);
-        assert!(d.suppressed > 0, "wide ring must suppress");
-        assert!(d.transmissions < 22, "suppression must save beacons");
-        assert!(d.converged_after.is_some());
-    }
-
-    #[test]
     fn unreachable_nodes_never_converge() {
-        let hops = vec![Some(0), Some(1), None];
-        let d = disseminate(&hops, &TrickleConfig::default(), 7);
-        assert_eq!(d.heard_after[2], None);
-        assert_eq!(d.converged_after, None);
+        let cfg = TrickleConfig::default();
+        assert_eq!(disseminate(&[Some(0), Some(1), None], &cfg, 7), None);
         // Fully empty hop map: nothing to do.
-        let empty = disseminate(&[None, None], &TrickleConfig::default(), 7);
-        assert_eq!(empty.converged_after, None);
-        assert_eq!(empty.transmissions, 0);
-    }
-
-    #[test]
-    fn i_max_saturates() {
-        let cfg = TrickleConfig {
-            i_min: 1 << 30,
-            doublings: 10,
-            ..TrickleConfig::default()
-        };
-        assert_eq!(cfg.i_max(), u32::MAX);
+        assert_eq!(disseminate(&[None, None], &cfg, 7), None);
+        // No node at hop 1 relays the update to the node at hop 2.
+        assert_eq!(disseminate(&[Some(0), Some(2)], &cfg, 7), None);
     }
 }

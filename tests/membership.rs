@@ -27,8 +27,6 @@ use ppda::prelude::*;
 fn fast_trickle() -> TrickleConfig {
     TrickleConfig {
         i_min: 1,
-        doublings: 2,
-        k: 2,
         crash_detection: 1,
     }
 }
@@ -340,7 +338,6 @@ fn compiled_timelines_match_golden() {
                 let trickle = TrickleConfig {
                     i_min,
                     crash_detection,
-                    ..TrickleConfig::default()
                 };
                 for seed in [1, 1009] {
                     let timeline = ppda::mpc::MembershipTimeline::compile(

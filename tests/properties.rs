@@ -175,7 +175,7 @@ proptest! {
             .collect();
         events.sort_by_key(|e| e.round);
 
-        let trickle = TrickleConfig { i_min: 1, doublings: 2, k: 2, crash_detection: 1 };
+        let trickle = TrickleConfig { i_min: 1, crash_detection: 1 };
         let build = |mode: MembershipMode| {
             Deployment::builder()
                 .topology(grid9())
