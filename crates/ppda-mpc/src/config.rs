@@ -2,11 +2,26 @@
 
 use ppda_field::PrimeField;
 use ppda_integrity::IntegrityMode;
-use ppda_radio::{fragment_frame, FadingProfile, FrameSpec, FrameTooLong};
+use ppda_radio::{fragment_frame, FadingProfile, FrameSpec, FrameTooLong, MAX_DATAGRAM_LEN};
 use ppda_sss::{SharePacket, SumBatch};
 
 use crate::error::MpcError;
 use crate::Field;
+
+/// The `B·4`-byte lane payload of a `batch`-wide packet, or an error when
+/// it passes the longest datagram the fragment layer carries: no
+/// transport fits such a batch, and refusing it here keeps every frame
+/// length derived from it below far from overflowing `usize`.
+fn lane_payload_len(batch: usize) -> Result<usize, MpcError> {
+    batch
+        .checked_mul(<Field as PrimeField>::ENCODED_LEN)
+        .filter(|&len| len <= MAX_DATAGRAM_LEN)
+        .ok_or_else(|| MpcError::InvalidConfig {
+            what: format!(
+                "a {batch}-lane payload exceeds the {MAX_DATAGRAM_LEN}-byte datagram limit"
+            ),
+        })
+}
 
 /// Wire datagram lengths of the two phases at lane width `batch` and CCM
 /// tag length `tag_len`: the sealed share payload (B lane encodings + MIC)
@@ -14,11 +29,15 @@ use crate::Field;
 /// Both the build-time frame-budget check and the fragmenting transport
 /// layout derive from these, so they can never disagree about what
 /// actually goes on the air.
-pub(crate) fn phase_datagram_lens(batch: usize, tag_len: usize) -> (usize, usize) {
-    (
+pub(crate) fn phase_datagram_lens(
+    batch: usize,
+    tag_len: usize,
+) -> Result<(usize, usize), MpcError> {
+    lane_payload_len(batch)?;
+    Ok((
         SharePacket::<Field>::sealed_len_batch(batch, tag_len),
         SumBatch::<Field>::encoded_len(batch),
-    )
+    ))
 }
 
 /// The per-frame layout and fragment count of the sharing phase: the
@@ -30,10 +49,10 @@ pub(crate) fn share_frame_layout(
     tag_len: usize,
     fragmentation: bool,
 ) -> Result<(FrameSpec, u32), MpcError> {
-    match FrameSpec::new(batch * <Field as PrimeField>::ENCODED_LEN, tag_len) {
+    match FrameSpec::new(lane_payload_len(batch)?, tag_len) {
         Ok(frame) => Ok((frame, 1)),
         Err(e) => {
-            let (share_len, _) = phase_datagram_lens(batch, tag_len);
+            let (share_len, _) = phase_datagram_lens(batch, tag_len)?;
             fragmented_layout(share_len, fragmentation, e)
         }
     }
@@ -46,7 +65,7 @@ pub(crate) fn sum_frame_layout(
     batch: usize,
     fragmentation: bool,
 ) -> Result<(FrameSpec, u32), MpcError> {
-    let (_, sum_len) = phase_datagram_lens(batch, 0);
+    let (_, sum_len) = phase_datagram_lens(batch, 0)?;
     match FrameSpec::new(sum_len, 0) {
         Ok(frame) => Ok((frame, 1)),
         Err(e) => fragmented_layout(sum_len, fragmentation, e),
@@ -169,9 +188,12 @@ impl ProtocolConfig {
         }
     }
 
-    /// Number of aggregator nodes S4 provisions: degree + 1 + redundancy.
+    /// Number of aggregator nodes S4 provisions: degree + 1 + redundancy,
+    /// saturating at `usize::MAX`.
     pub fn aggregator_count(&self) -> usize {
-        self.degree + 1 + self.aggregator_redundancy
+        self.degree
+            .saturating_add(1)
+            .saturating_add(self.aggregator_redundancy)
     }
 
     /// The contributor mask expected when every configured source shares.
@@ -238,7 +260,8 @@ impl ProtocolConfig {
                 what: "degree 0 offers no privacy (shares equal the secret)".into(),
             });
         }
-        let aggregators = degree + 1 + self.aggregator_redundancy;
+        // Saturating: an overflowing sum exceeds any network size too.
+        let aggregators = self.aggregator_count();
         if aggregators > n {
             return Err(MpcError::InvalidConfig {
                 what: format!(
@@ -616,7 +639,7 @@ mod tests {
         // The shared helper must agree with the actual encoders, not a
         // re-derivation: sealed share = B·4 + tag, sum batch =
         // node(2) + round(4) + B·4 + mask(16).
-        let (share, sum) = phase_datagram_lens(23, 4);
+        let (share, sum) = phase_datagram_lens(23, 4).unwrap();
         assert_eq!(share, 23 * 4 + 4);
         assert_eq!(sum, 2 + 4 + 23 * 4 + 16);
         // At the default tag length the *sum* packet is the binding
@@ -625,7 +648,7 @@ mod tests {
         assert_eq!(sum, 114);
         assert!(share < sum);
         // One lane past the boundary overflows the sum bound first.
-        let (share24, sum24) = phase_datagram_lens(24, 4);
+        let (share24, sum24) = phase_datagram_lens(24, 4).unwrap();
         assert!(share24 <= 116, "share frame alone would still fit");
         assert!(sum24 > 116, "sum packet is what breaks at 24 lanes");
     }
@@ -698,6 +721,46 @@ mod tests {
                 lanes: 2000,
                 max_lanes: 1754
             }
+        ));
+    }
+
+    #[test]
+    fn overflowing_sizes_are_rejected_not_wrapped() {
+        // Each of these overflowed an unchecked sum or product: a panic
+        // in a test build, and in release a wrapped value that passed.
+        let base = || ProtocolConfig::builder(26).sources(6);
+        for builder in [
+            base().degree(usize::MAX),
+            base().aggregator_redundancy(usize::MAX),
+        ] {
+            let err = builder.build().unwrap_err();
+            assert!(matches!(err, MpcError::InvalidConfig { .. }), "{err}");
+        }
+        for (lanes, fragmentation, max_lanes) in [
+            (usize::MAX, false, 23),
+            (usize::MAX, true, 1754),
+            (usize::MAX / 4, false, 23),
+            (usize::MAX / 4, true, 1754),
+        ] {
+            let err = base()
+                .batch(lanes)
+                .fragmentation(fragmentation)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(err, MpcError::BatchTooWide { lanes: l, max_lanes: m }
+                    if l == lanes && m == max_lanes),
+                "{err}"
+            );
+        }
+        // Edited through the public fields, the count saturates instead
+        // of wrapping below the reconstruction threshold (degree + 1).
+        let mut config = base().build().unwrap();
+        config.aggregator_redundancy = usize::MAX;
+        assert_eq!(config.aggregator_count(), usize::MAX);
+        assert!(matches!(
+            config.validate(),
+            Err(MpcError::InvalidConfig { .. })
         ));
     }
 

@@ -26,7 +26,7 @@ use ppda_radio::FadingProfile;
 use ppda_topology::Topology;
 use serde::{Deserialize, Deserializer, Error as _, Serialize, Serializer};
 
-use crate::engine::{CampaignEngine, ClockMode, DeploymentSpec, EngineError};
+use crate::engine::{CampaignEngine, ClockMode, DeploymentSpec, EngineError, MAX_WORKERS};
 
 /// Current blob version. Version 2 appended the membership event
 /// stream and Trickle parameters to every spec; version 3 appended the
@@ -411,7 +411,8 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Format`] on a malformed blob,
+    /// [`CheckpointError::Format`] on a malformed blob (including one
+    /// naming more than [`MAX_WORKERS`] workers),
     /// [`CheckpointError::Compile`] when a restored spec no longer
     /// builds.
     pub fn restore(&self) -> Result<CampaignEngine, CheckpointError> {
@@ -422,7 +423,12 @@ impl Checkpoint {
                 "unsupported checkpoint version {version}"
             )));
         }
-        let workers = r.u64()? as usize;
+        let workers = r.u64()?;
+        if workers > MAX_WORKERS as u64 {
+            return Err(CheckpointError::Format(format!(
+                "checkpoint names {workers} workers, above the ceiling of {MAX_WORKERS}"
+            )));
+        }
         let chunk = r.u64()?;
         let n = r.u64()? as usize;
         let mut specs = Vec::with_capacity(n.min(4096));
@@ -441,7 +447,7 @@ impl Checkpoint {
             ));
         }
         let mut engine = CampaignEngine::builder()
-            .workers(workers)
+            .workers(workers as usize)
             .chunk(chunk)
             .deployments(specs)
             .build()
@@ -480,5 +486,144 @@ impl<'de> Deserialize<'de> for Checkpoint {
             return Err(D::Error::custom("not a campaign checkpoint"));
         }
         Ok(Checkpoint { blob })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::OnceLock;
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// A two-deployment fleet: one with membership events, churn windows
+    /// and a lossy fault plan at `i_min` = 3, one on the seed-stripe clock.
+    fn fleet() -> Vec<DeploymentSpec> {
+        let grid = |seed| {
+            let topology = Topology::grid(3, 3, 15.0, seed);
+            let config = ProtocolConfig::builder(topology.len())
+                .sources(3)
+                .build()
+                .expect("grid config");
+            (topology, config)
+        };
+        let (topology, config) = grid(69);
+        let mut churny = DeploymentSpec::new("churny", topology, config);
+        churny.membership = vec![
+            MembershipEvent::leave(2, 8),
+            MembershipEvent::join(4, 6),
+            MembershipEvent::crash(6, 7),
+            MembershipEvent::rejoin(12, 8),
+        ];
+        churny.trickle = TrickleConfig {
+            i_min: 3,
+            crash_detection: 2,
+        };
+        churny.faults = FaultPlan::lossy(0x5EED, 0.15)
+            .with_dropout(0.05)
+            .with_churn(ChurnSchedule::from_windows([(2, 3, 5), (5, 1, 9)]));
+        churny.seed = 0xC0FFEE;
+        let (topology, config) = grid(57);
+        let mut striped = DeploymentSpec::new("striped", topology, config);
+        striped.clock = ClockMode::SeedStripe { round_id: 7 };
+        striped.seed = 1000;
+        vec![churny, striped]
+    }
+
+    /// The fleet's checkpoint in version 5 and in version 4. Version 4
+    /// carried two more Trickle words (interval doublings and redundancy
+    /// constant) between `i_min` and `crash_detection`: each spec's v4
+    /// bytes are its v5 bytes with 6 and 2 re-inserted there.
+    fn base_blobs() -> &'static [Vec<u8>; 2] {
+        static BLOBS: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
+        BLOBS.get_or_init(|| {
+            let engine = CampaignEngine::builder()
+                .workers(1)
+                .deployments(fleet())
+                .build()
+                .expect("fleet compiles");
+            let v5 = Checkpoint::capture(&engine).expect("checkpoint").blob;
+            let mut v4 = vec![4];
+            put_u64(&mut v4, engine.workers() as u64);
+            put_u64(&mut v4, engine.chunk());
+            let state = engine.quiesced_state().expect("quiesced");
+            put_u64(&mut v4, state.len() as u64);
+            for (spec, completed, metrics) in &state {
+                let mut spec_bytes = Vec::new();
+                encode_spec(&mut spec_bytes, spec);
+                // Before `crash_detection` and the two flag bytes.
+                let at = spec_bytes.len() - (4 + 2);
+                let dropped = [6u32.to_le_bytes(), 2u32.to_le_bytes()].concat();
+                spec_bytes.splice(at..at, dropped);
+                v4.extend_from_slice(&spec_bytes);
+                put_u64(&mut v4, *completed);
+                put_bytes(&mut v4, &metrics.to_blob());
+            }
+            [v5, v4]
+        })
+    }
+
+    /// Restore `bytes`: an engine or a typed format or compile error.
+    fn restore_is_typed(bytes: Vec<u8>) -> Result<Option<CampaignEngine>, TestCaseError> {
+        match Checkpoint::from_bytes(bytes).restore() {
+            Ok(engine) => Ok(Some(engine)),
+            Err(CheckpointError::Format(_) | CheckpointError::Compile(_)) => Ok(None),
+            Err(CheckpointError::Engine(e)) => Err(TestCaseError::fail(format!(
+                "restore raised an engine error: {e}"
+            ))),
+        }
+    }
+
+    /// Every byte of the version-5 blob pinned to 0x00 and to 0xFF in
+    /// turn: the extreme counts, sizes, lane widths and intervals that
+    /// single bit flips rarely reach. Each restore returns an engine or
+    /// a typed error.
+    #[test]
+    fn restore_survives_every_byte_pinned_to_an_extreme() {
+        let [v5, _] = base_blobs();
+        for at in 0..v5.len() {
+            for extreme in [0x00, 0xFF] {
+                let mut bytes = v5.clone();
+                bytes[at] = extreme;
+                if let Err(e) = restore_is_typed(bytes) {
+                    panic!("byte {at} pinned to {extreme:#04x}: {e:?}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// `Checkpoint::restore` is total. On arbitrary bytes, on
+        /// truncations and single bit flips of a version-5 and a
+        /// version-4 blob, and on a truncated blob continued by arbitrary
+        /// bytes, it returns an engine or a typed error; an intact blob
+        /// restores to the captured specs. Bit flips inside the embedded
+        /// topology blob exercise `Topology::from_blob` as well. Restored
+        /// engines are never advanced.
+        #[test]
+        fn restore_is_total(
+            garbage in prop::collection::vec(any::<u8>(), 0..600),
+            version_4 in any::<bool>(),
+            cut in any::<prop::sample::Index>(),
+            flip in any::<prop::sample::Index>(),
+            bit in 0u32..8,
+        ) {
+            let [v5, v4] = base_blobs();
+            let base = if version_4 { v4 } else { v5 };
+
+            let restored = restore_is_typed(base.clone())?.expect("an intact blob restores");
+            let recaptured = Checkpoint::capture(&restored).expect("checkpoint");
+            // The intact blob restores to the captured specs.
+            prop_assert_eq!(&recaptured.blob, v5);
+
+            restore_is_typed(garbage.clone())?;
+            let truncated = &base[..cut.index(base.len())];
+            restore_is_typed(truncated.to_vec())?;
+            restore_is_typed([truncated, &garbage].concat())?;
+            let mut flipped = base.clone();
+            flipped[flip.index(base.len())] ^= 1 << bit;
+            restore_is_typed(flipped)?;
+        }
     }
 }

@@ -250,6 +250,12 @@ impl FleetSnapshot {
     }
 }
 
+/// The largest worker pool an engine runs. Each worker is one OS thread
+/// per advance and holds one accumulator per deployment, so
+/// [`CampaignEngineBuilder::workers`] clamps to this ceiling, and a
+/// checkpoint naming more workers does not restore.
+pub const MAX_WORKERS: usize = 1024;
+
 /// Builds a [`CampaignEngine`], compiling every spec once.
 #[derive(Debug, Default)]
 pub struct CampaignEngineBuilder {
@@ -261,9 +267,9 @@ pub struct CampaignEngineBuilder {
 
 impl CampaignEngineBuilder {
     /// Fixed worker-pool size (default: the host's available
-    /// parallelism). Clamped to at least 1.
+    /// parallelism). Clamped to `1..=`[`MAX_WORKERS`].
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
+        self.workers = Some(workers.clamp(1, MAX_WORKERS));
         self
     }
 
@@ -310,7 +316,7 @@ impl CampaignEngineBuilder {
         );
         let workers = self.workers.unwrap_or_else(|| {
             std::thread::available_parallelism()
-                .map(|n| n.get())
+                .map(|n| n.get().min(MAX_WORKERS))
                 .unwrap_or(1)
         });
         let chunk = if self.chunk == 0 { 32 } else { self.chunk };

@@ -78,5 +78,5 @@ mod scheduler;
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use engine::{
     AdvanceStats, CampaignEngine, CampaignEngineBuilder, ClockMode, DeploymentSnapshot,
-    DeploymentSpec, EngineError, FleetSnapshot,
+    DeploymentSpec, EngineError, FleetSnapshot, MAX_WORKERS,
 };

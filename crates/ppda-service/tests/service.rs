@@ -244,7 +244,7 @@ fn a_panicking_round_surfaces_as_worker_panicked_and_taints() {
 #[cfg(feature = "serde")]
 mod checkpointing {
     use super::*;
-    use ppda_service::{Checkpoint, CheckpointError};
+    use ppda_service::{Checkpoint, CheckpointError, MAX_WORKERS};
     use serde::value::{from_value, to_value};
 
     #[test]
@@ -559,6 +559,40 @@ mod checkpointing {
             Err(other) => panic!("expected a degree-0 compile error, got {other}"),
             Ok(_) => panic!("a degree-0 checkpoint restored"),
         }
+    }
+
+    /// Restored engines are never advanced here: an advance spawns one
+    /// OS thread per worker.
+    #[test]
+    fn worker_counts_above_the_ceiling_are_refused() {
+        let engine = CampaignEngine::builder()
+            .workers(1)
+            .deployment(fleet().swap_remove(0))
+            .build()
+            .expect("spec compiles");
+        let blob = Checkpoint::capture(&engine).expect("checkpoint");
+        // The worker count is the u64 right after the version byte.
+        let restore_with = |workers: u64| {
+            let mut bytes = blob.as_bytes().to_vec();
+            bytes[1..9].copy_from_slice(&workers.to_le_bytes());
+            Checkpoint::from_bytes(bytes).restore()
+        };
+        for workers in [u64::MAX, MAX_WORKERS as u64 + 1] {
+            match restore_with(workers) {
+                Err(CheckpointError::Format(what)) => assert!(what.contains("workers"), "{what}"),
+                Err(other) => panic!("expected a format error for {workers} workers, got {other}"),
+                Ok(_) => panic!("a {workers}-worker checkpoint restored"),
+            }
+        }
+        let restored = restore_with(MAX_WORKERS as u64).expect("the ceiling restores");
+        assert_eq!(restored.workers(), MAX_WORKERS);
+        // The builder clamps to the same ceiling.
+        let clamped = CampaignEngine::builder()
+            .workers(usize::MAX)
+            .deployment(fleet().swap_remove(0))
+            .build()
+            .expect("spec compiles");
+        assert_eq!(clamped.workers(), MAX_WORKERS);
     }
 
     #[test]

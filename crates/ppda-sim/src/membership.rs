@@ -276,6 +276,19 @@ mod tests {
     }
 
     #[test]
+    fn wide_intervals_saturate_the_delay() {
+        // Every ring draws a transmit point of at least u32::MAX / 2, so
+        // the ring delays of a 4-node line sum past u32::MAX: the delay
+        // saturates instead of wrapping to a too-early round.
+        let hops = [Some(0), Some(1), Some(2), Some(3)];
+        let cfg = TrickleConfig {
+            i_min: u32::MAX,
+            ..TrickleConfig::default()
+        };
+        assert_eq!(disseminate(&hops, &cfg, 1), Some(u32::MAX));
+    }
+
+    #[test]
     fn unreachable_nodes_never_converge() {
         let cfg = TrickleConfig::default();
         assert_eq!(disseminate(&[Some(0), Some(1), None], &cfg, 7), None);
