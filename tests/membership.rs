@@ -299,9 +299,10 @@ fn fresh_drivers_fast_forward_to_identical_reports() {
     }
 }
 
-/// Compiled membership timelines, frozen byte for byte. The Trickle
-/// transmit points are drawn only when `i_min` > 1, so the grid spans
-/// wider intervals than every other suite (they all run at `i_min` = 1).
+/// Compiled membership timelines, frozen byte for byte. A Trickle
+/// transmit point is random only when `i_min` ≥ 3 (a shorter interval
+/// `[I/2, I)` holds one round), so the grid spans wider intervals than
+/// every other suite, which all run at `i_min` = 1.
 /// The event stream holds every kind, a node whose first event is a
 /// join (24, absent at the start), an event in force before the first
 /// round (the leave at round 0), and a crash whose effective round
