@@ -33,7 +33,11 @@ pub(crate) fn phase_datagram_lens(
     batch: usize,
     tag_len: usize,
 ) -> Result<(usize, usize), MpcError> {
-    lane_payload_len(batch)?;
+    if lane_payload_len(batch)?.checked_add(tag_len).is_none() {
+        return Err(MpcError::InvalidConfig {
+            what: format!("a {tag_len}-byte CCM tag overflows the share datagram length"),
+        });
+    }
     Ok((
         SharePacket::<Field>::sealed_len_batch(batch, tag_len),
         SumBatch::<Field>::encoded_len(batch),
@@ -762,6 +766,23 @@ mod tests {
             config.validate(),
             Err(MpcError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn a_huge_tag_length_has_no_share_layout() {
+        // `tag_len` is public and `share_fragments` runs no validation:
+        // a length whose frame or datagram sum overflows has no layout.
+        for fragmentation in [false, true] {
+            let mut config = ProtocolConfig::builder(26)
+                .sources(6)
+                .fragmentation(fragmentation)
+                .build()
+                .unwrap();
+            for tag_len in [usize::MAX, usize::MAX - 3, usize::MAX / 2] {
+                config.tag_len = tag_len;
+                assert_eq!(config.share_fragments(), 0, "tag_len {tag_len}");
+            }
+        }
     }
 
     #[test]

@@ -56,18 +56,21 @@ impl FrameSpec {
     ///
     /// # Errors
     ///
-    /// [`FrameTooLong`] if the resulting PSDU would exceed 127 bytes.
+    /// [`FrameTooLong`] if the resulting PSDU would exceed 127 bytes; its
+    /// `psdu_len` saturates at `usize::MAX` when the lengths' sum does
+    /// not fit a `usize`.
     pub fn new(payload_len: usize, mic_len: usize) -> Result<Self, FrameTooLong> {
-        let spec = FrameSpec {
-            payload_len,
-            mic_len,
-        };
-        if spec.psdu_len() > MAX_PSDU_LEN {
-            Err(FrameTooLong {
-                psdu_len: spec.psdu_len(),
-            })
+        let psdu_len = phy::MHR_LEN
+            .saturating_add(payload_len)
+            .saturating_add(mic_len)
+            .saturating_add(phy::MFR_LEN);
+        if psdu_len > MAX_PSDU_LEN {
+            Err(FrameTooLong { psdu_len })
         } else {
-            Ok(spec)
+            Ok(FrameSpec {
+                payload_len,
+                mic_len,
+            })
         }
     }
 
@@ -135,6 +138,29 @@ mod tests {
         assert!(err.to_string().contains("128"));
         assert!(FrameSpec::new(112, 4).is_ok());
         assert!(FrameSpec::new(113, 4).is_err());
+    }
+
+    #[test]
+    fn overflowing_lengths_are_too_long_not_wrapped() {
+        // Each sum overflows a usize: it must be refused with a saturated
+        // length, not wrap to a small frame that passes the limit.
+        for (payload, mic) in [
+            (usize::MAX, 0),
+            (0, usize::MAX),
+            (usize::MAX, usize::MAX),
+            (usize::MAX - phy::MHR_LEN, 4),
+            (4, usize::MAX - phy::MHR_LEN - phy::MFR_LEN + 1),
+        ] {
+            let err = FrameSpec::new(payload, mic).unwrap_err();
+            assert_eq!(err.psdu_len, usize::MAX, "({payload}, {mic})");
+        }
+        // The largest sum that fits is refused with its exact length.
+        let fits = usize::MAX - phy::MHR_LEN - phy::MFR_LEN;
+        assert_eq!(FrameSpec::new(fits, 0).unwrap_err().psdu_len, usize::MAX);
+        assert_eq!(
+            FrameSpec::new(fits - 1, 0).unwrap_err().psdu_len,
+            usize::MAX - 1
+        );
     }
 
     #[test]
