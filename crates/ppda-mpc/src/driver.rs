@@ -26,7 +26,11 @@
 //! Campaign fan-out works by sharing one `Deployment` across worker
 //! threads: the deployment is immutable (`Sync`), and each worker takes
 //! its own driver (owning the per-round scratch buffers) via
-//! [`Deployment::driver`].
+//! [`Deployment::driver`]. A scheduler that runs a deployment's rounds in
+//! separate stretches keeps the driver between them:
+//! [`RoundDriver::park`] drops the deployment borrow and keeps the
+//! scratch, caches and patched plan, and [`Deployment::resume`] picks
+//! them up again.
 //!
 //! # Determinism
 //!
@@ -39,6 +43,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ppda_ct::FaultPlan;
 use ppda_integrity::TamperPlan;
@@ -235,8 +240,8 @@ pub enum MembershipMode {
 enum DriverPlan<'d> {
     Shared(&'d RoundPlan<'d>),
     Owned {
-        plan: Box<RoundPlan<'static>>,
-        cursor: MembershipCursor<'d>,
+        timeline: &'d MembershipTimeline,
+        walk: PlanWalk,
     },
 }
 
@@ -244,20 +249,76 @@ impl DriverPlan<'_> {
     fn get(&self) -> &RoundPlan<'_> {
         match self {
             DriverPlan::Shared(plan) => plan,
-            DriverPlan::Owned { plan, .. } => plan,
+            DriverPlan::Owned { walk, .. } => &walk.plan,
         }
     }
 }
 
-/// A driver's walk along its deployment's compiled membership timeline.
+/// A membership-driven driver's own plan and how far along its
+/// deployment's compiled membership timeline it has been patched.
 #[derive(Debug)]
-struct MembershipCursor<'d> {
-    timeline: &'d MembershipTimeline,
+struct PlanWalk {
+    plan: Box<RoundPlan<'static>>,
     /// Index of the next unapplied delta.
     next: usize,
     /// Highest round id this driver has executed (or tried to): once the
     /// plan is patched past a round, earlier rounds are unreachable.
     floor: Option<u32>,
+}
+
+/// Everything a [`RoundDriver`] owns apart from its plan and observers:
+/// what [`RoundDriver::park`] keeps.
+#[derive(Debug)]
+struct DriverState {
+    /// Identity of the deployment this state was built for.
+    deployment: u64,
+    exec: ExecState,
+    mode: MembershipMode,
+    faults: FaultPlan,
+    tamper: TamperPlan,
+    base_seed: u64,
+    stats: DriverStats,
+    /// Reusable buffer for generated readings (the `step`/`round_at`
+    /// common case draws fresh values without reallocating).
+    readings_scratch: Vec<u64>,
+    /// The no-explicit-failures mask, allocated once per driver.
+    all_live: Vec<bool>,
+}
+
+/// A [`RoundDriver`]'s state without its borrow of the deployment, made
+/// by [`RoundDriver::park`] and turned back into a driver by
+/// [`Deployment::resume`]. It keeps the execution scratch, the link and
+/// weight caches, the membership-patched plan with its place on the
+/// timeline, and the stats, so a scheduler that runs a deployment's
+/// rounds in separate stretches need not rebuild them for each one.
+/// Attached observers are not kept.
+pub struct ParkedDriver {
+    walk: Option<PlanWalk>,
+    state: DriverState,
+}
+
+impl fmt::Debug for ParkedDriver {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ParkedDriver")
+            .field("stats", &self.state.stats)
+            .field("floor", &self.walk.as_ref().and_then(|w| w.floor))
+            .finish_non_exhaustive()
+    }
+}
+
+impl ParkedDriver {
+    /// Whether a driver resumed from this state can run round `round_id`
+    /// exactly as a fresh driver would. It cannot once its plan is patched
+    /// for that round or a later one: an earlier round is a
+    /// [`MpcError::MembershipRegression`], and a repeat of the last round
+    /// would not report the membership patch again. Static deployments
+    /// accept every round.
+    pub fn accepts(&self, round_id: u32) -> bool {
+        self.walk
+            .as_ref()
+            .and_then(|walk| walk.floor)
+            .is_none_or(|floor| round_id > floor)
+    }
 }
 
 /// Builder for a [`Deployment`] (see [`Deployment::builder`]).
@@ -432,37 +493,42 @@ impl<'t> DeploymentBuilder<'t> {
                 // Bring the plan to the timeline's *initial* view once,
                 // here, so Deployment::driver stays infallible. Each mode
                 // gets there through its own machinery — the differential
-                // suite covers the initial view for free.
+                // suite covers the initial view for free. When every node
+                // starts live, the patch path's initial view is the plan
+                // itself, and drivers clone that instead of a template.
                 let initial = timeline.initial().to_vec();
-                let owned = match self.mode {
+                let template = match self.mode {
                     MembershipMode::Patch => {
-                        let mut patched = plan.clone().into_owned();
                         let absent: Vec<u16> = initial
                             .iter()
                             .enumerate()
                             .filter(|&(_, &live)| !live)
                             .map(|(v, _)| v as u16)
                             .collect();
-                        if !absent.is_empty() {
+                        if absent.is_empty() {
+                            None
+                        } else {
+                            let mut patched = plan.clone().into_owned();
                             patched.apply(&MembershipDelta {
                                 round: patched.config().round_id,
                                 joins: Vec::new(),
                                 leaves: absent,
                             })?;
+                            Some(patched)
                         }
-                        patched
                     }
-                    MembershipMode::Recompile => RoundPlan::new_with_membership(
+                    MembershipMode::Recompile => Some(RoundPlan::new_with_membership(
                         plan.topology(),
                         plan.config(),
                         self.protocol,
                         &initial,
-                    )?,
+                    )?),
                 };
-                (Some(timeline), Some(Box::new(owned)))
+                (Some(timeline), template.map(Box::new))
             }
         };
         Ok(Deployment {
+            id: NEXT_DEPLOYMENT_ID.fetch_add(1, Ordering::Relaxed),
             plan,
             timeline,
             churn_plan,
@@ -473,6 +539,9 @@ impl<'t> DeploymentBuilder<'t> {
         })
     }
 }
+
+/// Source of [`Deployment`] identities: one per build.
+static NEXT_DEPLOYMENT_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Reject fault and tamper plans no round can run under: every
 /// probability must lie in `[0, 1]` (NaN does not) and the extra
@@ -544,12 +613,17 @@ fn validate_plans(faults: &FaultPlan, tamper: &TamperPlan) -> Result<(), MpcErro
 /// ```
 #[derive(Debug, Clone)]
 pub struct Deployment<'t> {
+    /// Identity shared by the deployment and its clones and by no other
+    /// build: [`Deployment::resume`] checks it.
+    id: u64,
     plan: RoundPlan<'t>,
     /// Compiled membership schedule, when the deployment was built with a
     /// live event stream.
     timeline: Option<MembershipTimeline>,
-    /// The plan already brought to the timeline's initial view — what
-    /// membership-driven drivers clone and then patch forward.
+    /// The plan already brought to the timeline's initial view, when that
+    /// view is not `plan` itself (some node starts absent, or the
+    /// recompile oracle built it) — what membership-driven drivers clone
+    /// and then patch forward. `None` when they clone `plan`.
     churn_plan: Option<Box<RoundPlan<'static>>>,
     mode: MembershipMode,
     faults: FaultPlan,
@@ -586,29 +660,78 @@ impl<'t> Deployment<'t> {
     /// at any round index reproduces the sequential stream byte-for-byte.
     pub fn driver(&self) -> RoundDriver<'_> {
         let config = self.plan.config();
-        let plan = match (&self.churn_plan, &self.timeline) {
-            (Some(patched), Some(timeline)) => DriverPlan::Owned {
-                plan: patched.clone(),
-                cursor: MembershipCursor {
-                    timeline,
+        let plan = match &self.timeline {
+            Some(timeline) => DriverPlan::Owned {
+                timeline,
+                walk: PlanWalk {
+                    plan: match &self.churn_plan {
+                        Some(template) => template.clone(),
+                        None => Box::new(self.plan.clone().into_owned()),
+                    },
                     next: 0,
                     floor: None,
                 },
             },
-            _ => DriverPlan::Shared(&self.plan),
+            None => DriverPlan::Shared(&self.plan),
         };
         let exec = ExecState::new(plan.get());
         RoundDriver {
             plan,
-            exec,
-            mode: self.mode,
-            faults: self.faults.clone(),
-            tamper: self.tamper.clone(),
-            base_seed: self.seed,
-            stats: DriverStats::default(),
+            state: DriverState {
+                deployment: self.id,
+                exec,
+                mode: self.mode,
+                faults: self.faults.clone(),
+                tamper: self.tamper.clone(),
+                base_seed: self.seed,
+                stats: DriverStats::default(),
+                readings_scratch: Vec::with_capacity(config.sources.len() * config.batch),
+                all_live: vec![false; config.n_nodes],
+            },
             observers: Vec::new(),
-            readings_scratch: Vec::with_capacity(config.sources.len() * config.batch),
-            all_live: vec![false; config.n_nodes],
+        }
+    }
+
+    /// Turn a [`ParkedDriver`] back into a driver over this deployment,
+    /// with its caches, scratch, stats and patched plan as they were
+    /// parked; a state parked from another deployment (one that is not
+    /// this deployment or a clone of it) is dropped, and a fresh
+    /// [`driver`](Deployment::driver) is returned instead, so one
+    /// deployment's state never runs another's rounds. Check
+    /// [`ParkedDriver::accepts`] before resuming at a chosen round id.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ppda_mpc::{Deployment, ProtocolConfig};
+    /// use ppda_topology::Topology;
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let topology = Topology::flocklab();
+    /// let config = ProtocolConfig::builder(topology.len()).sources(6).build()?;
+    /// let deployment = Deployment::builder().topology(topology).config(config).build()?;
+    /// let mut driver = deployment.driver();
+    /// let first = driver.step()?;
+    /// let parked = driver.park();
+    /// // The resumed driver continues the stream where the parked one stopped.
+    /// let mut resumed = deployment.resume(parked);
+    /// assert_eq!(resumed.stats().rounds, 1);
+    /// assert_eq!(resumed.step()?.round_id, first.round_id + 1);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn resume(&self, parked: ParkedDriver) -> RoundDriver<'_> {
+        if parked.state.deployment != self.id {
+            return self.driver();
+        }
+        let plan = match (&self.timeline, parked.walk) {
+            (Some(timeline), Some(walk)) => DriverPlan::Owned { timeline, walk },
+            (None, None) => DriverPlan::Shared(&self.plan),
+            _ => return self.driver(),
+        };
+        RoundDriver {
+            plan,
+            state: parked.state,
+            observers: Vec::new(),
         }
     }
 
@@ -723,18 +846,8 @@ pub struct RoundDriver<'d> {
     /// The driver's plan; membership-driven drivers own it together with
     /// their walk along the deployment's membership timeline.
     plan: DriverPlan<'d>,
-    exec: ExecState,
-    mode: MembershipMode,
-    faults: FaultPlan,
-    tamper: TamperPlan,
-    base_seed: u64,
-    stats: DriverStats,
+    state: DriverState,
     observers: Vec<Box<dyn RoundObserver + 'd>>,
-    /// Reusable buffer for generated readings (the `step`/`round_at`
-    /// common case draws fresh values without reallocating).
-    readings_scratch: Vec<u64>,
-    /// The no-explicit-failures mask, allocated once per driver.
-    all_live: Vec<bool>,
 }
 
 impl fmt::Debug for RoundDriver<'_> {
@@ -742,8 +855,8 @@ impl fmt::Debug for RoundDriver<'_> {
         f.debug_struct("RoundDriver")
             .field("protocol", &self.plan.get().protocol())
             .field("lanes", &self.lanes())
-            .field("base_seed", &self.base_seed)
-            .field("stats", &self.stats)
+            .field("base_seed", &self.state.base_seed)
+            .field("stats", &self.state.stats)
             .field("observers", &self.observers.len())
             .finish_non_exhaustive()
     }
@@ -765,7 +878,7 @@ impl<'d> RoundDriver<'d> {
 
     /// Cumulative statistics over every round this driver ran.
     pub fn stats(&self) -> DriverStats {
-        self.stats
+        self.state.stats
     }
 
     /// The round id the *next* [`step`](RoundDriver::step) will run under.
@@ -775,7 +888,7 @@ impl<'d> RoundDriver<'d> {
             .get()
             .config()
             .round_id
-            .wrapping_add(self.stats.rounds as u32)
+            .wrapping_add(self.state.stats.rounds as u32)
     }
 
     /// Subscribe an observer: it sees every round this driver completes
@@ -785,8 +898,21 @@ impl<'d> RoundDriver<'d> {
         self.observers.push(Box::new(observer));
     }
 
+    /// Release the deployment borrow and keep everything else the driver
+    /// owns, for [`Deployment::resume`] to carry on later. Attached
+    /// observers are dropped.
+    pub fn park(self) -> ParkedDriver {
+        ParkedDriver {
+            walk: match self.plan {
+                DriverPlan::Owned { walk, .. } => Some(walk),
+                DriverPlan::Shared(_) => None,
+            },
+            state: self.state,
+        }
+    }
+
     fn next_seed(&self) -> u64 {
-        derive_stream(self.base_seed, self.stats.rounds)
+        derive_stream(self.state.base_seed, self.state.stats.rounds)
     }
 
     /// Run the next round of the deployment: generated readings (B per
@@ -830,8 +956,8 @@ impl<'d> RoundDriver<'d> {
             epoch.record(&report);
         }
         // The cache gauges are driver-lifetime state, not per-epoch sums.
-        epoch.weight_cache_masks = self.stats.weight_cache_masks;
-        epoch.weight_cache_evictions = self.stats.weight_cache_evictions;
+        epoch.weight_cache_masks = self.state.stats.weight_cache_masks;
+        epoch.weight_cache_evictions = self.state.stats.weight_cache_evictions;
         Ok(epoch)
     }
 
@@ -857,7 +983,7 @@ impl<'d> RoundDriver<'d> {
     /// See [`RoundDriver::round_at_with`].
     pub fn step_at(&mut self, index: u64) -> Result<RoundReport, MpcError> {
         let round_id = self.plan.get().config().round_id.wrapping_add(index as u32);
-        let seed = derive_stream(self.base_seed, index);
+        let seed = derive_stream(self.state.base_seed, index);
         self.run_round(round_id, seed, None, None)
     }
 
@@ -883,10 +1009,11 @@ impl<'d> RoundDriver<'d> {
     /// delta applied). Incremental patching only moves forward: a round
     /// before one the plan was already patched for is a typed error.
     fn advance_membership(&mut self, round_id: u32) -> Result<Option<PlanPatch>, MpcError> {
-        let DriverPlan::Owned { plan, cursor } = &mut self.plan else {
+        let DriverPlan::Owned { timeline, walk } = &mut self.plan else {
             return Ok(None);
         };
-        if let Some(floor) = cursor.floor {
+        let PlanWalk { plan, next, floor } = walk;
+        if let Some(floor) = *floor {
             if round_id < floor {
                 return Err(MpcError::MembershipRegression {
                     patched_to: floor,
@@ -894,13 +1021,13 @@ impl<'d> RoundDriver<'d> {
                 });
             }
         }
-        cursor.floor = Some(round_id);
+        *floor = Some(round_id);
         let mut absorbed: Option<PlanPatch> = None;
-        while let Some(delta) = cursor.timeline.deltas().get(cursor.next) {
+        while let Some(delta) = timeline.deltas().get(*next) {
             if delta.round > round_id {
                 break;
             }
-            let patch = match self.mode {
+            let patch = match self.state.mode {
                 MembershipMode::Patch => plan.apply(delta)?,
                 MembershipMode::Recompile => {
                     // The oracle path: rebuild everything from scratch for
@@ -908,7 +1035,7 @@ impl<'d> RoundDriver<'d> {
                     // record is synthesized (a full rebuild reuses
                     // nothing), but the resulting plan must be
                     // byte-identical to the patched one.
-                    let live = cursor.timeline.view_at(delta.round);
+                    let live = timeline.view_at(delta.round);
                     let rebuilt = RoundPlan::new_with_membership(
                         plan.topology(),
                         plan.config(),
@@ -930,7 +1057,7 @@ impl<'d> RoundDriver<'d> {
                 }
             };
             if patch.destinations_changed {
-                self.exec.sync(plan);
+                self.state.exec.sync(plan);
             }
             // Only deltas effective at exactly this round are reported;
             // older ones (a fresh driver fast-forwarding to mid-stream,
@@ -944,7 +1071,7 @@ impl<'d> RoundDriver<'d> {
                     None => absorbed = Some(patch),
                 }
             }
-            cursor.next += 1;
+            *next += 1;
         }
         Ok(absorbed)
     }
@@ -969,23 +1096,23 @@ impl<'d> RoundDriver<'d> {
                     round_id,
                     seed,
                     config.batch,
-                    &mut self.readings_scratch,
+                    &mut self.state.readings_scratch,
                 );
-                &self.readings_scratch
+                &self.state.readings_scratch
             }
         };
         let failed = match failed {
             Some(f) => f,
-            None => &self.all_live,
+            None => &self.state.all_live,
         };
-        let (outcome, degraded) = self.exec.run_round(
+        let (outcome, degraded) = self.state.exec.run_round(
             plan,
             round_id,
             seed,
             readings,
             failed,
-            &self.faults,
-            &self.tamper,
+            &self.state.faults,
+            &self.state.tamper,
         )?;
         let report = RoundReport {
             round_id,
@@ -994,10 +1121,10 @@ impl<'d> RoundDriver<'d> {
             degraded,
             patch,
         };
-        self.stats.record(&report);
-        if let Some(cache) = self.exec.weight_cache() {
-            self.stats.weight_cache_masks = cache.cached();
-            self.stats.weight_cache_evictions = cache.evictions();
+        self.state.stats.record(&report);
+        if let Some(cache) = self.state.exec.weight_cache() {
+            self.state.stats.weight_cache_masks = cache.cached();
+            self.state.stats.weight_cache_evictions = cache.evictions();
         }
         for observer in &mut self.observers {
             observer.on_round(&report);

@@ -78,7 +78,8 @@ mod plan;
 pub use bootstrap::Bootstrap;
 pub use config::{ProtocolConfig, ProtocolConfigBuilder};
 pub use driver::{
-    Deployment, DeploymentBuilder, DriverStats, MembershipMode, RoundDriver, RoundObserver,
+    Deployment, DeploymentBuilder, DriverStats, MembershipMode, ParkedDriver, RoundDriver,
+    RoundObserver,
 };
 pub use error::MpcError;
 pub use membership::{MembershipDelta, MembershipTimeline, PlanPatch};

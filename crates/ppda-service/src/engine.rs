@@ -4,19 +4,23 @@
 //! Each deployment is compiled **once** into a [`Deployment`] (plan,
 //! chains, schedules, cipher contexts) and then shared read-only by every
 //! worker; what gets scheduled are [`Span`]s of round indices, executed
-//! by per-span [`RoundDriver`]s that own all mutable scratch. Metrics
+//! by [`RoundDriver`]s that own all mutable scratch. A span that ends
+//! cleanly parks its driver in the deployment's slot, keyed by the next
+//! round index, and the span that starts at that index resumes it with
+//! its caches and patched plan; every other span (the first, one run out
+//! of order, the first after a restore) builds a fresh driver. Metrics
 //! drain into per-worker accumulator shards — a worker only locks its
 //! *own* shard, once per span — so [`CampaignEngine::snapshot`] can merge
 //! a live fleet-wide view at any time without stopping the workers.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use ppda_metrics::CampaignAccumulator;
 use ppda_mpc::{
-    Deployment, FaultPlan, MembershipEvent, MpcError, ProtocolConfig, ProtocolKind, RoundDriver,
-    RoundObserver, RoundReport, TrickleConfig,
+    Deployment, FaultPlan, MembershipEvent, MpcError, ParkedDriver, ProtocolConfig, ProtocolKind,
+    RoundDriver, RoundObserver, RoundReport, TrickleConfig,
 };
 use ppda_topology::Topology;
 
@@ -60,8 +64,9 @@ pub struct DeploymentSpec {
     pub clock: ClockMode,
     /// Live membership events (joins, leaves, crashes, rejoins) the
     /// deployment experiences; empty for a static membership. Non-empty
-    /// streams make every per-span driver membership-driven: it patches
-    /// its plan as the compiled deltas come due (see
+    /// streams make the deployment's driver membership-driven: it patches
+    /// its own plan as the compiled deltas come due, and keeps that plan
+    /// from span to span while spans run in order (see
     /// [`DeploymentBuilder::membership`](ppda_mpc::DeploymentBuilder::membership)).
     pub membership: Vec<MembershipEvent>,
     /// Trickle timer parameters governing membership dissemination.
@@ -106,6 +111,9 @@ struct Slot {
     /// Rounds completed across all advances (the next round index while
     /// the engine is healthy; see [`CampaignEngine::advance`] on errors).
     completed: AtomicU64,
+    /// The driver the latest clean span left, keyed by the round index it
+    /// runs next.
+    parked: Mutex<Option<(u64, ParkedDriver)>>,
 }
 
 /// A round of one deployment failed.
@@ -208,6 +216,9 @@ pub struct AdvanceStats {
     pub steals: u64,
     /// Rounds executed per worker, indexed by worker.
     pub per_worker: Vec<u64>,
+    /// Spans that resumed the driver the previous span of their
+    /// deployment parked, instead of building a fresh one.
+    pub resumed: u64,
 }
 
 /// Frozen per-deployment view of the fleet's progress and metrics.
@@ -274,8 +285,11 @@ impl CampaignEngineBuilder {
     }
 
     /// Rounds per scheduled span (default 32). Smaller spans steal and
-    /// rebalance at finer grain; larger spans amortize per-span driver
-    /// setup over more rounds. Clamped to at least 1.
+    /// rebalance at finer grain; larger spans lock the deployment's parked
+    /// driver and the worker's metrics shard fewer times per round, and
+    /// with several workers run more of a deployment's rounds in order,
+    /// so more spans resume their deployment's driver instead of building
+    /// one. Clamped to at least 1.
     pub fn chunk(mut self, rounds: u64) -> Self {
         self.chunk = rounds.max(1);
         self
@@ -338,6 +352,7 @@ impl CampaignEngineBuilder {
                 spec,
                 deployment,
                 completed: AtomicU64::new(0),
+                parked: Mutex::new(None),
             });
         }
         let n = slots.len();
@@ -509,12 +524,14 @@ impl CampaignEngine {
         let runner = EngineRunner {
             engine: self,
             recorder,
+            resumed: AtomicU64::new(0),
         };
         let outcome = run_spans(deal_spans(spans, self.workers), &runner);
         let stats = AdvanceStats {
             rounds: outcome.executed(),
             steals: outcome.steals(),
             per_worker: outcome.workers.iter().map(|w| w.executed).collect(),
+            resumed: runner.resumed.into_inner(),
         };
         // Typed round errors and caught panics compete on the same
         // deterministic key; the lower one is the run's failure.
@@ -609,16 +626,22 @@ impl CampaignEngine {
 /// triples, sorted after the run.
 type RoundRecorder = Mutex<Vec<(u32, u64, RoundReport)>>;
 
-/// The [`SpanRunner`] that executes engine spans: a fresh driver and a
-/// span-local accumulator per span, merged into the worker's shard once
-/// at span end.
+/// The [`SpanRunner`] that executes engine spans: the deployment's
+/// parked driver when it left off at the span's start (else a fresh one)
+/// and a span-local accumulator per span, merged into the worker's shard
+/// once at span end, where the driver is parked again.
 struct EngineRunner<'e> {
     engine: &'e CampaignEngine,
     recorder: Option<&'e RoundRecorder>,
+    /// Spans that resumed a parked driver.
+    resumed: AtomicU64,
 }
 
 struct SpanState<'d> {
     driver: RoundDriver<'d>,
+    /// The round index the driver runs next; `None` once a round failed,
+    /// so the driver is not parked.
+    next: Option<u64>,
     acc: CampaignAccumulator,
     recorded: Vec<(u32, u64, RoundReport)>,
 }
@@ -627,9 +650,24 @@ impl<'e> SpanRunner for EngineRunner<'e> {
     type State = SpanState<'e>;
     type Error = EngineError;
 
-    fn begin(&self, _worker: usize, dep: u32) -> SpanState<'e> {
+    fn begin(&self, _worker: usize, dep: u32, start: u64) -> SpanState<'e> {
+        let slot = &self.engine.slots[dep as usize];
+        let (round_id, _) = slot.spec.coordinates(start);
+        let parked = slot
+            .parked
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take_if(|(at, driver)| *at == start && driver.accepts(round_id));
+        let driver = match parked {
+            Some((_, parked)) => {
+                self.resumed.fetch_add(1, Ordering::Relaxed);
+                slot.deployment.resume(parked)
+            }
+            None => slot.deployment.driver(),
+        };
         SpanState {
-            driver: self.engine.slots[dep as usize].deployment.driver(),
+            driver,
+            next: Some(start),
             acc: CampaignAccumulator::new(),
             recorded: Vec::new(),
         }
@@ -641,6 +679,8 @@ impl<'e> SpanRunner for EngineRunner<'e> {
         }
         let slot = &self.engine.slots[dep as usize];
         let (round_id, seed) = slot.spec.coordinates(index);
+        // A driver whose round failed is not parked.
+        let next = state.next.take();
         let report =
             state
                 .driver
@@ -651,6 +691,7 @@ impl<'e> SpanRunner for EngineRunner<'e> {
                     round_index: index,
                     source,
                 })?;
+        state.next = next.map(|_| index + 1);
         state.acc.on_round(&report);
         slot.completed.fetch_add(1, Ordering::Relaxed);
         if self.recorder.is_some() {
@@ -669,6 +710,17 @@ impl<'e> SpanRunner for EngineRunner<'e> {
                     .lock()
                     .expect("recorder poisoned")
                     .extend(state.recorded);
+            }
+        }
+        // Spans of one deployment can finish out of order on several
+        // workers; the driver that reached further is the one to keep.
+        if let Some(next) = state.next {
+            let mut parked = self.engine.slots[dep as usize]
+                .parked
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            if parked.as_ref().is_none_or(|&(at, _)| at < next) {
+                *parked = Some((next, state.driver.park()));
             }
         }
     }

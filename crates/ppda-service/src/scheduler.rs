@@ -73,16 +73,18 @@ impl Floor {
 
 /// Per-span execution hooks the scheduler drives. `begin`/`finish`
 /// bracket each span so implementations can amortize per-deployment
-/// state (a round driver, a local accumulator) over the span's rounds
-/// and publish results once per span instead of once per round.
+/// state (a round driver, a local accumulator) over the span's rounds,
+/// hand it on to the span that starts where this one ends, and publish
+/// results once per span instead of once per round.
 pub(crate) trait SpanRunner: Sync {
     /// Span-scoped state (constructed outside any queue lock).
     type State;
     /// Per-round error; surfaced as the minimum-key error of the run.
     type Error: Send;
 
-    /// Called once when a worker starts a span of deployment `dep`.
-    fn begin(&self, worker: usize, dep: u32) -> Self::State;
+    /// Called once when a worker starts the span of deployment `dep`
+    /// whose first round index is `start`.
+    fn begin(&self, worker: usize, dep: u32, start: u64) -> Self::State;
 
     /// Run one round. Errors lower the floor but do not abort the span:
     /// remaining rounds *below* the floor still run.
@@ -231,7 +233,7 @@ fn worker_loop<R: SpanRunner>(
         // panic is attributed to a precise key.
         let at = Cell::new(span.start);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut state = runner.begin(worker, span.dep);
+            let mut state = runner.begin(worker, span.dep, span.start);
             for index in span.start..span.start + span.len {
                 at.set(index);
                 let key = round_key(span.dep, index);
@@ -316,7 +318,7 @@ mod tests {
         type State = ();
         type Error = (u32, u64);
 
-        fn begin(&self, _worker: usize, _dep: u32) {
+        fn begin(&self, _worker: usize, _dep: u32, _start: u64) {
             self.begins.fetch_add(1, Ordering::Relaxed);
         }
 
@@ -418,7 +420,7 @@ mod tests {
         type State = ();
         type Error = ();
 
-        fn begin(&self, worker: usize, _dep: u32) {
+        fn begin(&self, worker: usize, _dep: u32, _start: u64) {
             if self.arrived.lock().unwrap().insert(worker) {
                 self.barrier.wait();
             }

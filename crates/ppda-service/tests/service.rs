@@ -85,13 +85,8 @@ fn fleet() -> Vec<DeploymentSpec> {
     specs
 }
 
-/// The single-threaded reference stream: `rounds` reports of `spec`
-/// starting at round index `from`, plus the accumulator over them.
-fn baseline(
-    spec: &DeploymentSpec,
-    from: u64,
-    rounds: u64,
-) -> (Vec<RoundReport>, CampaignAccumulator) {
+/// Compile `spec` exactly as the engine does.
+fn compile(spec: &DeploymentSpec) -> Deployment<'static> {
     let mut builder = Deployment::builder()
         .topology(spec.topology.clone())
         .config(spec.config.clone())
@@ -103,7 +98,17 @@ fn baseline(
             .membership(spec.membership.clone())
             .trickle(spec.trickle);
     }
-    let deployment = builder.build().expect("spec compiles");
+    builder.build().expect("spec compiles")
+}
+
+/// The single-threaded reference stream: `rounds` reports of `spec`
+/// starting at round index `from`, plus the accumulator over them.
+fn baseline(
+    spec: &DeploymentSpec,
+    from: u64,
+    rounds: u64,
+) -> (Vec<RoundReport>, CampaignAccumulator) {
+    let deployment = compile(spec);
     let mut driver = deployment.driver();
     let mut acc = CampaignAccumulator::new();
     let mut reports = Vec::new();
@@ -204,6 +209,194 @@ fn worker_count_does_not_change_results() {
     }
     assert_same_metrics(&merged[0], &merged[1]);
     assert_same_metrics(&merged[0], &merged[2]);
+}
+
+/// `ticks` one-round advances of `engine`, each deployment's reports
+/// concatenated in round order.
+fn recorded_ticks(engine: &CampaignEngine, ticks: u64) -> Vec<Vec<RoundReport>> {
+    let mut streams = vec![Vec::new(); engine.len()];
+    for _ in 0..ticks {
+        let recorded = engine.advance_recorded(1).expect("tick runs");
+        for (stream, reports) in streams.iter_mut().zip(recorded) {
+            stream.extend(reports);
+        }
+    }
+    streams
+}
+
+/// `spec`'s rounds at indices `0..rounds`, each on a fresh driver: what
+/// an engine that builds a driver for every span runs under one-round
+/// ticks.
+fn fresh_rounds(spec: &DeploymentSpec, rounds: u64) -> Vec<RoundReport> {
+    let deployment = compile(spec);
+    (0..rounds)
+        .map(|index| {
+            let (round_id, seed) = spec.coordinates(index);
+            deployment
+                .driver()
+                .round_at(round_id, seed)
+                .expect("fresh round runs")
+        })
+        .collect()
+}
+
+#[test]
+fn resumed_drivers_stream_what_single_threaded_drivers_do() {
+    let specs = fleet();
+    let baselines: Vec<_> = specs.iter().map(|spec| baseline(spec, 0, 16)).collect();
+    for workers in [1usize, 2] {
+        for chunk in [Some(1), None] {
+            let build = || {
+                let mut builder = CampaignEngine::builder()
+                    .workers(workers)
+                    .deployments(specs.clone());
+                if let Some(chunk) = chunk {
+                    builder = builder.chunk(chunk);
+                }
+                builder.build().expect("fleet compiles")
+            };
+            let streams = recorded_ticks(&build(), 16);
+            for (dep, spec) in specs.iter().enumerate() {
+                assert_eq!(
+                    streams[dep], baselines[dep].0,
+                    "deployment {} diverged at {workers} workers, chunk {chunk:?}",
+                    spec.name
+                );
+            }
+            // Every tick after the first resumes each deployment's driver:
+            // the previous tick parked it at exactly this round index.
+            let engine = build();
+            for tick in 0..16 {
+                let stats = engine.advance(1).expect("tick runs");
+                let expected = if tick == 0 { 0 } else { specs.len() as u64 };
+                assert_eq!(stats.resumed, expected, "tick {tick} at {workers} workers");
+            }
+            let snapshot = engine.snapshot();
+            for (dep, (_, acc)) in baselines.iter().enumerate() {
+                assert_same_metrics(&snapshot.deployments()[dep].metrics, acc);
+            }
+        }
+    }
+}
+
+#[test]
+fn parked_drivers_are_not_resumed_across_the_round_id_wrap() {
+    // Round indices 0..6 run round ids MAX-2, MAX-1, MAX, 0, 1, 2. A
+    // driver patched up to round MAX cannot run round 0, so the span
+    // after the wrap must build a fresh driver and run what one runs.
+    let topology = Topology::grid(3, 3, 15.0, 69);
+    let config = ProtocolConfig::builder(topology.len())
+        .sources(3)
+        .round_id(u32::MAX - 2)
+        .build()
+        .expect("wrapping config");
+    let mut spec = DeploymentSpec::new("wrapping", topology, config);
+    spec.membership = vec![MembershipEvent::leave(u32::MAX - 2, 8)];
+    spec.seed = 0xC0FFEE;
+    let fresh = fresh_rounds(&spec, 6);
+    assert_eq!(fresh[3].round_id, 0);
+    assert!(
+        fresh[..3].iter().any(|r| r.membership_patch().is_some()),
+        "the leave must come due before the wrap"
+    );
+
+    let build = || {
+        CampaignEngine::builder()
+            .workers(1)
+            .deployment(spec.clone())
+            .build()
+            .expect("spec compiles")
+    };
+    assert_eq!(recorded_ticks(&build(), 6), vec![fresh]);
+    let engine = build();
+    let resumed: Vec<u64> = (0..6)
+        .map(|_| engine.advance(1).expect("tick runs").resumed)
+        .collect();
+    assert_eq!(resumed, [0, 1, 1, 0, 1, 1]);
+}
+
+#[test]
+fn seed_striped_membership_rounds_match_fresh_drivers() {
+    // Every round of a seed-striped deployment runs one round id. Pinned
+    // to the round a membership delta comes due, each fresh driver
+    // reports the patch; a resumed driver, already patched, would not,
+    // so such spans never resume.
+    let mut spec = fleet()
+        .into_iter()
+        .find(|s| s.name == "churny")
+        .expect("the fleet has a churny deployment");
+    let due = compile(&spec)
+        .membership()
+        .expect("membership-driven")
+        .deltas()[0]
+        .round;
+    spec.clock = ClockMode::SeedStripe { round_id: due };
+    let fresh = fresh_rounds(&spec, 4);
+    assert!(fresh.iter().all(|r| r.membership_patch().is_some()));
+
+    let build = || {
+        CampaignEngine::builder()
+            .workers(1)
+            .deployment(spec.clone())
+            .build()
+            .expect("spec compiles")
+    };
+    assert_eq!(recorded_ticks(&build(), 4), vec![fresh]);
+    let engine = build();
+    for _ in 0..4 {
+        assert_eq!(engine.advance(1).expect("tick runs").resumed, 0);
+    }
+}
+
+#[test]
+fn a_parked_driver_never_runs_on_another_deployment() {
+    let specs = fleet();
+    let churny = specs
+        .iter()
+        .find(|s| s.name == "churny")
+        .expect("the fleet has a churny deployment");
+    let deployment = compile(churny);
+    let mut driver = deployment.driver();
+    for index in 0..8 {
+        let (round_id, seed) = churny.coordinates(index);
+        driver.round_at(round_id, seed).expect("round runs");
+    }
+    let (tail, _) = baseline(churny, 8, 2);
+
+    // A clone shares the deployment's identity: the state carries on.
+    let clone = deployment.clone();
+    let mut resumed = clone.resume(driver.park());
+    assert_eq!(resumed.stats().rounds, 8);
+    let (round_id, seed) = churny.coordinates(8);
+    assert_eq!(
+        resumed.round_at(round_id, seed).expect("round runs"),
+        tail[0]
+    );
+
+    // Another deployment, even one compiled from the same spec, drops the
+    // state and starts a fresh driver over its own plan.
+    let twin = compile(churny);
+    let mut on_twin = twin.resume(resumed.park());
+    assert_eq!(on_twin.stats().rounds, 0);
+    let (round_id, seed) = churny.coordinates(9);
+    assert_eq!(
+        on_twin.round_at(round_id, seed).expect("round runs"),
+        tail[1]
+    );
+
+    let plain = &specs[0];
+    let other = compile(plain);
+    let mut on_other = other.resume(on_twin.park());
+    assert_eq!(on_other.stats().rounds, 0);
+    assert_eq!(on_other.plan().destinations(), other.plan().destinations());
+    let (reports, _) = baseline(plain, 0, 2);
+    for (index, report) in reports.iter().enumerate() {
+        let (round_id, seed) = plain.coordinates(index as u64);
+        assert_eq!(
+            &on_other.round_at(round_id, seed).expect("round runs"),
+            report
+        );
+    }
 }
 
 #[test]
@@ -649,4 +842,23 @@ fn thousand_deployment_fleet_accounts_for_every_round() {
         .iter()
         .all(|d| d.completed == 2 && d.metrics.rounds() == 2));
     assert!(snapshot.merged().round_success() > 0.5);
+
+    // One-round ticks: each deployment's span starts where its last one
+    // ended, so a thousand parked drivers are resumed (or rebuilt) per
+    // tick without losing or repeating a round.
+    for tick in 1..=3u64 {
+        let stats = engine.advance(1).expect("tick runs");
+        assert_eq!(stats.rounds, 1000);
+        assert!(
+            stats.resumed <= 1000,
+            "{} resumed of 1000 spans",
+            stats.resumed
+        );
+        let snapshot = engine.snapshot();
+        assert_eq!(snapshot.total_rounds(), 1000 * (2 + tick));
+        assert!(snapshot
+            .deployments()
+            .iter()
+            .all(|d| d.completed == 2 + tick && d.metrics.rounds() == 2 + tick));
+    }
 }

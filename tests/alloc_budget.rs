@@ -2,8 +2,10 @@
 //!
 //! A counting global allocator pins how many heap allocations one
 //! `RoundDriver::step()` makes at the benchmark's operating points (see
-//! `perfbench/src/workloads.rs`). This binary holds a single test, so no
-//! parallel test can allocate while a window is being counted.
+//! `perfbench/src/workloads.rs`), and how many one steady-state
+//! `CampaignEngine::advance(1)` tick makes over a small lossy fleet with
+//! membership churn. This binary holds a single test, so no parallel test
+//! can allocate while a window is being counted.
 //!
 //! The bounds only ever tighten: a change that allocates less per round
 //! lowers them to what the tree then meets.
@@ -11,8 +13,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ppda::mpc::{Deployment, IntegrityMode, ProtocolConfig, ProtocolKind};
+use ppda::mpc::{
+    Deployment, FaultPlan, IntegrityMode, MembershipEvent, ProtocolConfig, ProtocolKind,
+};
 use ppda::radio::FadingProfile;
+use ppda::service::{CampaignEngine, DeploymentSpec};
 use ppda::sim::derive_stream;
 use ppda::topology::Topology;
 
@@ -47,6 +52,14 @@ static GLOBAL: Counting = Counting;
 
 const WARMUP_STEPS: u32 = 20;
 const COUNTED_STEPS: u32 = 50;
+
+/// Fleet ticks before counting: past the last membership change (the
+/// churn below ends by round 100, and its dissemination takes a few
+/// rounds more), as perfbench's fleet warm-up is.
+const WARMUP_TICKS: u32 = 160;
+const COUNTED_TICKS: u32 = 50;
+/// Allocation bound of one fleet tick.
+const FLEET_TICK_BOUND: u64 = 94;
 
 /// A benchmark operating point and its allocation bound per step.
 struct Point {
@@ -97,6 +110,91 @@ impl Point {
     }
 }
 
+/// Mean allocations per one-worker `advance(1)` tick, rounded down, over
+/// perfbench's four fleet operating points (FlockLab S4 with 6 and 24
+/// sources, FlockLab S3 with 10, D-Cube S4 with 12), each under link loss,
+/// dropout and delivery faults; the first and third also crash and rejoin
+/// two nodes.
+fn fleet_tick_allocations() -> u64 {
+    let points = [
+        (
+            Topology::flocklab(),
+            FadingProfile::office(),
+            ProtocolKind::S4,
+            6,
+            6,
+            15,
+        ),
+        (
+            Topology::flocklab(),
+            FadingProfile::office(),
+            ProtocolKind::S4,
+            24,
+            6,
+            15,
+        ),
+        (
+            Topology::flocklab(),
+            FadingProfile::office(),
+            ProtocolKind::S3,
+            10,
+            6,
+            15,
+        ),
+        (
+            Topology::dcube(),
+            FadingProfile::industrial_interference(),
+            ProtocolKind::S4,
+            12,
+            7,
+            20,
+        ),
+    ];
+    let specs = points.into_iter().enumerate().map(
+        |(i, (topology, fading, protocol, sources, ntx, full_ntx))| {
+            let config = ProtocolConfig::builder(topology.len())
+                .sources(sources)
+                .ntx_sharing(ntx)
+                .ntx_reconstruction(ntx)
+                .full_coverage_ntx(full_ntx)
+                .aggregator_redundancy(2)
+                .fading(fading)
+                .build()
+                .unwrap();
+            let start = config.round_id;
+            let mut spec = DeploymentSpec::new(format!("fleet-{i}"), topology, config);
+            spec.protocol = protocol;
+            spec.seed = derive_stream(1, i as u64);
+            spec.faults = FaultPlan::lossy(derive_stream(1, 0xFA00 + i as u64), 0.15)
+                .with_dropout(0.05)
+                .with_delay(0.02)
+                .with_duplicate(0.02);
+            if i % 2 == 0 {
+                spec.membership = vec![
+                    MembershipEvent::crash(start + 12, 3),
+                    MembershipEvent::rejoin(start + 30, 3),
+                    MembershipEvent::crash(start + 60, 11),
+                    MembershipEvent::rejoin(start + 80, 11),
+                ];
+            }
+            spec
+        },
+    );
+    let engine = CampaignEngine::builder()
+        .workers(1)
+        .deployments(specs)
+        .build()
+        .unwrap();
+    for _ in 0..WARMUP_TICKS {
+        engine.advance(1).unwrap();
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..COUNTED_TICKS {
+        engine.advance(1).unwrap();
+    }
+    (ALLOCATIONS.load(Ordering::Relaxed) - before) / u64::from(COUNTED_TICKS)
+}
+
 #[test]
 fn steady_state_rounds_stay_within_their_allocation_budget() {
     let points = [
@@ -141,10 +239,12 @@ fn steady_state_rounds_stay_within_their_allocation_budget() {
             bound: 36,
         },
     ];
-    let measured: Vec<(&str, u64, u64)> = points
+    let mut measured: Vec<(&str, u64, u64)> = points
         .iter()
         .map(|p| (p.name, p.mean_allocations(), p.bound))
         .collect();
+    // A steady-state fleet tick: four deployment-rounds plus scheduling.
+    measured.push(("fleet_tick", fleet_tick_allocations(), FLEET_TICK_BOUND));
     for &(name, mean, bound) in &measured {
         eprintln!("{name}: {mean} allocations per step (bound {bound})");
     }
