@@ -14,6 +14,10 @@
 //!   per-worker deques; a worker that drains its deque **steals** spans
 //!   from a victim's back, so imbalanced fleets rebalance without a
 //!   global queue — the round loop itself takes no lock at all;
+//! * each deployment's driver (scratch, caches, membership-patched plan)
+//!   is **parked** at the end of a span and resumed by the span that
+//!   starts where it stopped, so a fleet advanced one round at a time
+//!   does not rebuild that state every round;
 //! * metrics drain into per-worker **accumulator shards**
 //!   ([`ppda_metrics::CampaignAccumulator`] per deployment), merged on
 //!   demand by [`CampaignEngine::snapshot`] without stopping the
