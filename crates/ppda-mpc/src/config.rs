@@ -28,16 +28,14 @@ fn lane_payload_len(batch: usize) -> Result<usize, MpcError> {
 /// and the encoded sum batch (node + round + B lanes + contributor mask).
 /// Both the build-time frame-budget check and the fragmenting transport
 /// layout derive from these, so they can never disagree about what
-/// actually goes on the air.
+/// actually goes on the air. A batch past the datagram limit is an
+/// error; a tag so long that the share length passes `usize::MAX`
+/// saturates it, which no frame layout accepts.
 pub(crate) fn phase_datagram_lens(
     batch: usize,
     tag_len: usize,
 ) -> Result<(usize, usize), MpcError> {
-    if lane_payload_len(batch)?.checked_add(tag_len).is_none() {
-        return Err(MpcError::InvalidConfig {
-            what: format!("a {tag_len}-byte CCM tag overflows the share datagram length"),
-        });
-    }
+    lane_payload_len(batch)?;
     Ok((
         SharePacket::<Field>::sealed_len_batch(batch, tag_len),
         SumBatch::<Field>::encoded_len(batch),

@@ -39,7 +39,10 @@
 //! so CCM nonces and share randomness never repeat across epochs. The
 //! explicit [`round_at`](RoundDriver::round_at) escape hatch pins both
 //! coordinates; `tests/golden/driver_rounds.txt` freezes the driver's
-//! reports at the coordinates the paper's single-shot rounds used.
+//! reports at the coordinates the paper's single-shot rounds used. Every
+//! round is a function of its coordinates alone: any driver, fresh,
+//! resumed or reused, reports the same bytes for it, whatever rounds it
+//! ran before and in whatever order.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -235,11 +238,12 @@ pub enum MembershipMode {
 /// Where a driver's plan lives: borrowed from the deployment (static
 /// membership — the common case, zero-copy fan-out) or owned together
 /// with the walk along the membership timeline, so deltas can patch it
-/// in place.
+/// in place and a rewind can restart the walk from the deployment.
 #[derive(Debug)]
 enum DriverPlan<'d> {
     Shared(&'d RoundPlan<'d>),
     Owned {
+        deployment: &'d Deployment<'d>,
         timeline: &'d MembershipTimeline,
         walk: PlanWalk,
     },
@@ -261,8 +265,8 @@ struct PlanWalk {
     plan: Box<RoundPlan<'static>>,
     /// Index of the next unapplied delta.
     next: usize,
-    /// Highest round id this driver has executed (or tried to): once the
-    /// plan is patched past a round, earlier rounds are unreachable.
+    /// The last round id this driver ran (or tried to): a round at or
+    /// below it restarts the walk from the timeline's initial view.
     floor: Option<u32>,
 }
 
@@ -290,8 +294,9 @@ struct DriverState {
 /// [`Deployment::resume`]. It keeps the execution scratch, the link and
 /// weight caches, the membership-patched plan with its place on the
 /// timeline, and the stats, so a scheduler that runs a deployment's
-/// rounds in separate stretches need not rebuild them for each one.
-/// Attached observers are not kept.
+/// rounds in separate stretches need not rebuild them for each one. The
+/// resumed driver runs any round, in any order, as a fresh driver would
+/// (see [`RoundDriver::round_at`]). Attached observers are not kept.
 pub struct ParkedDriver {
     walk: Option<PlanWalk>,
     state: DriverState,
@@ -303,21 +308,6 @@ impl fmt::Debug for ParkedDriver {
             .field("stats", &self.state.stats)
             .field("floor", &self.walk.as_ref().and_then(|w| w.floor))
             .finish_non_exhaustive()
-    }
-}
-
-impl ParkedDriver {
-    /// Whether a driver resumed from this state can run round `round_id`
-    /// exactly as a fresh driver would. It cannot once its plan is patched
-    /// for that round or a later one: an earlier round is a
-    /// [`MpcError::MembershipRegression`], and a repeat of the last round
-    /// would not report the membership patch again. Static deployments
-    /// accept every round.
-    pub fn accepts(&self, round_id: u32) -> bool {
-        self.walk
-            .as_ref()
-            .and_then(|walk| walk.floor)
-            .is_none_or(|floor| round_id > floor)
     }
 }
 
@@ -658,19 +648,15 @@ impl<'t> Deployment<'t> {
     /// over the compiled deltas; the driver fast-forwards the cursor
     /// deterministically as its rounds advance, so a fresh driver started
     /// at any round index reproduces the sequential stream byte-for-byte.
+    /// Asked for an earlier or repeated round id, it restarts from that
+    /// copy (see [`RoundDriver::round_at`]).
     pub fn driver(&self) -> RoundDriver<'_> {
         let config = self.plan.config();
         let plan = match &self.timeline {
             Some(timeline) => DriverPlan::Owned {
+                deployment: self,
                 timeline,
-                walk: PlanWalk {
-                    plan: match &self.churn_plan {
-                        Some(template) => template.clone(),
-                        None => Box::new(self.plan.clone().into_owned()),
-                    },
-                    next: 0,
-                    floor: None,
-                },
+                walk: self.walk(),
             },
             None => DriverPlan::Shared(&self.plan),
         };
@@ -692,13 +678,26 @@ impl<'t> Deployment<'t> {
         }
     }
 
+    /// A membership-driven driver's walk before its first round: its own
+    /// copy of the plan at the timeline's initial view, no delta applied.
+    fn walk(&self) -> PlanWalk {
+        PlanWalk {
+            plan: match &self.churn_plan {
+                Some(template) => template.clone(),
+                None => Box::new(self.plan.clone().into_owned()),
+            },
+            next: 0,
+            floor: None,
+        }
+    }
+
     /// Turn a [`ParkedDriver`] back into a driver over this deployment,
     /// with its caches, scratch, stats and patched plan as they were
     /// parked; a state parked from another deployment (one that is not
     /// this deployment or a clone of it) is dropped, and a fresh
     /// [`driver`](Deployment::driver) is returned instead, so one
-    /// deployment's state never runs another's rounds. Check
-    /// [`ParkedDriver::accepts`] before resuming at a chosen round id.
+    /// deployment's state never runs another's rounds. The resumed driver
+    /// runs any round id next, as a fresh one would.
     ///
     /// # Example
     ///
@@ -724,7 +723,11 @@ impl<'t> Deployment<'t> {
             return self.driver();
         }
         let plan = match (&self.timeline, parked.walk) {
-            (Some(timeline), Some(walk)) => DriverPlan::Owned { timeline, walk },
+            (Some(timeline), Some(walk)) => DriverPlan::Owned {
+                deployment: self,
+                timeline,
+                walk,
+            },
             (None, None) => DriverPlan::Shared(&self.plan),
             _ => return self.driver(),
         };
@@ -965,6 +968,13 @@ impl<'d> RoundDriver<'d> {
     /// readings — the pinned-coordinate form differential suites and
     /// seed-striped campaigns use. Advances the clock like any round.
     ///
+    /// Any round id runs, in any order, with the report a fresh driver
+    /// gives. A membership-driven driver patches its plan forward; asked
+    /// for a round id at or below the last one it ran, it first starts
+    /// over from the deployment's initial view, which costs one plan
+    /// clone plus the patches due up to that round, as a fresh driver
+    /// does. Rounds in increasing id order never start over.
+    ///
     /// # Errors
     ///
     /// See [`RoundDriver::round_at_with`].
@@ -976,7 +986,8 @@ impl<'d> RoundDriver<'d> {
     /// reach as its `index`-th [`step`](RoundDriver::step) — regardless of
     /// how many rounds *this* driver has run. Campaign schedulers use this
     /// to execute disjoint index spans on different workers while
-    /// reproducing the sequential stream byte-for-byte.
+    /// reproducing the sequential stream byte-for-byte. Any index runs, in
+    /// any order, at the cost [`round_at`](RoundDriver::round_at) gives.
     ///
     /// # Errors
     ///
@@ -1006,21 +1017,23 @@ impl<'d> RoundDriver<'d> {
 
     /// Bring the plan up to date with every membership delta due at or
     /// before `round_id`, returning the absorbed patch record (if any
-    /// delta applied). Incremental patching only moves forward: a round
-    /// before one the plan was already patched for is a typed error.
+    /// delta applied). Patching only moves forward, so a round at or
+    /// below the last one this driver ran first rewinds the walk to the
+    /// deployment's initial view, where a fresh driver starts.
     fn advance_membership(&mut self, round_id: u32) -> Result<Option<PlanPatch>, MpcError> {
-        let DriverPlan::Owned { timeline, walk } = &mut self.plan else {
+        let DriverPlan::Owned {
+            deployment,
+            timeline,
+            walk,
+        } = &mut self.plan
+        else {
             return Ok(None);
         };
-        let PlanWalk { plan, next, floor } = walk;
-        if let Some(floor) = *floor {
-            if round_id < floor {
-                return Err(MpcError::MembershipRegression {
-                    patched_to: floor,
-                    requested: round_id,
-                });
-            }
+        if walk.floor.is_some_and(|floor| round_id <= floor) {
+            *walk = deployment.walk();
+            self.state.exec.sync(&walk.plan);
         }
+        let PlanWalk { plan, next, floor } = walk;
         *floor = Some(round_id);
         let mut absorbed: Option<PlanPatch> = None;
         while let Some(delta) = timeline.deltas().get(*next) {

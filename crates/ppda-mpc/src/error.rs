@@ -67,16 +67,6 @@ pub enum MpcError {
     /// left to hold shares, so no plan can be patched or compiled for
     /// this view.
     MembershipExhausted,
-    /// A membership-driven driver was asked for a round *before* one it
-    /// already patched the plan for; incremental patching only moves
-    /// forward. Use a fresh driver (they fast-forward deterministically)
-    /// to revisit earlier rounds.
-    MembershipRegression {
-        /// The round id the driver has already patched up to.
-        patched_to: u32,
-        /// The earlier round that was requested.
-        requested: u32,
-    },
     /// The sum audit caught a reported sum share that disagrees with the
     /// one it recomputed from the sources' shares: some aggregator forged,
     /// swapped or corrupted a sum share after honest accumulation. Raised by
@@ -124,16 +114,6 @@ impl fmt::Display for MpcError {
                 write!(
                     f,
                     "membership change left no live destination to hold shares"
-                )
-            }
-            MpcError::MembershipRegression {
-                patched_to,
-                requested,
-            } => {
-                write!(
-                    f,
-                    "round {requested} precedes the plan's patched state (round {patched_to}); \
-                     membership-driven drivers only advance"
                 )
             }
             MpcError::IntegrityViolation { lane, aggregator } => {
@@ -195,12 +175,6 @@ mod tests {
         assert!(MpcError::MembershipExhausted
             .to_string()
             .contains("no live destination"));
-        let reg = MpcError::MembershipRegression {
-            patched_to: 9,
-            requested: 4,
-        };
-        assert!(reg.to_string().contains('9'));
-        assert!(reg.to_string().contains('4'));
         let violation = MpcError::IntegrityViolation {
             lane: 2,
             aggregator: Some(11),

@@ -4,7 +4,7 @@
 //!
 //! The bench isolates two scheduler knobs on a small fixed fleet, so
 //! regressions in the dispatch path itself (span dealing, deque locking,
-//! stealing, shard merges) show up without an hour of wall clock. A
+//! stealing, metrics merges) show up without an hour of wall clock. A
 //! mixed fleet under faults and churn, timed end to end, is perfbench's
 //! `fleet_churn_lossy` workload (`BENCHMARK.json`).
 //!

@@ -4,14 +4,16 @@
 //! Each deployment is compiled **once** into a [`Deployment`] (plan,
 //! chains, schedules, cipher contexts) and then shared read-only by every
 //! worker; what gets scheduled are [`Span`]s of round indices, executed
-//! by [`RoundDriver`]s that own all mutable scratch. A span that ends
-//! cleanly parks its driver in the deployment's slot, keyed by the next
-//! round index, and the span that starts at that index resumes it with
-//! its caches and patched plan; every other span (the first, one run out
-//! of order, the first after a restore) builds a fresh driver. Metrics
-//! drain into per-worker accumulator shards — a worker only locks its
-//! *own* shard, once per span — so [`CampaignEngine::snapshot`] can merge
-//! a live fleet-wide view at any time without stopping the workers.
+//! by [`RoundDriver`]s that own all mutable scratch. Any driver runs any
+//! round of its deployment with the bytes a fresh one gives, so a span
+//! that ends cleanly parks its driver in the deployment's slot and
+//! whichever span of that deployment begins next resumes it, with its
+//! caches and patched plan; a span that finds the slot empty (the first,
+//! the first after a restore, or one running beside another span of the
+//! same deployment) builds a fresh driver. Each slot also holds the
+//! deployment's one metrics accumulator, which a span locks once, at its
+//! end, to merge its rounds, so [`CampaignEngine::snapshot`] can read a
+//! live fleet-wide view at any time without stopping the workers.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,7 +68,7 @@ pub struct DeploymentSpec {
     /// deployment experiences; empty for a static membership. Non-empty
     /// streams make the deployment's driver membership-driven: it patches
     /// its own plan as the compiled deltas come due, and keeps that plan
-    /// from span to span while spans run in order (see
+    /// from span to span (see
     /// [`DeploymentBuilder::membership`](ppda_mpc::DeploymentBuilder::membership)).
     pub membership: Vec<MembershipEvent>,
     /// Trickle timer parameters governing membership dissemination.
@@ -104,16 +106,17 @@ impl DeploymentSpec {
 }
 
 /// A compiled deployment slot: the shared read-only plan plus its live
-/// round-clock position.
+/// round-clock position, parked driver and metrics.
 struct Slot {
     spec: DeploymentSpec,
     deployment: Deployment<'static>,
     /// Rounds completed across all advances (the next round index while
     /// the engine is healthy; see [`CampaignEngine::advance`] on errors).
     completed: AtomicU64,
-    /// The driver the latest clean span left, keyed by the round index it
-    /// runs next.
-    parked: Mutex<Option<(u64, ParkedDriver)>>,
+    /// The driver the latest clean span left, for the next span to take.
+    parked: Mutex<Option<ParkedDriver>>,
+    /// Every completed round's metrics, merged once per span.
+    metrics: Mutex<CampaignAccumulator>,
 }
 
 /// A round of one deployment failed.
@@ -216,8 +219,10 @@ pub struct AdvanceStats {
     pub steals: u64,
     /// Rounds executed per worker, indexed by worker.
     pub per_worker: Vec<u64>,
-    /// Spans that resumed the driver the previous span of their
-    /// deployment parked, instead of building a fresh one.
+    /// Spans that resumed the driver an earlier span of their deployment
+    /// parked, instead of building a fresh one: every span but the
+    /// deployment's first, the first after a restore and one that starts
+    /// while another span of the deployment is running.
     pub resumed: u64,
 }
 
@@ -228,13 +233,13 @@ pub struct DeploymentSnapshot {
     pub name: String,
     /// Rounds completed so far.
     pub completed: u64,
-    /// All metrics accumulated so far (merged across worker shards).
+    /// All metrics accumulated so far.
     pub metrics: CampaignAccumulator,
 }
 
-/// A point-in-time merge of every deployment's metrics. Taken without
+/// A point-in-time copy of every deployment's metrics. Taken without
 /// stopping the workers: progress made while the snapshot walks the
-/// shards may or may not be included, but never double-counted.
+/// slots may or may not be included, but never double-counted.
 #[derive(Debug, Clone)]
 pub struct FleetSnapshot {
     deployments: Vec<DeploymentSnapshot>,
@@ -262,7 +267,7 @@ impl FleetSnapshot {
 }
 
 /// The largest worker pool an engine runs. Each worker is one OS thread
-/// per advance and holds one accumulator per deployment, so
+/// per advance (workers hold no state between advances), so
 /// [`CampaignEngineBuilder::workers`] clamps to this ceiling, and a
 /// checkpoint naming more workers does not restore.
 pub const MAX_WORKERS: usize = 1024;
@@ -286,10 +291,10 @@ impl CampaignEngineBuilder {
 
     /// Rounds per scheduled span (default 32). Smaller spans steal and
     /// rebalance at finer grain; larger spans lock the deployment's parked
-    /// driver and the worker's metrics shard fewer times per round, and
-    /// with several workers run more of a deployment's rounds in order,
-    /// so more spans resume their deployment's driver instead of building
-    /// one. Clamped to at least 1.
+    /// driver and metrics fewer times per round, and with several workers
+    /// leave fewer spans of one deployment running side by side, so more
+    /// spans resume the deployment's driver instead of building one.
+    /// Results do not depend on it. Clamped to at least 1.
     pub fn chunk(mut self, rounds: u64) -> Self {
         self.chunk = rounds.max(1);
         self
@@ -353,14 +358,11 @@ impl CampaignEngineBuilder {
                 deployment,
                 completed: AtomicU64::new(0),
                 parked: Mutex::new(None),
+                metrics: Mutex::new(CampaignAccumulator::new()),
             });
         }
-        let n = slots.len();
         Ok(CampaignEngine {
             slots,
-            shards: (0..workers)
-                .map(|_| Mutex::new(vec![CampaignAccumulator::new(); n]))
-                .collect(),
             workers,
             chunk,
             gate: Mutex::new(()),
@@ -384,10 +386,6 @@ impl CampaignEngineBuilder {
 ///    any time, even mid-advance.
 pub struct CampaignEngine {
     slots: Vec<Slot>,
-    /// Per-worker accumulator shards, `shards[worker][deployment]`. The
-    /// hot path never touches them: a worker locks its own shard once per
-    /// finished span to merge the span's local accumulator.
-    shards: Vec<Mutex<Vec<CampaignAccumulator>>>,
     workers: usize,
     chunk: u64,
     /// Serializes advances (the round clocks move once per advance).
@@ -557,38 +555,27 @@ impl CampaignEngine {
         }
     }
 
-    /// Merge a point-in-time fleet-wide view of progress and metrics.
-    /// Never blocks the round loop: workers only hold a shard lock for
-    /// the brief per-span merge, and this walks the shards one at a time.
+    /// Copy a point-in-time fleet-wide view of progress and metrics.
+    /// Never blocks the round loop: workers only hold a slot's metrics
+    /// lock for the brief per-span merge, and this walks the slots one at
+    /// a time.
     pub fn snapshot(&self) -> FleetSnapshot {
-        let mut merged: Vec<CampaignAccumulator> = self
-            .slots
-            .iter()
-            .map(|_| CampaignAccumulator::new())
-            .collect();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("shard poisoned");
-            for (acc, part) in merged.iter_mut().zip(shard.iter()) {
-                acc.absorb(part);
-            }
-        }
         FleetSnapshot {
             deployments: self
                 .slots
                 .iter()
-                .zip(merged)
-                .map(|(slot, metrics)| DeploymentSnapshot {
+                .map(|slot| DeploymentSnapshot {
                     name: slot.spec.name.clone(),
                     completed: slot.completed.load(Ordering::Relaxed),
-                    metrics,
+                    metrics: slot.metrics.lock().expect("metrics poisoned").clone(),
                 })
                 .collect(),
         }
     }
 
     /// Internal: quiesced views for checkpointing (spec, completed,
-    /// merged metrics per deployment). Takes the advance gate so the
-    /// counters and shards are stable while encoding.
+    /// metrics per deployment). Takes the advance gate so the counters
+    /// and metrics are stable while encoding.
     #[cfg(feature = "serde")]
     pub(crate) fn quiesced_state(
         &self,
@@ -612,12 +599,9 @@ impl CampaignEngine {
         &mut self,
         progress: impl IntoIterator<Item = (u64, CampaignAccumulator)>,
     ) {
-        let shard0 = self.shards[0].get_mut().expect("shard poisoned");
-        for (dep, (completed, metrics)) in progress.into_iter().enumerate() {
-            self.slots[dep]
-                .completed
-                .store(completed, Ordering::Relaxed);
-            shard0[dep] = metrics;
+        for (slot, (completed, metrics)) in self.slots.iter_mut().zip(progress) {
+            *slot.completed.get_mut() = completed;
+            *slot.metrics.get_mut().expect("metrics poisoned") = metrics;
         }
     }
 }
@@ -627,9 +611,9 @@ impl CampaignEngine {
 type RoundRecorder = Mutex<Vec<(u32, u64, RoundReport)>>;
 
 /// The [`SpanRunner`] that executes engine spans: the deployment's
-/// parked driver when it left off at the span's start (else a fresh one)
-/// and a span-local accumulator per span, merged into the worker's shard
-/// once at span end, where the driver is parked again.
+/// parked driver when there is one (else a fresh one) and a span-local
+/// accumulator per span, merged into the deployment's metrics once at
+/// span end, where the driver is parked again.
 struct EngineRunner<'e> {
     engine: &'e CampaignEngine,
     recorder: Option<&'e RoundRecorder>,
@@ -639,9 +623,8 @@ struct EngineRunner<'e> {
 
 struct SpanState<'d> {
     driver: RoundDriver<'d>,
-    /// The round index the driver runs next; `None` once a round failed,
-    /// so the driver is not parked.
-    next: Option<u64>,
+    /// Whether a round of the span failed, so the driver is not parked.
+    failed: bool,
     acc: CampaignAccumulator,
     recorded: Vec<(u32, u64, RoundReport)>,
 }
@@ -650,16 +633,15 @@ impl<'e> SpanRunner for EngineRunner<'e> {
     type State = SpanState<'e>;
     type Error = EngineError;
 
-    fn begin(&self, _worker: usize, dep: u32, start: u64) -> SpanState<'e> {
+    fn begin(&self, dep: u32) -> SpanState<'e> {
         let slot = &self.engine.slots[dep as usize];
-        let (round_id, _) = slot.spec.coordinates(start);
         let parked = slot
             .parked
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .take_if(|(at, driver)| *at == start && driver.accepts(round_id));
+            .take();
         let driver = match parked {
-            Some((_, parked)) => {
+            Some(parked) => {
                 self.resumed.fetch_add(1, Ordering::Relaxed);
                 slot.deployment.resume(parked)
             }
@@ -667,7 +649,7 @@ impl<'e> SpanRunner for EngineRunner<'e> {
         };
         SpanState {
             driver,
-            next: Some(start),
+            failed: false,
             acc: CampaignAccumulator::new(),
             recorded: Vec::new(),
         }
@@ -679,19 +661,15 @@ impl<'e> SpanRunner for EngineRunner<'e> {
         }
         let slot = &self.engine.slots[dep as usize];
         let (round_id, seed) = slot.spec.coordinates(index);
-        // A driver whose round failed is not parked.
-        let next = state.next.take();
-        let report =
-            state
-                .driver
-                .round_at(round_id, seed)
-                .map_err(|source| EngineError::Round {
-                    deployment: dep as usize,
-                    name: slot.spec.name.clone(),
-                    round_index: index,
-                    source,
-                })?;
-        state.next = next.map(|_| index + 1);
+        let report = state.driver.round_at(round_id, seed).map_err(|source| {
+            state.failed = true;
+            EngineError::Round {
+                deployment: dep as usize,
+                name: slot.spec.name.clone(),
+                round_index: index,
+                source,
+            }
+        })?;
         state.acc.on_round(&report);
         slot.completed.fetch_add(1, Ordering::Relaxed);
         if self.recorder.is_some() {
@@ -700,10 +678,12 @@ impl<'e> SpanRunner for EngineRunner<'e> {
         Ok(())
     }
 
-    fn finish(&self, worker: usize, dep: u32, state: SpanState<'e>) {
-        let mut shard = self.engine.shards[worker].lock().expect("shard poisoned");
-        shard[dep as usize].merge(state.acc);
-        drop(shard);
+    fn finish(&self, dep: u32, state: SpanState<'e>) {
+        let slot = &self.engine.slots[dep as usize];
+        slot.metrics
+            .lock()
+            .expect("metrics poisoned")
+            .merge(state.acc);
         if let Some(recorder) = self.recorder {
             if !state.recorded.is_empty() {
                 recorder
@@ -712,16 +692,8 @@ impl<'e> SpanRunner for EngineRunner<'e> {
                     .extend(state.recorded);
             }
         }
-        // Spans of one deployment can finish out of order on several
-        // workers; the driver that reached further is the one to keep.
-        if let Some(next) = state.next {
-            let mut parked = self.engine.slots[dep as usize]
-                .parked
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if parked.as_ref().is_none_or(|&(at, _)| at < next) {
-                *parked = Some((next, state.driver.park()));
-            }
+        if !state.failed {
+            *slot.parked.lock().unwrap_or_else(PoisonError::into_inner) = Some(state.driver.park());
         }
     }
 }

@@ -15,13 +15,14 @@
 //!   from a victim's back, so imbalanced fleets rebalance without a
 //!   global queue — the round loop itself takes no lock at all;
 //! * each deployment's driver (scratch, caches, membership-patched plan)
-//!   is **parked** at the end of a span and resumed by the span that
-//!   starts where it stopped, so a fleet advanced one round at a time
+//!   is **parked** at the end of a span and resumed by whichever span of
+//!   the deployment begins next (any driver runs any round with the
+//!   bytes a fresh one gives), so a fleet advanced one round at a time
 //!   does not rebuild that state every round;
-//! * metrics drain into per-worker **accumulator shards**
-//!   ([`ppda_metrics::CampaignAccumulator`] per deployment), merged on
-//!   demand by [`CampaignEngine::snapshot`] without stopping the
-//!   workers;
+//! * each deployment keeps **one metrics accumulator**
+//!   ([`ppda_metrics::CampaignAccumulator`]) that each span merges into
+//!   once, at its end; [`CampaignEngine::snapshot`] copies them without
+//!   stopping the workers;
 //! * a round failure stops the fleet early and deterministically: the
 //!   surfaced error is the erroring round with the lowest
 //!   `(round index, deployment)` key for **any** worker count;
@@ -33,8 +34,8 @@
 //! Because round outcomes are pure functions of their
 //! `(round_id, seed)` coordinates, out-of-order and stolen execution
 //! changes *nothing* about results: per-deployment reports and merged
-//! metrics are identical to driving each deployment single-threaded
-//! (proved in `tests/service.rs`).
+//! metrics are identical to driving each deployment single-threaded, for
+//! any worker count and span length (proved in `tests/service.rs`).
 //!
 //! # Example
 //!

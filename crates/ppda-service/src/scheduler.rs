@@ -74,24 +74,23 @@ impl Floor {
 /// Per-span execution hooks the scheduler drives. `begin`/`finish`
 /// bracket each span so implementations can amortize per-deployment
 /// state (a round driver, a local accumulator) over the span's rounds,
-/// hand it on to the span that starts where this one ends, and publish
-/// results once per span instead of once per round.
+/// hand it on to whichever span of the deployment begins next, and
+/// publish results once per span instead of once per round.
 pub(crate) trait SpanRunner: Sync {
     /// Span-scoped state (constructed outside any queue lock).
     type State;
     /// Per-round error; surfaced as the minimum-key error of the run.
     type Error: Send;
 
-    /// Called once when a worker starts the span of deployment `dep`
-    /// whose first round index is `start`.
-    fn begin(&self, worker: usize, dep: u32, start: u64) -> Self::State;
+    /// Called once when a worker starts a span of deployment `dep`.
+    fn begin(&self, dep: u32) -> Self::State;
 
     /// Run one round. Errors lower the floor but do not abort the span:
     /// remaining rounds *below* the floor still run.
     fn round(&self, state: &mut Self::State, dep: u32, index: u64) -> Result<(), Self::Error>;
 
     /// Called once when the span ends (even if every round was skipped).
-    fn finish(&self, worker: usize, dep: u32, state: Self::State);
+    fn finish(&self, dep: u32, state: Self::State);
 }
 
 /// Per-worker tallies of one scheduling run.
@@ -233,7 +232,7 @@ fn worker_loop<R: SpanRunner>(
         // panic is attributed to a precise key.
         let at = Cell::new(span.start);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut state = runner.begin(worker, span.dep, span.start);
+            let mut state = runner.begin(span.dep);
             for index in span.start..span.start + span.len {
                 at.set(index);
                 let key = round_key(span.dep, index);
@@ -250,7 +249,7 @@ fn worker_loop<R: SpanRunner>(
                     }
                 }
             }
-            runner.finish(worker, span.dep, state);
+            runner.finish(span.dep, state);
         }));
         if let Err(payload) = caught {
             let key = round_key(span.dep, at.get());
@@ -318,7 +317,7 @@ mod tests {
         type State = ();
         type Error = (u32, u64);
 
-        fn begin(&self, _worker: usize, _dep: u32, _start: u64) {
+        fn begin(&self, _dep: u32) {
             self.begins.fetch_add(1, Ordering::Relaxed);
         }
 
@@ -333,7 +332,7 @@ mod tests {
             Ok(())
         }
 
-        fn finish(&self, _worker: usize, _dep: u32, _state: ()) {
+        fn finish(&self, _dep: u32, _state: ()) {
             self.finishes.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -413,14 +412,16 @@ mod tests {
     /// loaded worker can drain its own deque.
     struct RendezvousRunner {
         barrier: std::sync::Barrier,
-        arrived: Mutex<HashSet<usize>>,
+        arrived: Mutex<HashSet<std::thread::ThreadId>>,
     }
 
     impl SpanRunner for RendezvousRunner {
         type State = ();
         type Error = ();
 
-        fn begin(&self, worker: usize, _dep: u32, _start: u64) {
+        fn begin(&self, _dep: u32) {
+            // Each worker runs on its own thread.
+            let worker = std::thread::current().id();
             if self.arrived.lock().unwrap().insert(worker) {
                 self.barrier.wait();
             }
@@ -430,7 +431,7 @@ mod tests {
             Ok(())
         }
 
-        fn finish(&self, _worker: usize, _dep: u32, _state: ()) {}
+        fn finish(&self, _dep: u32, _state: ()) {}
     }
 
     #[test]

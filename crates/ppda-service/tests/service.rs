@@ -264,7 +264,7 @@ fn resumed_drivers_stream_what_single_threaded_drivers_do() {
                 );
             }
             // Every tick after the first resumes each deployment's driver:
-            // the previous tick parked it at exactly this round index.
+            // the previous tick parked it.
             let engine = build();
             for tick in 0..16 {
                 let stats = engine.advance(1).expect("tick runs");
@@ -279,11 +279,10 @@ fn resumed_drivers_stream_what_single_threaded_drivers_do() {
     }
 }
 
-#[test]
-fn parked_drivers_are_not_resumed_across_the_round_id_wrap() {
-    // Round indices 0..6 run round ids MAX-2, MAX-1, MAX, 0, 1, 2. A
-    // driver patched up to round MAX cannot run round 0, so the span
-    // after the wrap must build a fresh driver and run what one runs.
+/// A membership-driven spec whose round clock wraps: round indices 0..6
+/// run round ids MAX-2, MAX-1, MAX, 0, 1, 2, and a leave comes due before
+/// the wrap.
+fn wrapping_spec() -> DeploymentSpec {
     let topology = Topology::grid(3, 3, 15.0, 69);
     let config = ProtocolConfig::builder(topology.len())
         .sources(3)
@@ -293,6 +292,33 @@ fn parked_drivers_are_not_resumed_across_the_round_id_wrap() {
     let mut spec = DeploymentSpec::new("wrapping", topology, config);
     spec.membership = vec![MembershipEvent::leave(u32::MAX - 2, 8)];
     spec.seed = 0xC0FFEE;
+    spec
+}
+
+/// The fleet's churny deployment on a seed-striped clock pinned to the
+/// round its first membership delta comes due: every round runs that one
+/// round id, so every fresh driver reports the patch.
+fn striped_membership_spec() -> DeploymentSpec {
+    let mut spec = fleet()
+        .into_iter()
+        .find(|s| s.name == "churny")
+        .expect("the fleet has a churny deployment");
+    let due = compile(&spec)
+        .membership()
+        .expect("membership-driven")
+        .deltas()[0]
+        .round;
+    spec.clock = ClockMode::SeedStripe { round_id: due };
+    spec.name = "striped-churny".into();
+    spec
+}
+
+#[test]
+fn resumed_drivers_run_across_the_round_id_wrap() {
+    // A driver patched up to round MAX starts over from the initial view
+    // for round 0, as a fresh driver does, so the span after the wrap
+    // resumes like any other, and one span crossing the wrap runs too.
+    let spec = wrapping_spec();
     let fresh = fresh_rounds(&spec, 6);
     assert_eq!(fresh[3].round_id, 0);
     assert!(
@@ -307,30 +333,22 @@ fn parked_drivers_are_not_resumed_across_the_round_id_wrap() {
             .build()
             .expect("spec compiles")
     };
-    assert_eq!(recorded_ticks(&build(), 6), vec![fresh]);
+    assert_eq!(recorded_ticks(&build(), 6), vec![fresh.clone()]);
+    let one_span = build().advance_recorded(6).expect("one span runs");
+    assert_eq!(one_span, vec![fresh]);
     let engine = build();
     let resumed: Vec<u64> = (0..6)
         .map(|_| engine.advance(1).expect("tick runs").resumed)
         .collect();
-    assert_eq!(resumed, [0, 1, 1, 0, 1, 1]);
+    assert_eq!(resumed, [0, 1, 1, 1, 1, 1]);
 }
 
 #[test]
-fn seed_striped_membership_rounds_match_fresh_drivers() {
-    // Every round of a seed-striped deployment runs one round id. Pinned
-    // to the round a membership delta comes due, each fresh driver
-    // reports the patch; a resumed driver, already patched, would not,
-    // so such spans never resume.
-    let mut spec = fleet()
-        .into_iter()
-        .find(|s| s.name == "churny")
-        .expect("the fleet has a churny deployment");
-    let due = compile(&spec)
-        .membership()
-        .expect("membership-driven")
-        .deltas()[0]
-        .round;
-    spec.clock = ClockMode::SeedStripe { round_id: due };
+fn resumed_drivers_report_every_seed_striped_membership_patch() {
+    // A driver already patched for the pinned round starts over from the
+    // initial view on each repeat of it, so it reports the patch again,
+    // whether its rounds run in one span or in one span per tick.
+    let spec = striped_membership_spec();
     let fresh = fresh_rounds(&spec, 4);
     assert!(fresh.iter().all(|r| r.membership_patch().is_some()));
 
@@ -341,10 +359,51 @@ fn seed_striped_membership_rounds_match_fresh_drivers() {
             .build()
             .expect("spec compiles")
     };
-    assert_eq!(recorded_ticks(&build(), 4), vec![fresh]);
+    assert_eq!(recorded_ticks(&build(), 4), vec![fresh.clone()]);
+    let one_span = build().advance_recorded(4).expect("one span runs");
+    assert_eq!(one_span, vec![fresh]);
     let engine = build();
-    for _ in 0..4 {
-        assert_eq!(engine.advance(1).expect("tick runs").resumed, 0);
+    let resumed: Vec<u64> = (0..4)
+        .map(|_| engine.advance(1).expect("tick runs").resumed)
+        .collect();
+    assert_eq!(resumed, [0, 1, 1, 1]);
+}
+
+#[test]
+fn results_do_not_depend_on_span_length_or_worker_count() {
+    // The fleet plus the wrapping and seed-striped membership specs, run
+    // as two advances (8 rounds, then 4) at span lengths 1, 3 and the
+    // default and on 1, 2 and 4 workers: every stream and every
+    // deployment's metrics equal one single-threaded driver's.
+    let mut specs = fleet();
+    specs.push(wrapping_spec());
+    specs.push(striped_membership_spec());
+    let baselines: Vec<_> = specs.iter().map(|spec| baseline(spec, 0, 12)).collect();
+    for workers in [1usize, 2, 4] {
+        for chunk in [Some(1), Some(3), None] {
+            let mut builder = CampaignEngine::builder()
+                .workers(workers)
+                .deployments(specs.clone());
+            if let Some(chunk) = chunk {
+                builder = builder.chunk(chunk);
+            }
+            let engine = builder.build().expect("fleet compiles");
+            let mut streams = engine.advance_recorded(8).expect("first advance");
+            let tail = engine.advance_recorded(4).expect("second advance");
+            for (stream, reports) in streams.iter_mut().zip(tail) {
+                stream.extend(reports);
+            }
+            let snapshot = engine.snapshot();
+            for (dep, spec) in specs.iter().enumerate() {
+                let (reports, acc) = &baselines[dep];
+                assert_eq!(
+                    &streams[dep], reports,
+                    "deployment {} diverged at {workers} workers, chunk {chunk:?}",
+                    spec.name
+                );
+                assert_same_metrics(&snapshot.deployments()[dep].metrics, acc);
+            }
+        }
     }
 }
 
@@ -843,17 +902,13 @@ fn thousand_deployment_fleet_accounts_for_every_round() {
         .all(|d| d.completed == 2 && d.metrics.rounds() == 2));
     assert!(snapshot.merged().round_success() > 0.5);
 
-    // One-round ticks: each deployment's span starts where its last one
-    // ended, so a thousand parked drivers are resumed (or rebuilt) per
+    // One-round ticks: each deployment's one span resumes the driver its
+    // previous span parked, so a thousand parked drivers are resumed per
     // tick without losing or repeating a round.
     for tick in 1..=3u64 {
         let stats = engine.advance(1).expect("tick runs");
         assert_eq!(stats.rounds, 1000);
-        assert!(
-            stats.resumed <= 1000,
-            "{} resumed of 1000 spans",
-            stats.resumed
-        );
+        assert_eq!(stats.resumed, 1000);
         let snapshot = engine.snapshot();
         assert_eq!(snapshot.total_rounds(), 1000 * (2 + tick));
         assert!(snapshot

@@ -30,9 +30,9 @@ pub struct SharePacket<P: PrimeField>(PhantomData<P>);
 
 impl<P: PrimeField> SharePacket<P> {
     /// Sealed payload length for a `lanes`-wide batch (see
-    /// [`seal_share_lanes`]).
+    /// [`seal_share_lanes`]), saturating at `usize::MAX`.
     pub fn sealed_len_batch(lanes: usize, tag_len: usize) -> usize {
-        lanes * P::ENCODED_LEN + tag_len
+        lanes.saturating_mul(P::ENCODED_LEN).saturating_add(tag_len)
     }
 
     /// Associated data binding the ciphertext to its chain position.
@@ -157,9 +157,12 @@ pub struct SumBatch<P: PrimeField> {
 }
 
 impl<P: PrimeField> SumBatch<P> {
-    /// Encoded payload length: node(2) + round(4) + lanes·y + mask(16).
+    /// Encoded payload length: node(2) + round(4) + lanes·y + mask(16),
+    /// saturating at `usize::MAX`.
     pub fn encoded_len(lanes: usize) -> usize {
-        2 + 4 + lanes * P::ENCODED_LEN + 16
+        lanes
+            .saturating_mul(P::ENCODED_LEN)
+            .saturating_add(2 + 4 + 16)
     }
 
     /// Serialize to the wire form, appending to `out` (cleared first).
@@ -408,6 +411,20 @@ mod tests {
             open_share_lanes(&ccm, 1, 3, 9, x, 1 << 62, &sealed, &mut scratch, &mut out),
             Err(SssError::BadPacket { .. })
         ));
+    }
+
+    #[test]
+    fn packet_lengths_saturate_instead_of_overflowing() {
+        type Share = SharePacket<Mersenne31>;
+        type Sums = SumBatch<Mersenne31>;
+        assert_eq!(Share::sealed_len_batch(usize::MAX, 4), usize::MAX);
+        assert_eq!(Share::sealed_len_batch(1, usize::MAX), usize::MAX);
+        assert_eq!(Share::sealed_len_batch(usize::MAX / 4, 4), usize::MAX);
+        assert_eq!(Sums::encoded_len(usize::MAX), usize::MAX);
+        assert_eq!(Sums::encoded_len(usize::MAX / 4), usize::MAX);
+        // Below saturation the lengths are exact.
+        assert_eq!(Share::sealed_len_batch(16, 4), 68);
+        assert_eq!(Sums::encoded_len(1), 26);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! 2. **Aggregator death re-elects from the retained ranking** — when an
 //!    S4 aggregator crashes, the patched plan swaps in the next-ranked
 //!    node and the round still recovers.
-//! 3. **Membership-driven drivers only move forward** — rewinding a
-//!    patched driver is [`MpcError::MembershipRegression`], not silent
-//!    corruption.
+//! 3. **Any round id, in any order** — a membership-driven driver asked
+//!    for a round id at or below one it already ran starts over from the
+//!    deployment's initial view and reports exactly what a fresh driver
+//!    reports, membership patch included.
 //! 4. **Patching is visible** — applied deltas surface as
 //!    [`RoundReport::membership_patch`] and count into
 //!    [`DriverStats::plan_patches`].
@@ -234,7 +235,7 @@ fn aggregator_death_re_elects_from_retained_ranking() {
 }
 
 #[test]
-fn membership_driven_drivers_only_advance() {
+fn rewound_drivers_report_what_fresh_drivers_do() {
     let topology = Topology::flocklab();
     let n = topology.len() as u16;
     let deployment = churn_deployment(
@@ -244,21 +245,35 @@ fn membership_driven_drivers_only_advance() {
         vec![MembershipEvent::leave(3, n - 2)],
         MembershipMode::Patch,
     );
+    let due = deployment.membership().expect("membership-driven").deltas()[0].round;
+    assert!(due > 5 && due <= 8, "the leave comes due at round {due}");
+    let fresh = |round_id| {
+        deployment
+            .driver()
+            .round_at(round_id, 0xFEED)
+            .expect("fresh round runs")
+    };
+    let left = usize::from(n - 2);
     let mut driver = deployment.driver();
-    driver.round_at(8, 0xFEED).expect("forward round runs");
-    let err = driver.round_at(5, 0xFEED).expect_err("rewind must fail");
-    match err {
-        MpcError::MembershipRegression {
-            patched_to,
-            requested,
-        } => {
-            assert_eq!(patched_to, 8);
-            assert_eq!(requested, 5);
-        }
-        other => panic!("expected MembershipRegression, got {other}"),
+    let forward = driver.round_at(8, 0xFEED).expect("forward round runs");
+    assert!(
+        forward.outcome.nodes[left].failed,
+        "the node has left by round 8"
+    );
+    // Round 5 precedes the plan's patched state: the driver starts over
+    // from the initial view, where the node is still a member, as a
+    // fresh driver does.
+    let rewound = driver.round_at(5, 0xFEED).expect("rewound round runs");
+    assert!(!rewound.outcome.nodes[left].failed);
+    assert_eq!(rewound, fresh(5));
+    // A repeat of the round the leave comes due reports the patch again.
+    let at_due = fresh(due);
+    assert!(at_due.membership_patch().is_some());
+    for _ in 0..2 {
+        assert_eq!(driver.round_at(due, 0xFEED).expect("round runs"), at_due);
     }
-    // Static drivers (no membership) can replay any round id freely.
-    let static_driver = Deployment::builder()
+    // Static drivers (no membership) replay any round id as well.
+    let static_deployment = Deployment::builder()
         .topology(topology.clone())
         .config(
             ProtocolConfig::builder(topology.len())
@@ -270,9 +285,43 @@ fn membership_driven_drivers_only_advance() {
         .seed(0xD1FF)
         .build()
         .expect("static deployment compiles");
-    let mut static_driver = static_driver.driver();
+    let mut static_driver = static_deployment.driver();
     static_driver.round_at(8, 0xFEED).expect("forward");
-    static_driver.round_at(5, 0xFEED).expect("rewind is fine");
+    assert_eq!(
+        static_driver.round_at(5, 0xFEED).expect("rewind is fine"),
+        static_deployment.driver().round_at(5, 0xFEED).unwrap()
+    );
+
+    // Under loss, rounds reconstruct from survivor masks through the
+    // driver's weight cache, which holds weights for its plan's
+    // destinations. An aggregator crash at round 20 re-elects them, so a
+    // rewind below it must reconstruct with the initial destinations'
+    // weights again: three passes over rounds 1..40 match fresh drivers.
+    let config = ppda_testkit::grid9_config().sources(3).build().unwrap();
+    let lossy_grid = || {
+        Deployment::builder()
+            .topology(ppda_testkit::grid9())
+            .config(config.clone())
+            .faults(FaultPlan::lossy(7, 0.3))
+            .seed(7)
+    };
+    let aggregator = lossy_grid().build().unwrap().plan().destinations()[0];
+    let deployment = lossy_grid()
+        .membership(vec![MembershipEvent::crash(20, aggregator)])
+        .trickle(fast_trickle())
+        .build()
+        .expect("churny grid deployment compiles");
+    let mut driver = deployment.driver();
+    for pass in 0..3u64 {
+        for round_id in 1..40u32 {
+            let seed = u64::from(round_id) + 100 * pass;
+            assert_eq!(
+                driver.round_at(round_id, seed).expect("round runs"),
+                deployment.driver().round_at(round_id, seed).unwrap(),
+                "round {round_id} of pass {pass}"
+            );
+        }
+    }
 }
 
 #[test]

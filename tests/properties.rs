@@ -4,8 +4,62 @@
 
 use proptest::prelude::*;
 
-use ppda::mpc::ProtocolKind;
+use ppda::mpc::{
+    Deployment, FaultPlan, MembershipEvent, MembershipEventKind, MembershipMode, ProtocolKind,
+};
+use ppda::sim::TrickleConfig;
 use ppda_testkit::{drive_round, grid9, grid9_config};
+
+/// The first `count` of the drawn membership events, in round order.
+/// The properties draw nodes from 3..9: nodes 0..3 (the sources) stay
+/// members throughout, so the destination set never empties, and the
+/// other nodes churn freely — including streams that drop the round
+/// below threshold.
+fn churn_events(
+    count: usize,
+    rounds: &[u32],
+    nodes: &[u16],
+    kinds: &[usize],
+) -> Vec<MembershipEvent> {
+    let mut events: Vec<MembershipEvent> = (0..count)
+        .map(|i| MembershipEvent {
+            round: rounds[i],
+            node: nodes[i],
+            kind: [
+                MembershipEventKind::Join,
+                MembershipEventKind::Leave,
+                MembershipEventKind::Crash,
+                MembershipEventKind::Rejoin,
+            ][kinds[i]],
+        })
+        .collect();
+    events.sort_by_key(|e| e.round);
+    events
+}
+
+/// A grid9 S4 deployment under `events` and `faults`, patched or
+/// recompiled.
+fn churn_deployment(
+    events: &[MembershipEvent],
+    faults: FaultPlan,
+    seed: u64,
+    mode: MembershipMode,
+) -> Deployment<'static> {
+    Deployment::builder()
+        .topology(grid9())
+        .config(grid9_config().sources(3).build().unwrap())
+        .protocol(ProtocolKind::S4)
+        .faults(faults)
+        .seed(seed)
+        .membership(events.to_vec())
+        .trickle(TrickleConfig {
+            i_min: 1,
+            crash_detection: 1,
+        })
+        .membership_mode(mode)
+        .build()
+        .expect("churny deployment compiles")
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -158,36 +212,8 @@ proptest! {
     ) {
         use ppda::prelude::*;
 
-        // Nodes 0..3 (the sources) stay members throughout, so the
-        // destination set never empties; nodes 3..9 churn freely —
-        // including streams that drop the round below threshold.
-        let mut events: Vec<MembershipEvent> = (0..count)
-            .map(|i| MembershipEvent {
-                round: rounds[i],
-                node: nodes[i],
-                kind: [
-                    MembershipEventKind::Join,
-                    MembershipEventKind::Leave,
-                    MembershipEventKind::Crash,
-                    MembershipEventKind::Rejoin,
-                ][kinds[i]],
-            })
-            .collect();
-        events.sort_by_key(|e| e.round);
-
-        let trickle = TrickleConfig { i_min: 1, crash_detection: 1 };
-        let build = |mode: MembershipMode| {
-            Deployment::builder()
-                .topology(grid9())
-                .config(grid9_config().sources(3).build().unwrap())
-                .protocol(ProtocolKind::S4)
-                .seed(seed)
-                .membership(events.clone())
-                .trickle(trickle)
-                .membership_mode(mode)
-                .build()
-                .expect("churny deployment compiles")
-        };
+        let events = churn_events(count, &rounds, &nodes, &kinds);
+        let build = |mode| churn_deployment(&events, FaultPlan::none(), seed, mode);
         let patched_deployment = build(MembershipMode::Patch);
         let oracle_deployment = build(MembershipMode::Recompile);
         let mut patched = patched_deployment.driver();
@@ -217,6 +243,37 @@ proptest! {
             }
         }
         prop_assert_eq!(patched.stats().plan_patches, oracle.stats().plan_patches);
+    }
+
+    /// One membership-driven driver run through any order of round ids,
+    /// repeats and backward jumps included, reports for each exactly what
+    /// a fresh driver reports. Links are lossy, so rounds reconstruct from
+    /// varying survivor sets through the driver's weight cache.
+    #[test]
+    fn any_order_of_round_ids_matches_fresh_drivers(
+        count in 0usize..8,
+        rounds in prop::collection::vec(1u32..12, 8),
+        nodes in prop::collection::vec(3u16..9, 8),
+        kinds in prop::collection::vec(0usize..4, 8),
+        round_ids in prop::collection::vec(0u32..16, 2..12),
+        seed in any::<u64>(),
+    ) {
+        let events = churn_events(count, &rounds, &nodes, &kinds);
+        let faults = FaultPlan::lossy(seed, 0.3);
+        let deployment = churn_deployment(&events, faults, seed, MembershipMode::Patch);
+        let mut driver = deployment.driver();
+        for &round_id in &round_ids {
+            let round_seed = seed ^ u64::from(round_id);
+            let fresh = deployment
+                .driver()
+                .round_at(round_id, round_seed)
+                .expect("fresh round runs");
+            // Each id runs twice in a row, so every id is also a repeat.
+            for _ in 0..2 {
+                let report = driver.round_at(round_id, round_seed).expect("round runs");
+                prop_assert_eq!(&report, &fresh);
+            }
+        }
     }
 
     /// Batched reconstruction over the canonical weights equals per-lane
