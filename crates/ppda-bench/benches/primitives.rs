@@ -74,7 +74,13 @@ fn bench_packed(c: &mut Criterion) {
     let x = Gf31::new(17);
     let mut out = vec![Gf31::new(0); lanes];
     group.bench_function("horner_lanes/b16-d8", |bench| {
-        bench.iter(|| packed::horner_lanes_into(black_box(&coeffs), lanes, degree, x, &mut out))
+        bench.iter(|| packed::horner_lanes_into(black_box(&coeffs), lanes, degree, &[x], &mut out))
+    });
+    // One share split's evaluation: every lane at eleven points.
+    let xs: Vec<Gf31> = (0..11).map(share_x::<Mersenne31>).collect();
+    let mut slab = vec![Gf31::new(0); xs.len() * lanes];
+    group.bench_function("horner_lanes/b16-d8-x11", |bench| {
+        bench.iter(|| packed::horner_lanes_into(black_box(&coeffs), lanes, degree, &xs, &mut slab))
     });
     group.bench_function("horner_lanes_scalar/b16-d8", |bench| {
         bench.iter(|| {

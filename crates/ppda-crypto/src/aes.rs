@@ -12,12 +12,17 @@
 //!   implementation (S-box lookups plus `xtime` doubling), kept as the
 //!   auditable test oracle both fast paths are checked against.
 //!
-//! Each fast path has two kernels: one block ([`Aes128::encrypt_block`],
-//! for CBC-MAC, CCM's S₀ tag block and key derivation) and four
-//! independent blocks (`encrypt4`, for CTR keystream runs and the DRBG),
-//! which AES-NI pipelines. Every CCM seal and open and every DRBG output
-//! block in a simulated round goes through them, so they *are* a
-//! campaign bottleneck at scale. No build flag or option picks the path.
+//! Each fast path has three kernels: one block ([`Aes128::encrypt_block`],
+//! for the DRBG's key derivation and the transcript hash), a CBC-MAC chain
+//! over a run of whole blocks (`mac_blocks`, behind [`crate::CbcMac`]) and
+//! a CTR keystream XOR over a whole message (`xor_keystream`, behind
+//! [`crate::ctr`], CCM's payload and tag and the DRBG's refills). On AES-NI
+//! the message kernels hold the 11 round keys in registers for the whole
+//! message, and CTR interleaves four counter blocks' rounds; the T-table
+//! bodies run the same loops one block at a time. Every CCM seal and open
+//! and every DRBG output block in a simulated round goes through them, so
+//! they *are* a campaign bottleneck at scale. No build flag or option picks
+//! the path.
 
 /// AES block length in bytes.
 pub const BLOCK_LEN: usize = 16;
@@ -135,7 +140,7 @@ fn t0(b: u32) -> u32 {
 #[derive(Clone)]
 pub struct Aes128 {
     round_keys: [[u8; 16]; 11],
-    /// `Some` iff the CPU executes AES-NI; both kernels then run on it.
+    /// `Some` iff the CPU executes AES-NI; every kernel then runs on it.
     ni: Option<ni::AesNi>,
 }
 
@@ -278,16 +283,40 @@ impl Aes128 {
         }
     }
 
-    /// Encrypt four independent blocks in place. AES-NI interleaves their
-    /// rounds; the T-table path encrypts them one after another.
+    /// CBC-MAC over whole blocks: `state = E(state ⊕ block)` for each
+    /// block in turn.
     #[inline]
-    pub(crate) fn encrypt4(&self, blocks: &mut [Block; 4]) {
+    pub(crate) fn mac_blocks(&self, state: &mut Block, blocks: &[Block]) {
         match self.ni {
-            Some(ni) => ni.encrypt4(&self.round_keys, blocks),
+            Some(ni) => ni.mac_blocks(&self.round_keys, state, blocks),
             None => {
-                for block in blocks.iter_mut() {
-                    *block = self.encrypt_block_table(block);
+                for block in blocks {
+                    for (s, b) in state.iter_mut().zip(block) {
+                        *s ^= b;
+                    }
+                    *state = self.encrypt_block_table(state);
                 }
+            }
+        }
+    }
+
+    /// XOR `data` with the CTR keystream that starts at the big-endian
+    /// 128-bit `counter`, which advances (wrapping at 2¹²⁸) once per block
+    /// of `data`, a partial last block included.
+    #[inline]
+    pub(crate) fn xor_keystream(&self, counter: &mut Block, data: &mut [u8]) {
+        match self.ni {
+            Some(ni) => ni.xor_keystream(&self.round_keys, counter, data),
+            None => {
+                let mut c = u128::from_be_bytes(*counter);
+                for chunk in data.chunks_mut(BLOCK_LEN) {
+                    let keystream = self.encrypt_block_table(&c.to_be_bytes());
+                    for (d, k) in chunk.iter_mut().zip(&keystream) {
+                        *d ^= k;
+                    }
+                    c = c.wrapping_add(1);
+                }
+                *counter = c.to_be_bytes();
             }
         }
     }
@@ -385,7 +414,11 @@ mod ni {
         _mm_xor_si128,
     };
 
-    use super::Block;
+    use super::{Block, BLOCK_LEN};
+
+    /// Blocks per CTR batch: four independent counter blocks keep the
+    /// AES unit busy while each one's rounds wait on the last.
+    const CTR_BATCH: usize = 4;
 
     /// Proof that the running CPU executes the AES-NI instructions: the
     /// field is private, so [`AesNi::detect`] is the only constructor.
@@ -406,11 +439,28 @@ mod ni {
             unsafe { encrypt1(round_keys, block) }
         }
 
-        /// Encrypt four independent blocks in place, their rounds interleaved.
+        /// CBC-MAC `blocks` into `state` (see `Aes128::mac_blocks`).
         #[inline]
-        pub(super) fn encrypt4(self, round_keys: &[Block; 11], blocks: &mut [Block; 4]) {
+        pub(super) fn mac_blocks(
+            self,
+            round_keys: &[Block; 11],
+            state: &mut Block,
+            blocks: &[Block],
+        ) {
             // SAFETY: as in `encrypt_block`.
-            unsafe { encrypt4(round_keys, blocks) }
+            unsafe { mac(round_keys, state, blocks) }
+        }
+
+        /// XOR the CTR keystream into `data` (see `Aes128::xor_keystream`).
+        #[inline]
+        pub(super) fn xor_keystream(
+            self,
+            round_keys: &[Block; 11],
+            counter: &mut Block,
+            data: &mut [u8],
+        ) {
+            // SAFETY: as in `encrypt_block`.
+            unsafe { ctr(round_keys, counter, data) }
         }
     }
 
@@ -422,47 +472,93 @@ mod ni {
     }
 
     #[inline(always)]
-    fn store(state: __m128i) -> Block {
-        let mut out = [0u8; 16];
-        // SAFETY: an unaligned store of exactly the 16 bytes of `out`; SSE2
-        // is part of the x86-64 baseline.
-        unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), state) };
-        out
+    fn store(state: __m128i, out: &mut Block) {
+        // SAFETY: an unaligned store of exactly the 16 bytes `out` borrows;
+        // SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), state) }
+    }
+
+    /// The round keys as registers, loaded once per message.
+    #[inline(always)]
+    fn schedule(round_keys: &[Block; 11]) -> [__m128i; 11] {
+        round_keys.each_ref().map(load)
+    }
+
+    /// One block through all ten rounds.
+    #[inline]
+    #[target_feature(enable = "aes")]
+    fn rounds(rk: &[__m128i; 11], block: __m128i) -> __m128i {
+        let mut state = _mm_xor_si128(block, rk[0]);
+        for &k in &rk[1..10] {
+            state = _mm_aesenc_si128(state, k);
+        }
+        _mm_aesenclast_si128(state, rk[10])
     }
 
     /// One block through the AES-NI rounds. Outside code compiled for
     /// AES-NI, calling it needs an `AesNi` token as proof the CPU has it.
     #[target_feature(enable = "aes")]
     fn encrypt1(round_keys: &[Block; 11], block: &Block) -> Block {
-        let mut state = _mm_xor_si128(load(block), load(&round_keys[0]));
-        for rk in &round_keys[1..10] {
-            state = _mm_aesenc_si128(state, load(rk));
-        }
-        store(_mm_aesenclast_si128(state, load(&round_keys[10])))
+        let mut out = [0u8; BLOCK_LEN];
+        store(rounds(&schedule(round_keys), load(block)), &mut out);
+        out
     }
 
-    /// Four independent blocks through the AES-NI rounds, interleaved so
-    /// the instruction latencies overlap. Same calling condition as
-    /// `encrypt1`.
+    /// The CBC-MAC chain over `blocks`, round keys in registers. Same
+    /// calling condition as `encrypt1`.
     #[target_feature(enable = "aes")]
-    fn encrypt4(round_keys: &[Block; 11], blocks: &mut [Block; 4]) {
-        let rk0 = load(&round_keys[0]);
-        let mut state = [
-            _mm_xor_si128(load(&blocks[0]), rk0),
-            _mm_xor_si128(load(&blocks[1]), rk0),
-            _mm_xor_si128(load(&blocks[2]), rk0),
-            _mm_xor_si128(load(&blocks[3]), rk0),
-        ];
-        for rk in &round_keys[1..10] {
-            let rk = load(rk);
-            for s in state.iter_mut() {
-                *s = _mm_aesenc_si128(*s, rk);
+    fn mac(round_keys: &[Block; 11], state: &mut Block, blocks: &[Block]) {
+        let rk = schedule(round_keys);
+        let mut s = load(state);
+        for block in blocks {
+            s = rounds(&rk, _mm_xor_si128(s, load(block)));
+        }
+        store(s, state);
+    }
+
+    /// The keystream of the `CTR_BATCH` counter blocks from `counter`,
+    /// their rounds interleaved.
+    #[inline]
+    #[target_feature(enable = "aes")]
+    fn keystream(rk: &[__m128i; 11], counter: u128) -> [__m128i; CTR_BATCH] {
+        let mut s: [__m128i; CTR_BATCH] = core::array::from_fn(|i| {
+            let block = counter.wrapping_add(i as u128).to_be_bytes();
+            _mm_xor_si128(load(&block), rk[0])
+        });
+        for &k in &rk[1..10] {
+            for s in &mut s {
+                *s = _mm_aesenc_si128(*s, k);
             }
         }
-        let rk10 = load(&round_keys[10]);
-        for (block, s) in blocks.iter_mut().zip(state) {
-            *block = store(_mm_aesenclast_si128(s, rk10));
+        s.map(|s| _mm_aesenclast_si128(s, rk[10]))
+    }
+
+    /// CTR over `data`: whole batches XOR in place, and the blocks of a
+    /// shorter tail (a partial last one included) one by one, which the
+    /// CPU overlaps as they are independent. The counter is a big-endian
+    /// `u128`, so it carries exactly as `ctr::increment_block` does. Same
+    /// calling condition as `encrypt1`.
+    #[target_feature(enable = "aes")]
+    fn ctr(round_keys: &[Block; 11], counter: &mut Block, data: &mut [u8]) {
+        let rk = schedule(round_keys);
+        let mut c = u128::from_be_bytes(*counter);
+        let (batches, tail) = data.as_chunks_mut::<{ CTR_BATCH * BLOCK_LEN }>();
+        for batch in batches {
+            let (blocks, _) = batch.as_chunks_mut::<BLOCK_LEN>();
+            for (block, ks) in blocks.iter_mut().zip(keystream(&rk, c)) {
+                store(_mm_xor_si128(load(block), ks), block);
+            }
+            c = c.wrapping_add(CTR_BATCH as u128);
         }
+        for chunk in tail.chunks_mut(BLOCK_LEN) {
+            let mut ks = [0u8; BLOCK_LEN];
+            store(rounds(&rk, load(&c.to_be_bytes())), &mut ks);
+            for (d, k) in chunk.iter_mut().zip(&ks) {
+                *d ^= k;
+            }
+            c = c.wrapping_add(1);
+        }
+        *counter = c.to_be_bytes();
     }
 }
 
@@ -484,7 +580,11 @@ mod ni {
             match self {}
         }
 
-        pub(super) fn encrypt4(self, _: &[Block; 11], _: &mut [Block; 4]) {
+        pub(super) fn mac_blocks(self, _: &[Block; 11], _: &mut Block, _: &[Block]) {
+            match self {}
+        }
+
+        pub(super) fn xor_keystream(self, _: &[Block; 11], _: &mut Block, _: &mut [u8]) {
             match self {}
         }
     }
@@ -506,27 +606,37 @@ mod tests {
     }
 
     /// Encrypt four blocks on every path this build can run: the byte
-    /// oracle, the T-table path (one block and four), and AES-NI's one- and
-    /// four-block kernels when the CPU has them. Returns each path's name
-    /// and output.
-    fn every_path(key: &Key, blocks: &[Block; 4]) -> Vec<(&'static str, [Block; 4])> {
+    /// oracle, then each backend's three kernels (one block, a one-block
+    /// CBC-MAC from the zero state, and one block of CTR keystream from
+    /// the block as counter), on the T-table path and on AES-NI when the
+    /// CPU has it. Returns each path's name and output.
+    fn every_path(key: &Key, blocks: &[Block; 4]) -> Vec<(String, [Block; 4])> {
         let native = Aes128::new(key);
-        let table = native.clone().table_only();
-        let mut table4 = *blocks;
-        table.encrypt4(&mut table4);
-        let mut paths = vec![
-            (
-                "reference",
-                blocks.map(|b| native.encrypt_block_reference(&b)),
-            ),
-            ("T-table", blocks.map(|b| table.encrypt_block(&b))),
-            ("T-table x4", table4),
-        ];
+        let mut backends = vec![("T-table", native.clone().table_only())];
         if native.uses_ni() {
-            let mut ni4 = *blocks;
-            native.encrypt4(&mut ni4);
-            paths.push(("AES-NI", blocks.map(|b| native.encrypt_block(&b))));
-            paths.push(("AES-NI x4", ni4));
+            backends.push(("AES-NI", native.clone()));
+        }
+        let mut paths = vec![(
+            "reference".to_string(),
+            blocks.map(|b| native.encrypt_block_reference(&b)),
+        )];
+        for (name, aes) in backends {
+            let mac = blocks.map(|b| {
+                let mut state = [0u8; BLOCK_LEN];
+                aes.mac_blocks(&mut state, &[b]);
+                state
+            });
+            let ctr = blocks.map(|b| {
+                let (mut counter, mut keystream) = (b, [0u8; BLOCK_LEN]);
+                aes.xor_keystream(&mut counter, &mut keystream);
+                keystream
+            });
+            paths.push((
+                format!("{name} block"),
+                blocks.map(|b| aes.encrypt_block(&b)),
+            ));
+            paths.push((format!("{name} CBC-MAC"), mac));
+            paths.push((format!("{name} CTR"), ctr));
         }
         paths
     }
@@ -559,8 +669,7 @@ mod tests {
 
     #[test]
     fn sp800_38a_ecb_vectors() {
-        // NIST SP 800-38A F.1.1 (AES-128 ECB): its four blocks are one
-        // 4-block kernel call, checked on every path.
+        // NIST SP 800-38A F.1.1 (AES-128 ECB), checked on every path.
         let key = block("2b7e151628aed2a6abf7158809cf4f3c");
         let pts = [
             "6bc1bee22e409f96e93d7e117393172a",
@@ -580,6 +689,40 @@ mod tests {
         let aes = Aes128::new(&key);
         for (pt, ct) in pts.iter().zip(&cts) {
             assert_eq!(aes.decrypt_block(ct), *pt);
+        }
+    }
+
+    #[test]
+    fn sp800_38a_cbc_vectors_through_the_mac_kernel() {
+        // NIST SP 800-38A F.2.1 (CBC-AES128 encrypt): the CBC-MAC state
+        // after each block is that block's ciphertext, whether the blocks
+        // go through the kernel one call each or in one call.
+        let key = block("2b7e151628aed2a6abf7158809cf4f3c");
+        let iv = block("000102030405060708090a0b0c0d0e0f");
+        let pts = [
+            "6bc1bee22e409f96e93d7e117393172a",
+            "ae2d8a571e03ac9c9eb76fac45af8e51",
+            "30c81c46a35ce411e5fbc1191a0a52ef",
+            "f69f2445df4f9b17ad2b417be66c3710",
+        ]
+        .map(block);
+        let cts = [
+            "7649abac8119b246cee98e9b12e9197d",
+            "5086cb9b507219ee95db113a917678b2",
+            "73bed6b8e3c1743b7116e69e22229516",
+            "3ff1caa1681fac09120eca307586e1a7",
+        ]
+        .map(block);
+        let native = Aes128::new(&key);
+        for aes in [native.clone().table_only(), native] {
+            let mut state = iv;
+            for (pt, ct) in pts.iter().zip(&cts) {
+                aes.mac_blocks(&mut state, core::slice::from_ref(pt));
+                assert_eq!(&state, ct);
+            }
+            let mut state = iv;
+            aes.mac_blocks(&mut state, &pts);
+            assert_eq!(state, cts[3]);
         }
     }
 

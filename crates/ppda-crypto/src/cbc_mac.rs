@@ -25,9 +25,15 @@ use crate::aes::{Aes128, Block, BLOCK_LEN};
 pub struct CbcMac<'a> {
     aes: &'a Aes128,
     state: Block,
-    buffer: Block,
+    /// Absorbed bytes the kernel has not run over yet: whole blocks, then
+    /// at most one partial block. Short absorbs (CCM's B₀, its AAD and a
+    /// one-lane payload) collect here and go through one kernel call.
+    buffer: [Block; BUFFER_BLOCKS],
     buffered: usize,
 }
+
+/// Blocks [`CbcMac`] collects before it runs the kernel.
+const BUFFER_BLOCKS: usize = 4;
 
 impl<'a> CbcMac<'a> {
     /// Start a new MAC with a zero IV (as CCM requires).
@@ -35,47 +41,55 @@ impl<'a> CbcMac<'a> {
         CbcMac {
             aes,
             state: [0u8; BLOCK_LEN],
-            buffer: [0u8; BLOCK_LEN],
+            buffer: [[0u8; BLOCK_LEN]; BUFFER_BLOCKS],
             buffered: 0,
         }
     }
 
-    /// Absorb bytes. Data may arrive in arbitrary-sized chunks.
+    /// Absorb bytes. Data may arrive in arbitrary-sized chunks: short ones
+    /// collect in the buffer, and a long one runs through the cipher's
+    /// CBC-MAC kernel straight from `data`, all its whole blocks in one
+    /// call.
     pub fn update(&mut self, mut data: &[u8]) {
-        while !data.is_empty() {
-            let space = BLOCK_LEN - self.buffered;
-            let take = space.min(data.len());
-            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
-            self.buffered += take;
-            data = &data[take..];
-            if self.buffered == BLOCK_LEN {
-                self.process_buffer();
-            }
+        let buffer = self.buffer.as_flattened_mut();
+        if data.len() <= buffer.len() - self.buffered {
+            buffer[self.buffered..self.buffered + data.len()].copy_from_slice(data);
+            self.buffered += data.len();
+            return;
         }
+        // Complete the partial block, run the buffer, then `data`'s whole
+        // blocks; keep its partial tail.
+        let fill = self.buffered.next_multiple_of(BLOCK_LEN) - self.buffered;
+        buffer[self.buffered..self.buffered + fill].copy_from_slice(&data[..fill]);
+        self.buffered += fill;
+        data = &data[fill..];
+        self.flush();
+        let (blocks, rest) = data.as_chunks::<BLOCK_LEN>();
+        self.aes.mac_blocks(&mut self.state, blocks);
+        self.buffer.as_flattened_mut()[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Pad the final partial block with zeros (CCM convention) and absorb it.
     pub fn pad_zero(&mut self) {
-        if self.buffered > 0 {
-            for b in &mut self.buffer[self.buffered..] {
-                *b = 0;
-            }
-            self.buffered = BLOCK_LEN;
-            self.process_buffer();
-        }
+        let end = self.buffered.next_multiple_of(BLOCK_LEN);
+        self.buffer.as_flattened_mut()[self.buffered..end].fill(0);
+        self.buffered = end;
     }
 
-    fn process_buffer(&mut self) {
-        for (s, b) in self.state.iter_mut().zip(self.buffer.iter()) {
-            *s ^= b;
+    /// Run the kernel over the buffered whole blocks.
+    fn flush(&mut self) {
+        let blocks = self.buffered / BLOCK_LEN;
+        if blocks > 0 {
+            self.aes.mac_blocks(&mut self.state, &self.buffer[..blocks]);
         }
-        self.state = self.aes.encrypt_block(&self.state);
         self.buffered = 0;
     }
 
     /// Zero-pad any remaining partial block and return the 16-byte tag.
     pub fn finalize(mut self) -> Block {
         self.pad_zero();
+        self.flush();
         self.state
     }
 }

@@ -156,21 +156,34 @@ impl Ccm {
         out: &mut Vec<u8>,
     ) -> Result<(), CryptoError> {
         out.clear();
-        if payload.len() > u16::MAX as usize {
-            return Err(CryptoError::PayloadTooLong { got: payload.len() });
-        }
-        let tag = self.raw_tag(nonce, aad, payload);
-
         out.reserve(payload.len() + self.tag_len);
         out.extend_from_slice(payload);
-        let mut a1 = Self::counter_block(nonce, 1);
-        ctr::xor_keystream_bulk(&self.aes, &mut a1, out);
+        self.seal_in_place(nonce, aad, out)
+    }
 
-        // Tag is encrypted with S₀ (counter 0).
-        let mut enc_tag = tag;
-        let mut a0 = Self::counter_block(nonce, 0);
-        ctr::xor_keystream(&self.aes, &mut a0, &mut enc_tag);
-        out.extend_from_slice(&enc_tag[..self.tag_len]);
+    /// [`Ccm::seal`] with the plaintext read from `buf`, which receives
+    /// `ciphertext ‖ tag` in its place. Callers that encode a payload can
+    /// encode it straight into the buffer the sealed packet goes out in.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Ccm::seal`]; `buf` is left empty on error.
+    pub fn seal_in_place(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        buf: &mut Vec<u8>,
+    ) -> Result<(), CryptoError> {
+        if buf.len() > u16::MAX as usize {
+            let got = buf.len();
+            buf.clear();
+            return Err(CryptoError::PayloadTooLong { got });
+        }
+        let mut tag = self.raw_tag(nonce, aad, buf);
+        ctr::xor_keystream(&self.aes, &mut Self::counter_block(nonce, 1), buf);
+        // The tag is encrypted with S₀ (counter 0).
+        ctr::xor_keystream(&self.aes, &mut Self::counter_block(nonce, 0), &mut tag);
+        buf.extend_from_slice(&tag[..self.tag_len]);
         Ok(())
     }
 
@@ -216,13 +229,9 @@ impl Ccm {
         let (ct, recv_tag) = sealed.split_at(sealed.len() - self.tag_len);
 
         payload.extend_from_slice(ct);
-        let mut a1 = Self::counter_block(nonce, 1);
-        ctr::xor_keystream_bulk(&self.aes, &mut a1, payload);
-
-        let tag = self.raw_tag(nonce, aad, payload);
-        let mut enc_tag = tag;
-        let mut a0 = Self::counter_block(nonce, 0);
-        ctr::xor_keystream(&self.aes, &mut a0, &mut enc_tag);
+        ctr::xor_keystream(&self.aes, &mut Self::counter_block(nonce, 1), payload);
+        let mut enc_tag = self.raw_tag(nonce, aad, payload);
+        ctr::xor_keystream(&self.aes, &mut Self::counter_block(nonce, 0), &mut enc_tag);
 
         // Constant-time-ish comparison (length is public).
         let mut diff = 0u8;

@@ -4,7 +4,7 @@
 //! [`crate::Ccm`]. The counter block layout is caller-defined; helpers below
 //! implement the big-endian 128-bit increment used by both.
 
-use crate::aes::{Aes128, Block, BLOCK_LEN};
+use crate::aes::{Aes128, Block};
 
 /// Increment a 128-bit big-endian counter block in place (wraps at 2¹²⁸).
 pub fn increment_block(block: &mut Block) {
@@ -23,6 +23,12 @@ pub fn increment_block(block: &mut Block) {
 /// block is advanced once per consumed keystream block, so consecutive calls
 /// continue the stream seamlessly.
 ///
+/// The whole message runs through the cipher's CTR kernel: on AES-NI it
+/// keeps the round keys in registers and interleaves four counter blocks'
+/// rounds, and the counter is a big-endian `u128` that carries exactly as
+/// [`increment_block`] does. The T-table path encrypts one counter block
+/// at a time.
+///
 /// # Example
 ///
 /// ```
@@ -36,78 +42,13 @@ pub fn increment_block(block: &mut Block) {
 /// assert_eq!(&msg, b"attack at dawn!!");
 /// ```
 pub fn xor_keystream(aes: &Aes128, counter_block: &mut Block, data: &mut [u8]) {
-    for chunk in data.chunks_mut(BLOCK_LEN) {
-        let keystream = aes.encrypt_block(counter_block);
-        for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
-            *d ^= k;
-        }
-        increment_block(counter_block);
-    }
+    aes.xor_keystream(counter_block, data);
 }
 
-/// Number of counter blocks in one keystream run.
-pub(crate) const RUN_BLOCKS: usize = 4;
-
-/// The keystream of the [`RUN_BLOCKS`] counter blocks starting at
-/// `counter_block`, which advances past them. The four encryptions are
-/// independent, so they go through the cipher's 4-block kernel.
-#[inline]
-pub(crate) fn keystream_run(aes: &Aes128, counter_block: &mut Block) -> [Block; RUN_BLOCKS] {
-    let mut run = [[0u8; BLOCK_LEN]; RUN_BLOCKS];
-    for block in run.iter_mut() {
-        *block = *counter_block;
-        increment_block(counter_block);
-    }
-    aes.encrypt4(&mut run);
-    run
-}
-
-/// XOR one whole block of keystream into `chunk` using 64-bit lanes.
-#[inline(always)]
-fn xor_block(chunk: &mut [u8], keystream: &Block) {
-    let lo = u64::from_le_bytes(chunk[0..8].try_into().expect("8 bytes"))
-        ^ u64::from_le_bytes(keystream[0..8].try_into().expect("8 bytes"));
-    let hi = u64::from_le_bytes(chunk[8..16].try_into().expect("8 bytes"))
-        ^ u64::from_le_bytes(keystream[8..16].try_into().expect("8 bytes"));
-    chunk[0..8].copy_from_slice(&lo.to_le_bytes());
-    chunk[8..16].copy_from_slice(&hi.to_le_bytes());
-}
-
-/// XOR `data` with the AES-CTR keystream that starts at `counter_block`,
-/// producing keystream in multi-block runs.
-///
-/// Byte-for-byte identical to [`xor_keystream`] (same counter layout, same
-/// per-block advance), but every whole 64-byte stretch of `data` takes its
-/// keystream from one run of four counter blocks. Their encryptions are
-/// data-independent, so they go through the cipher's 4-block kernel: on
-/// AES-NI the four blocks' rounds interleave, on the T-table path they
-/// run one after another. The remaining whole blocks and the partial tail
-/// are encrypted one block at a time, and the XOR runs on 64-bit lanes
-/// instead of bytes. Use this on bulk paths (batched CCM payloads); the
-/// equivalence is enforced by the property suites.
+/// [`xor_keystream`]: both names run the same CTR kernel, with the same
+/// bytes and the same counter advance.
 pub fn xor_keystream_bulk(aes: &Aes128, counter_block: &mut Block, data: &mut [u8]) {
-    let mut wide = data.chunks_exact_mut(RUN_BLOCKS * BLOCK_LEN);
-    for run in &mut wide {
-        let keystream = keystream_run(aes, counter_block);
-        for (chunk, ks) in run.chunks_exact_mut(BLOCK_LEN).zip(&keystream) {
-            xor_block(chunk, ks);
-        }
-    }
-    let tail = wide.into_remainder();
-    let mut blocks = tail.chunks_exact_mut(BLOCK_LEN);
-    for chunk in &mut blocks {
-        let keystream = aes.encrypt_block(counter_block);
-        xor_block(chunk, &keystream);
-        increment_block(counter_block);
-    }
-    let rest = blocks.into_remainder();
-    if !rest.is_empty() {
-        let keystream = aes.encrypt_block(counter_block);
-        for (d, k) in rest.iter_mut().zip(keystream.iter()) {
-            *d ^= k;
-        }
-        increment_block(counter_block);
-    }
+    aes.xor_keystream(counter_block, data);
 }
 
 #[cfg(test)]
@@ -123,25 +64,28 @@ mod tests {
 
     #[test]
     fn sp800_38a_f5_ctr_vectors() {
-        // NIST SP 800-38A F.5.1 CTR-AES128.Encrypt, all four segments.
-        let aes = Aes128::new(&hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap());
-        let mut counter: Block = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().unwrap();
-        let mut data = hex(concat!(
-            "6bc1bee22e409f96e93d7e117393172a",
-            "ae2d8a571e03ac9c9eb76fac45af8e51",
-            "30c81c46a35ce411e5fbc1191a0a52ef",
-            "f69f2445df4f9b17ad2b417be66c3710",
-        ));
-        xor_keystream(&aes, &mut counter, &mut data);
-        assert_eq!(
-            data,
-            hex(concat!(
-                "874d6191b620e3261bef6864990db6ce",
-                "9806f66b7970fdff8617187bb9fffdff",
-                "5ae4df3edbd5d35e5b4f09020db03eab",
-                "1e031dda2fbe03d1792170a0f3009cee",
-            ))
-        );
+        // NIST SP 800-38A F.5.1 CTR-AES128.Encrypt, all four segments, on
+        // both backends.
+        let native = Aes128::new(&hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap());
+        for aes in [native.clone().table_only(), native] {
+            let mut counter: Block = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().unwrap();
+            let mut data = hex(concat!(
+                "6bc1bee22e409f96e93d7e117393172a",
+                "ae2d8a571e03ac9c9eb76fac45af8e51",
+                "30c81c46a35ce411e5fbc1191a0a52ef",
+                "f69f2445df4f9b17ad2b417be66c3710",
+            ));
+            xor_keystream(&aes, &mut counter, &mut data);
+            assert_eq!(
+                data,
+                hex(concat!(
+                    "874d6191b620e3261bef6864990db6ce",
+                    "9806f66b7970fdff8617187bb9fffdff",
+                    "5ae4df3edbd5d35e5b4f09020db03eab",
+                    "1e031dda2fbe03d1792170a0f3009cee",
+                ))
+            );
+        }
     }
 
     #[test]
@@ -180,41 +124,61 @@ mod tests {
         assert_eq!(counter, before);
     }
 
+    /// The keystream oracle: the byte-oriented reference cipher on each
+    /// counter block, advanced by [`increment_block`].
+    fn reference_xor(aes: &Aes128, counter: &mut Block, data: &mut [u8]) {
+        for chunk in data.chunks_mut(16) {
+            let keystream = aes.encrypt_block_reference(counter);
+            for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
+                *d ^= k;
+            }
+            increment_block(counter);
+        }
+    }
+
     #[test]
     fn bulk_matches_blockwise_for_all_lengths() {
-        // Cover empty, sub-block, exact-block, wide-run and ragged sizes
-        // around the 4-block bulk boundary.
-        let aes = Aes128::new(&[0x61u8; 16]);
-        for len in 0..=200usize {
-            let msg: Vec<u8> = (0..len as u32).map(|i| (i * 7) as u8).collect();
+        // Cover empty, sub-block, exact-block, wide-batch and ragged sizes
+        // around the kernel's 4-block batches, on both backends.
+        let native = Aes128::new(&[0x61u8; 16]);
+        for aes in [native.clone().table_only(), native] {
+            for len in 0..=200usize {
+                let msg: Vec<u8> = (0..len as u32).map(|i| (i * 7) as u8).collect();
 
-            let mut blockwise = msg.clone();
-            let mut c1 = [0xF0u8; 16];
-            xor_keystream(&aes, &mut c1, &mut blockwise);
+                let mut blockwise = msg.clone();
+                let mut c1 = [0xF0u8; 16];
+                reference_xor(&aes, &mut c1, &mut blockwise);
 
-            let mut bulk = msg;
-            let mut c2 = [0xF0u8; 16];
-            xor_keystream_bulk(&aes, &mut c2, &mut bulk);
+                let mut bulk = msg;
+                let mut c2 = [0xF0u8; 16];
+                xor_keystream_bulk(&aes, &mut c2, &mut bulk);
 
-            assert_eq!(blockwise, bulk, "payload length {len}");
-            assert_eq!(c1, c2, "counter advance at length {len}");
+                assert_eq!(blockwise, bulk, "payload length {len}");
+                assert_eq!(c1, c2, "counter advance at length {len}");
+            }
         }
     }
 
     #[test]
     fn bulk_carries_counter_across_wide_runs() {
-        // A counter about to wrap its low byte mid-run must still match.
-        let aes = Aes128::new(&[9u8; 16]);
-        let mut near_wrap = [0u8; 16];
-        near_wrap[15] = 0xFE;
-        let mut data_a = vec![0x11u8; 7 * 16];
-        let mut data_b = data_a.clone();
-        let mut c1 = near_wrap;
-        let mut c2 = near_wrap;
-        xor_keystream(&aes, &mut c1, &mut data_a);
-        xor_keystream_bulk(&aes, &mut c2, &mut data_b);
-        assert_eq!(data_a, data_b);
-        assert_eq!(c1, c2);
+        // Counters about to carry out of their low byte, out of the low
+        // two bytes (past byte 14) and out of all 128 bits, mid-batch.
+        let native = Aes128::new(&[9u8; 16]);
+        for aes in [native.clone().table_only(), native] {
+            for low_ff in [1usize, 2, 5, 16] {
+                let mut start = [0x3Cu8; 16];
+                start[16 - low_ff..].fill(0xFF);
+                start[15] = 0xFE;
+                let mut data_a = vec![0x11u8; 7 * 16 + 3];
+                let mut data_b = data_a.clone();
+                let mut c1 = start;
+                let mut c2 = start;
+                reference_xor(&aes, &mut c1, &mut data_a);
+                xor_keystream(&aes, &mut c2, &mut data_b);
+                assert_eq!(data_a, data_b, "{low_ff} low 0xFF bytes");
+                assert_eq!(c1, c2, "{low_ff} low 0xFF bytes");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! personalization/derivation-function and reseed machinery): the
 //! generator holds an AES-128 key and a 128-bit big-endian counter, and
 //! output block `i` (from 1) is `AES_K(i)`. Blocks are produced four at a
-//! time, one keystream run through the cipher's 4-block kernel, and
+//! time, one run of the cipher's CTR kernel over a zeroed buffer, and
 //! handed out in order.
 //!
 //! Each node in the simulated deployment instantiates its DRBG from the
@@ -14,8 +14,9 @@
 use rand::{Error, RngCore, SeedableRng};
 
 use crate::aes::{Aes128, Block, Key, BLOCK_LEN};
-use crate::ctr::{self, RUN_BLOCKS};
 
+/// Counter blocks per refill.
+const RUN_BLOCKS: usize = 4;
 /// Bytes in one keystream run.
 const RUN_LEN: usize = RUN_BLOCKS * BLOCK_LEN;
 
@@ -126,7 +127,9 @@ impl RngCore for CtrDrbg {
             if dest.is_empty() {
                 return;
             }
-            self.run = ctr::keystream_run(&self.aes, &mut self.counter);
+            self.run = [[0u8; BLOCK_LEN]; RUN_BLOCKS];
+            self.aes
+                .xor_keystream(&mut self.counter, self.run.as_flattened_mut());
             self.used = 0;
         }
     }

@@ -13,9 +13,11 @@
 //!   option is involved. A byte-oriented transcription of the standard,
 //!   [`Aes128::encrypt_block_reference`], is the oracle the tests check
 //!   both against.
-//! * [`ctr`] — CTR keystream mode (NIST SP 800-38A); the bulk variant and
-//!   the DRBG encrypt four counter blocks per cipher call.
-//! * [`CbcMac`] — CBC-MAC over whole blocks, the authentication core of CCM.
+//! * [`ctr`] — CTR keystream mode (NIST SP 800-38A), one kernel call per
+//!   message: on AES-NI the round keys stay in registers and four counter
+//!   blocks' rounds interleave.
+//! * [`CbcMac`] — CBC-MAC over whole blocks, the authentication core of CCM;
+//!   every run of whole blocks is one kernel call.
 //! * [`Ccm`] — CCM authenticated encryption as used by IEEE 802.15.4
 //!   security (L = 2, 13-byte nonce, 4/8/16-byte tag), verified against
 //!   RFC 3610 vectors.
@@ -41,9 +43,10 @@
 //! ```
 
 // The only `unsafe` is the AES-NI kernel module in `aes.rs`, which allows
-// it for itself.
+// it for itself; every block there states why it is sound.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod aes;
 mod cbc_mac;
@@ -65,7 +68,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::RngCore;
 
-    use crate::{ctr, Aes128, Block, Ccm, CtrDrbg};
+    use crate::{ctr, Aes128, Block, CbcMac, Ccm, CtrDrbg};
 
     /// One DRBG read picked by `pick`: a word of either width, or a byte
     /// request of up to 99 bytes.
@@ -81,66 +84,85 @@ mod tests {
         }
     }
 
+    /// `ccm` (AES-NI when the CPU has it) and the T-table path agree on
+    /// seal and open, and each opens the other's packet.
+    fn ccm_paths_agree(
+        ccm: &Ccm,
+        nonce: &[u8; 13],
+        aad: &[u8],
+        payload: &[u8],
+    ) -> Result<(), TestCaseError> {
+        let table = ccm.clone().table_only();
+        let sealed = ccm.seal(nonce, aad, payload).unwrap();
+        prop_assert_eq!(&sealed, &table.seal(nonce, aad, payload).unwrap());
+        prop_assert_eq!(table.open(nonce, aad, &sealed).unwrap(), payload);
+        prop_assert_eq!(ccm.open(nonce, aad, &sealed).unwrap(), payload);
+        Ok(())
+    }
+
     proptest! {
         /// Every backend this build can run agrees, block by block and
         /// through every mode above the cipher: the T-table path with the
         /// byte-oriented reference, and AES-NI (skipped when the CPU lacks
-        /// it) with both.
+        /// it) with both — the one-block kernel, the CBC-MAC and CTR
+        /// message kernels, CCM at every tag length, and the DRBG.
         #[test]
         fn backends_agree_through_every_mode(
             key in any::<[u8; 16]>(),
             blocks in prop::collection::vec(any::<[u8; 16]>(), 4),
             counter in any::<[u8; 16]>(),
-            data in prop::collection::vec(any::<u8>(), 200),
+            low_ff in 2usize..=16,
+            data in prop::collection::vec(any::<u8>(), 300),
+            chunk in 1usize..40,
             nonce in any::<[u8; 13]>(),
-            aad in prop::collection::vec(any::<u8>(), 0..40),
-            payload_len in 0usize..=200,
+            aad in prop::collection::vec(any::<u8>(), 0..41),
+            payload_len in 0usize..=300,
+            tag_len in (2usize..=8).prop_map(|half| 2 * half),
             reads in prop::collection::vec(0usize..300, 1..12),
         ) {
             let blocks: [Block; 4] = blocks.try_into().unwrap();
             let table = Aes128::new(&key).table_only();
             let reference = blocks.map(|b| table.encrypt_block_reference(&b));
             prop_assert_eq!(blocks.map(|b| table.encrypt_block(&b)), reference);
-            let mut four = blocks;
-            table.encrypt4(&mut four);
-            prop_assert_eq!(four, reference);
 
             let native = Aes128::new(&key);
             if !native.uses_ni() {
                 return Ok(());
             }
             prop_assert_eq!(blocks.map(|b| native.encrypt_block(&b)), reference);
-            let mut four = blocks;
-            native.encrypt4(&mut four);
-            prop_assert_eq!(four, reference);
 
-            // Bulk CTR over every length 0..=200, from the random counter
-            // and from one that wraps all 128 bits two blocks in.
-            let mut near_wrap = [0xFF; 16];
-            near_wrap[15] = 0xFE;
-            for start in [counter, near_wrap] {
+            // CTR over every length 0..=300, from the random counter and
+            // from one whose low `low_ff` bytes are 0xFF, so the run
+            // carries past byte 14 (all 128 bits at 16).
+            let mut carrying = counter;
+            carrying[16 - low_ff..].fill(0xFF);
+            for start in [counter, carrying] {
                 for len in 0..=data.len() {
                     let (mut c_ni, mut c_table) = (start, start);
                     let mut d_ni = data[..len].to_vec();
                     let mut d_table = d_ni.clone();
-                    ctr::xor_keystream_bulk(&native, &mut c_ni, &mut d_ni);
-                    ctr::xor_keystream_bulk(&table, &mut c_table, &mut d_table);
+                    ctr::xor_keystream(&native, &mut c_ni, &mut d_ni);
+                    ctr::xor_keystream(&table, &mut c_table, &mut d_table);
                     prop_assert_eq!(d_ni, d_table);
                     prop_assert_eq!(c_ni, c_table);
                 }
             }
 
-            // CCM seal and open at every tag length the protocols use (the
-            // RFC 3610 vectors run on both paths in `ccm`'s tests).
+            // CBC-MAC tags over the payload fed in `chunk`-byte pieces,
+            // so whole and partial blocks meet the kernel at every offset.
             let payload = &data[..payload_len];
-            for tag_len in [4, 8, 16] {
-                let ccm_ni = Ccm::new(key, tag_len).unwrap();
-                let ccm_table = ccm_ni.clone().table_only();
-                let sealed = ccm_ni.seal(&nonce, &aad, payload).unwrap();
-                prop_assert_eq!(&sealed, &ccm_table.seal(&nonce, &aad, payload).unwrap());
-                prop_assert_eq!(ccm_table.open(&nonce, &aad, &sealed).unwrap(), payload);
-                prop_assert_eq!(ccm_ni.open(&nonce, &aad, &sealed).unwrap(), payload);
-            }
+            let tags = [&native, &table].map(|aes| {
+                let mut mac = CbcMac::new(aes);
+                for piece in payload.chunks(chunk) {
+                    mac.update(piece);
+                }
+                mac.finalize()
+            });
+            prop_assert_eq!(tags[0], tags[1]);
+
+            // CCM seal and open at the drawn tag length (the RFC 3610
+            // vectors run on both paths in `ccm`'s tests).
+            ccm_paths_agree(&Ccm::new(key, tag_len).unwrap(), &nonce, &aad, payload)?;
 
             // DRBG streams under the same mixed read sequence.
             let mut rng_ni = CtrDrbg::with_master_cipher(&native, &aad);
@@ -148,6 +170,18 @@ mod tests {
             for &pick in &reads {
                 prop_assert_eq!(read(&mut rng_ni, pick), read(&mut rng_table, pick));
             }
+        }
+    }
+
+    /// An AAD of 0xFF00 bytes takes CCM's six-byte length encoding; both
+    /// backends seal and open it alike, at every tag length.
+    #[test]
+    fn long_aad_agrees_on_both_paths() {
+        let aad: Vec<u8> = (0..0xFF00u32).map(|i| (i * 31) as u8).collect();
+        let payload: Vec<u8> = (0..77u8).collect();
+        for tag_len in (4..=16).step_by(2) {
+            let ccm = Ccm::new([0xA5; 16], tag_len).unwrap();
+            ccm_paths_agree(&ccm, &[7; 13], &aad, &payload).unwrap();
         }
     }
 }

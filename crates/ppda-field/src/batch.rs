@@ -102,13 +102,8 @@ impl<P: PrimeField> PolyBatch<P> {
         &self.coeffs[..self.lanes]
     }
 
-    /// Evaluate every lane at `x` by Horner's rule through
-    /// [`packed::horner_lanes_into`](crate::packed::horner_lanes_into), on
-    /// the lanes this CPU runs (AVX2 for Mersenne-31 when the CPU has it,
-    /// detected at run time; else portable): whole four-lane chunks keep
-    /// their accumulators in registers across all degrees, and the
-    /// `lanes % 4` tail runs the scalar path — both produce the exact
-    /// element the scalar oracle does.
+    /// Evaluate every lane at `x`: the one-point call of
+    /// [`PolyBatch::eval_many_into`]'s kernel.
     ///
     /// A zero-lane batch is a no-op; a degree-0 batch copies the constants.
     ///
@@ -116,23 +111,25 @@ impl<P: PrimeField> PolyBatch<P> {
     ///
     /// Panics if `out.len()` differs from the lane count.
     pub fn eval_at_into(&self, x: Gf<P>, out: &mut [Gf<P>]) {
-        crate::packed::horner_lanes_into(&self.coeffs, self.lanes, self.degree, x, out);
+        crate::packed::horner_lanes_into(&self.coeffs, self.lanes, self.degree, &[x], out);
     }
 
     /// Evaluate every lane at every point of `xs` into an x-major slab:
     /// `out[i * lanes + lane]` is lane `lane` evaluated at `xs[i]`.
     ///
+    /// One call of the all-points Horner kernel
+    /// ([`packed::horner_lanes_into`](crate::packed::horner_lanes_into)), on
+    /// the lanes this CPU runs (AVX2 for Mersenne-31 when the CPU has it,
+    /// detected at run time; else portable): four points' chains per
+    /// four-lane chunk, or, below four lanes, the points in the vector
+    /// lanes. Every value is the exact element the scalar oracle produces.
+    ///
     /// `out` is cleared and resized to `xs.len() * lanes` — so it ends
     /// empty (not a panic) when `xs` is empty or the batch has zero lanes.
     pub fn eval_many_into(&self, xs: &[Gf<P>], out: &mut Vec<Gf<P>>) {
         out.clear();
-        if self.lanes == 0 || xs.is_empty() {
-            return;
-        }
         out.resize(xs.len() * self.lanes, Gf::ZERO);
-        for (&x, row) in xs.iter().zip(out.chunks_mut(self.lanes)) {
-            self.eval_at_into(x, row);
-        }
+        crate::packed::horner_lanes_into(&self.coeffs, self.lanes, self.degree, xs, out);
     }
 
     /// Evaluate every lane at every point of `xs` (allocating convenience

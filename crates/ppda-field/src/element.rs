@@ -44,14 +44,14 @@ pub trait PrimeField:
     /// compiler can keep lane loops in vector registers.
     fn mul_reduced(a: u64, b: u64) -> u64;
 
-    /// The lane kernel behind
+    /// The all-points lane kernel behind
     /// [`packed::horner_lanes_into`](crate::packed::horner_lanes_into),
     /// which checks the slice lengths and then calls it.
     fn horner_lanes(
         coeffs: &[Gf<Self>],
         lanes: usize,
         degree: usize,
-        x: Gf<Self>,
+        xs: &[Gf<Self>],
         out: &mut [Gf<Self>],
     );
 
@@ -81,10 +81,10 @@ impl PrimeField for Mersenne31 {
     const ENCODED_LEN: usize = 4;
 
     #[inline]
-    fn horner_lanes(coeffs: &[Gf31], lanes: usize, degree: usize, x: Gf31, out: &mut [Gf31]) {
+    fn horner_lanes(coeffs: &[Gf31], lanes: usize, degree: usize, xs: &[Gf31], out: &mut [Gf31]) {
         match Avx2::detect() {
-            Some(avx2) => avx2.horner_lanes(coeffs, lanes, degree, x, out),
-            None => crate::packed::horner_lanes_portable(coeffs, lanes, degree, x, out),
+            Some(avx2) => avx2.horner_lanes(coeffs, lanes, degree, xs, out),
+            None => crate::packed::horner_lanes_portable(coeffs, lanes, degree, xs, out),
         }
     }
 

@@ -34,9 +34,10 @@
 
 // Unsafe is denied crate-wide and allowed back in exactly one place: the
 // private AVX2 module of `packed`. It runs only behind a token that run-time
-// CPU detection mints, and its intrinsics carry SAFETY notes.
+// CPU detection mints, and every block there carries a SAFETY note.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod batch;
 mod element;

@@ -3,11 +3,19 @@
 //!
 //! The batched protocols lay share data out structure-of-arrays precisely so
 //! that lanes can map onto hardware vector lanes. Two loop shapes run hot:
-//! Horner evaluation over lanes ([`horner_lanes_into`], behind share
-//! splitting) and weighted row sums ([`weighted_sum_rows_into`], behind
-//! reconstruction and per-node aggregation). Both run whole chunks of four
-//! lanes in vector registers and the `lanes % 4` tail through the scalar
-//! oracle's loop. The chunks run on one of two implementations:
+//! Horner evaluation of every lane at every share point
+//! ([`horner_lanes_into`], behind share splitting) and weighted row sums
+//! ([`weighted_sum_rows_into`], behind reconstruction and per-node
+//! aggregation).
+//!
+//! Horner keeps four independent chains in flight, so the multiplier's
+//! latency overlaps instead of serializing: each whole four-lane chunk
+//! carries four points' chains, and the `lanes % 4` tail lanes (every lane
+//! when a batch has fewer than four, as the paper's one-lane packets do)
+//! put the points in the vector lanes instead, sixteen points per group.
+//! Weighted sums run whole chunks of four lanes in vector registers and
+//! the tail through the scalar oracle's loop. The vectors run on one of
+//! two implementations:
 //!
 //! * AVX2, for [`Mersenne31`](crate::Mersenne31) on a CPU that has it: four
 //!   64-bit lanes per `__m256i`. Residues stay below 2³¹, so `vpmuludq`
@@ -24,7 +32,8 @@
 //! the one this CPU runs.
 //!
 //! Every path is *bit-identical* to its scalar oracle
-//! ([`horner_lanes_scalar_into`], [`weighted_sum_rows_scalar_into`]).
+//! ([`horner_lanes_scalar_into`], one point at a time, and
+//! [`weighted_sum_rows_scalar_into`]).
 //! Field arithmetic is exact, so this is strict equality. This module's
 //! unit tests check AVX2 (when the CPU has it), the portable lanes and the
 //! oracles against each other in one build, and it is why golden wire
@@ -63,6 +72,26 @@ fn quad<T>(src: &[T], at: usize) -> &[T; 4] {
     src[at..]
         .first_chunk()
         .expect("a whole lane chunk lies inside the slab")
+}
+
+/// The four elements starting at `dst[at]`, mutably.
+#[inline]
+fn quad_mut<T>(dst: &mut [T], at: usize) -> &mut [T; 4] {
+    dst[at..]
+        .first_chunk_mut()
+        .expect("a whole lane chunk lies inside the slab")
+}
+
+/// Points per group on the tail lanes: four vectors of four.
+const POINT_GROUP: usize = 16;
+
+/// `N` points padded with zeros: the padded chains evaluate at 0 and
+/// are never stored.
+#[inline]
+fn padded<P: PrimeField, const N: usize>(points: &[Gf<P>]) -> [Gf<P>; N] {
+    let mut out = [Gf::ZERO; N];
+    out[..points.len()].copy_from_slice(points);
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -130,25 +159,53 @@ impl<P: PrimeField> PortableGf<P> {
     }
 }
 
-/// [`horner_lanes_into`] on the portable lanes, tail included (what
+/// [`horner_lanes_into`] on the portable lanes, tail lanes included (what
 /// [`PrimeField::horner_lanes`] runs on a CPU without AVX2).
 pub(crate) fn horner_lanes_portable<P: PrimeField>(
     coeffs: &[Gf<P>],
     lanes: usize,
     degree: usize,
-    x: Gf<P>,
+    xs: &[Gf<P>],
     out: &mut [Gf<P>],
 ) {
-    let xs = PortableGf::splat(x);
-    let (chunks, _) = out[..lanes].as_chunks_mut::<4>();
-    for (c, chunk) in chunks.iter_mut().enumerate() {
-        let mut acc = PortableGf::zero();
-        for d in (0..=degree).rev() {
-            acc = acc.mul_add(xs, PortableGf::load(quad(coeffs, d * lanes + 4 * c)));
+    let whole = lanes - lanes % 4;
+    // Whole chunks: four points' chains per chunk, the coefficients shared.
+    for c in (0..whole).step_by(4) {
+        for (q, points) in xs.chunks(4).enumerate() {
+            let m = padded::<P, 4>(points).map(PortableGf::splat);
+            let mut acc = [PortableGf::zero(); 4];
+            for d in (0..=degree).rev() {
+                let a = PortableGf::load(quad(coeffs, d * lanes + c));
+                for (acc, &m) in acc.iter_mut().zip(&m) {
+                    *acc = acc.mul_add(m, a);
+                }
+            }
+            for (j, acc) in acc.iter().take(points.len()).enumerate() {
+                acc.store(quad_mut(out, (4 * q + j) * lanes + c));
+            }
         }
-        acc.store(chunk);
     }
-    horner_tail_scalar(coeffs, lanes, degree, x, out, lanes - lanes % 4);
+    // Tail lanes: the points are the vector lanes.
+    for lane in whole..lanes {
+        for (g, points) in xs.chunks(POINT_GROUP).enumerate() {
+            let xs16 = padded::<P, POINT_GROUP>(points);
+            let (m, _) = xs16.as_chunks::<4>();
+            let mut acc = [PortableGf::zero(); 4];
+            for d in (0..=degree).rev() {
+                let a = PortableGf::splat(coeffs[d * lanes + lane]);
+                for (acc, m) in acc.iter_mut().zip(m) {
+                    *acc = acc.mul_add(PortableGf::load(m), a);
+                }
+            }
+            let mut ys = [Gf::ZERO; POINT_GROUP];
+            for (acc, dst) in acc.iter().zip(ys.as_chunks_mut::<4>().0) {
+                acc.store(dst);
+            }
+            for (i, &y) in ys[..points.len()].iter().enumerate() {
+                out[(POINT_GROUP * g + i) * lanes + lane] = y;
+            }
+        }
+    }
 }
 
 /// [`weighted_sum_rows_into`] on the portable lanes, tail included (what
@@ -185,7 +242,7 @@ mod avx2 {
         _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi64,
     };
 
-    use super::quad;
+    use super::{padded, quad, quad_mut, POINT_GROUP};
     use crate::element::Gf31;
 
     const P: i64 = (1 << 31) - 1;
@@ -202,20 +259,19 @@ mod avx2 {
             std::arch::is_x86_feature_detected!("avx2").then_some(Avx2(()))
         }
 
-        /// [`super::horner_lanes_into`] on AVX2 lanes, tail included.
+        /// [`super::horner_lanes_into`] on AVX2 lanes, tail lanes included.
         #[inline]
         pub(crate) fn horner_lanes(
             self,
             coeffs: &[Gf31],
             lanes: usize,
             degree: usize,
-            x: Gf31,
+            xs: &[Gf31],
             out: &mut [Gf31],
         ) {
             // SAFETY: `self` exists only if `detect` found AVX2 on this CPU,
-            // which is all `horner_chunks`' target feature requires.
-            unsafe { horner_chunks(coeffs, lanes, degree, x, out) };
-            super::horner_tail_scalar(coeffs, lanes, degree, x, out, lanes - lanes % 4);
+            // which is all `horner_points`' target feature requires.
+            unsafe { horner_points(coeffs, lanes, degree, xs, out) };
         }
 
         /// [`super::weighted_sum_rows_into`] on AVX2 lanes, tail included.
@@ -233,24 +289,59 @@ mod avx2 {
         }
     }
 
-    /// Horner over the whole four-lane chunks of `out[..lanes]`. Outside
-    /// code compiled for AVX2, calling it needs an `Avx2` token as proof
-    /// the CPU has it.
+    /// Horner at every point of `xs`, four chains at a time: four points
+    /// per whole four-lane chunk, sixteen points in the vector lanes per
+    /// tail lane (see the module docs). Outside code compiled for AVX2,
+    /// calling it needs an `Avx2` token as proof the CPU has it.
     #[target_feature(enable = "avx2")]
-    fn horner_chunks(coeffs: &[Gf31], lanes: usize, degree: usize, x: Gf31, out: &mut [Gf31]) {
-        let xs = _mm256_set1_epi64x(x.value() as i64);
-        let (chunks, _) = out[..lanes].as_chunks_mut::<4>();
-        for (c, chunk) in chunks.iter_mut().enumerate() {
-            let mut acc = _mm256_setzero_si256();
-            for d in (0..=degree).rev() {
-                acc = add(mul(acc, xs), load(quad(coeffs, d * lanes + 4 * c)));
+    fn horner_points(coeffs: &[Gf31], lanes: usize, degree: usize, xs: &[Gf31], out: &mut [Gf31]) {
+        let whole = lanes - lanes % 4;
+        for c in (0..whole).step_by(4) {
+            for (q, points) in xs.chunks(4).enumerate() {
+                let x4 = padded::<_, 4>(points);
+                let mut m = [_mm256_setzero_si256(); 4];
+                for (m, x) in m.iter_mut().zip(x4) {
+                    *m = _mm256_set1_epi64x(x.value() as i64);
+                }
+                let mut acc = [_mm256_setzero_si256(); 4];
+                for d in (0..=degree).rev() {
+                    let a = load(quad(coeffs, d * lanes + c));
+                    for (acc, &m) in acc.iter_mut().zip(&m) {
+                        *acc = mul_add(*acc, m, a);
+                    }
+                }
+                for (j, &acc) in acc.iter().take(points.len()).enumerate() {
+                    store(acc, quad_mut(out, (4 * q + j) * lanes + c));
+                }
             }
-            store(acc, chunk);
+        }
+        for lane in whole..lanes {
+            for (g, points) in xs.chunks(POINT_GROUP).enumerate() {
+                let xs16 = padded::<_, POINT_GROUP>(points);
+                let mut m = [_mm256_setzero_si256(); 4];
+                for (m, x) in m.iter_mut().zip(xs16.as_chunks::<4>().0) {
+                    *m = load(x);
+                }
+                let mut acc = [_mm256_setzero_si256(); 4];
+                for d in (0..=degree).rev() {
+                    let a = _mm256_set1_epi64x(coeffs[d * lanes + lane].value() as i64);
+                    for (acc, &m) in acc.iter_mut().zip(&m) {
+                        *acc = mul_add(*acc, m, a);
+                    }
+                }
+                let mut ys = [Gf31::ZERO; POINT_GROUP];
+                for (&acc, dst) in acc.iter().zip(ys.as_chunks_mut::<4>().0) {
+                    store(acc, dst);
+                }
+                for (i, &y) in ys[..points.len()].iter().enumerate() {
+                    out[(POINT_GROUP * g + i) * lanes + lane] = y;
+                }
+            }
         }
     }
 
     /// Weighted row sums over the whole four-lane chunks of `out[..lanes]`.
-    /// Same calling condition as `horner_chunks`.
+    /// Same calling condition as `horner_points`.
     #[target_feature(enable = "avx2")]
     fn weighted_chunks(weights: &[Gf31], slab: &[Gf31], lanes: usize, out: &mut [Gf31]) {
         let (chunks, _) = out[..lanes].as_chunks_mut::<4>();
@@ -258,7 +349,7 @@ mod avx2 {
             let mut acc = _mm256_setzero_si256();
             for (i, &w) in weights.iter().enumerate() {
                 let row = load(quad(slab, i * lanes + 4 * c));
-                acc = add(mul(row, _mm256_set1_epi64x(w.value() as i64)), acc);
+                acc = mul_add(row, _mm256_set1_epi64x(w.value() as i64), acc);
             }
             store(acc, chunk);
         }
@@ -281,23 +372,16 @@ mod avx2 {
         unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), lanes) }
     }
 
-    /// Lane-wise field addition of canonical residues.
+    /// Lane-wise `a · b + c` of canonical residues, reduced once.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn add(a: __m256i, b: __m256i) -> __m256i {
-        // a + b ≤ 2p − 2: one conditional subtract canonicalizes.
-        canonicalize(_mm256_add_epi64(a, b))
-    }
-
-    /// Lane-wise field multiplication of canonical residues.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mul(a: __m256i, b: __m256i) -> __m256i {
+    fn mul_add(a: __m256i, b: __m256i, c: __m256i) -> __m256i {
         let p = _mm256_set1_epi64x(P);
-        // Exact 62-bit products of the sub-2^31 residues.
-        let prod = _mm256_mul_epu32(a, b);
-        // Two folds of 2^31 ≡ 1 (mod p): < 2^62 → < 2^32 → ≤ p + 1.
-        let fold1 = _mm256_add_epi64(_mm256_and_si256(prod, p), _mm256_srli_epi64::<31>(prod));
+        // The exact 62-bit product of the sub-2^31 residues plus c stays
+        // below 2^63; two folds of 2^31 ≡ 1 (mod p) bring it below 2^32,
+        // then to ≤ p + 1.
+        let r = _mm256_add_epi64(_mm256_mul_epu32(a, b), c);
+        let fold1 = _mm256_add_epi64(_mm256_and_si256(r, p), _mm256_srli_epi64::<31>(r));
         let fold2 = _mm256_add_epi64(_mm256_and_si256(fold1, p), _mm256_srli_epi64::<31>(fold1));
         canonicalize(fold2)
     }
@@ -329,7 +413,14 @@ mod avx2 {
             None
         }
 
-        pub(crate) fn horner_lanes(self, _: &[Gf31], _: usize, _: usize, _: Gf31, _: &mut [Gf31]) {
+        pub(crate) fn horner_lanes(
+            self,
+            _: &[Gf31],
+            _: usize,
+            _: usize,
+            _: &[Gf31],
+            _: &mut [Gf31],
+        ) {
             match self {}
         }
 
@@ -344,33 +435,40 @@ mod avx2 {
 // ---------------------------------------------------------------------------
 
 /// Horner-evaluate `lanes` polynomials held degree-major in `coeffs`
-/// (`coeffs[d * lanes + lane]`) at `x`, writing lane results into `out`.
+/// (`coeffs[d * lanes + lane]`) at every point of `xs`, writing an x-major
+/// slab into `out`: `out[i * lanes + lane]` is lane `lane` at `xs[i]`.
 ///
-/// Whole four-lane chunks keep their accumulator in a vector register
-/// across all degrees, on the lanes this CPU runs for `P` (see the module
-/// docs); the `lanes % 4` tail runs the scalar oracle's loop, so every
-/// lane produces the identical element.
+/// Four independent chains stay in flight on the lanes this CPU runs for
+/// `P` (see the module docs): four points per whole four-lane chunk, and
+/// sixteen points in the vector lanes per tail lane. Every value is the
+/// identical element the scalar oracle produces for its point.
 ///
 /// # Panics
 ///
-/// Panics if `out.len() != lanes` or `coeffs.len() < (degree + 1) * lanes`.
+/// Panics if `out.len() != xs.len() * lanes` or
+/// `coeffs.len() < (degree + 1) * lanes`.
 pub fn horner_lanes_into<P: PrimeField>(
     coeffs: &[Gf<P>],
     lanes: usize,
     degree: usize,
-    x: Gf<P>,
+    xs: &[Gf<P>],
     out: &mut [Gf<P>],
 ) {
-    assert_eq!(out.len(), lanes, "output must cover all lanes");
+    assert_eq!(
+        out.len(),
+        xs.len() * lanes,
+        "output must cover all lanes at every point"
+    );
     assert!(
         coeffs.len() >= (degree + 1) * lanes,
         "coefficient slab too short"
     );
-    P::horner_lanes(coeffs, lanes, degree, x, out);
+    P::horner_lanes(coeffs, lanes, degree, xs, out);
 }
 
-/// Scalar oracle for [`horner_lanes_into`]: the pre-SIMD loop, kept as the
-/// reference every lane kernel is proptest-proven identical to.
+/// Scalar oracle for [`horner_lanes_into`] at one point `x`: the pre-SIMD
+/// loop, kept as the reference every lane kernel is proptest-proven
+/// identical to, point by point.
 pub fn horner_lanes_scalar_into<P: PrimeField>(
     coeffs: &[Gf<P>],
     lanes: usize,
@@ -383,24 +481,12 @@ pub fn horner_lanes_scalar_into<P: PrimeField>(
         coeffs.len() >= (degree + 1) * lanes,
         "coefficient slab too short"
     );
-    horner_tail_scalar(coeffs, lanes, degree, x, out, 0);
-}
-
-/// Scalar Horner over lanes `from..lanes` (whole loop when `from == 0`).
-fn horner_tail_scalar<P: PrimeField>(
-    coeffs: &[Gf<P>],
-    lanes: usize,
-    degree: usize,
-    x: Gf<P>,
-    out: &mut [Gf<P>],
-    from: usize,
-) {
-    for lane in from..lanes {
+    for (lane, out) in out.iter_mut().enumerate() {
         let mut acc = Gf::ZERO;
         for d in (0..=degree).rev() {
             acc = acc * x + coeffs[d * lanes + lane];
         }
-        out[lane] = acc;
+        *out = acc;
     }
 }
 
@@ -478,7 +564,7 @@ mod tests {
     use crate::element::{Gf31, Mersenne31};
     use crate::SplitMix64;
 
-    type Horner<P> = fn(&[Gf<P>], usize, usize, Gf<P>, &mut [Gf<P>]);
+    type Horner<P> = fn(&[Gf<P>], usize, usize, &[Gf<P>], &mut [Gf<P>]);
     type Weighted<P> = fn(&[Gf<P>], &[Gf<P>], usize, &mut [Gf<P>]);
 
     /// A named pair of Horner and weighted-sum kernels.
@@ -489,9 +575,15 @@ mod tests {
     }
 
     impl<P: PrimeField> Path<P> {
-        fn horner(&self, coeffs: &[Gf<P>], lanes: usize, degree: usize, x: Gf<P>) -> Vec<Gf<P>> {
-            let mut out = vec![Gf::ZERO; lanes];
-            (self.horner)(coeffs, lanes, degree, x, &mut out);
+        fn horner(
+            &self,
+            coeffs: &[Gf<P>],
+            lanes: usize,
+            degree: usize,
+            xs: &[Gf<P>],
+        ) -> Vec<Gf<P>> {
+            let mut out = vec![Gf::ZERO; xs.len() * lanes];
+            (self.horner)(coeffs, lanes, degree, xs, &mut out);
             out
         }
 
@@ -502,6 +594,21 @@ mod tests {
         }
     }
 
+    /// The scalar oracle at every point of `xs`, one point at a time,
+    /// into the x-major slab.
+    fn horner_scalar_points<P: PrimeField>(
+        coeffs: &[Gf<P>],
+        lanes: usize,
+        degree: usize,
+        xs: &[Gf<P>],
+        out: &mut [Gf<P>],
+    ) {
+        for (i, &x) in xs.iter().enumerate() {
+            let row = &mut out[i * lanes..(i + 1) * lanes];
+            horner_lanes_scalar_into(coeffs, lanes, degree, x, row);
+        }
+    }
+
     /// Every path this build can run for `P`, the scalar oracles first,
     /// then the portable lanes and the public entry points (which dispatch
     /// on the CPU).
@@ -509,7 +616,7 @@ mod tests {
         vec![
             Path {
                 name: "scalar oracle",
-                horner: horner_lanes_scalar_into::<P>,
+                horner: horner_scalar_points::<P>,
                 weighted: weighted_sum_rows_scalar_into::<P>,
             },
             Path {
@@ -532,9 +639,9 @@ mod tests {
         if Avx2::detect().is_some() {
             paths.push(Path {
                 name: "avx2",
-                horner: |coeffs, lanes, degree, x, out| {
+                horner: |coeffs, lanes, degree, xs, out| {
                     let avx2 = Avx2::detect().expect("checked above");
-                    avx2.horner_lanes(coeffs, lanes, degree, x, out)
+                    avx2.horner_lanes(coeffs, lanes, degree, xs, out)
                 },
                 weighted: |weights, slab, lanes, out| {
                     let avx2 = Avx2::detect().expect("checked above");
@@ -551,15 +658,16 @@ mod tests {
         coeffs: &[Gf<P>],
         lanes: usize,
         degree: usize,
-        x: Gf<P>,
+        xs: &[Gf<P>],
     ) -> Result<(), TestCaseError> {
-        let want = paths[0].horner(coeffs, lanes, degree, x);
+        let want = paths[0].horner(coeffs, lanes, degree, xs);
         for path in &paths[1..] {
             prop_assert!(
-                path.horner(coeffs, lanes, degree, x) == want,
-                "{}: Horner differs from {} at lanes={lanes} degree={degree}",
+                path.horner(coeffs, lanes, degree, xs) == want,
+                "{}: Horner differs from {} at lanes={lanes} degree={degree} points={}",
                 path.name,
-                paths[0].name
+                paths[0].name,
+                xs.len()
             );
         }
         Ok(())
@@ -613,9 +721,9 @@ mod tests {
         seed: u64,
     ) -> Result<(), TestCaseError> {
         let mut rng = SplitMix64::new(seed);
-        let x = residues(&mut rng, 1, pin)[0];
+        let xs = residues(&mut rng, 1, pin);
         let coeffs = residues(&mut rng, (degree + 1) * lanes, pin);
-        agree_horner(paths, &coeffs, lanes, degree, x)?;
+        agree_horner(paths, &coeffs, lanes, degree, &xs)?;
         let weights = residues(&mut rng, rows, pin);
         let slab = residues(&mut rng, rows * lanes, pin);
         agree_weighted(paths, &weights, &slab, lanes)
@@ -633,7 +741,7 @@ mod tests {
             let name = path.name;
             let sum = path.weighted(&[Gf::ONE, Gf::ONE], &rows, lanes);
             let prod = path.weighted(&[w], a, lanes);
-            let fused = path.horner(&coeffs, lanes, 1, w);
+            let fused = path.horner(&coeffs, lanes, 1, &[w]);
             for i in 0..lanes {
                 assert_eq!(sum[i], a[i] + b[i], "{name}: add lane {i}");
                 assert_eq!(prod[i], a[i] * w, "{name}: mul lane {i}");
@@ -657,6 +765,25 @@ mod tests {
         ) {
             let shape = (lanes, degree, rows);
             agree_on_draw(&m31_paths(), shape, pin, seed)?;
+        }
+
+        /// The all-points kernel equals the scalar oracle point by point,
+        /// on AVX2 (when the CPU has it) and the portable lanes: lane
+        /// counts 0–9 and 64 (whole chunks, tails and the points-in-lanes
+        /// path), 0–20 points (whole and partial groups) and degrees 0–16.
+        #[test]
+        fn all_points_horner_matches_the_scalar_oracle_per_point(
+            lane_pick in 0usize..11,
+            points in 0usize..=20,
+            degree in 0usize..=16,
+            pin in 0u64..4,
+            seed in any::<u64>(),
+        ) {
+            let lanes = if lane_pick == 10 { 64 } else { lane_pick };
+            let mut rng = SplitMix64::new(seed);
+            let xs = residues::<Mersenne31>(&mut rng, points, pin);
+            let coeffs = residues(&mut rng, (degree + 1) * lanes, pin);
+            agree_horner(&m31_paths(), &coeffs, lanes, degree, &xs)?;
         }
     }
 
@@ -686,7 +813,8 @@ mod tests {
         let mut rng = SplitMix64::new(0xBEEF);
         for _ in 0..200 {
             let coeffs = random(&mut rng, 3 * 12);
-            agree_horner(paths, &coeffs, 12, 2, Gf31::random(&mut rng)).unwrap();
+            let xs = random(&mut rng, 5);
+            agree_horner(paths, &coeffs, 12, 2, &xs).unwrap();
             agree_weighted(paths, &coeffs[..3], &coeffs, 12).unwrap();
         }
     }
@@ -697,9 +825,11 @@ mod tests {
         let paths = m31_paths();
         for lanes in [0usize, 1, 3, 4, 5, 7, 8, 11, 16, 23] {
             for degree in [0usize, 1, 2, 5] {
-                let coeffs = random(&mut rng, (degree + 1) * lanes);
-                let x = Gf31::random(&mut rng);
-                agree_horner(&paths, &coeffs, lanes, degree, x).unwrap();
+                for points in [0usize, 1, 4, 5, 16, 17] {
+                    let coeffs = random(&mut rng, (degree + 1) * lanes);
+                    let xs = random(&mut rng, points);
+                    agree_horner(&paths, &coeffs, lanes, degree, &xs).unwrap();
+                }
             }
         }
     }
@@ -738,7 +868,7 @@ mod tests {
         let mut rng2 = SplitMix64::new(1);
         let coeffs = random::<Mersenne31>(&mut SplitMix64::new(9), 8);
         let mut out = vec![Gf31::ZERO; 4];
-        horner_lanes_into(&coeffs, 4, 1, Gf31::new(3), &mut out);
+        horner_lanes_into(&coeffs, 4, 1, &[Gf31::new(3)], &mut out);
         assert_eq!(before, rng2.next_u64());
     }
 }

@@ -34,7 +34,7 @@ fn lanes_match_scalar<P: PrimeField>(values: Vec<Gf<P>>) {
     let mut fused = vec![Gf::ZERO; lanes];
     for &w in b {
         weighted_sum_rows_into(&[w], a, lanes, &mut prod);
-        horner_lanes_into(&coeffs, lanes, 1, w, &mut fused);
+        horner_lanes_into(&coeffs, lanes, 1, &[w], &mut fused);
         for i in 0..lanes {
             assert_eq!(prod[i], a[i] * w, "mul lane {i}");
             assert_eq!(fused[i], a[i] * w + b[i], "mul_add lane {i}");
@@ -69,17 +69,20 @@ proptest! {
         lanes in 0usize..26,
         degree in 0usize..7,
         seed in any::<u64>(),
-        x in gf31(),
+        xs in prop::collection::vec(gf31(), 0..20),
     ) {
+        // Every point of one all-points call against the oracle at it.
         let mut rng = SplitMix64::new(seed);
         let coeffs: Vec<Gf31> = (0..(degree + 1) * lanes)
             .map(|_| Gf31::random(&mut rng))
             .collect();
-        let mut fast = vec![Gf31::ZERO; lanes];
+        let mut fast = vec![Gf31::ZERO; xs.len() * lanes];
+        horner_lanes_into(&coeffs, lanes, degree, &xs, &mut fast);
         let mut slow = vec![Gf31::ZERO; lanes];
-        horner_lanes_into(&coeffs, lanes, degree, x, &mut fast);
-        horner_lanes_scalar_into(&coeffs, lanes, degree, x, &mut slow);
-        prop_assert_eq!(fast, slow);
+        for (i, &x) in xs.iter().enumerate() {
+            horner_lanes_scalar_into(&coeffs, lanes, degree, x, &mut slow);
+            prop_assert_eq!(&fast[i * lanes..(i + 1) * lanes], &slow[..]);
+        }
     }
 
     // ---- Weighted sums ≡ scalar oracle ----

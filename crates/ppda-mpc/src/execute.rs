@@ -152,15 +152,10 @@ struct RoundScratch {
     sum_mask: Vec<u128>,
     sum_live: Vec<bool>,
     usable: Vec<bool>,
-    /// Reconstruction workspace: chosen subset rows and per-lane output.
-    recon_xs: Vec<Elem>,
-    recon_slab: Vec<Elem>,
-    recon_out: Vec<Elem>,
+    /// Per-node aggregation workspace and the round's reconstructions.
+    recon: Recon,
     /// Destination indices a node holds.
     held: Vec<usize>,
-    /// The held indices grouped by mask during aggregation, then the
-    /// chosen group, lowest x first.
-    members: Vec<usize>,
     /// Per node: how far a monotone completion predicate has scanned the
     /// packets it waits for (they never un-arrive), so a flood checks each
     /// node's list once in total instead of once per reception.
@@ -219,11 +214,14 @@ impl ExecState {
                 sum_mask: vec![0; n_dests],
                 sum_live: vec![false; n_dests],
                 usable: vec![false; n_dests],
-                recon_xs: Vec::with_capacity(plan.threshold),
-                recon_slab: Vec::with_capacity(plan.threshold * lanes),
-                recon_out: Vec::with_capacity(lanes),
+                recon: Recon {
+                    members: Vec::with_capacity(n_dests),
+                    slab: Vec::with_capacity(plan.threshold * lanes),
+                    out: Vec::with_capacity(lanes),
+                    memo: Vec::new(),
+                    values: Vec::new(),
+                },
                 held: Vec::with_capacity(n_dests),
-                members: Vec::with_capacity(n_dests),
                 cursor: vec![0; config.n_nodes],
                 sharing_flood: MiniCastScratch::default(),
                 recon_flood: MiniCastScratch::default(),
@@ -608,6 +606,7 @@ impl ExecState {
         let mut live_nodes = 0usize;
         let mut nodes_recovered = 0usize;
         let mut nodes = Vec::with_capacity(n);
+        scratch.recon.new_round();
         #[allow(clippy::needless_range_loop)] // v indexes four parallel per-node tables
         for v in 0..n {
             if failed[v] {
@@ -660,10 +659,7 @@ impl ExecState {
                         config.degree,
                         &plan.recon_weights,
                         weight_cache.as_mut(),
-                        &mut scratch.members,
-                        &mut scratch.recon_xs,
-                        &mut scratch.recon_slab,
-                        &mut scratch.recon_out,
+                        &mut scratch.recon,
                     )
                 };
             if aggregates.is_some() && included as usize == live_source_count {
@@ -729,6 +725,30 @@ impl ExecState {
     }
 }
 
+/// Per-node aggregation workspace, and the memo of one round's finished
+/// reconstructions.
+#[derive(Debug, Default)]
+struct Recon {
+    /// The held indices grouped by mask, then the chosen set, lowest x
+    /// first.
+    members: Vec<usize>,
+    /// The chosen set's sum rows and lane aggregates.
+    slab: Vec<Elem>,
+    out: Vec<Elem>,
+    /// This round's reconstructions: each chosen set (bit `di` per
+    /// destination) with the start of its lane aggregates in `values`.
+    memo: Vec<(u128, usize)>,
+    values: Vec<u64>,
+}
+
+impl Recon {
+    /// Forget the memo: a new round has new sums.
+    fn new_round(&mut self) {
+        self.memo.clear();
+        self.values.clear();
+    }
+}
+
 /// Reconstruct a node's lane aggregates from the sum shares it holds
 /// (destination indices into the sum slabs): group by contributor mask,
 /// prefer the mask covering the most sources (ties: the mask held by more
@@ -736,8 +756,12 @@ impl ExecState {
 /// once a group reaches degree+1 members — one weight application across
 /// all lanes, with the plan's precomputed weights on the canonical subset
 /// and cached survivor-mask weights otherwise (value-identical to a fresh
-/// basis; see [`WeightCache`]). `members` is the grouping buffer; it ends
-/// holding the chosen subset, lowest x first.
+/// basis; see [`WeightCache`]).
+///
+/// Nodes of one round that choose the same member set share one
+/// reconstruction through `recon`'s memo (cleared per round by
+/// [`Recon::new_round`]). The weight cache still sees one lookup per
+/// node, as without the memo, so its gauges read the same.
 #[allow(clippy::too_many_arguments)]
 fn aggregate_lanes(
     held: &[usize],
@@ -748,11 +772,15 @@ fn aggregate_lanes(
     degree: usize,
     weights: &ReconstructionPlan<Field>,
     cache: Option<&mut WeightCache<Field>>,
-    members: &mut Vec<usize>,
-    recon_xs: &mut Vec<Elem>,
-    recon_slab: &mut Vec<Elem>,
-    recon_out: &mut Vec<Elem>,
+    recon: &mut Recon,
 ) -> (Option<Vec<u64>>, u32) {
+    let Recon {
+        members,
+        slab,
+        out,
+        memo,
+        values,
+    } = recon;
     // Group the held sums by mask: sort them by mask into `members`, then
     // scan its runs. A node holds at most one sum per destination.
     members.clear();
@@ -783,40 +811,50 @@ fn aggregate_lanes(
     members.sort_unstable_by_key(|&di| dest_xs[di]);
     members.truncate(degree + 1);
 
-    recon_xs.clear();
-    recon_xs.extend(members.iter().map(|&di| dest_xs[di]));
-    recon_slab.clear();
-    for &di in members.iter() {
-        recon_slab.extend_from_slice(&sum_ys[di * lanes..(di + 1) * lanes]);
+    let set = members.iter().fold(0u128, |m, &di| m | (1u128 << di));
+    // Off the canonical subset, the weights come per observed x-set from
+    // the survivor-mask cache. The members are sorted ascending by x and
+    // truncated to degree + 1, which is exactly the subset the cache
+    // selects for this mask — same xs, same weights a fresh
+    // `basis_at_zero` would produce. A plan below the reconstruction
+    // threshold carries no cache — and can never reach degree + 1 members
+    // anyway. Every node asks the cache, memo hit or not, so its gauges
+    // read as if each node reconstructed.
+    let canonical = weights
+        .xs()
+        .iter()
+        .eq(members.iter().map(|&di| &dest_xs[di]));
+    let basis = if canonical {
+        None
+    } else {
+        match cache.map(|cache| cache.weights(set)) {
+            Some(Ok(basis)) => Some(basis),
+            _ => return (None, 0),
+        }
+    };
+    if let Some(&(_, at)) = memo.iter().find(|&&(s, _)| s == set) {
+        return (Some(values[at..at + lanes].to_vec()), bits);
     }
 
-    if weights.xs() == &recon_xs[..] {
-        if weights
-            .reconstruct_batch_into(lanes, recon_slab, recon_out)
-            .is_err()
-        {
-            return (None, 0);
-        }
-    } else {
-        // Non-canonical survivor subset: weights per observed x-set,
-        // memoized by survivor mask. The members are sorted ascending by
-        // x and truncated to degree + 1, which is exactly the subset the
-        // cache selects for this mask — same xs, same weights a fresh
-        // `basis_at_zero` would produce.
-        let survivor_mask = members.iter().fold(0u128, |m, &di| m | (1u128 << di));
-        // A plan below the reconstruction threshold carries no cache —
-        // and can never reach degree + 1 members anyway.
-        let Some(cache) = cache else {
-            return (None, 0);
-        };
-        let Ok(basis) = cache.weights(survivor_mask) else {
-            return (None, 0);
-        };
-        recon_out.clear();
-        recon_out.resize(lanes, Elem::ZERO);
-        ppda_field::packed::weighted_sum_rows_into(basis, recon_slab, lanes, recon_out);
+    slab.clear();
+    for &di in members.iter() {
+        slab.extend_from_slice(&sum_ys[di * lanes..(di + 1) * lanes]);
     }
-    (Some(recon_out.iter().map(|e| e.value()).collect()), bits)
+    match basis {
+        None => {
+            if weights.reconstruct_batch_into(lanes, slab, out).is_err() {
+                return (None, 0);
+            }
+        }
+        Some(basis) => {
+            out.clear();
+            out.resize(lanes, Elem::ZERO);
+            ppda_field::packed::weighted_sum_rows_into(basis, slab, lanes, out);
+        }
+    }
+    memo.push((set, values.len()));
+    values.extend(out.iter().map(|e| e.value()));
+    (Some(values[values.len() - lanes..].to_vec()), bits)
 }
 
 #[cfg(test)]
@@ -882,8 +920,6 @@ mod tests {
         let held = vec![2usize, 3, 4];
         let run = |w: &ReconstructionPlan<Field>| {
             let mut cache = WeightCache::new(&dest_xs, 2).unwrap();
-            let (mut members, mut xs, mut slab) = (Vec::new(), Vec::new(), Vec::new());
-            let mut out = Vec::new();
             aggregate_lanes(
                 &held,
                 &sum_ys,
@@ -893,10 +929,7 @@ mod tests {
                 1,
                 w,
                 Some(&mut cache),
-                &mut members,
-                &mut xs,
-                &mut slab,
-                &mut out,
+                &mut Recon::default(),
             )
         };
         let matching = run(&weights(&[2, 3], 2));
@@ -925,8 +958,6 @@ mod tests {
         let held = vec![0usize, 1, 2, 3];
         let w = weights(&[0, 1, 2, 3], 2);
         let mut cache = WeightCache::new(&dest_xs, 2).unwrap();
-        let (mut members, mut xs, mut slab) = (Vec::new(), Vec::new(), Vec::new());
-        let mut out = Vec::new();
         let (agg, bits) = aggregate_lanes(
             &held,
             &sum_ys,
@@ -936,10 +967,7 @@ mod tests {
             1,
             &w,
             Some(&mut cache),
-            &mut members,
-            &mut xs,
-            &mut slab,
-            &mut out,
+            &mut Recon::default(),
         );
         assert_eq!(agg, Some(vec![10, 30]));
         assert_eq!(bits, 3);
@@ -955,8 +983,6 @@ mod tests {
     ) -> (Option<Vec<u64>>, u32) {
         let w = weights(&[0, 1], 2);
         let mut cache = WeightCache::new(dest_xs, 2).unwrap();
-        let (mut members, mut xs, mut slab) = (Vec::new(), Vec::new(), Vec::new());
-        let mut out = Vec::new();
         aggregate_lanes(
             held,
             sum_ys,
@@ -966,10 +992,7 @@ mod tests {
             1,
             &w,
             Some(&mut cache),
-            &mut members,
-            &mut xs,
-            &mut slab,
-            &mut out,
+            &mut Recon::default(),
         )
     }
 
@@ -1025,8 +1048,6 @@ mod tests {
         let sum_mask = vec![1u128, 1];
         let w = weights(&[0, 1], 2);
         let mut cache = WeightCache::new(&dest_xs, 2).unwrap();
-        let (mut members, mut xs, mut slab) = (Vec::new(), Vec::new(), Vec::new());
-        let mut out = Vec::new();
         let (agg, bits) = aggregate_lanes(
             &[0],
             &sum_ys,
@@ -1036,10 +1057,7 @@ mod tests {
             1,
             &w,
             Some(&mut cache),
-            &mut members,
-            &mut xs,
-            &mut slab,
-            &mut out,
+            &mut Recon::default(),
         );
         assert_eq!(agg, None);
         assert_eq!(bits, 0);
@@ -1058,8 +1076,6 @@ mod tests {
         let held = vec![2usize, 3, 4]; // not the canonical lowest-x subset
         let w = weights(&[0, 1], 2);
         let mut cache = WeightCache::new(&dest_xs, 2).unwrap();
-        let (mut members, mut xs, mut slab) = (Vec::new(), Vec::new(), Vec::new());
-        let mut out = Vec::new();
         let first = aggregate_lanes(
             &held,
             &sum_ys,
@@ -1069,10 +1085,7 @@ mod tests {
             1,
             &w,
             Some(&mut cache),
-            &mut members,
-            &mut xs,
-            &mut slab,
-            &mut out,
+            &mut Recon::default(),
         );
         assert_eq!(first.0, Some(vec![9, 21]));
         assert_eq!(cache.cached(), 1);
@@ -1085,12 +1098,84 @@ mod tests {
             1,
             &w,
             Some(&mut cache),
-            &mut members,
-            &mut xs,
-            &mut slab,
-            &mut out,
+            &mut Recon::default(),
         );
         assert_eq!(first, again);
         assert_eq!(cache.cached(), 1, "second resolution must hit the cache");
+    }
+
+    #[test]
+    fn one_memo_through_several_held_sets_matches_fresh_calls() {
+        // Six destinations, two lanes, degree 1: the canonical pair, off-
+        // canonical subsets of the full mask, a narrower mask group and
+        // sets below the threshold, some repeated, in one round. One memo
+        // carried through them all answers as a fresh call per set does,
+        // and leaves the weight cache's gauges where fresh calls leave
+        // them.
+        let dest_xs: Vec<Elem> = (0..6).map(share_x::<Field>).collect();
+        // Full mask 0b111: 8 + 3x and 5 + 7x; narrower 0b011 (dests 4, 5):
+        // 2 + x and 1 + 2x.
+        let sum_ys: Vec<Elem> = (0..6u64)
+            .flat_map(|di| {
+                let x = di + 1;
+                if di < 4 {
+                    [Elem::new(8 + 3 * x), Elem::new(5 + 7 * x)]
+                } else {
+                    [Elem::new(2 + x), Elem::new(1 + 2 * x)]
+                }
+            })
+            .collect();
+        let sum_mask = vec![0b111u128, 0b111, 0b111, 0b111, 0b011, 0b011];
+        let held_sets: [&[usize]; 9] = [
+            &[0, 1, 2, 3, 4, 5],
+            &[2, 3],
+            &[3, 2, 5],
+            &[0, 1],
+            &[4, 5],
+            &[1, 3, 4],
+            &[2, 3, 4, 5],
+            &[5],
+            &[0, 1, 2],
+        ];
+        let w = weights(&[0, 1], 2);
+        // Capacities 1 and 2 evict mid-round, between repeats of a set.
+        for capacity in [1usize, 2, 512] {
+            let cache = || WeightCache::with_capacity(&dest_xs, 2, capacity).unwrap();
+            let (mut shared_cache, mut fresh_cache) = (cache(), cache());
+            let mut memo = Recon::default();
+            memo.new_round();
+            for held in held_sets {
+                let run = |cache: &mut WeightCache<Field>, recon: &mut Recon| {
+                    aggregate_lanes(
+                        held,
+                        &sum_ys,
+                        &sum_mask,
+                        &dest_xs,
+                        2,
+                        1,
+                        &w,
+                        Some(cache),
+                        recon,
+                    )
+                };
+                let shared = run(&mut shared_cache, &mut memo);
+                let fresh = run(&mut fresh_cache, &mut Recon::default());
+                assert_eq!(shared, fresh, "held set {held:?}, capacity {capacity}");
+                assert_eq!(shared_cache.cached(), fresh_cache.cached());
+                assert_eq!(shared_cache.evictions(), fresh_cache.evictions());
+            }
+            // The full mask's aggregates and the narrower group's both
+            // came out, and each distinct chosen set was reconstructed
+            // once.
+            let at = |set: u128| memo.memo.iter().find(|&&(s, _)| s == set).unwrap().1;
+            let full = at(0b11);
+            assert_eq!(memo.values[full..full + 2], [8, 5]);
+            let narrow = at(0b11_0000);
+            assert_eq!(memo.values[narrow..narrow + 2], [2, 1]);
+            let distinct: std::collections::HashSet<u128> =
+                memo.memo.iter().map(|&(s, _)| s).collect();
+            assert_eq!(distinct.len(), memo.memo.len());
+            assert!(capacity > 2 || shared_cache.evictions() > 0);
+        }
     }
 }

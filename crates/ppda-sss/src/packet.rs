@@ -52,16 +52,13 @@ impl<P: PrimeField> SharePacket<P> {
 /// `(src, dst, round)`, so the ciphertext opens only for its destination,
 /// in its round.
 ///
-/// `out` is cleared and receives `ciphertext ‖ tag`.
-///
-/// Wide batches (fragmented transport) can exceed one 802.15.4 frame, so
-/// the payload buffer grows with the lane count: batches up to 32 lanes
-/// (one frame plus margin) encode on the stack, wider ones take one heap
-/// allocation per call.
+/// `out` is cleared and receives `ciphertext ‖ tag`: the lanes are encoded
+/// straight into it and sealed there, so a reused buffer makes no
+/// allocation at any lane count.
 ///
 /// # Errors
 ///
-/// Propagates sealing failures from `ppda-crypto`.
+/// Propagates sealing failures from `ppda-crypto`; `out` is then empty.
 pub fn seal_share_lanes<P: PrimeField>(
     ccm: &Ccm,
     src: u16,
@@ -72,24 +69,14 @@ pub fn seal_share_lanes<P: PrimeField>(
     out: &mut Vec<u8>,
 ) -> Result<(), SssError> {
     let len = ys.len() * P::ENCODED_LEN;
-    let mut stack = [0u8; 128];
-    let mut heap;
-    let payload: &mut [u8] = if len <= stack.len() {
-        &mut stack[..len]
-    } else {
-        heap = vec![0u8; len];
-        &mut heap
-    };
-    for (chunk, &y) in payload.chunks_exact_mut(P::ENCODED_LEN).zip(ys) {
+    out.clear();
+    out.reserve(len + ccm.tag_len());
+    out.resize(len, 0);
+    for (chunk, &y) in out.chunks_exact_mut(P::ENCODED_LEN).zip(ys) {
         y.write_bytes(chunk);
     }
     let nonce = Ccm::nonce(src, dst, round, x.value() as u32);
-    ccm.seal_into(
-        &nonce,
-        &SharePacket::<P>::aad(src, dst, round),
-        payload,
-        out,
-    )?;
+    ccm.seal_in_place(&nonce, &SharePacket::<P>::aad(src, dst, round), out)?;
     Ok(())
 }
 

@@ -223,7 +223,7 @@ fn steady_state_rounds_stay_within_their_allocation_budget() {
             ntx: 6,
             full_coverage_ntx: 15,
             fading: FadingProfile::office(),
-            bound: 99,
+            bound: 35,
         },
         // FlockLab S3, 10 sources, B = 1: the strict all-to-all predicate.
         Point {
