@@ -305,7 +305,9 @@ fn worker_loop<R: SpanRunner>(
 /// deque `d % workers` in the order given (start order), so a
 /// deployment's spans run one after another on one worker (see the module
 /// docs for stealing); with one worker every span lands in one deque, in
-/// order.
+/// order. `spans` lists each deployment's spans together, as the engine
+/// does, so each deque holds every deployment's spans together too, which
+/// stealing relies on.
 pub(crate) fn deal_spans(
     spans: impl IntoIterator<Item = Span>,
     workers: usize,
