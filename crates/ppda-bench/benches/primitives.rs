@@ -121,7 +121,7 @@ fn bench_aes(c: &mut Criterion) {
     group.bench_function("ctr_bulk_1k", |bench| {
         bench.iter(|| {
             let mut counter = [0u8; 16];
-            ppda_crypto::ctr::xor_keystream_bulk(&aes, &mut counter, black_box(&mut buf));
+            ppda_crypto::ctr::xor_keystream(&aes, &mut counter, black_box(&mut buf));
         })
     });
     group.finish();

@@ -45,12 +45,6 @@ pub fn xor_keystream(aes: &Aes128, counter_block: &mut Block, data: &mut [u8]) {
     aes.xor_keystream(counter_block, data);
 }
 
-/// [`xor_keystream`]: both names run the same CTR kernel, with the same
-/// bytes and the same counter advance.
-pub fn xor_keystream_bulk(aes: &Aes128, counter_block: &mut Block, data: &mut [u8]) {
-    aes.xor_keystream(counter_block, data);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,7 +145,7 @@ mod tests {
 
                 let mut bulk = msg;
                 let mut c2 = [0xF0u8; 16];
-                xor_keystream_bulk(&aes, &mut c2, &mut bulk);
+                xor_keystream(&aes, &mut c2, &mut bulk);
 
                 assert_eq!(blockwise, bulk, "payload length {len}");
                 assert_eq!(c1, c2, "counter advance at length {len}");

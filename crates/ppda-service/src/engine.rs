@@ -215,8 +215,7 @@ impl std::error::Error for EngineError {
 pub struct AdvanceStats {
     /// Rounds executed in this advance (across all deployments).
     pub rounds: u64,
-    /// Steals across worker deques, each the rest of one deployment's
-    /// spans (0 = perfectly balanced deal).
+    /// Spans stolen across worker deques (0 = perfectly balanced deal).
     pub steals: u64,
     /// Rounds executed per worker, indexed by worker.
     pub per_worker: Vec<u64>,

@@ -1,16 +1,18 @@
 //! Work-stealing round scheduling over per-deployment index spans.
 //!
 //! The unit of scheduling is a [`Span`]: a contiguous range of round
-//! indices of one deployment. Each worker owns a deque of spans, every
-//! span of a deployment in one deque; it pops its own front, and when its
-//! deque runs dry it steals from the *back* of a victim's deque — the
-//! classic split that keeps owner and thief on opposite ends. A thief
-//! takes the rest of one deployment at once, and never the deployment its
-//! victim is on, so a deployment's spans run one after another, never side
-//! by side, each resuming the driver the previous one parked. The hot path
-//! (the round loop inside a span) touches no lock at all: queues are
-//! locked only to pop or steal spans, and the only shared state per round
-//! is one relaxed atomic load on the error [`Floor`].
+//! indices of one deployment. Each worker owns a deque of spans; it pops
+//! its own front, and when its deque runs dry it steals from the *back* of
+//! a victim's deque — the classic split that keeps owner and thief on
+//! opposite ends. Every span of a deployment is dealt to one deque, in
+//! start order, so unstolen spans of a deployment run one after another,
+//! each resuming the driver the previous one parked. A stolen span (the
+//! last span of the victim's last deployment) can run beside another span
+//! of its deployment, and one of the two then builds a fresh driver; that
+//! is also how one long deployment spreads over several workers. The hot
+//! path (the round loop inside a span) touches no lock at all: queues are
+//! locked only to pop or steal a whole span, and the only shared state per
+//! round is one relaxed atomic load on the error [`Floor`].
 //!
 //! # Deterministic error selection
 //!
@@ -101,8 +103,7 @@ pub(crate) trait SpanRunner: Sync {
 pub(crate) struct WorkerStats {
     /// Rounds this worker executed successfully.
     pub executed: u64,
-    /// Steals this worker made, each the rest of one deployment's spans
-    /// from another worker's deque.
+    /// Spans this worker stole from another worker's deque.
     pub steals: u64,
 }
 
@@ -126,7 +127,7 @@ impl<E> RunOutcome<E> {
         self.workers.iter().map(|w| w.executed).sum()
     }
 
-    /// Total steals across all workers.
+    /// Total spans stolen across all workers.
     pub fn steals(&self) -> u64 {
         self.workers.iter().map(|w| w.steals).sum()
     }
@@ -163,10 +164,7 @@ pub(crate) fn run_spans<R: SpanRunner>(
 ) -> RunOutcome<R::Error> {
     let workers = queues.len();
     assert!(workers > 0, "scheduler needs at least one worker");
-    let queues: Vec<Mutex<Deque>> = queues
-        .into_iter()
-        .map(|spans| Mutex::new(Deque { spans, taken: None }))
-        .collect();
+    let queues: Vec<Mutex<VecDeque<Span>>> = queues.into_iter().map(Mutex::new).collect();
     let floor = Floor::new();
 
     let mut outcomes: Vec<WorkerOutcome<R::Error>> = if workers == 1 {
@@ -207,54 +205,26 @@ pub(crate) fn run_spans<R: SpanRunner>(
     }
 }
 
-/// One worker's spans, and the deployment of the span it took last.
-struct Deque {
-    spans: VecDeque<Span>,
-    taken: Option<u32>,
-}
-
 fn worker_loop<R: SpanRunner>(
     worker: usize,
-    queues: &[Mutex<Deque>],
+    queues: &[Mutex<VecDeque<Span>>],
     floor: &Floor,
     runner: &R,
 ) -> WorkerOutcome<R::Error> {
     let mut stats = WorkerStats::default();
     let mut best: Option<(u64, R::Error)> = None;
     let mut best_panic: Option<(u64, String)> = None;
-    let mut stolen = VecDeque::new();
     loop {
         // Own work from the front; steal from a victim's back.
-        let mut next = {
-            let mut mine = queues[worker].lock().expect("queue poisoned");
-            let next = mine.spans.pop_front();
-            mine.taken = next.map(|span| span.dep).or(mine.taken);
-            next
-        };
+        let mut next = queues[worker].lock().expect("queue poisoned").pop_front();
         if next.is_none() {
             for off in 1..queues.len() {
                 let victim = (worker + off) % queues.len();
-                let mut theirs = queues[victim].lock().expect("queue poisoned");
-                // A deque holds each deployment's spans together, so its
-                // back is the rest of one deployment: take all of it,
-                // unless the victim is on that deployment (the rest are
-                // its own next spans, which would need a second driver).
-                let Some(&last) = theirs.spans.back() else {
-                    continue;
-                };
-                if theirs.taken == Some(last.dep) {
-                    continue;
+                if let Some(span) = queues[victim].lock().expect("queue poisoned").pop_back() {
+                    stats.steals += 1;
+                    next = Some(span);
+                    break;
                 }
-                while let Some(span) = theirs.spans.pop_back_if(|s| s.dep == last.dep) {
-                    stolen.push_front(span);
-                }
-                drop(theirs);
-                stats.steals += 1;
-                next = stolen.pop_front();
-                let mut mine = queues[worker].lock().expect("queue poisoned");
-                mine.taken = Some(last.dep);
-                mine.spans.extend(stolen.drain(..));
-                break;
             }
         }
         let Some(span) = next else { break };
@@ -303,11 +273,8 @@ fn worker_loop<R: SpanRunner>(
 
 /// Deal `spans` into `workers` deques, every span of deployment `d` to
 /// deque `d % workers` in the order given (start order), so a
-/// deployment's spans run one after another on one worker (see the module
-/// docs for stealing); with one worker every span lands in one deque, in
-/// order. `spans` lists each deployment's spans together, as the engine
-/// does, so each deque holds every deployment's spans together too, which
-/// stealing relies on.
+/// deployment's spans run one after another on one worker unless one is
+/// stolen; with one worker every span lands in one deque, in order.
 pub(crate) fn deal_spans(
     spans: impl IntoIterator<Item = Span>,
     workers: usize,
@@ -414,47 +381,6 @@ mod tests {
             deal_spans(fleet_spans(), 1)[0],
             fleet_spans().into_iter().collect::<VecDeque<_>>()
         );
-    }
-
-    /// Counts spans that began while a span of their deployment ran.
-    #[derive(Default)]
-    struct ExclusiveRunner {
-        active: Mutex<HashSet<u32>>,
-        overlaps: AtomicUsize,
-    }
-
-    impl SpanRunner for ExclusiveRunner {
-        type State = ();
-        type Error = ();
-
-        fn begin(&self, dep: u32) {
-            if !self.active.lock().unwrap().insert(dep) {
-                self.overlaps.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        fn round(&self, _state: &mut (), _dep: u32, _index: u64) -> Result<(), ()> {
-            std::thread::yield_now();
-            Ok(())
-        }
-
-        fn finish(&self, dep: u32, _state: ()) {
-            self.active.lock().unwrap().remove(&dep);
-        }
-    }
-
-    #[test]
-    fn no_deployment_runs_on_two_workers_at_once() {
-        // Whatever the stealing, a deployment's spans never overlap, so
-        // each one resumes the driver the previous one parked.
-        for workers in [2usize, 3, 8] {
-            for _ in 0..20 {
-                let runner = ExclusiveRunner::default();
-                let outcome = run_spans(deal_spans(fleet_spans(), workers), &runner);
-                assert_eq!(outcome.executed(), 4 * 40);
-                assert_eq!(runner.overlaps.into_inner(), 0, "{workers} workers");
-            }
-        }
     }
 
     #[test]
