@@ -114,9 +114,6 @@ fn bench_aes(c: &mut Criterion) {
     group.bench_function("encrypt_block_reference", |bench| {
         bench.iter(|| aes.encrypt_block_reference(black_box(&block)))
     });
-    group.bench_function("decrypt_block", |bench| {
-        bench.iter(|| aes.decrypt_block(black_box(&block)))
-    });
     let mut buf = vec![0u8; 1024];
     group.bench_function("ctr_bulk_1k", |bench| {
         bench.iter(|| {

@@ -54,26 +54,6 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// The inverse S-box (FIPS-197 Fig. 14).
-const INV_SBOX: [u8; 256] = [
-    0x52, 0x09, 0x6a, 0xd5, 0x30, 0x36, 0xa5, 0x38, 0xbf, 0x40, 0xa3, 0x9e, 0x81, 0xf3, 0xd7, 0xfb,
-    0x7c, 0xe3, 0x39, 0x82, 0x9b, 0x2f, 0xff, 0x87, 0x34, 0x8e, 0x43, 0x44, 0xc4, 0xde, 0xe9, 0xcb,
-    0x54, 0x7b, 0x94, 0x32, 0xa6, 0xc2, 0x23, 0x3d, 0xee, 0x4c, 0x95, 0x0b, 0x42, 0xfa, 0xc3, 0x4e,
-    0x08, 0x2e, 0xa1, 0x66, 0x28, 0xd9, 0x24, 0xb2, 0x76, 0x5b, 0xa2, 0x49, 0x6d, 0x8b, 0xd1, 0x25,
-    0x72, 0xf8, 0xf6, 0x64, 0x86, 0x68, 0x98, 0x16, 0xd4, 0xa4, 0x5c, 0xcc, 0x5d, 0x65, 0xb6, 0x92,
-    0x6c, 0x70, 0x48, 0x50, 0xfd, 0xed, 0xb9, 0xda, 0x5e, 0x15, 0x46, 0x57, 0xa7, 0x8d, 0x9d, 0x84,
-    0x90, 0xd8, 0xab, 0x00, 0x8c, 0xbc, 0xd3, 0x0a, 0xf7, 0xe4, 0x58, 0x05, 0xb8, 0xb3, 0x45, 0x06,
-    0xd0, 0x2c, 0x1e, 0x8f, 0xca, 0x3f, 0x0f, 0x02, 0xc1, 0xaf, 0xbd, 0x03, 0x01, 0x13, 0x8a, 0x6b,
-    0x3a, 0x91, 0x11, 0x41, 0x4f, 0x67, 0xdc, 0xea, 0x97, 0xf2, 0xcf, 0xce, 0xf0, 0xb4, 0xe6, 0x73,
-    0x96, 0xac, 0x74, 0x22, 0xe7, 0xad, 0x35, 0x85, 0xe2, 0xf9, 0x37, 0xe8, 0x1c, 0x75, 0xdf, 0x6e,
-    0x47, 0xf1, 0x1a, 0x71, 0x1d, 0x29, 0xc5, 0x89, 0x6f, 0xb7, 0x62, 0x0e, 0xaa, 0x18, 0xbe, 0x1b,
-    0xfc, 0x56, 0x3e, 0x4b, 0xc6, 0xd2, 0x79, 0x20, 0x9a, 0xdb, 0xc0, 0xfe, 0x78, 0xcd, 0x5a, 0xf4,
-    0x1f, 0xdd, 0xa8, 0x33, 0x88, 0x07, 0xc7, 0x31, 0xb1, 0x12, 0x10, 0x59, 0x27, 0x80, 0xec, 0x5f,
-    0x60, 0x51, 0x7f, 0xa9, 0x19, 0xb5, 0x4a, 0x0d, 0x2d, 0xe5, 0x7a, 0x9f, 0x93, 0xc9, 0x9c, 0xef,
-    0xa0, 0xe0, 0x3b, 0x4d, 0xae, 0x2a, 0xf5, 0xb0, 0xc8, 0xeb, 0xbb, 0x3c, 0x83, 0x53, 0x99, 0x61,
-    0x17, 0x2b, 0x04, 0x7e, 0xba, 0x77, 0xd6, 0x26, 0xe1, 0x69, 0x14, 0x63, 0x55, 0x21, 0x0c, 0x7d,
-];
-
 /// Round constants for the key schedule.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
@@ -81,21 +61,6 @@ const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x
 #[inline]
 const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
-}
-
-/// Multiply two GF(2⁸) elements (only small constants are ever used).
-#[inline]
-fn gmul(a: u8, mut b: u8) -> u8 {
-    let mut acc = 0u8;
-    let mut a = a;
-    while b != 0 {
-        if b & 1 != 0 {
-            acc ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    acc
 }
 
 /// T-table for the word-oriented round function, built at compile time.
@@ -135,7 +100,7 @@ fn t0(b: u32) -> u32 {
 /// use ppda_crypto::Aes128;
 /// let aes = Aes128::new(&[0u8; 16]);
 /// let block = [1u8; 16];
-/// assert_eq!(aes.decrypt_block(&aes.encrypt_block(&block)), block);
+/// assert_eq!(aes.encrypt_block(&block), aes.encrypt_block_reference(&block));
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
@@ -215,27 +180,12 @@ impl Aes128 {
         }
     }
 
-    fn inv_sub_bytes(state: &mut Block) {
-        for b in state.iter_mut() {
-            *b = INV_SBOX[*b as usize];
-        }
-    }
-
     /// Row r (bytes r, r+4, r+8, r+12) rotates left by r positions.
     fn shift_rows(state: &mut Block) {
         for r in 1..4 {
             let row = [state[r], state[r + 4], state[r + 8], state[r + 12]];
             for c in 0..4 {
                 state[r + 4 * c] = row[(c + r) % 4];
-            }
-        }
-    }
-
-    fn inv_shift_rows(state: &mut Block) {
-        for r in 1..4 {
-            let row = [state[r], state[r + 4], state[r + 8], state[r + 12]];
-            for c in 0..4 {
-                state[r + 4 * c] = row[(c + 4 - r) % 4];
             }
         }
     }
@@ -252,25 +202,6 @@ impl Aes128 {
             state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
             state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
             state[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
-        }
-    }
-
-    fn inv_mix_columns(state: &mut Block) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] =
-                gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
-            state[4 * c + 1] =
-                gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
-            state[4 * c + 2] =
-                gmul(col[0], 0x0d) ^ gmul(col[1], 0x09) ^ gmul(col[2], 0x0e) ^ gmul(col[3], 0x0b);
-            state[4 * c + 3] =
-                gmul(col[0], 0x0b) ^ gmul(col[1], 0x0d) ^ gmul(col[2], 0x09) ^ gmul(col[3], 0x0e);
         }
     }
 
@@ -385,22 +316,6 @@ impl Aes128 {
         Self::sub_bytes(&mut state);
         Self::shift_rows(&mut state);
         Self::add_round_key(&mut state, &self.round_keys[10]);
-        state
-    }
-
-    /// Decrypt one block.
-    pub fn decrypt_block(&self, block: &Block) -> Block {
-        let mut state = *block;
-        Self::add_round_key(&mut state, &self.round_keys[10]);
-        for round in (1..10).rev() {
-            Self::inv_shift_rows(&mut state);
-            Self::inv_sub_bytes(&mut state);
-            Self::add_round_key(&mut state, &self.round_keys[round]);
-            Self::inv_mix_columns(&mut state);
-        }
-        Self::inv_shift_rows(&mut state);
-        Self::inv_sub_bytes(&mut state);
-        Self::add_round_key(&mut state, &self.round_keys[0]);
         state
     }
 }
@@ -654,7 +569,6 @@ mod tests {
         let pt = block("3243f6a8885a308d313198a2e0370734");
         let ct = block("3925841d02dc09fbdc118597196a0b32");
         assert_every_path(&key, &[pt; 4], &[ct; 4]);
-        assert_eq!(Aes128::new(&key).decrypt_block(&ct), pt);
     }
 
     #[test]
@@ -664,7 +578,6 @@ mod tests {
         let pt = block("00112233445566778899aabbccddeeff");
         let ct = block("69c4e0d86a7b0430d8cdb78070b4c55a");
         assert_every_path(&key, &[pt; 4], &[ct; 4]);
-        assert_eq!(Aes128::new(&key).decrypt_block(&ct), pt);
     }
 
     #[test]
@@ -686,10 +599,6 @@ mod tests {
         ]
         .map(block);
         assert_every_path(&key, &pts, &cts);
-        let aes = Aes128::new(&key);
-        for (pt, ct) in pts.iter().zip(&cts) {
-            assert_eq!(aes.decrypt_block(ct), *pt);
-        }
     }
 
     #[test]
@@ -750,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_random_blocks() {
+    fn random_blocks_match_the_reference() {
         let aes = Aes128::new(&[0xAB; 16]);
         let mut state = 1u64;
         for _ in 0..256 {
@@ -759,7 +668,6 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 *b = (state >> 33) as u8;
             }
-            assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
             assert_eq!(aes.encrypt_block(&pt), aes.encrypt_block_reference(&pt));
         }
     }
@@ -789,13 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn sbox_inverse_consistency() {
-        for i in 0..256 {
-            assert_eq!(INV_SBOX[SBOX[i] as usize] as usize, i);
-        }
-    }
-
-    #[test]
     fn t0_entries_pack_mix_column_constants() {
         for i in 0..256 {
             let s = SBOX[i];
@@ -805,15 +706,5 @@ mod tests {
             assert_eq!(b2, s);
             assert_eq!(b3, xtime(s) ^ s);
         }
-    }
-
-    #[test]
-    fn gmul_known_values() {
-        // {57} · {83} = {c1} (FIPS-197 §4.2 example)
-        assert_eq!(gmul(0x57, 0x83), 0xc1);
-        // {57} · {13} = {fe}
-        assert_eq!(gmul(0x57, 0x13), 0xfe);
-        assert_eq!(gmul(0x01, 0xab), 0xab);
-        assert_eq!(gmul(0x00, 0xff), 0x00);
     }
 }

@@ -5,12 +5,13 @@
 //! … assumed to be already shared with the destination node during the
 //! bootstrapping phase"). This crate provides:
 //!
-//! * [`Aes128`] — the FIPS-197 block cipher (encrypt + decrypt), verified
-//!   against the official test vectors. It runs on the CPU's AES-NI
-//!   instructions when [`Aes128::new`] finds them at run time, and on a
-//!   portable T-table implementation otherwise (off x86-64, or on CPUs
-//!   without AES-NI); both produce the same bytes, and no build flag or
-//!   option is involved. A byte-oriented transcription of the standard,
+//! * [`Aes128`] — the FIPS-197 block cipher, forward direction only (CTR
+//!   and CBC-MAC never run the inverse), verified against the official
+//!   test vectors. It runs on the CPU's AES-NI instructions when
+//!   [`Aes128::new`] finds them at run time, and on a portable T-table
+//!   implementation otherwise (off x86-64, or on CPUs without AES-NI);
+//!   both produce the same bytes, and no build flag or option is
+//!   involved. A byte-oriented transcription of the standard,
 //!   [`Aes128::encrypt_block_reference`], is the oracle the tests check
 //!   both against.
 //! * [`ctr`] — CTR keystream mode (NIST SP 800-38A), one kernel call per

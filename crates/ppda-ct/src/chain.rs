@@ -159,16 +159,6 @@ impl ChainSpec {
     pub fn cycle_duration(&self) -> SimDuration {
         self.slot_duration() * self.len() as u64
     }
-
-    /// Sub-slots owned by a given node, in chain order.
-    pub fn slots_of(&self, node: u16) -> Vec<usize> {
-        self.owners
-            .iter()
-            .enumerate()
-            .filter(|&(_, &o)| o == node)
-            .map(|(j, _)| j)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -186,8 +176,6 @@ mod tests {
         assert!(!chain.is_empty());
         assert_eq!(chain.owner(0), 2);
         assert_eq!(chain.owners(), &[2, 0, 2, 1]);
-        assert_eq!(chain.slots_of(2), vec![0, 2]);
-        assert_eq!(chain.slots_of(9), Vec::<usize>::new());
     }
 
     #[test]

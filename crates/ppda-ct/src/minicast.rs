@@ -102,11 +102,6 @@ pub struct MiniCastResult {
 }
 
 impl MiniCastResult {
-    /// Total round duration (cycles run × cycle duration).
-    pub fn duration(&self) -> SimDuration {
-        self.cycle_duration * self.cycles_run as u64
-    }
-
     /// The a-priori scheduled round duration (the TDMA schedule is fixed
     /// before the round; phase boundaries use this, not the early-exit
     /// duration).

@@ -198,11 +198,6 @@ impl ProtocolConfig {
             .saturating_add(self.aggregator_redundancy)
     }
 
-    /// The contributor mask expected when every configured source shares.
-    pub fn full_source_mask(&self) -> u128 {
-        self.sources.iter().fold(0u128, |m, &s| m | (1u128 << s))
-    }
-
     /// Frames per sealed share packet: 1 while the batch fits one
     /// 802.15.4 frame, the per-packet fragment count once
     /// [`fragmentation`](Self::fragmentation) carries it across several.
@@ -798,14 +793,5 @@ mod tests {
         let mut off = audited.clone();
         off.integrity = IntegrityMode::Off;
         assert_eq!(off, plain);
-    }
-
-    #[test]
-    fn full_source_mask() {
-        let c = ProtocolConfig::builder(10)
-            .sources_explicit(vec![0, 2, 5])
-            .build()
-            .unwrap();
-        assert_eq!(c.full_source_mask(), 0b100101);
     }
 }

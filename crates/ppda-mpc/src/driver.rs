@@ -207,34 +207,6 @@ impl DriverStats {
     }
 }
 
-/// How a membership-driven [`RoundDriver`] keeps its plan current as
-/// compiled [`MembershipDelta`]s come due.
-///
-/// # Example
-///
-/// ```
-/// use ppda_mpc::MembershipMode;
-/// // Patching is the production default; the recompile oracle exists
-/// // for differential testing.
-/// assert_eq!(MembershipMode::default(), MembershipMode::Patch);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MembershipMode {
-    /// Incrementally patch the compiled plan ([`RoundPlan::apply`]):
-    /// destinations are re-elected from the retained centrality ranking,
-    /// the sharing chain is re-spliced and surviving AES-CCM contexts are
-    /// reused — the `n²` pairwise keys and hop sweeps never re-run. The
-    /// production path.
-    #[default]
-    Patch,
-    /// Recompile the entire plan from scratch for every delta
-    /// ([`RoundPlan::new_with_membership`]), full bootstrap included.
-    /// This is the reference oracle the differential suite drives against
-    /// [`MembershipMode::Patch`]: both modes must produce byte-identical
-    /// round reports.
-    Recompile,
-}
-
 /// Where a driver's plan lives: borrowed from the deployment (static
 /// membership — the common case, zero-copy fan-out) or owned together
 /// with the walk along the membership timeline, so deltas can patch it
@@ -277,7 +249,6 @@ struct DriverState {
     /// Identity of the deployment this state was built for.
     deployment: u64,
     exec: ExecState,
-    mode: MembershipMode,
     faults: FaultPlan,
     tamper: TamperPlan,
     base_seed: u64,
@@ -346,7 +317,6 @@ pub struct DeploymentBuilder<'t> {
     seed: u64,
     membership: Option<Vec<MembershipEvent>>,
     trickle: TrickleConfig,
-    mode: MembershipMode,
 }
 
 impl<'t> DeploymentBuilder<'t> {
@@ -432,15 +402,6 @@ impl<'t> DeploymentBuilder<'t> {
         self
     }
 
-    /// How membership-driven drivers keep their plan current (default:
-    /// [`MembershipMode::Patch`]). [`MembershipMode::Recompile`] is the
-    /// slow reference oracle for differential testing.
-    #[must_use]
-    pub fn membership_mode(mut self, mode: MembershipMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Compile the deployment: run the bootstrap and build the
     /// [`RoundPlan`] once, for arbitrarily many rounds and drivers.
     ///
@@ -481,40 +442,28 @@ impl<'t> DeploymentBuilder<'t> {
                     self.seed,
                 )?;
                 // Bring the plan to the timeline's *initial* view once,
-                // here, so Deployment::driver stays infallible. Each mode
-                // gets there through its own machinery — the differential
-                // suite covers the initial view for free. When every node
-                // starts live, the patch path's initial view is the plan
-                // itself, and drivers clone that instead of a template.
-                let initial = timeline.initial().to_vec();
-                let template = match self.mode {
-                    MembershipMode::Patch => {
-                        let absent: Vec<u16> = initial
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, &live)| !live)
-                            .map(|(v, _)| v as u16)
-                            .collect();
-                        if absent.is_empty() {
-                            None
-                        } else {
-                            let mut patched = plan.clone().into_owned();
-                            patched.apply(&MembershipDelta {
-                                round: patched.config().round_id,
-                                joins: Vec::new(),
-                                leaves: absent,
-                            })?;
-                            Some(patched)
-                        }
-                    }
-                    MembershipMode::Recompile => Some(RoundPlan::new_with_membership(
-                        plan.topology(),
-                        plan.config(),
-                        self.protocol,
-                        &initial,
-                    )?),
+                // here, so Deployment::driver stays infallible. When every
+                // node starts live, the initial view is the plan itself,
+                // and drivers clone that instead of a template.
+                let absent: Vec<u16> = timeline
+                    .initial()
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &live)| !live)
+                    .map(|(v, _)| v as u16)
+                    .collect();
+                let template = if absent.is_empty() {
+                    None
+                } else {
+                    let mut patched = plan.clone().into_owned();
+                    patched.apply(&MembershipDelta {
+                        round: patched.config().round_id,
+                        joins: Vec::new(),
+                        leaves: absent,
+                    })?;
+                    Some(Box::new(patched))
                 };
-                (Some(timeline), template.map(Box::new))
+                (Some(timeline), template)
             }
         };
         Ok(Deployment {
@@ -522,7 +471,6 @@ impl<'t> DeploymentBuilder<'t> {
             plan,
             timeline,
             churn_plan,
-            mode: self.mode,
             faults: self.faults,
             tamper: self.tamper,
             seed: self.seed,
@@ -610,12 +558,11 @@ pub struct Deployment<'t> {
     /// Compiled membership schedule, when the deployment was built with a
     /// live event stream.
     timeline: Option<MembershipTimeline>,
-    /// The plan already brought to the timeline's initial view, when that
-    /// view is not `plan` itself (some node starts absent, or the
-    /// recompile oracle built it) — what membership-driven drivers clone
-    /// and then patch forward. `None` when they clone `plan`.
+    /// The plan already patched to the timeline's initial view, when some
+    /// node starts absent — what membership-driven drivers clone and then
+    /// patch forward. `None` when every node starts live and they clone
+    /// `plan`.
     churn_plan: Option<Box<RoundPlan<'static>>>,
-    mode: MembershipMode,
     faults: FaultPlan,
     tamper: TamperPlan,
     seed: u64,
@@ -635,7 +582,6 @@ impl<'t> Deployment<'t> {
             seed: 0,
             membership: None,
             trickle: TrickleConfig::default(),
-            mode: MembershipMode::default(),
         }
     }
 
@@ -666,7 +612,6 @@ impl<'t> Deployment<'t> {
             state: DriverState {
                 deployment: self.id,
                 exec,
-                mode: self.mode,
                 faults: self.faults.clone(),
                 tamper: self.tamper.clone(),
                 base_seed: self.seed,
@@ -749,11 +694,6 @@ impl<'t> Deployment<'t> {
     /// `None` for static deployments.
     pub fn membership(&self) -> Option<&MembershipTimeline> {
         self.timeline.as_ref()
-    }
-
-    /// How membership-driven drivers keep their plan current.
-    pub fn membership_mode(&self) -> MembershipMode {
-        self.mode
     }
 
     /// The deployment's topology.
@@ -1040,35 +980,7 @@ impl<'d> RoundDriver<'d> {
             if delta.round > round_id {
                 break;
             }
-            let patch = match self.state.mode {
-                MembershipMode::Patch => plan.apply(delta)?,
-                MembershipMode::Recompile => {
-                    // The oracle path: rebuild everything from scratch for
-                    // the view in force at the delta's round. The patch
-                    // record is synthesized (a full rebuild reuses
-                    // nothing), but the resulting plan must be
-                    // byte-identical to the patched one.
-                    let live = timeline.view_at(delta.round);
-                    let rebuilt = RoundPlan::new_with_membership(
-                        plan.topology(),
-                        plan.config(),
-                        plan.protocol(),
-                        &live,
-                    )?;
-                    let patch = PlanPatch {
-                        round: delta.round,
-                        joined: delta.joins.len() as u32,
-                        left: delta.leaves.len() as u32,
-                        destinations_changed: rebuilt.destinations() != plan.destinations(),
-                        destinations: rebuilt.destinations().len() as u32,
-                        slots_rebuilt: rebuilt.sharing_chain_len() as u32,
-                        ccm_reused: 0,
-                        ccm_created: rebuilt.sharing_chain_len() as u32,
-                    };
-                    **plan = rebuilt;
-                    patch
-                }
-            };
+            let patch = plan.apply(delta)?;
             if patch.destinations_changed {
                 self.state.exec.sync(plan);
             }

@@ -74,12 +74,13 @@ mod execute;
 mod membership;
 mod outcome;
 mod plan;
+#[cfg(test)]
+mod recompile_oracle;
 
 pub use bootstrap::Bootstrap;
 pub use config::{ProtocolConfig, ProtocolConfigBuilder};
 pub use driver::{
-    Deployment, DeploymentBuilder, DriverStats, MembershipMode, ParkedDriver, RoundDriver,
-    RoundObserver,
+    Deployment, DeploymentBuilder, DriverStats, ParkedDriver, RoundDriver, RoundObserver,
 };
 pub use error::MpcError;
 pub use membership::{MembershipDelta, MembershipTimeline, PlanPatch};

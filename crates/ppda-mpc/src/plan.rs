@@ -291,12 +291,13 @@ impl<'t> RoundPlan<'t> {
     /// Compile a plan from scratch for a specific membership view
     /// (`live[v]` ⇔ node `v` is currently a member).
     ///
-    /// This is the *full-recompile* reference implementation that
-    /// [`RoundPlan::apply`] is differentially tested against: applying a
-    /// membership delta to a compiled plan must be byte-identical to
-    /// recompiling with this constructor — and strictly cheaper, since
-    /// `apply` skips the bootstrap (pairwise keys, hop tables, centrality
-    /// ranking) and reuses surviving AES-CCM contexts.
+    /// This is the *full-recompile* reference that [`RoundPlan::apply`]
+    /// is tested against: the crate's unit tests re-run every round a
+    /// membership-driven driver ran over a plan this constructor compiled
+    /// for the view in force at that round, and require the same
+    /// outcome, degraded report and patch record. Patching is strictly
+    /// cheaper, since `apply` skips the bootstrap (pairwise keys, hop
+    /// tables, centrality ranking) and reuses surviving AES-CCM contexts.
     ///
     /// # Errors
     ///
@@ -418,9 +419,9 @@ impl<'t> RoundPlan<'t> {
     ///
     /// The result is byte-identical to a full
     /// [`RoundPlan::new_with_membership`] recompile for the same view
-    /// (enforced by the differential suite), at a fraction of the cost:
-    /// the `n²` pairwise-key derivation and the `n` BFS hop sweeps are
-    /// never repeated.
+    /// (the crate's recompile-oracle tests check it round by round), at a
+    /// fraction of the cost: the `n²` pairwise-key derivation and the `n`
+    /// BFS hop sweeps are never repeated.
     ///
     /// On error the plan is left unchanged.
     ///

@@ -91,17 +91,6 @@ impl ChurnSchedule {
             .any(|w| w.node as usize == node && round >= w.from_round && round < w.until_round)
     }
 
-    /// Nodes scheduled down in `round`, ascending and deduplicated.
-    ///
-    /// Allocates a fresh `Vec`; per-round hot paths should use
-    /// [`ChurnSchedule::down_mask`] (node ids < 128) or
-    /// [`ChurnSchedule::iter_down_in_round`] instead.
-    pub fn down_in_round(&self, round: u32) -> Vec<u16> {
-        let mut down: Vec<u16> = self.iter_down_in_round(round).collect();
-        down.sort_unstable();
-        down
-    }
-
     /// Nodes scheduled down in `round` as a bit mask (bit `v` set ⇔ node
     /// `v` is down), covering node ids 0..128 — the workspace-wide node
     /// cap. Allocation-free; one pass over the windows.
@@ -113,20 +102,6 @@ impl ChurnSchedule {
             }
         }
         mask
-    }
-
-    /// Allocation-free iterator over the nodes scheduled down in `round`,
-    /// deduplicated (in window order, not sorted).
-    pub fn iter_down_in_round(&self, round: u32) -> impl Iterator<Item = u16> + '_ {
-        self.windows.iter().enumerate().filter_map(move |(i, w)| {
-            let covers = |w: &ChurnWindow| round >= w.from_round && round < w.until_round;
-            // Emit each down node at its first covering window only.
-            (covers(w)
-                && !self.windows[..i]
-                    .iter()
-                    .any(|p| p.node == w.node && covers(p)))
-            .then_some(w.node)
-        })
     }
 }
 
@@ -141,7 +116,7 @@ mod tests {
         assert_eq!(churn.len(), 0);
         for round in 0..10 {
             assert!(!churn.is_down(0, round));
-            assert!(churn.down_in_round(round).is_empty());
+            assert_eq!(churn.down_mask(round), 0);
         }
     }
 
@@ -160,23 +135,8 @@ mod tests {
         let churn = ChurnSchedule::from_windows([(2, 0, 4), (2, 2, 6), (9, 3, 4)]);
         assert_eq!(churn.len(), 3);
         assert!(churn.is_down(2, 5));
-        assert_eq!(churn.down_in_round(3), vec![2, 9]);
-        assert_eq!(churn.down_in_round(5), vec![2]);
-    }
-
-    #[test]
-    fn mask_and_iterator_agree_with_down_in_round() {
-        let churn = ChurnSchedule::from_windows([(2, 0, 4), (2, 2, 6), (9, 3, 4), (127, 1, 2)]);
-        for round in 0..8 {
-            let vec = churn.down_in_round(round);
-            let mask = churn.down_mask(round);
-            let mut from_mask: Vec<u16> = (0..128u16).filter(|&v| mask >> v & 1 == 1).collect();
-            from_mask.sort_unstable();
-            assert_eq!(from_mask, vec, "round {round}");
-            let mut from_iter: Vec<u16> = churn.iter_down_in_round(round).collect();
-            from_iter.sort_unstable();
-            assert_eq!(from_iter, vec, "round {round}");
-        }
+        assert_eq!(churn.down_mask(3), 1 << 2 | 1 << 9);
+        assert_eq!(churn.down_mask(5), 1 << 2);
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub mod prelude {
     pub use ppda_ct::FaultPlan;
     pub use ppda_integrity::{IntegrityMode, IntegrityVerdict, TamperPlan, Transcript};
     pub use ppda_mpc::{
-        Deployment, DeploymentBuilder, DriverStats, MembershipMode, MpcError, PlanPatch,
-        ProtocolConfig, ProtocolKind, RecoveryStatus, RoundDriver, RoundObserver, RoundReport,
+        Deployment, DeploymentBuilder, DriverStats, MpcError, PlanPatch, ProtocolConfig,
+        ProtocolKind, RecoveryStatus, RoundDriver, RoundObserver, RoundReport,
     };
     pub use ppda_sim::{ChurnSchedule, MembershipEvent, MembershipEventKind, TrickleConfig};
     pub use ppda_topology::Topology;

@@ -1,25 +1,24 @@
-//! Online-membership conformance: incremental plan patching must be
-//! indistinguishable from recompiling the plan from scratch.
+//! Online-membership conformance through the public façade.
 //!
 //! Contracts enforced here:
 //!
-//! 1. **Patch ≡ recompile, byte for byte** — a driver in the default
-//!    [`MembershipMode::Patch`] produces the same outcome and degraded
-//!    report streams as the [`MembershipMode::Recompile`] oracle, for
-//!    every membership event kind (join, leave, crash, rejoin), both
-//!    protocol variants, lane widths B ∈ {1, 4} and both testbed
-//!    topologies. Only the patch *cost accounting* (slots rebuilt, CCMs
-//!    reused) may differ: a full recompile reuses nothing.
-//! 2. **Aggregator death re-elects from the retained ranking** — when an
+//! 1. **Aggregator death re-elects from the retained ranking** — when an
 //!    S4 aggregator crashes, the patched plan swaps in the next-ranked
 //!    node and the round still recovers.
-//! 3. **Any round id, in any order** — a membership-driven driver asked
+//! 2. **Any round id, in any order** — a membership-driven driver asked
 //!    for a round id at or below one it already ran starts over from the
 //!    deployment's initial view and reports exactly what a fresh driver
 //!    reports, membership patch included.
-//! 4. **Patching is visible** — applied deltas surface as
+//! 3. **Patching is visible** — applied deltas surface as
 //!    [`RoundReport::membership_patch`] and count into
-//!    [`DriverStats::plan_patches`].
+//!    [`DriverStats::plan_patches`]; a leave reuses the retained pairwise
+//!    ciphers.
+//!
+//! That a patched plan runs every round exactly as a plan recompiled
+//! from scratch for that round's membership view does — every event
+//! kind, both variants, B ∈ {1, 4}, both testbeds, fault-free and lossy —
+//! is checked by `ppda-mpc`'s own unit tests (its `recompile_oracle`
+//! module), which re-run each patched round on the recompiled plan.
 
 use ppda::prelude::*;
 
@@ -48,7 +47,6 @@ fn churn_deployment(
     protocol: ProtocolKind,
     batch: usize,
     events: Vec<MembershipEvent>,
-    mode: MembershipMode,
 ) -> Deployment<'_> {
     let config = ProtocolConfig::builder(topology.len())
         .sources(topology.len())
@@ -62,7 +60,6 @@ fn churn_deployment(
         .seed(0xD1FF)
         .membership(events)
         .trickle(fast_trickle())
-        .membership_mode(mode)
         .build()
         .expect("deployment compiles")
 }
@@ -74,89 +71,6 @@ fn stream(deployment: &Deployment, rounds: usize) -> (Vec<RoundReport>, DriverSt
         .map(|_| driver.step().expect("round runs"))
         .collect();
     (reports, driver.stats())
-}
-
-/// The acceptance differential: every event kind, streamed through both
-/// modes, must yield identical outcomes — and the patch records must
-/// agree on everything except reuse accounting.
-fn assert_patch_matches_recompile(topology: &Topology, protocol: ProtocolKind, batch: usize) {
-    let n = topology.len() as u16;
-    let rounds = 18;
-    let patched = churn_deployment(
-        topology,
-        protocol,
-        batch,
-        all_kinds(n),
-        MembershipMode::Patch,
-    );
-    let oracle = churn_deployment(
-        topology,
-        protocol,
-        batch,
-        all_kinds(n),
-        MembershipMode::Recompile,
-    );
-    let (patched, patched_stats) = stream(&patched, rounds);
-    let (recompiled, oracle_stats) = stream(&oracle, rounds);
-
-    // The event stream must actually land inside the window (leave,
-    // crash and join converge early; the late rejoin may not).
-    assert!(
-        patched_stats.plan_patches >= 3,
-        "only {} deltas became effective in {rounds} rounds",
-        patched_stats.plan_patches
-    );
-    assert_eq!(patched_stats.plan_patches, oracle_stats.plan_patches);
-
-    for (p, r) in patched.iter().zip(&recompiled) {
-        assert_eq!(p.round_id, r.round_id);
-        assert_eq!(p.seed, r.seed);
-        assert_eq!(p.outcome, r.outcome, "outcome diverged at {}", p.round_id);
-        assert_eq!(
-            p.degraded, r.degraded,
-            "degraded report diverged at {}",
-            p.round_id
-        );
-        match (p.membership_patch(), r.membership_patch()) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert_eq!(a.round, b.round);
-                assert_eq!(a.joined, b.joined);
-                assert_eq!(a.left, b.left);
-                assert_eq!(a.destinations, b.destinations);
-                assert_eq!(a.destinations_changed, b.destinations_changed);
-            }
-            _ => panic!("patch presence diverged at {}", p.round_id),
-        }
-    }
-}
-
-#[test]
-fn patch_matches_recompile_flocklab_s3() {
-    let t = Topology::flocklab();
-    assert_patch_matches_recompile(&t, ProtocolKind::S3, 1);
-    assert_patch_matches_recompile(&t, ProtocolKind::S3, 4);
-}
-
-#[test]
-fn patch_matches_recompile_flocklab_s4() {
-    let t = Topology::flocklab();
-    assert_patch_matches_recompile(&t, ProtocolKind::S4, 1);
-    assert_patch_matches_recompile(&t, ProtocolKind::S4, 4);
-}
-
-#[test]
-fn patch_matches_recompile_dcube_s3() {
-    let t = Topology::dcube();
-    assert_patch_matches_recompile(&t, ProtocolKind::S3, 1);
-    assert_patch_matches_recompile(&t, ProtocolKind::S3, 4);
-}
-
-#[test]
-fn patch_matches_recompile_dcube_s4() {
-    let t = Topology::dcube();
-    assert_patch_matches_recompile(&t, ProtocolKind::S4, 1);
-    assert_patch_matches_recompile(&t, ProtocolKind::S4, 4);
 }
 
 #[test]
@@ -173,7 +87,6 @@ fn leave_patches_reuse_pairwise_ccms() {
         ProtocolKind::S3,
         1,
         vec![MembershipEvent::leave(3, n - 2)],
-        MembershipMode::Patch,
     );
     let (reports, stats) = stream(&deployment, 12);
     assert_eq!(stats.plan_patches, 1);
@@ -212,7 +125,6 @@ fn aggregator_death_re_elects_from_retained_ranking() {
         ProtocolKind::S4,
         1,
         vec![MembershipEvent::crash(3, victim)],
-        MembershipMode::Patch,
     );
     let (reports, stats) = stream(&deployment, 12);
     assert_eq!(stats.plan_patches, 1);
@@ -243,7 +155,6 @@ fn rewound_drivers_report_what_fresh_drivers_do() {
         ProtocolKind::S4,
         1,
         vec![MembershipEvent::leave(3, n - 2)],
-        MembershipMode::Patch,
     );
     let due = deployment.membership().expect("membership-driven").deltas()[0].round;
     assert!(due > 5 && due <= 8, "the leave comes due at round {due}");
@@ -331,13 +242,7 @@ fn fresh_drivers_fast_forward_to_identical_reports() {
     // campaign engine's span-parallel execution rests on.
     let topology = Topology::flocklab();
     let n = topology.len() as u16;
-    let deployment = churn_deployment(
-        &topology,
-        ProtocolKind::S4,
-        1,
-        all_kinds(n),
-        MembershipMode::Patch,
-    );
+    let deployment = churn_deployment(&topology, ProtocolKind::S4, 1, all_kinds(n));
     let (continuous, _) = stream(&deployment, 16);
     for start in [0usize, 5, 9, 13] {
         let mut fresh = deployment.driver();

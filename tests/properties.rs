@@ -4,17 +4,15 @@
 
 use proptest::prelude::*;
 
-use ppda::mpc::{
-    Deployment, FaultPlan, MembershipEvent, MembershipEventKind, MembershipMode, ProtocolKind,
-};
+use ppda::mpc::{Deployment, FaultPlan, MembershipEvent, MembershipEventKind, ProtocolKind};
 use ppda::sim::TrickleConfig;
 use ppda_testkit::{drive_round, grid9, grid9_config};
 
 /// The first `count` of the drawn membership events, in round order.
-/// The properties draw nodes from 3..9: nodes 0..3 (the sources) stay
+/// The churn property draws nodes from 3..9: nodes 0, 1 and 2 stay
 /// members throughout, so the destination set never empties, and the
-/// other nodes churn freely — including streams that drop the round
-/// below threshold.
+/// other nodes (sources 3 and 6 among them) churn freely — including
+/// streams that drop the round below threshold.
 fn churn_events(
     count: usize,
     rounds: &[u32],
@@ -37,13 +35,11 @@ fn churn_events(
     events
 }
 
-/// A grid9 S4 deployment under `events` and `faults`, patched or
-/// recompiled.
+/// A grid9 S4 deployment under `events` and `faults`.
 fn churn_deployment(
     events: &[MembershipEvent],
     faults: FaultPlan,
     seed: u64,
-    mode: MembershipMode,
 ) -> Deployment<'static> {
     Deployment::builder()
         .topology(grid9())
@@ -56,7 +52,6 @@ fn churn_deployment(
             i_min: 1,
             crash_detection: 1,
         })
-        .membership_mode(mode)
         .build()
         .expect("churny deployment compiles")
 }
@@ -199,52 +194,6 @@ proptest! {
         }
     }
 
-    /// Incremental plan patching equals full recompilation for *any*
-    /// membership event stream: same outcomes, same degraded reports,
-    /// patches applied at the same rounds.
-    #[test]
-    fn plan_patching_matches_recompile_for_random_event_streams(
-        count in 0usize..8,
-        rounds in prop::collection::vec(1u32..12, 8),
-        nodes in prop::collection::vec(3u16..9, 8),
-        kinds in prop::collection::vec(0usize..4, 8),
-        seed in any::<u64>(),
-    ) {
-        use ppda::prelude::*;
-
-        let events = churn_events(count, &rounds, &nodes, &kinds);
-        let build = |mode| churn_deployment(&events, FaultPlan::none(), seed, mode);
-        let patched_deployment = build(MembershipMode::Patch);
-        let oracle_deployment = build(MembershipMode::Recompile);
-        let mut patched = patched_deployment.driver();
-        let mut oracle = oracle_deployment.driver();
-        for _ in 0..14 {
-            let p = patched.step().expect("patched round runs");
-            let r = oracle.step().expect("recompiled round runs");
-            prop_assert_eq!(p.round_id, r.round_id);
-            prop_assert_eq!(&p.outcome, &r.outcome);
-            prop_assert_eq!(&p.degraded, &r.degraded);
-            prop_assert_eq!(
-                p.membership_patch().is_some(),
-                r.membership_patch().is_some()
-            );
-
-            // Safety under arbitrary churn: a below-threshold round
-            // escalates to AggregationFailed — it never silently yields
-            // a wrong sum, and no live node ever reports one.
-            if let RecoveryStatus::Failed { missing } = p.recovery() {
-                prop_assert!(missing > 0);
-                prop_assert!(p.degraded.require_recovered().is_err());
-            }
-            for node in p.outcome.live_nodes() {
-                if let Some(sums) = &node.aggregates {
-                    prop_assert_eq!(sums, &p.outcome.expected_sums);
-                }
-            }
-        }
-        prop_assert_eq!(patched.stats().plan_patches, oracle.stats().plan_patches);
-    }
-
     /// One membership-driven driver run through any order of round ids,
     /// repeats and backward jumps included, reports for each exactly what
     /// a fresh driver reports. Links are lossy, so rounds reconstruct from
@@ -260,7 +209,7 @@ proptest! {
     ) {
         let events = churn_events(count, &rounds, &nodes, &kinds);
         let faults = FaultPlan::lossy(seed, 0.3);
-        let deployment = churn_deployment(&events, faults, seed, MembershipMode::Patch);
+        let deployment = churn_deployment(&events, faults, seed);
         let mut driver = deployment.driver();
         for &round_id in &round_ids {
             let round_seed = seed ^ u64::from(round_id);
