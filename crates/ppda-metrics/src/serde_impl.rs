@@ -7,13 +7,11 @@
 //! margin histogram (a length, then one count per margin), then the
 //! latency and the radio-on samples.
 //!
-//! * Version 2, written by [`CampaignAccumulator::to_blob`], stores each
-//!   sample set as its runs: a run count, then (value bits, count) pairs in
-//!   ascending `f64::total_cmp` order. Its length is bounded by the number
-//!   of distinct values, however many rounds were recorded.
-//! * Version 1 stored each sample set flat: a sample count, then every
-//!   sample's bits in recording order. It is still read, folding the
-//!   samples into runs.
+//! The version is 2, the only one [`CampaignAccumulator::from_blob`]
+//! reads. It stores each sample set as its runs: a run count, then
+//! (value bits, count) pairs in ascending `f64::total_cmp` order. Its
+//! length is bounded by the number of distinct values, however many
+//! rounds were recorded.
 //!
 //! Sample values round-trip through their IEEE-754 bit patterns, so a
 //! restored accumulator's summaries are bit-identical to the snapshotted
@@ -87,16 +85,7 @@ impl<'a> Reader<'a> {
         (0..n).map(|_| self.u64()).collect()
     }
 
-    /// A version-1 flat sample buffer, folded into runs.
-    fn flat_samples(&mut self) -> Result<Runs, String> {
-        let n = self.count(8)?;
-        let samples = (0..n)
-            .map(|_| Ok(f64::from_bits(self.u64()?)))
-            .collect::<Result<Vec<f64>, String>>()?;
-        Ok(Runs::of(&samples))
-    }
-
-    /// A version-2 run list.
+    /// A run list.
     fn runs(&mut self) -> Result<Runs, String> {
         let n = self.count(16)?;
         let mut runs = Runs::default();
@@ -136,8 +125,7 @@ impl CampaignAccumulator {
     }
 
     /// Decode the versioned byte format produced by
-    /// [`CampaignAccumulator::to_blob`], in its current version 2 or the
-    /// flat-sample version 1.
+    /// [`CampaignAccumulator::to_blob`] (version 2 only).
     ///
     /// # Errors
     ///
@@ -147,7 +135,7 @@ impl CampaignAccumulator {
     pub fn from_blob(bytes: &[u8]) -> Result<Self, String> {
         let mut r = Reader { bytes };
         let version = r.u8()?;
-        if !(1..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(format!(
                 "unsupported campaign accumulator blob version {version}"
             ));
@@ -160,11 +148,8 @@ impl CampaignAccumulator {
         let recovery_failed = r.u64()?;
         let hist_len = r.count(8)?;
         let margin_hist = r.u64s(hist_len)?;
-        let (latencies, radios) = if version == 1 {
-            (r.flat_samples()?, r.flat_samples()?)
-        } else {
-            (r.runs()?, r.runs()?)
-        };
+        let latencies = r.runs()?;
+        let radios = r.runs()?;
         if !r.bytes.is_empty() {
             return Err("trailing bytes after campaign accumulator blob".to_owned());
         }
@@ -278,9 +263,11 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let mut blob = sample().to_blob();
-        blob[0] = 99;
-        assert!(CampaignAccumulator::from_blob(&blob).is_err());
+        for version in [1, 3, 99] {
+            let mut blob = sample().to_blob();
+            blob[0] = version;
+            assert!(CampaignAccumulator::from_blob(&blob).is_err());
+        }
     }
 
     #[test]
@@ -301,9 +288,15 @@ mod tests {
         ]
     }
 
-    /// The version byte, the counters and the margin histogram.
-    fn header(version: u8, counters: [u64; 6], margin_hist: &[u64]) -> Vec<u8> {
-        let mut out = vec![version];
+    /// A hand-encoded version-2 blob: the counters, the margin histogram
+    /// and each sample set as the runs given.
+    fn v2_blob(
+        counters: [u64; 6],
+        margin_hist: &[u64],
+        latencies: &[(f64, u64)],
+        radios: &[(f64, u64)],
+    ) -> Vec<u8> {
+        let mut out = vec![2];
         for v in counters {
             put_u64(&mut out, v);
         }
@@ -311,29 +304,6 @@ mod tests {
         for &count in margin_hist {
             put_u64(&mut out, count);
         }
-        out
-    }
-
-    /// A hand-encoded version-1 blob: each sample buffer flat, as given.
-    fn v1_blob(
-        counters: [u64; 6],
-        margin_hist: &[u64],
-        latencies: &[f64],
-        radios: &[f64],
-    ) -> Vec<u8> {
-        let mut out = header(1, counters, margin_hist);
-        for samples in [latencies, radios] {
-            put_u64(&mut out, samples.len() as u64);
-            for &x in samples {
-                put_u64(&mut out, x.to_bits());
-            }
-        }
-        out
-    }
-
-    /// A hand-encoded version-2 blob: each sample set as the runs given.
-    fn v2_blob(counters: [u64; 6], latencies: &[(f64, u64)], radios: &[(f64, u64)]) -> Vec<u8> {
-        let mut out = header(2, counters, &[]);
         for runs in [latencies, radios] {
             put_u64(&mut out, runs.len() as u64);
             for &(value, count) in runs {
@@ -366,7 +336,7 @@ mod tests {
     /// expanding it into a sample vector.
     #[test]
     fn margins_that_contradict_the_recoveries_are_rejected() {
-        let blob = v1_blob([0, 0, 0, 0, 1, 0], &[1 << 61], &[], &[]);
+        let blob = v2_blob([0, 0, 0, 0, 1, 0], &[1 << 61], &[], &[]);
         assert_eq!(blob.len(), 81);
         assert!(CampaignAccumulator::from_blob(&blob).is_err());
     }
@@ -374,14 +344,16 @@ mod tests {
     #[test]
     fn counters_that_contradict_each_other_or_the_samples_are_rejected() {
         let acc = sample();
-        let v1 = |counters| v1_blob(counters, acc.margin_histogram(), &[10.5], &[1.25, 2.5]);
         let v2 = |counters| {
-            let mut blob = acc.to_blob();
-            blob[1..49].copy_from_slice(&header(2, counters, &[])[1..49]);
-            blob
+            v2_blob(
+                counters,
+                acc.margin_histogram(),
+                &[(10.5, 1)],
+                &[(1.25, 1), (2.5, 1)],
+            )
         };
         let good = counters(&acc);
-        assert!(CampaignAccumulator::from_blob(&v1(good)).is_ok());
+        assert_eq!(v2(good), acc.to_blob());
         assert!(CampaignAccumulator::from_blob(&v2(good)).is_ok());
         let with = |at: usize, value: u64| {
             let mut bad = good;
@@ -395,7 +367,6 @@ mod tests {
             with(5, u64::MAX),    // recovered + failed overflows
             with(1, 1),           // two radio-on samples, one node
         ] {
-            assert!(CampaignAccumulator::from_blob(&v1(bad)).is_err());
             assert!(CampaignAccumulator::from_blob(&v2(bad)).is_err());
         }
     }
@@ -404,7 +375,7 @@ mod tests {
     fn malformed_runs_are_rejected() {
         let counters = [0, 4, 0, 0, 0, 0];
         let decode = |latencies: &[(f64, u64)]| {
-            CampaignAccumulator::from_blob(&v2_blob(counters, latencies, &[]))
+            CampaignAccumulator::from_blob(&v2_blob(counters, &[], latencies, &[]))
         };
         assert!(decode(&[(1.0, 2), (2.5, 1)]).is_ok());
         // total_cmp orders −0.0 below 0.0, so they are two runs.
@@ -415,34 +386,10 @@ mod tests {
         assert!(decode(&[(1.0, 0)]).is_err());
         assert!(decode(&[(f64::NAN, 1)]).is_err());
         // A run count past the bytes that remain.
-        let mut blob = v2_blob(counters, &[(1.0, 1)], &[]);
+        let mut blob = v2_blob(counters, &[], &[(1.0, 1)], &[]);
         let at = blob.len() - 8 - 16 - 8;
         blob[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(CampaignAccumulator::from_blob(&blob).is_err());
-    }
-
-    /// A version-1 blob with repeated, unsorted and NaN samples reads back
-    /// as the accumulator that recorded those samples, and re-encodes as
-    /// version 2.
-    #[test]
-    fn version_1_blobs_fold_into_runs() {
-        let latencies = [12.5, 3.0, 12.5, f64::NAN, 7.25, 3.0];
-        let radios = [4.0, 1.0, 4.0, 4.0, f64::NAN, 2.0, 1.0];
-        let mut acc = CampaignAccumulator::new();
-        for (i, &radio) in radios.iter().enumerate() {
-            acc.record_node(i % 3 != 0, latencies.get(i).copied(), radio);
-        }
-        acc.record_round(true);
-        acc.record_round(false);
-        acc.record_recovery(Some(1));
-        acc.record_recovery(Some(1));
-        acc.record_recovery(None);
-        let v1 = v1_blob(counters(&acc), acc.margin_histogram(), &latencies, &radios);
-        let back = CampaignAccumulator::from_blob(&v1).unwrap();
-        assert_eq!(view(&back), view(&acc));
-        assert_eq!(back.latency().len(), 5);
-        assert_eq!(back.to_blob()[0], 2);
-        assert_eq!(back.to_blob(), acc.to_blob());
     }
 
     #[test]
@@ -459,11 +406,10 @@ mod tests {
     }
 
     /// An accumulator fed by `calls` from small pools (a NaN latency
-    /// among them), and the flat samples a version-1 blob held for it.
-    fn recorded(calls: &[u64]) -> (CampaignAccumulator, Vec<f64>, Vec<f64>) {
+    /// among them).
+    fn recorded(calls: &[u64]) -> CampaignAccumulator {
         const LATENCIES: [f64; 6] = [1.5, 3.0, 4.5, 4.5, 12.25, f64::NAN];
         let mut acc = CampaignAccumulator::new();
-        let (mut latencies, mut radios) = (Vec::new(), Vec::new());
         for &call in calls {
             match call % 4 {
                 0 => acc.record_round(call & 4 == 0),
@@ -472,12 +418,10 @@ mod tests {
                     let latency = LATENCIES.get((call >> 8) as usize % 8).copied();
                     let radio = f64::from((call >> 16) as u8 % 5) * 2.5;
                     acc.record_node(call & 4 == 0, latency, radio);
-                    latencies.extend(latency);
-                    radios.push(radio);
                 }
             }
         }
-        (acc, latencies, radios)
+        acc
     }
 
     /// Arbitrary bytes (mode 0), or `valid` truncated (1), with one bit
@@ -497,26 +441,20 @@ mod tests {
     }
 
     proptest! {
-        /// `from_blob` is total in both versions. On arbitrary bytes, and
-        /// on truncations and single bit flips of valid version-1 and
-        /// version-2 blobs, it returns an error or an accumulator that
-        /// holds at most two bytes per input byte and whose blob decodes
-        /// back to the same counters and summaries; an intact blob reads
-        /// back as what was recorded.
+        /// `from_blob` is total. On arbitrary bytes, and on truncations
+        /// and single bit flips of valid blobs, it returns an error or an
+        /// accumulator that holds at most two bytes per input byte and
+        /// whose blob decodes back to the same counters and summaries; an
+        /// intact blob reads back as what was recorded.
         #[test]
         fn from_blob_is_total(
             calls in prop::collection::vec(any::<u64>(), 0..200),
             garbage in prop::collection::vec(any::<u8>(), 0..401),
             mode in 0u8..4,
-            version_1 in any::<bool>(),
             at in any::<prop::sample::Index>(),
         ) {
-            let (acc, latencies, radios) = recorded(&calls);
-            let valid = if version_1 {
-                v1_blob(counters(&acc), acc.margin_histogram(), &latencies, &radios)
-            } else {
-                acc.to_blob()
-            };
+            let acc = recorded(&calls);
+            let valid = acc.to_blob();
             let bytes = mutate(&valid, mode, &garbage, at);
             match CampaignAccumulator::from_blob(&bytes) {
                 Ok(decoded) => {

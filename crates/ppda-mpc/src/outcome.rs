@@ -409,10 +409,21 @@ impl RoundReport {
     }
 
     /// The lane aggregates the network agreed on: the first live node's
-    /// reconstruction (`None` if no live node reconstructed this round).
+    /// reconstruction that covers every live source. `None` when no live
+    /// node reconstructed the full aggregate this round
+    /// ([`DegradedOutcome::nodes_recovered`] is 0), so a partial
+    /// aggregate — one that omits live sources, as a node holding only
+    /// partial sums computes — is never returned.
     pub fn aggregates(&self) -> Option<&[u64]> {
-        self.outcome
-            .live_nodes()
+        if self.degraded.nodes_recovered == 0 {
+            return None;
+        }
+        // Once some node recovered, the widest coverage among live nodes
+        // is every live source.
+        let live = || self.outcome.live_nodes();
+        let full = live().map(|n| n.included_sources).max()?;
+        live()
+            .filter(|n| n.included_sources == full)
             .find_map(|n| n.aggregates.as_deref())
     }
 
@@ -704,6 +715,45 @@ mod tests {
         assert!(text.starts_with(
             "round 9 seed 77\nprotocol S4 lanes 2\nexpected 42 43\nrecovery recovered margin=1\n"
         ));
+    }
+
+    #[test]
+    fn aggregates_never_omit_a_live_source() {
+        let partial = |sum: u64| BatchNodeResult {
+            included_sources: 2,
+            ..node(Some(vec![sum]), Some(5), false)
+        };
+        // A recovered round whose first live node held only partial sums
+        // and whose second reconstructed the full aggregate.
+        let mut recovered = degraded(RecoveryStatus::Recovered { margin: 1 });
+        recovered.nodes_recovered = 1;
+        let report = RoundReport {
+            round_id: 1,
+            seed: 5,
+            outcome: batch_outcome(
+                1,
+                vec![
+                    node(None, None, true),
+                    partial(40),
+                    node(Some(vec![42]), Some(5), false),
+                ],
+            ),
+            degraded: recovered,
+            patch: None,
+        };
+        assert_eq!(report.aggregates(), Some(&[42u64][..]));
+
+        // A failed round in which every live node holds a partial.
+        let mut failed = degraded(RecoveryStatus::Failed { missing: 1 });
+        failed.nodes_recovered = 0;
+        let report = RoundReport {
+            round_id: 2,
+            seed: 6,
+            outcome: batch_outcome(1, vec![partial(40), partial(41)]),
+            degraded: failed,
+            patch: None,
+        };
+        assert_eq!(report.aggregates(), None);
     }
 
     #[test]

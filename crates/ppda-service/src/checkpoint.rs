@@ -2,18 +2,21 @@
 //!
 //! A checkpoint captures, per deployment: the full [`DeploymentSpec`]
 //! (name, topology, protocol configuration, protocol variant, fault
-//! plan, seed and clock mode), the round-clock position (rounds
-//! completed), and the merged [`CampaignAccumulator`]. Restoring
-//! recompiles every deployment from its spec and resumes the clocks, so
-//! a restored engine's subsequent rounds are **byte-identical** to the
-//! rounds an uninterrupted engine would have run (round outcomes are
-//! pure functions of their `(round_id, seed)` coordinates).
+//! plan, seed, clock mode, membership events and Trickle parameters),
+//! the round-clock position (rounds completed), and the merged
+//! [`CampaignAccumulator`]. Restoring recompiles every deployment from
+//! its spec and resumes the clocks, so a restored engine's subsequent
+//! rounds are **byte-identical** to the rounds an uninterrupted engine
+//! would have run (round outcomes are pure functions of their
+//! `(round_id, seed)` coordinates).
 //!
 //! The vendored serde subset has no derive macro, so the format is a
-//! hand-rolled versioned little-endian blob, embedding the byte formats
-//! [`Topology`] and [`CampaignAccumulator`] already define for their own
-//! serde impls. [`Checkpoint`] implements `Serialize`/`Deserialize` as a
-//! single byte string, matching the repo-wide convention.
+//! hand-rolled little-endian blob led by a version byte, embedding the
+//! byte formats [`Topology`] and [`CampaignAccumulator`] already define
+//! for their own serde impls. Restore reads only the version
+//! [`Checkpoint::capture`] writes, 5, and refuses any other as malformed.
+//! [`Checkpoint`] implements `Serialize`/`Deserialize` as a single byte
+//! string, matching the repo-wide convention.
 
 use std::fmt;
 
@@ -28,15 +31,11 @@ use serde::{Deserialize, Deserializer, Error as _, Serialize, Serializer};
 
 use crate::engine::{CampaignEngine, ClockMode, DeploymentSpec, EngineError, MAX_WORKERS};
 
-/// Current blob version. Version 2 appended the membership event
-/// stream and Trickle parameters to every spec; version 3 appended the
-/// config's fragmentation flag; version 4 appended the config's
-/// integrity mode; version 5 dropped the two Trickle words (interval
-/// doublings and redundancy constant) that no dissemination delay
-/// reads. Older blobs (no membership / no flags / four Trickle words)
-/// still restore.
+/// The blob version, the only one [`Checkpoint::restore`] reads. Each
+/// spec ends with its membership event stream, its two Trickle words
+/// (`i_min`, `crash_detection`), the config's fragmentation flag and its
+/// integrity mode.
 const FORMAT_VERSION: u8 = 5;
-const OLDEST_SUPPORTED_VERSION: u8 = 1;
 
 /// A serialized, self-contained image of a quiesced engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,8 +205,8 @@ fn encode_spec(out: &mut Vec<u8>, spec: &DeploymentSpec) {
         put_u32(out, w.until_round);
     }
 
-    // Version 2: the online-membership event stream plus the Trickle
-    // parameters that govern its dissemination.
+    // The online-membership event stream plus the Trickle parameters
+    // that govern its dissemination.
     put_u64(out, spec.membership.len() as u64);
     for ev in &spec.membership {
         put_u32(out, ev.round);
@@ -223,14 +222,13 @@ fn encode_spec(out: &mut Vec<u8>, spec: &DeploymentSpec) {
     put_u32(out, t.i_min);
     put_u32(out, t.crash_detection);
 
-    // Version 3: the fragmentation flag (wide lane batches span frames).
+    // The fragmentation flag (wide lane batches span frames) and the
+    // integrity mode (sum audit on or off).
     out.push(u8::from(c.fragmentation));
-
-    // Version 4: the integrity mode (sum audit on or off).
     out.push(u8::from(c.integrity.is_on()));
 }
 
-fn decode_spec(r: &mut Reader<'_>, version: u8) -> Result<DeploymentSpec, CheckpointError> {
+fn decode_spec(r: &mut Reader<'_>) -> Result<DeploymentSpec, CheckpointError> {
     let name = r.string()?;
     let topology = Topology::from_blob(r.bytes_field()?).map_err(CheckpointError::Format)?;
     let protocol = match r.u8()? {
@@ -277,28 +275,6 @@ fn decode_spec(r: &mut Reader<'_>, version: u8) -> Result<DeploymentSpec, Checkp
         harsh_range: (r.f64()?, r.f64()?),
     };
     let batch = r.u64()? as usize;
-    let mut config = ProtocolConfig {
-        n_nodes,
-        sources,
-        degree,
-        ntx_sharing,
-        ntx_reconstruction,
-        full_coverage_ntx,
-        aggregator_redundancy,
-        tag_len,
-        master_key,
-        link_threshold,
-        round_id,
-        max_reading,
-        fading,
-        batch,
-        // Version ≤ 2 blobs predate the fragmenting transport: every
-        // batch they could compile fits one frame, so the flag is off.
-        fragmentation: false,
-        // Version ≤ 3 blobs predate the integrity subsystem, whose off
-        // mode is byte-identical to what those engines ran.
-        integrity: IntegrityMode::Off,
-    };
 
     let fault_seed = r.u64()?;
     let loss = r.f64()?;
@@ -324,55 +300,56 @@ fn decode_spec(r: &mut Reader<'_>, version: u8) -> Result<DeploymentSpec, Checkp
         churn: ChurnSchedule::from_windows(windows),
     };
 
-    // Version-1 blobs predate online membership: restore them as
-    // membership-free specs with the default Trickle parameters.
-    let mut membership = Vec::new();
-    let mut trickle = TrickleConfig::default();
-    if version >= 2 {
-        let n_events = r.u64()? as usize;
-        membership.reserve(n_events.min(4096));
-        for _ in 0..n_events {
-            let round = r.u32()?;
-            let node = r.u16()?;
-            let kind = match r.u8()? {
-                0 => MembershipEventKind::Join,
-                1 => MembershipEventKind::Leave,
-                2 => MembershipEventKind::Crash,
-                3 => MembershipEventKind::Rejoin,
-                other => {
-                    return Err(CheckpointError::Format(format!(
-                        "unknown membership event tag {other}"
-                    )))
-                }
-            };
-            membership.push(MembershipEvent { round, node, kind });
-        }
-        let i_min = r.u32()?;
-        if version < 5 {
-            // Versions 2–4 also carried the interval doublings and the
-            // redundancy constant, which no dissemination delay reads.
-            r.take(8)?;
-        }
-        trickle = TrickleConfig {
-            i_min,
-            crash_detection: r.u32()?,
+    let n_events = r.u64()? as usize;
+    let mut membership = Vec::with_capacity(n_events.min(4096));
+    for _ in 0..n_events {
+        let round = r.u32()?;
+        let node = r.u16()?;
+        let kind = match r.u8()? {
+            0 => MembershipEventKind::Join,
+            1 => MembershipEventKind::Leave,
+            2 => MembershipEventKind::Crash,
+            3 => MembershipEventKind::Rejoin,
+            other => {
+                return Err(CheckpointError::Format(format!(
+                    "unknown membership event tag {other}"
+                )))
+            }
         };
+        membership.push(MembershipEvent { round, node, kind });
     }
-    if version >= 3 {
-        config.fragmentation = r.u8()? != 0;
-    }
-    if version >= 4 {
-        config.integrity = if r.u8()? != 0 {
-            IntegrityMode::On
-        } else {
-            IntegrityMode::Off
-        };
-    }
+    let trickle = TrickleConfig {
+        i_min: r.u32()?,
+        crash_detection: r.u32()?,
+    };
+    let fragmentation = r.u8()? != 0;
+    let integrity = if r.u8()? != 0 {
+        IntegrityMode::On
+    } else {
+        IntegrityMode::Off
+    };
 
     Ok(DeploymentSpec {
         name,
         topology,
-        config,
+        config: ProtocolConfig {
+            n_nodes,
+            sources,
+            degree,
+            ntx_sharing,
+            ntx_reconstruction,
+            full_coverage_ntx,
+            aggregator_redundancy,
+            tag_len,
+            master_key,
+            link_threshold,
+            round_id,
+            max_reading,
+            fading,
+            batch,
+            fragmentation,
+            integrity,
+        },
         protocol,
         faults,
         seed,
@@ -418,7 +395,7 @@ impl Checkpoint {
     pub fn restore(&self) -> Result<CampaignEngine, CheckpointError> {
         let mut r = Reader { bytes: &self.blob };
         let version = r.u8()?;
-        if !(OLDEST_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(CheckpointError::Format(format!(
                 "unsupported checkpoint version {version}"
             )));
@@ -434,7 +411,7 @@ impl Checkpoint {
         let mut specs = Vec::with_capacity(n.min(4096));
         let mut progress = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
-            let spec = decode_spec(&mut r, version)?;
+            let spec = decode_spec(&mut r)?;
             let completed = r.u64()?;
             let metrics = CampaignAccumulator::from_blob(r.bytes_field()?)
                 .map_err(CheckpointError::Format)?;
@@ -479,10 +456,7 @@ impl<'de> Deserialize<'de> for Checkpoint {
         let blob = Vec::<u8>::deserialize(deserializer)?;
         // Validate the header eagerly so a wrong payload fails at
         // deserialization, not at a later restore.
-        let supported = blob
-            .first()
-            .is_some_and(|&v| (OLDEST_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&v));
-        if !supported {
+        if blob.first() != Some(&FORMAT_VERSION) {
             return Err(D::Error::custom("not a campaign checkpoint"));
         }
         Ok(Checkpoint { blob })
@@ -531,36 +505,16 @@ mod tests {
         vec![churny, striped]
     }
 
-    /// The fleet's checkpoint in version 5 and in version 4. Version 4
-    /// carried two more Trickle words (interval doublings and redundancy
-    /// constant) between `i_min` and `crash_detection`: each spec's v4
-    /// bytes are its v5 bytes with 6 and 2 re-inserted there.
-    fn base_blobs() -> &'static [Vec<u8>; 2] {
-        static BLOBS: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
-        BLOBS.get_or_init(|| {
+    /// The fleet's captured (version-5) checkpoint.
+    fn base_blob() -> &'static [u8] {
+        static BLOB: OnceLock<Vec<u8>> = OnceLock::new();
+        BLOB.get_or_init(|| {
             let engine = CampaignEngine::builder()
                 .workers(1)
                 .deployments(fleet())
                 .build()
                 .expect("fleet compiles");
-            let v5 = Checkpoint::capture(&engine).expect("checkpoint").blob;
-            let mut v4 = vec![4];
-            put_u64(&mut v4, engine.workers() as u64);
-            put_u64(&mut v4, engine.chunk());
-            let state = engine.quiesced_state().expect("quiesced");
-            put_u64(&mut v4, state.len() as u64);
-            for (spec, completed, metrics) in &state {
-                let mut spec_bytes = Vec::new();
-                encode_spec(&mut spec_bytes, spec);
-                // Before `crash_detection` and the two flag bytes.
-                let at = spec_bytes.len() - (4 + 2);
-                let dropped = [6u32.to_le_bytes(), 2u32.to_le_bytes()].concat();
-                spec_bytes.splice(at..at, dropped);
-                v4.extend_from_slice(&spec_bytes);
-                put_u64(&mut v4, *completed);
-                put_bytes(&mut v4, &metrics.to_blob());
-            }
-            [v5, v4]
+            Checkpoint::capture(&engine).expect("checkpoint").blob
         })
     }
 
@@ -581,10 +535,10 @@ mod tests {
     /// a typed error.
     #[test]
     fn restore_survives_every_byte_pinned_to_an_extreme() {
-        let [v5, _] = base_blobs();
+        let v5 = base_blob();
         for at in 0..v5.len() {
             for extreme in [0x00, 0xFF] {
-                let mut bytes = v5.clone();
+                let mut bytes = v5.to_vec();
                 bytes[at] = extreme;
                 if let Err(e) = restore_is_typed(bytes) {
                     panic!("byte {at} pinned to {extreme:#04x}: {e:?}");
@@ -595,33 +549,31 @@ mod tests {
 
     proptest! {
         /// `Checkpoint::restore` is total. On arbitrary bytes, on
-        /// truncations and single bit flips of a version-5 and a
-        /// version-4 blob, and on a truncated blob continued by arbitrary
-        /// bytes, it returns an engine or a typed error; an intact blob
-        /// restores to the captured specs. Bit flips inside the embedded
-        /// topology blob exercise `Topology::from_blob` as well. Restored
-        /// engines are never advanced.
+        /// truncations and single bit flips of the captured blob, and on
+        /// a truncated blob continued by arbitrary bytes, it returns an
+        /// engine or a typed error; an intact blob restores to the
+        /// captured specs. Bit flips inside the embedded topology blob
+        /// exercise `Topology::from_blob` as well. Restored engines are
+        /// never advanced.
         #[test]
         fn restore_is_total(
             garbage in prop::collection::vec(any::<u8>(), 0..600),
-            version_4 in any::<bool>(),
             cut in any::<prop::sample::Index>(),
             flip in any::<prop::sample::Index>(),
             bit in 0u32..8,
         ) {
-            let [v5, v4] = base_blobs();
-            let base = if version_4 { v4 } else { v5 };
+            let base = base_blob();
 
-            let restored = restore_is_typed(base.clone())?.expect("an intact blob restores");
+            let restored = restore_is_typed(base.to_vec())?.expect("an intact blob restores");
             let recaptured = Checkpoint::capture(&restored).expect("checkpoint");
             // The intact blob restores to the captured specs.
-            prop_assert_eq!(&recaptured.blob, v5);
+            prop_assert_eq!(&recaptured.blob[..], base);
 
             restore_is_typed(garbage.clone())?;
             let truncated = &base[..cut.index(base.len())];
             restore_is_typed(truncated.to_vec())?;
             restore_is_typed([truncated, &garbage].concat())?;
-            let mut flipped = base.clone();
+            let mut flipped = base.to_vec();
             flipped[flip.index(base.len())] ^= 1 << bit;
             restore_is_typed(flipped)?;
         }

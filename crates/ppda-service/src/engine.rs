@@ -26,7 +26,7 @@ use ppda_mpc::{
 };
 use ppda_topology::Topology;
 
-use crate::scheduler::{deal_spans, run_spans, Span, SpanRunner};
+use crate::scheduler::{list_spans, run_spans, SpanRunner};
 
 /// How a deployment's round index maps to `(round_id, seed)` coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,9 +124,9 @@ struct Slot {
 #[non_exhaustive]
 pub enum EngineError {
     /// A deployment's round returned an error. With concurrent workers
-    /// the reported round is deterministic: the erroring round with the
+    /// the reported round is deterministic: the failing round with the
     /// lowest round index (ties broken by lowest deployment id),
-    /// regardless of worker count or steal order.
+    /// regardless of worker count or of which worker ran which span.
     Round {
         /// Slot index of the deployment.
         deployment: usize,
@@ -151,10 +151,11 @@ pub enum EngineError {
     },
     /// Worker code panicked while running a round. The panic was caught
     /// at the span boundary — the rest of the fleet's spans kept running,
-    /// and the pool shut down cleanly — and surfaced like a round error:
-    /// the panicking round with the lowest `(round index, deployment)`
-    /// key wins, deterministically for any worker count. The engine is
-    /// tainted afterwards.
+    /// and the pool shut down cleanly — and it fails its round like a
+    /// round error: of all failing rounds, errors and panics alike, the
+    /// one with the lowest `(round index, deployment)` key is reported,
+    /// deterministically for any worker count. The engine is tainted
+    /// afterwards.
     WorkerPanicked {
         /// Slot index of the deployment whose round panicked.
         deployment: usize,
@@ -215,7 +216,9 @@ impl std::error::Error for EngineError {
 pub struct AdvanceStats {
     /// Rounds executed in this advance (across all deployments).
     pub rounds: u64,
-    /// Spans stolen across worker deques (0 = perfectly balanced deal).
+    /// Always 0: workers take spans from one shared list, so no span is
+    /// stolen. It stays only because perfbench's traced fleet still reads
+    /// it.
     pub steals: u64,
     /// Rounds executed per worker, indexed by worker.
     pub per_worker: Vec<u64>,
@@ -289,12 +292,14 @@ impl CampaignEngineBuilder {
         self
     }
 
-    /// Rounds per scheduled span (default 32). Smaller spans steal and
-    /// rebalance at finer grain; larger spans lock the deployment's parked
-    /// driver and metrics fewer times per round, and with several workers
-    /// leave fewer spans of one deployment running side by side, so more
-    /// spans resume the deployment's driver instead of building one.
-    /// Results do not depend on it. Clamped to at least 1.
+    /// Rounds per scheduled span (default 32). Smaller spans balance the
+    /// workers at finer grain; larger spans lock the deployment's parked
+    /// driver and metrics fewer times per round. A deployment's next span
+    /// is taken only after every other deployment's span of the same
+    /// rank, so in a fleet it usually resumes the driver its previous span
+    /// parked; a lone deployment's spans run side by side on several
+    /// workers, and each that finds no parked driver builds one. Results
+    /// do not depend on it. Clamped to at least 1.
     pub fn chunk(mut self, rounds: u64) -> Self {
         self.chunk = rounds.max(1);
         self
@@ -449,14 +454,19 @@ impl CampaignEngine {
     }
 
     /// Run `rounds` more rounds of **every** deployment over the worker
-    /// pool, stealing spans across workers as they drain.
+    /// pool. The rounds are cut into spans of [`chunk`](Self::chunk)
+    /// rounds and listed once, span index major: every deployment's first
+    /// span, then every deployment's second, and so on. Each worker takes
+    /// the next listed span whenever it finishes one; one worker runs
+    /// them in list order.
     ///
     /// # Errors
     ///
-    /// * [`EngineError::Round`] — a deployment's round failed. The
-    ///   scheduler stops scheduling rounds past the failure and surfaces
-    ///   the erroring round with the lowest `(round index, deployment)`
-    ///   key — deterministic for any worker count. The engine is tainted
+    /// * [`EngineError::Round`] or [`EngineError::WorkerPanicked`] — a
+    ///   deployment's round returned an error or panicked. The scheduler
+    ///   stops scheduling rounds past the failure and surfaces the failing
+    ///   round with the lowest `(round index, deployment)` key —
+    ///   deterministic for any worker count. The engine is tainted
     ///   afterwards.
     /// * [`EngineError::Tainted`] — a previous advance failed.
     /// * [`EngineError::RoundIndexOverflow`] — a deployment's clock would
@@ -497,26 +507,17 @@ impl CampaignEngine {
             return Err(EngineError::Tainted);
         }
 
-        let mut spans = Vec::new();
-        for (dep, slot) in self.slots.iter().enumerate() {
-            let base = slot.completed.load(Ordering::Relaxed);
-            let end = base + rounds;
-            if end > u32::MAX as u64 {
-                return Err(EngineError::RoundIndexOverflow {
-                    deployment: dep,
-                    index: end,
-                });
-            }
-            let mut start = base;
-            while start < end {
-                let len = self.chunk.min(end - start);
-                spans.push(Span {
-                    dep: dep as u32,
-                    start,
-                    len,
-                });
-                start += len;
-            }
+        let bases: Vec<u64> = self
+            .slots
+            .iter()
+            .map(|slot| slot.completed.load(Ordering::Relaxed))
+            .collect();
+        let end = |dep: usize| bases[dep].saturating_add(rounds);
+        if let Some(dep) = (0..bases.len()).find(|&dep| end(dep) > u32::MAX as u64) {
+            return Err(EngineError::RoundIndexOverflow {
+                deployment: dep,
+                index: end(dep),
+            });
         }
 
         let runner = EngineRunner {
@@ -524,35 +525,18 @@ impl CampaignEngine {
             recorder,
             resumed: AtomicU64::new(0),
         };
-        let outcome = run_spans(deal_spans(spans, self.workers), &runner);
-        let stats = AdvanceStats {
-            rounds: outcome.executed(),
-            steals: outcome.steals(),
-            per_worker: outcome.workers.iter().map(|w| w.executed).collect(),
-            resumed: runner.resumed.into_inner(),
-        };
-        // Typed round errors and caught panics compete on the same
-        // deterministic key; the lower one is the run's failure.
-        let error_key = outcome.error.as_ref().map(|&(key, _)| key);
-        let panic_key = outcome.panic.as_ref().map(|&(key, _)| key);
-        match (error_key, panic_key) {
-            (None, None) => Ok(stats),
-            (Some(ek), pk) if pk.is_none_or(|pk| ek <= pk) => {
-                self.tainted.store(true, Ordering::Relaxed);
-                Err(outcome.error.expect("error key came from an error").1)
-            }
-            _ => {
-                self.tainted.store(true, Ordering::Relaxed);
-                let (key, message) = outcome.panic.expect("panic key came from a panic");
-                let dep = (key & u32::MAX as u64) as usize;
-                Err(EngineError::WorkerPanicked {
-                    deployment: dep,
-                    name: self.slots[dep].spec.name.clone(),
-                    round_index: key >> 32,
-                    message,
-                })
-            }
+        let spans = list_spans(&bases, rounds, self.chunk);
+        let outcome = run_spans(&spans, self.workers, &runner);
+        if let Some(error) = outcome.error {
+            self.tainted.store(true, Ordering::Relaxed);
+            return Err(error);
         }
+        Ok(AdvanceStats {
+            rounds: outcome.per_worker.iter().sum(),
+            steals: 0,
+            per_worker: outcome.per_worker,
+            resumed: runner.resumed.into_inner(),
+        })
     }
 
     /// Copy a point-in-time fleet-wide view of progress and metrics.
@@ -694,6 +678,15 @@ impl<'e> SpanRunner for EngineRunner<'e> {
         }
         if !state.failed {
             *slot.parked.lock().unwrap_or_else(PoisonError::into_inner) = Some(state.driver.park());
+        }
+    }
+
+    fn panicked(&self, dep: u32, index: u64, message: String) -> EngineError {
+        EngineError::WorkerPanicked {
+            deployment: dep as usize,
+            name: self.engine.slots[dep as usize].spec.name.clone(),
+            round_index: index,
+            message,
         }
     }
 }

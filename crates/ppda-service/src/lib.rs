@@ -1,5 +1,5 @@
-//! Sharded multi-deployment campaign engine with work-stealing round
-//! scheduling.
+//! Sharded multi-deployment campaign engine: a fleet's round spans shared
+//! out over a fixed worker pool.
 //!
 //! The paper's evaluation — and the `ppda-bench` harnesses that
 //! reproduce it — run *one* deployment at a time. A long-running
@@ -10,10 +10,12 @@
 //!
 //! * every deployment's plan is **compiled once** (a
 //!   [`ppda_mpc::Deployment`]) and shared read-only by all workers;
-//! * rounds are scheduled as per-deployment index **spans** in
-//!   per-worker deques; a worker that drains its deque **steals** spans
-//!   from a victim's back, so imbalanced fleets rebalance without a
-//!   global queue — the round loop itself takes no lock at all;
+//! * rounds are scheduled as per-deployment index **spans**, listed once
+//!   per advance span index major (every deployment's first span, then
+//!   every deployment's second, …); each worker takes the next listed
+//!   span from **one shared cursor** whenever it finishes one, so
+//!   imbalanced fleets balance themselves — the round loop itself takes
+//!   no lock at all;
 //! * each deployment's driver (scratch, caches, membership-patched plan)
 //!   is **parked** at the end of a span and resumed by whichever span of
 //!   the deployment begins next (any driver runs any round with the
@@ -23,16 +25,17 @@
 //!   ([`ppda_metrics::CampaignAccumulator`]) that each span merges into
 //!   once, at its end; [`CampaignEngine::snapshot`] copies them without
 //!   stopping the workers;
-//! * a round failure stops the fleet early and deterministically: the
-//!   surfaced error is the erroring round with the lowest
-//!   `(round index, deployment)` key for **any** worker count;
+//! * a round failure — an error or a caught panic — stops the fleet
+//!   early and deterministically: the surfaced error is the failing round
+//!   with the lowest `(round index, deployment)` key for **any** worker
+//!   count;
 //! * with the `serde` feature, a quiesced engine checkpoints to a
 //!   self-contained byte blob (`Checkpoint`) and restores to a fleet
 //!   whose subsequent rounds are byte-identical to an uninterrupted
 //!   run.
 //!
 //! Because round outcomes are pure functions of their
-//! `(round_id, seed)` coordinates, out-of-order and stolen execution
+//! `(round_id, seed)` coordinates, out-of-order execution on any worker
 //! changes *nothing* about results: per-deployment reports and merged
 //! metrics are identical to driving each deployment single-threaded, for
 //! any worker count and span length (proved in `tests/service.rs`).

@@ -1,43 +1,40 @@
-//! Work-stealing round scheduling over per-deployment index spans.
+//! Round scheduling over per-deployment index spans.
 //!
 //! The unit of scheduling is a [`Span`]: a contiguous range of round
-//! indices of one deployment. Each worker owns a deque of spans; it pops
-//! its own front, and when its deque runs dry it steals from the *back* of
-//! a victim's deque — the classic split that keeps owner and thief on
-//! opposite ends. Every span of a deployment is dealt to one deque, in
-//! start order, so unstolen spans of a deployment run one after another,
-//! each resuming the driver the previous one parked. A stolen span (the
-//! last span of the victim's last deployment) can run beside another span
-//! of its deployment, and one of the two then builds a fresh driver; that
-//! is also how one long deployment spreads over several workers. The hot
-//! path (the round loop inside a span) touches no lock at all: queues are
-//! locked only to pop or steal a whole span, and the only shared state per
-//! round is one relaxed atomic load on the error [`Floor`].
+//! indices of one deployment. An advance lists its spans once, span index
+//! major ([`list_spans`]), and workers take the next listed span from one
+//! shared cursor (a relaxed `fetch_add`) whenever they finish one. So a
+//! deployment's next span is taken only after every other deployment's
+//! span of the same rank; in a fleet its previous span has usually ended
+//! by then and parked the driver the next one resumes. The round loop
+//! inside a span touches no lock: its only shared state is one relaxed
+//! atomic load of the failure floor.
 //!
-//! # Deterministic error selection
+//! # Deterministic failure selection
 //!
 //! Rounds are ordered by a 64-bit key, `(round_index << 32) | deployment`
-//! — index-major, so "the first error" means the erroring round with the
-//! lowest index (ties broken by deployment id), independent of how spans
-//! were scheduled or stolen. The floor starts at `u64::MAX` and is
-//! lowered (`fetch_min`) to every erroring round's key:
+//! — index-major, so "the first failure" means the failing round with the
+//! lowest index (ties broken by deployment id), independent of which
+//! worker ran which span. A round fails by returning an error or by
+//! panicking: a panic is caught at the span boundary, so one broken
+//! deployment cannot take down the pool, and [`SpanRunner::panicked`]
+//! turns it into an error. The floor starts at `u64::MAX` and is lowered
+//! (`fetch_min`) to every failing round's key:
 //!
 //! * a round whose key is **below** the floor always executes, so the
-//!   true minimum erroring key is always reached and reported;
+//!   true minimum failing key is always reached and reported;
 //! * a round whose key is **at or above** the floor is skipped, so the
 //!   fleet stops doing doomed work soon after the first failure.
 //!
 //! Because round outcomes are pure functions of their coordinates, the
-//! surfaced `(key, error)` pair is identical for every worker count.
+//! surfaced failure is identical for every worker count.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A contiguous range of round indices of one deployment: the unit of
-/// scheduling and stealing.
+/// scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Span {
     /// Deployment id (slot index in the engine).
@@ -48,6 +45,25 @@ pub(crate) struct Span {
     pub len: u64,
 }
 
+/// The spans of one advance: `rounds` more rounds of each deployment,
+/// starting at its entry of `bases`, cut into spans of at most `chunk`
+/// rounds (`chunk` ≥ 1) and listed span index major — every deployment's
+/// first span in deployment order, then every deployment's second, and
+/// so on.
+pub(crate) fn list_spans(bases: &[u64], rounds: u64, chunk: u64) -> Vec<Span> {
+    let per_deployment = rounds.div_ceil(chunk);
+    let mut spans = Vec::with_capacity(bases.len() * per_deployment as usize);
+    for offset in (0..per_deployment).map(|k| k * chunk) {
+        let len = chunk.min(rounds - offset);
+        spans.extend(bases.iter().enumerate().map(|(dep, &base)| Span {
+            dep: dep as u32,
+            start: base + offset,
+            len,
+        }));
+    }
+    spans
+}
+
 /// The scheduling key of one round: index-major, deployment-minor.
 ///
 /// Round indices above `u32::MAX` would collide; campaigns are bounded
@@ -56,35 +72,15 @@ pub(crate) fn round_key(dep: u32, index: u64) -> u64 {
     (index << 32) | dep as u64
 }
 
-/// The lowered-only error watermark shared by all workers.
-pub(crate) struct Floor(AtomicU64);
-
-impl Floor {
-    pub(crate) fn new() -> Self {
-        Floor(AtomicU64::new(u64::MAX))
-    }
-
-    /// Should the round with this key still run? (Strictly below the
-    /// lowest erroring key seen so far; everything if no error yet.)
-    pub(crate) fn allows(&self, key: u64) -> bool {
-        key < self.0.load(Ordering::Relaxed)
-    }
-
-    /// Record an erroring round's key, lowering the watermark.
-    pub(crate) fn sink(&self, key: u64) {
-        self.0.fetch_min(key, Ordering::Relaxed);
-    }
-}
-
 /// Per-span execution hooks the scheduler drives. `begin`/`finish`
 /// bracket each span so implementations can amortize per-deployment
 /// state (a round driver, a local accumulator) over the span's rounds,
 /// hand it on to whichever span of the deployment begins next, and
 /// publish results once per span instead of once per round.
 pub(crate) trait SpanRunner: Sync {
-    /// Span-scoped state (constructed outside any queue lock).
+    /// Span-scoped state.
     type State;
-    /// Per-round error; surfaced as the minimum-key error of the run.
+    /// Per-round failure; surfaced as the minimum-key failure of the run.
     type Error: Send;
 
     /// Called once when a worker starts a span of deployment `dep`.
@@ -94,51 +90,31 @@ pub(crate) trait SpanRunner: Sync {
     /// remaining rounds *below* the floor still run.
     fn round(&self, state: &mut Self::State, dep: u32, index: u64) -> Result<(), Self::Error>;
 
-    /// Called once when the span ends (even if every round was skipped).
+    /// Called once when the span ends (even if every round was skipped),
+    /// unless the span panicked.
     fn finish(&self, dep: u32, state: Self::State);
-}
 
-/// Per-worker tallies of one scheduling run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct WorkerStats {
-    /// Rounds this worker executed successfully.
-    pub executed: u64,
-    /// Spans this worker stole from another worker's deque.
-    pub steals: u64,
+    /// The failure of round `index` of deployment `dep`, whose span
+    /// panicked with `message` while attempting it.
+    fn panicked(&self, dep: u32, index: u64, message: String) -> Self::Error;
 }
 
 /// Outcome of one scheduling run.
 pub(crate) struct RunOutcome<E> {
-    /// Per-worker execution tallies, indexed by worker.
-    pub workers: Vec<WorkerStats>,
-    /// The erroring round with the lowest key, if any round failed.
-    pub error: Option<(u64, E)>,
-    /// The panicking round with the lowest key, if runner code panicked:
-    /// `(key, panic message)`. Panics are caught per span so one broken
-    /// deployment cannot take down the whole fleet's worker pool; like
-    /// errors they lower the floor, so the surfaced minimum is
-    /// deterministic for any worker count.
-    pub panic: Option<(u64, String)>,
+    /// Rounds each worker executed successfully, indexed by worker.
+    pub per_worker: Vec<u64>,
+    /// The failing round with the lowest key, if any round failed.
+    pub error: Option<E>,
 }
 
-impl<E> RunOutcome<E> {
-    /// Total rounds executed across all workers.
-    pub fn executed(&self) -> u64 {
-        self.workers.iter().map(|w| w.executed).sum()
-    }
+/// A failure and its round key.
+type Keyed<E> = Option<(u64, E)>;
 
-    /// Total spans stolen across all workers.
-    pub fn steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
+/// Keep the lower-keyed of `best` and `(key, error)`.
+fn keep_lowest<E>(best: &mut Keyed<E>, key: u64, error: E) {
+    if best.as_ref().is_none_or(|&(k, _)| key < k) {
+        *best = Some((key, error));
     }
-}
-
-/// One worker's result: tallies plus its locally-best (minimum-key)
-/// error and panic.
-struct WorkerOutcome<E> {
-    stats: WorkerStats,
-    error: Option<(u64, E)>,
-    panic: Option<(u64, String)>,
 }
 
 /// Best-effort human-readable panic payload (the common `&str`/`String`
@@ -153,32 +129,31 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Execute every span in `queues` (one deque per worker) on
-/// `queues.len()` scoped threads, stealing across deques on exhaustion.
+/// Execute every span of `spans` on `workers` scoped threads (the
+/// calling thread when `workers` is 1), each taking the next listed span
+/// from one shared cursor.
 ///
-/// Returns per-worker stats and the minimum-key error (see the module
-/// docs for why that minimum is deterministic).
+/// Returns per-worker round counts and the minimum-key failure (see the
+/// module docs for why that minimum is deterministic).
 pub(crate) fn run_spans<R: SpanRunner>(
-    queues: Vec<VecDeque<Span>>,
+    spans: &[Span],
+    workers: usize,
     runner: &R,
 ) -> RunOutcome<R::Error> {
-    let workers = queues.len();
     assert!(workers > 0, "scheduler needs at least one worker");
-    let queues: Vec<Mutex<VecDeque<Span>>> = queues.into_iter().map(Mutex::new).collect();
-    let floor = Floor::new();
-
-    let mut outcomes: Vec<WorkerOutcome<R::Error>> = if workers == 1 {
+    // Relaxed orderings suffice for both: the cursor hands out indices
+    // into a list every worker already reads, and the floor only decides
+    // which rounds to skip; neither publishes other data.
+    let cursor = AtomicUsize::new(0);
+    // The lowest failing key so far (see the module docs).
+    let floor = AtomicU64::new(u64::MAX);
+    let work = || worker_loop(spans, &cursor, &floor, runner);
+    let outcomes: Vec<(u64, Keyed<R::Error>)> = if workers == 1 {
         // Single worker: same code path, no thread spawn.
-        vec![worker_loop(0, &queues, &floor, runner)]
+        vec![work()]
     } else {
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queues = &queues;
-                    let floor = &floor;
-                    s.spawn(move || worker_loop(w, queues, floor, runner))
-                })
-                .collect();
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("scheduler worker panicked"))
@@ -186,114 +161,78 @@ pub(crate) fn run_spans<R: SpanRunner>(
         })
     };
 
-    // The run's error is the minimum key over the workers' local minima;
-    // panics are selected the same way, independently.
-    let winner = outcomes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| o.error.as_ref().map(|(key, _)| (*key, i)))
-        .min();
-    let error = winner.map(|(_, i)| outcomes[i].error.take().expect("winner has an error"));
-    let panic = outcomes
-        .iter_mut()
-        .filter_map(|o| o.panic.take())
-        .min_by_key(|&(key, _)| key);
+    // The run's failure is the minimum key over the workers' local minima.
+    let mut per_worker = Vec::with_capacity(workers);
+    let mut best = None;
+    for (executed, failure) in outcomes {
+        per_worker.push(executed);
+        if let Some((key, error)) = failure {
+            keep_lowest(&mut best, key, error);
+        }
+    }
     RunOutcome {
-        workers: outcomes.into_iter().map(|o| o.stats).collect(),
-        error,
-        panic,
+        per_worker,
+        error: best.map(|(_, error)| error),
     }
 }
 
+/// One worker: take spans from the shared cursor until the list runs
+/// out. Returns the rounds it executed and its lowest-key failure.
 fn worker_loop<R: SpanRunner>(
-    worker: usize,
-    queues: &[Mutex<VecDeque<Span>>],
-    floor: &Floor,
+    spans: &[Span],
+    cursor: &AtomicUsize,
+    floor: &AtomicU64,
     runner: &R,
-) -> WorkerOutcome<R::Error> {
-    let mut stats = WorkerStats::default();
-    let mut best: Option<(u64, R::Error)> = None;
-    let mut best_panic: Option<(u64, String)> = None;
-    loop {
-        // Own work from the front; steal from a victim's back.
-        let mut next = queues[worker].lock().expect("queue poisoned").pop_front();
-        if next.is_none() {
-            for off in 1..queues.len() {
-                let victim = (worker + off) % queues.len();
-                if let Some(span) = queues[victim].lock().expect("queue poisoned").pop_back() {
-                    stats.steals += 1;
-                    next = Some(span);
-                    break;
-                }
-            }
-        }
-        let Some(span) = next else { break };
-
+) -> (u64, Keyed<R::Error>) {
+    let mut executed = 0;
+    let mut best = None;
+    let mut fail = |key: u64, error: R::Error| {
+        floor.fetch_min(key, Ordering::Relaxed);
+        keep_lowest(&mut best, key, error);
+    };
+    while let Some(span) = spans.get(cursor.fetch_add(1, Ordering::Relaxed)) {
         // The whole span runs inside one catch_unwind so a panicking
         // runner (a poisoned deployment, a bug in observer code) is
-        // contained: the worker keeps draining other spans, and the
-        // panic surfaces through the same floor machinery as a typed
-        // round error. `at` tracks the round being attempted so the
-        // panic is attributed to a precise key.
+        // contained: the worker keeps taking spans, and the panic fails
+        // its round like an error. `at` tracks the round being attempted
+        // so the panic is attributed to a precise key.
         let at = Cell::new(span.start);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let mut state = runner.begin(span.dep);
             for index in span.start..span.start + span.len {
                 at.set(index);
                 let key = round_key(span.dep, index);
-                if !floor.allows(key) {
+                if key >= floor.load(Ordering::Relaxed) {
                     continue;
                 }
                 match runner.round(&mut state, span.dep, index) {
-                    Ok(()) => stats.executed += 1,
-                    Err(e) => {
-                        floor.sink(key);
-                        if best.as_ref().is_none_or(|(k, _)| key < *k) {
-                            best = Some((key, e));
-                        }
-                    }
+                    Ok(()) => executed += 1,
+                    Err(e) => fail(key, e),
                 }
             }
             runner.finish(span.dep, state);
         }));
         if let Err(payload) = caught {
-            let key = round_key(span.dep, at.get());
-            floor.sink(key);
-            if best_panic.as_ref().is_none_or(|(k, _)| key < *k) {
-                best_panic = Some((key, panic_message(payload)));
-            }
+            let index = at.get();
+            let error = runner.panicked(span.dep, index, panic_message(payload));
+            fail(round_key(span.dep, index), error);
         }
     }
-    WorkerOutcome {
-        stats,
-        error: best,
-        panic: best_panic,
-    }
-}
-
-/// Deal `spans` into `workers` deques, every span of deployment `d` to
-/// deque `d % workers` in the order given (start order), so a
-/// deployment's spans run one after another on one worker unless one is
-/// stolen; with one worker every span lands in one deque, in order.
-pub(crate) fn deal_spans(
-    spans: impl IntoIterator<Item = Span>,
-    workers: usize,
-) -> Vec<VecDeque<Span>> {
-    let mut queues: Vec<VecDeque<Span>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for span in spans {
-        queues[span.dep as usize % workers].push_back(span);
-    }
-    queues
+    (executed, best)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
-    /// Records executed (dep, index) pairs; errors on one configured
-    /// set, panics on another.
+    /// A synthetic failure: the round's coordinates and, for a panic, its
+    /// message.
+    type Failure = (u32, u64, Option<String>);
+
+    /// Records executed (dep, index) pairs in execution order; errors on
+    /// one configured set, panics on another.
     struct SyntheticRunner {
         fail: HashSet<(u32, u64)>,
         panics: HashSet<(u32, u64)>,
@@ -321,18 +260,18 @@ mod tests {
 
     impl SpanRunner for SyntheticRunner {
         type State = ();
-        type Error = (u32, u64);
+        type Error = Failure;
 
         fn begin(&self, _dep: u32) {
             self.begins.fetch_add(1, Ordering::Relaxed);
         }
 
-        fn round(&self, _state: &mut (), dep: u32, index: u64) -> Result<(), (u32, u64)> {
+        fn round(&self, _state: &mut (), dep: u32, index: u64) -> Result<(), Failure> {
             if self.panics.contains(&(dep, index)) {
                 panic!("synthetic panic at ({dep}, {index})");
             }
             if self.fail.contains(&(dep, index)) {
-                return Err((dep, index));
+                return Err((dep, index, None));
             }
             self.executed.lock().unwrap().push((dep, index));
             Ok(())
@@ -341,46 +280,65 @@ mod tests {
         fn finish(&self, _dep: u32, _state: ()) {
             self.finishes.fetch_add(1, Ordering::Relaxed);
         }
+
+        fn panicked(&self, dep: u32, index: u64, message: String) -> Failure {
+            (dep, index, Some(message))
+        }
     }
 
     /// 4 deployments × 40 rounds in spans of 8.
     fn fleet_spans() -> Vec<Span> {
-        let mut spans = Vec::new();
-        for dep in 0..4u32 {
-            for chunk in 0..5u64 {
-                spans.push(Span {
-                    dep,
-                    start: chunk * 8,
-                    len: 8,
-                });
-            }
-        }
+        list_spans(&[0; 4], 40, 8)
+    }
+
+    /// Every (dep, index) pair of `spans`, in list order.
+    fn rounds_of(spans: &[Span]) -> Vec<(u32, u64)> {
         spans
+            .iter()
+            .flat_map(|s| (s.start..s.start + s.len).map(move |index| (s.dep, index)))
+            .collect()
+    }
+
+    /// Run `runner` over the fleet with the default panic hook silenced:
+    /// it would print every caught panic to stderr.
+    fn run_quietly(workers: usize, runner: &SyntheticRunner) -> RunOutcome<Failure> {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let outcome = run_spans(&fleet_spans(), workers, runner);
+        std::panic::set_hook(hook);
+        outcome
     }
 
     #[test]
-    fn each_deployment_deals_to_one_deque_in_start_order() {
-        for workers in [1usize, 2, 3, 8] {
-            let queues = deal_spans(fleet_spans(), workers);
-            assert_eq!(queues.iter().map(VecDeque::len).sum::<usize>(), 20);
-            for dep in 0..4u32 {
-                let holders: Vec<usize> = (0..workers)
-                    .filter(|&w| queues[w].iter().any(|s| s.dep == dep))
-                    .collect();
-                assert_eq!(holders.len(), 1, "dep {dep} split at {workers} workers");
-                let starts: Vec<u64> = queues[holders[0]]
-                    .iter()
-                    .filter(|s| s.dep == dep)
-                    .map(|s| s.start)
-                    .collect();
-                assert_eq!(starts, [0, 8, 16, 24, 32], "dep {dep} out of order");
-            }
+    fn spans_are_listed_span_index_major() {
+        // Three deployments at different clocks, 10 rounds in spans of 3:
+        // four spans each, the last one round long.
+        let bases = [0u64, 5, 17];
+        let spans = list_spans(&bases, 10, 3);
+        assert_eq!(spans.len(), 3 * 4);
+        // Each (deployment, index) once.
+        let mut rounds = rounds_of(&spans);
+        rounds.sort_unstable();
+        let expected: Vec<(u32, u64)> = (0..3u32)
+            .flat_map(|dep| (0..10).map(move |i| (dep, bases[dep as usize] + i)))
+            .collect();
+        assert_eq!(rounds, expected);
+        // Each deployment's spans ascend.
+        for (dep, &base) in bases.iter().enumerate() {
+            let starts: Vec<u64> = spans
+                .iter()
+                .filter(|s| s.dep as usize == dep)
+                .map(|s| s.start - base)
+                .collect();
+            assert_eq!(starts, [0, 3, 6, 9], "deployment {dep}");
         }
-        // One worker keeps the spans exactly as given.
-        assert_eq!(
-            deal_spans(fleet_spans(), 1)[0],
-            fleet_spans().into_iter().collect::<VecDeque<_>>()
-        );
+        // Span k of every deployment comes before span k + 1 of any.
+        let ranks: Vec<u64> = spans
+            .iter()
+            .map(|s| (s.start - bases[s.dep as usize]) / 3)
+            .collect();
+        assert!(ranks.is_sorted(), "{ranks:?}");
+        assert!(list_spans(&bases, 0, 3).is_empty());
     }
 
     #[test]
@@ -391,12 +349,21 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_runs_spans_in_list_order() {
+        let spans = fleet_spans();
+        let runner = SyntheticRunner::new([]);
+        run_spans(&spans, 1, &runner);
+        assert_eq!(runner.executed.into_inner().unwrap(), rounds_of(&spans));
+    }
+
+    #[test]
     fn every_round_runs_exactly_once_for_any_worker_count() {
         for workers in [1usize, 2, 3, 8] {
             let runner = SyntheticRunner::new([]);
-            let outcome = run_spans(deal_spans(fleet_spans(), workers), &runner);
+            let outcome = run_spans(&fleet_spans(), workers, &runner);
             assert!(outcome.error.is_none());
-            assert_eq!(outcome.executed(), 4 * 40);
+            assert_eq!(outcome.per_worker.len(), workers);
+            assert_eq!(outcome.per_worker.iter().sum::<u64>(), 4 * 40);
             let executed = runner.executed.into_inner().unwrap();
             let unique: HashSet<_> = executed.iter().copied().collect();
             assert_eq!(unique.len(), executed.len(), "a round ran twice");
@@ -411,10 +378,8 @@ mod tests {
         // minimum key = (5, dep 0).
         for workers in [1usize, 2, 4] {
             let runner = SyntheticRunner::new([(2, 5), (1, 9), (0, 5)]);
-            let outcome = run_spans(deal_spans(fleet_spans(), workers), &runner);
-            let (key, (dep, index)) = outcome.error.expect("a round failed");
-            assert_eq!((dep, index), (0, 5));
-            assert_eq!(key, round_key(0, 5));
+            let outcome = run_spans(&fleet_spans(), workers, &runner);
+            assert_eq!(outcome.error, Some((0, 5, None)));
             // Everything strictly below the final floor executed.
             let executed = runner.executed.into_inner().unwrap();
             for dep in 0..4u32 {
@@ -428,19 +393,18 @@ mod tests {
     #[test]
     fn an_error_stops_later_rounds() {
         // Fail the very first round of dep 0: with one worker (fully
-        // sequential, dealt order) only keys below the floor may still
-        // run afterwards, so almost the whole fleet is skipped.
+        // sequential, list order) only keys below the floor may still
+        // run afterwards, so the whole fleet is skipped.
         let runner = SyntheticRunner::new([(0, 0)]);
-        let outcome = run_spans(deal_spans(fleet_spans(), 1), &runner);
+        let outcome = run_spans(&fleet_spans(), 1, &runner);
         assert!(outcome.error.is_some());
         // Only rounds with key < (0 << 32 | 0) = 0 could run: none.
-        assert_eq!(outcome.executed(), 0);
+        assert_eq!(outcome.per_worker.iter().sum::<u64>(), 0);
     }
 
     /// No-op runner that holds every worker at its first `begin` until
-    /// all of them have picked up a span — so on any host (including a
-    /// single hardware thread) idle workers provably steal before the
-    /// loaded worker can drain its own deque.
+    /// all of them have taken a span — so on any host (including a
+    /// single hardware thread) no worker can drain the list alone.
     struct RendezvousRunner {
         barrier: std::sync::Barrier,
         arrived: Mutex<HashSet<std::thread::ThreadId>>,
@@ -463,36 +427,35 @@ mod tests {
         }
 
         fn finish(&self, _dep: u32, _state: ()) {}
+
+        fn panicked(&self, _dep: u32, _index: u64, _message: String) {}
     }
 
     #[test]
-    fn idle_workers_steal_loaded_queues() {
-        // All spans dealt to worker 0; three idle workers must each
-        // steal a span to reach the rendezvous.
-        let mut queues = deal_spans(fleet_spans(), 1);
-        queues.extend((0..3).map(|_| VecDeque::new()));
+    fn every_worker_takes_a_span() {
+        // Four workers must each take a span to reach the rendezvous.
         let runner = RendezvousRunner {
             barrier: std::sync::Barrier::new(4),
             arrived: Mutex::new(HashSet::new()),
         };
-        let outcome = run_spans(queues, &runner);
+        let outcome = run_spans(&fleet_spans(), 4, &runner);
         assert!(outcome.error.is_none());
-        assert_eq!(outcome.executed(), 4 * 40);
-        assert!(outcome.steals() >= 3, "idle workers never stole");
+        assert_eq!(outcome.per_worker.iter().sum::<u64>(), 4 * 40);
+        assert!(
+            outcome.per_worker.iter().all(|&rounds| rounds > 0),
+            "{:?}",
+            outcome.per_worker
+        );
     }
 
     #[test]
     fn a_panic_is_contained_and_surfaces_at_its_round_key() {
-        // A std panic hook would spam stderr for every caught panic;
-        // silence it for the duration of the run.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         for workers in [1usize, 2, 4] {
             let runner = SyntheticRunner::new([]).with_panics([(1, 3)]);
-            let outcome = run_spans(deal_spans(fleet_spans(), workers), &runner);
-            assert!(outcome.error.is_none());
-            let (key, message) = outcome.panic.expect("the panic must surface");
-            assert_eq!(key, round_key(1, 3));
+            let outcome = run_quietly(workers, &runner);
+            let (dep, index, message) = outcome.error.expect("the panic must surface");
+            assert_eq!((dep, index), (1, 3));
+            let message = message.expect("a panic carries its message");
             assert!(message.contains("synthetic panic at (1, 3)"), "{message}");
             // The panic lowers the floor like an error: every round
             // strictly below it still executed — the pool survived.
@@ -508,44 +471,30 @@ mod tests {
             let finishes = runner.finishes.into_inner();
             assert_eq!(begins, finishes + 1);
         }
-        std::panic::set_hook(hook);
     }
 
     #[test]
     fn the_lowest_key_failure_wins_whether_error_or_panic() {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         for workers in [1usize, 2, 4] {
-            // Error below panic: the error is the run's minimum; the
-            // floor may mask the panic entirely, but never with a
-            // lower key than the error's.
+            // Error below panic: the error is the run's failure.
             let runner = SyntheticRunner::new([(0, 5)]).with_panics([(2, 5)]);
-            let outcome = run_spans(deal_spans(fleet_spans(), workers), &runner);
-            let (error_key, (dep, index)) = outcome.error.expect("error surfaces");
-            assert_eq!((dep, index), (0, 5));
-            assert_eq!(error_key, round_key(0, 5));
-            if let Some((panic_key, _)) = outcome.panic {
-                assert!(panic_key > error_key);
-            }
+            assert_eq!(run_quietly(workers, &runner).error, Some((0, 5, None)));
 
-            // Panic below error: roles swap.
+            // Panic below error: the panic is.
             let runner = SyntheticRunner::new([(2, 5)]).with_panics([(0, 5)]);
-            let outcome = run_spans(deal_spans(fleet_spans(), workers), &runner);
-            let (panic_key, _) = outcome.panic.expect("panic surfaces");
-            assert_eq!(panic_key, round_key(0, 5));
-            if let Some((error_key, _)) = outcome.error {
-                assert!(error_key > panic_key);
-            }
+            let (dep, index, message) = run_quietly(workers, &runner)
+                .error
+                .expect("the panic surfaces");
+            assert_eq!((dep, index), (0, 5));
+            assert!(message.is_some(), "the error won over a lower panic");
         }
-        std::panic::set_hook(hook);
     }
 
     #[test]
-    fn empty_queues_return_immediately() {
+    fn an_empty_list_returns_immediately() {
         let runner = SyntheticRunner::new([]);
-        let outcome = run_spans(deal_spans([], 4), &runner);
+        let outcome = run_spans(&[], 4, &runner);
         assert!(outcome.error.is_none());
-        assert_eq!(outcome.executed(), 0);
-        assert_eq!(outcome.steals(), 0);
+        assert_eq!(outcome.per_worker, [0; 4]);
     }
 }

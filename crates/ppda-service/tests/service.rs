@@ -1,7 +1,8 @@
-//! Differential conformance for the campaign engine: work-stealing,
-//! out-of-order, multi-worker execution must be **byte-identical** to
-//! driving every deployment single-threaded, and a checkpoint/restore
-//! cycle must change nothing about subsequent rounds.
+//! Differential conformance for the campaign engine: out-of-order,
+//! multi-worker execution from one shared span list must be
+//! **byte-identical** to driving every deployment single-threaded, and a
+//! checkpoint/restore cycle must change nothing about subsequent rounds.
+//! Checkpoints restore only in the version they are captured in.
 
 use ppda_metrics::CampaignAccumulator;
 use ppda_mpc::{
@@ -459,6 +460,31 @@ fn a_parked_driver_never_runs_on_another_deployment() {
 }
 
 #[test]
+fn advances_past_the_round_index_budget_are_refused() {
+    let engine = CampaignEngine::builder()
+        .workers(1)
+        .deployments(fleet().into_iter().take(2))
+        .build()
+        .expect("fleet compiles");
+    engine.advance(1).expect("advance runs");
+    for (rounds, index) in [(u32::MAX as u64, u32::MAX as u64 + 1), (u64::MAX, u64::MAX)] {
+        match engine.advance(rounds) {
+            Err(EngineError::RoundIndexOverflow {
+                deployment,
+                index: at,
+            }) => {
+                assert_eq!((deployment, at), (0, index), "advance({rounds})")
+            }
+            other => panic!("advance({rounds}) returned {other:?}"),
+        }
+    }
+    // A refused advance runs nothing and leaves the engine usable.
+    assert!(!engine.is_tainted());
+    assert_eq!(engine.advance(1).expect("advance runs").rounds, 2);
+    assert_eq!(engine.snapshot().total_rounds(), 4);
+}
+
+#[test]
 fn a_panicking_round_surfaces_as_worker_panicked_and_taints() {
     // Silence the default panic hook: the probe's panic is expected and
     // caught inside the worker pool.
@@ -589,168 +615,6 @@ mod checkpointing {
         assert_eq!(recorded[churny], reports);
     }
 
-    /// A fresh, membership-free, single-deployment engine's checkpoint in
-    /// the v4 encoding, which the tests below strip back down to older
-    /// ones. The per-spec appendices sit right before the trailing
-    /// `completed` u64 and the length-prefixed (empty) accumulator — v2
-    /// added a 24-byte appendix (membership count 0 as u64, four u32
-    /// Trickle params), v3 a single fragmentation-flag byte after it, v4
-    /// a single integrity-mode byte after that. v5 keeps only `i_min`
-    /// and `crash_detection` of the Trickle params, so the v4 bytes are
-    /// the current capture with the two dropped words (interval
-    /// doublings 6, redundancy constant 2) re-inserted between them.
-    fn legacy_checkpoint_fixture() -> (DeploymentSpec, Vec<u8>, usize) {
-        let spec = {
-            let topology = Topology::grid(3, 3, 15.0, 9);
-            let config = ProtocolConfig::builder(topology.len())
-                .sources(3)
-                .build()
-                .expect("grid config");
-            DeploymentSpec::new("legacy", topology, config)
-        };
-        let engine = CampaignEngine::builder()
-            .workers(1)
-            .deployment(spec.clone())
-            .build()
-            .expect("spec compiles");
-        let current = Checkpoint::capture(&engine).expect("checkpoint");
-        let mut bytes = current.as_bytes().to_vec();
-        assert_eq!(bytes[0], 5, "the current format");
-        let metrics_len = 8 + CampaignAccumulator::new().to_blob().len();
-        let trailer_len = 8 + metrics_len;
-        // Before `crash_detection` and the two flag bytes.
-        let crash_detection_at = bytes.len() - (trailer_len + 2 + 4);
-        let dropped = [6u32.to_le_bytes(), 2u32.to_le_bytes()].concat();
-        bytes.splice(crash_detection_at..crash_detection_at, dropped);
-        bytes[0] = 4;
-        (spec, bytes, trailer_len)
-    }
-
-    #[test]
-    fn version_4_checkpoints_still_restore() {
-        let (spec, v4, _) = legacy_checkpoint_fixture();
-        let v4_len = v4.len();
-        let restored = Checkpoint::from_bytes(v4).restore().expect("v4 restores");
-        assert_eq!(restored.spec(0).name, "legacy");
-        assert_eq!(restored.spec(0).trickle, spec.trickle);
-        assert_eq!(restored.spec(0).config, spec.config);
-        // Captured again, it is the current encoding, 8 bytes shorter.
-        let current = Checkpoint::capture(&restored).expect("checkpoint");
-        assert_eq!(current.as_bytes()[0], 5);
-        assert_eq!(current.as_bytes().len(), v4_len - 8);
-        restored.advance(2).expect("restored engine runs");
-    }
-
-    #[test]
-    fn version_1_checkpoints_still_restore() {
-        let (spec, bytes, trailer_len) = legacy_checkpoint_fixture();
-        // Strip the v4 integrity byte, the v3 flag byte and the v2
-        // appendix, rewind the version byte to synthesize the v1
-        // encoding.
-        let appendix_at = bytes.len() - (26 + trailer_len);
-        let mut v1 = bytes;
-        v1.drain(appendix_at..appendix_at + 26);
-        v1[0] = 1;
-
-        let restored = Checkpoint::from_bytes(v1).restore().expect("v1 restores");
-        assert_eq!(restored.spec(0).name, "legacy");
-        assert!(restored.spec(0).membership.is_empty());
-        assert_eq!(restored.spec(0).trickle, spec.trickle);
-        assert!(!restored.spec(0).config.fragmentation);
-        assert!(!restored.spec(0).config.integrity.is_on());
-        restored.advance(2).expect("restored engine runs");
-    }
-
-    #[test]
-    fn version_2_checkpoints_still_restore() {
-        let (spec, bytes, trailer_len) = legacy_checkpoint_fixture();
-        // Strip the v3 fragmentation and v4 integrity bytes to
-        // synthesize v2.
-        let flag_at = bytes.len() - (2 + trailer_len);
-        let mut v2 = bytes;
-        v2.drain(flag_at..flag_at + 2);
-        v2[0] = 2;
-
-        let restored = Checkpoint::from_bytes(v2).restore().expect("v2 restores");
-        assert_eq!(restored.spec(0).name, "legacy");
-        assert_eq!(restored.spec(0).trickle, spec.trickle);
-        assert!(!restored.spec(0).config.fragmentation);
-        assert!(!restored.spec(0).config.integrity.is_on());
-        restored.advance(2).expect("restored engine runs");
-    }
-
-    #[test]
-    fn version_3_checkpoints_still_restore() {
-        let (spec, bytes, trailer_len) = legacy_checkpoint_fixture();
-        // Strip only the v4 integrity byte to synthesize v3.
-        let flag_at = bytes.len() - (1 + trailer_len);
-        let mut v3 = bytes;
-        v3.drain(flag_at..flag_at + 1);
-        v3[0] = 3;
-
-        let restored = Checkpoint::from_bytes(v3).restore().expect("v3 restores");
-        assert_eq!(restored.spec(0).name, "legacy");
-        assert_eq!(restored.spec(0).trickle, spec.trickle);
-        assert!(!restored.spec(0).config.integrity.is_on());
-        restored.advance(2).expect("restored engine runs");
-    }
-
-    /// Transcode a version-2 accumulator blob (sample sets as (value bits,
-    /// count) runs) to version 1 (flat samples), as older checkpoints
-    /// hold it: the header through the margin histogram is shared, and
-    /// each run becomes `count` copies of its value.
-    fn flat_accumulator_blob(v2: &[u8]) -> Vec<u8> {
-        let word = |at: usize| u64::from_le_bytes(v2[at..at + 8].try_into().unwrap());
-        let mut at = 1 + 8 * 6;
-        at += 8 + 8 * word(at) as usize;
-        let mut v1 = v2[..at].to_vec();
-        v1[0] = 1;
-        for _ in 0..2 {
-            let runs = word(at) as usize;
-            let samples: Vec<u64> = (0..runs)
-                .map(|i| at + 8 + 16 * i)
-                .flat_map(|run| std::iter::repeat_n(word(run), word(run + 8) as usize))
-                .collect();
-            v1.extend_from_slice(&(samples.len() as u64).to_le_bytes());
-            for bits in samples {
-                v1.extend_from_slice(&bits.to_le_bytes());
-            }
-            at += 8 + 16 * runs;
-        }
-        v1
-    }
-
-    /// Checkpoints keep their format version when the accumulator field
-    /// changes its own: one holding a version-1 (flat-sample) accumulator
-    /// restores to the same metrics.
-    #[test]
-    fn checkpoints_with_version_1_accumulators_still_restore() {
-        let spec = fleet().swap_remove(0);
-        let engine = CampaignEngine::builder()
-            .workers(1)
-            .deployment(spec)
-            .build()
-            .expect("spec compiles");
-        engine.advance(6).expect("first leg");
-        let metrics = engine.snapshot().merged();
-        let v2 = metrics.to_blob();
-        let v1 = flat_accumulator_blob(&v2);
-        assert!(v1.len() > v2.len());
-        // The lone deployment's length-prefixed accumulator ends the blob.
-        let bytes = Checkpoint::capture(&engine)
-            .expect("checkpoint")
-            .as_bytes()
-            .to_vec();
-        let mut legacy = bytes[..bytes.len() - 8 - v2.len()].to_vec();
-        legacy.extend_from_slice(&(v1.len() as u64).to_le_bytes());
-        legacy.extend_from_slice(&v1);
-
-        let restored = Checkpoint::from_bytes(legacy).restore().expect("restores");
-        assert_eq!(restored.completed(0), 6);
-        assert_same_metrics(&restored.snapshot().merged(), &metrics);
-        assert_eq!(restored.snapshot().merged().to_blob(), v2);
-    }
-
     #[test]
     fn integrity_mode_survives_checkpoint_round_trip() {
         let topology = Topology::grid(3, 3, 15.0, 9);
@@ -860,10 +724,12 @@ mod checkpointing {
         assert!(Checkpoint::from_bytes(&bytes[..bytes.len() - 1])
             .restore()
             .is_err());
-        // Wrong version byte.
-        let mut wrong = bytes.to_vec();
-        wrong[0] = 99;
-        assert!(Checkpoint::from_bytes(wrong).restore().is_err());
+        // Wrong version byte, including the retired version 4.
+        for version in [4, 99] {
+            let mut wrong = bytes.to_vec();
+            wrong[0] = version;
+            assert!(Checkpoint::from_bytes(wrong).restore().is_err());
+        }
         // serde layer rejects non-checkpoint payloads eagerly.
         assert!(from_value::<Checkpoint>(to_value(&vec![9u8, 9, 9]).unwrap()).is_err());
     }

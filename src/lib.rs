@@ -10,7 +10,7 @@
 //! ([`mpc::ProtocolKind::S3`] naive / [`mpc::ProtocolKind::S4`] scalable)
 //! and an optional fault model, compiles the round plan once, and streams
 //! rounds from a [`mpc::RoundDriver`]. Fleets of deployments are
-//! multiplexed over a work-stealing worker pool by the
+//! multiplexed over a fixed worker pool by the
 //! [`service::CampaignEngine`].
 //!
 //! ## Quickstart

@@ -59,7 +59,7 @@ const COUNTED_STEPS: u32 = 50;
 const WARMUP_TICKS: u32 = 160;
 const COUNTED_TICKS: u32 = 50;
 /// Allocation bound of one fleet tick.
-const FLEET_TICK_BOUND: u64 = 94;
+const FLEET_TICK_BOUND: u64 = 92;
 
 /// A benchmark operating point and its allocation bound per step.
 struct Point {
